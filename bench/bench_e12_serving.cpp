@@ -140,10 +140,8 @@ int run_e12(const FlagSet& flags, std::ostream& out) {
       .add("n", static_cast<std::uint64_t>(n))
       .add("k", k)
       .add("build_seconds", build_seconds)
-      .add("store_payload_bytes", store.payload_bytes())
       .add("store_encoded_bytes", store.encoded_bytes())
-      .add("word_model_bytes_per_node",
-           4.0 * store.mean_size_words())
+      .add("mean_size_words", store.mean_size_words())
       .add("encoded_bytes_per_node",
            static_cast<double>(store.encoded_bytes()) / n)
       .add("verify_pairs", static_cast<std::uint64_t>(verify_pairs))

@@ -139,7 +139,7 @@ int run_e15(const FlagSet& flags, std::ostream& out) {
       .add("queries", static_cast<std::uint64_t>(pairs.size()))
       .add("label_mismatches", label_mismatches)
       .add("query_mismatches", query_mismatches)
-      .add("store_bytes", static_cast<std::uint64_t>(store.payload_bytes()))
+      .add("store_bytes", static_cast<std::uint64_t>(store.encoded_bytes()))
       .add("pack_seconds", pack_seconds)
       .add("centralized_build_seconds", central_seconds)
       .add("ns_per_query",

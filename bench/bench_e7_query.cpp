@@ -3,9 +3,10 @@
 // Hand-rolled timing loops over the query path for each scheme; the TZ
 // query should grow (sub-)linearly in k and stay in the tens to hundreds
 // of nanoseconds — the "quickly in an online fashion" claim of §1. Each
-// config is timed twice: through `SketchEngine::query` (the build
-// representation) and through the packed `SketchStore` (the serving
-// representation, see src/serve/).
+// config is timed through `SketchEngine::query` (the build-side oracle),
+// the heap `SketchStore` (the same label plane and query kernel, loaded
+// from the v3 file), and the mmap'd v3 store (which decodes the two
+// records on every query), cold and warm.
 //
 // A second table (`oracle_latency`) times every oracle named by
 // --oracles (default "tz,landmark,exact") through the registry-resolved
@@ -167,11 +168,12 @@ int run_e7(const FlagSet& flags, std::ostream& out) {
   }
   note(out, "e7",
        "Expected shape: TZ ns/query grows (sub-)linearly in k and stays in "
-       "the tens-to-hundreds of ns; the packed store is at least as fast "
-       "as the engine representation; mmap_mismatches is exactly 0, warm "
-       "mmap latency sits near the heap store's, and the cold pass pays "
-       "the page fault-in on top. obs_overhead: metrics off vs on vs "
-       "on+tracing should differ by low single-digit percent.");
+       "the tens-to-hundreds of ns; the heap store and the engine run one "
+       "kernel over one layout, so their columns differ only by noise; "
+       "mmap_mismatches is exactly 0, warm mmap pays a two-record decode "
+       "on every query on top of that kernel, and the cold pass adds the "
+       "page fault-in. obs_overhead: metrics off vs on vs on+tracing "
+       "should differ by low single-digit percent.");
   return 0;
 }
 

@@ -67,7 +67,7 @@ int main() {
       // Sketch schemes: pack the binary serving representation.
       const SketchStore store = SketchStore::from_oracle(*oracle);
       store.save_file(store_path());
-      shipped_bytes = store.payload_bytes();
+      shipped_bytes = store.encoded_bytes();
     } else {
       // Baselines: no packed form — ship the text envelope instead.
       std::ofstream out(store_path());
@@ -81,7 +81,7 @@ int main() {
       std::printf("built %s (centralized baseline)\n",
                   oracle->guarantee().c_str());
     }
-    std::printf("  %.1f words/node, %zu packed bytes on disk\n",
+    std::printf("  %.1f words/node, %zu encoded bytes on disk\n",
                 oracle->mean_size_words(), shipped_bytes);
   }
 

@@ -85,24 +85,24 @@ SlackSketchSet read_slack_sketches(std::istream& in) {
   for (NodeId& w : net) {
     if (!(in >> w)) throw std::runtime_error("truncated slack net");
   }
-  std::vector<std::vector<Dist>> dist(n, std::vector<Dist>(net_size));
+  SlackSketchSet set(std::move(net));
+  std::vector<Dist> row(net_size);
   for (NodeId u = 0; u < n; ++u) {
-    for (std::size_t i = 0; i < net_size; ++i) {
-      if (!(in >> dist[u][i])) {
-        throw std::runtime_error("truncated slack distances");
-      }
+    for (Dist& d : row) {
+      if (!(in >> d)) throw std::runtime_error("truncated slack distances");
     }
+    set.append_row(row.data());
   }
-  return SlackSketchSet(std::move(net), std::move(dist));
+  return set;
 }
 
 void write_cdg_sketches(std::ostream& out, const CdgSketchSet& set,
                         NodeId n) {
   out << kCdgMagic << ' ' << n << '\n';
   for (NodeId u = 0; u < n; ++u) {
-    const auto& s = set.sketch(u);
+    const CdgRecord s = set.sketch(u);
     out << s.net_node << ' ' << s.net_dist << ' ';
-    write_label_line(out, s.label.view());
+    write_label_line(out, s.label);
   }
 }
 
@@ -110,15 +110,16 @@ CdgSketchSet read_cdg_sketches(std::istream& in) {
   expect_magic(in, kCdgMagic);
   NodeId n = 0;
   if (!(in >> n)) throw std::runtime_error("bad cdg header");
-  std::vector<CdgSketchSet::NodeSketch> sketches(n);
+  CdgSketchSet set;
   for (NodeId u = 0; u < n; ++u) {
-    auto& s = sketches[u];
-    if (!(in >> s.net_node >> s.net_dist)) {
+    NodeId net_node = kInvalidNode;
+    Dist net_dist = kInfDist;
+    if (!(in >> net_node >> net_dist)) {
       throw std::runtime_error("truncated cdg record");
     }
-    s.label = read_label_line(in);
+    set.append(net_node, net_dist, read_label_line(in).view());
   }
-  return CdgSketchSet(std::move(sketches));
+  return set;
 }
 
 void write_graceful_sketches(std::ostream& out, const GracefulSketchSet& set,
@@ -139,6 +140,44 @@ GracefulSketchSet read_graceful_sketches(std::istream& in) {
     sets.push_back(read_cdg_sketches(in));
   }
   return GracefulSketchSet(std::move(sets));
+}
+
+void write_sketch_payload(std::ostream& out, const SketchPayload& payload,
+                          NodeId n) {
+  switch (payload.scheme) {
+    case Scheme::kThorupZwick:
+      write_tz_labels(out, payload.tz);
+      return;
+    case Scheme::kSlack:
+      write_slack_sketches(out, payload.slack, n);
+      return;
+    case Scheme::kCdg:
+      write_cdg_sketches(out, payload.cdg, n);
+      return;
+    case Scheme::kGraceful:
+      write_graceful_sketches(out, payload.graceful, n);
+      return;
+  }
+}
+
+SketchPayload read_sketch_payload(std::istream& in, Scheme scheme) {
+  SketchPayload payload;
+  payload.scheme = scheme;
+  switch (scheme) {
+    case Scheme::kThorupZwick:
+      payload.tz = read_tz_labels(in);
+      break;
+    case Scheme::kSlack:
+      payload.slack = read_slack_sketches(in);
+      break;
+    case Scheme::kCdg:
+      payload.cdg = read_cdg_sketches(in);
+      break;
+    case Scheme::kGraceful:
+      payload.graceful = read_graceful_sketches(in);
+      break;
+  }
+  return payload;
 }
 
 }  // namespace dsketch

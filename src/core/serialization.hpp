@@ -9,6 +9,7 @@
 #include <iosfwd>
 #include <vector>
 
+#include "core/sketch_payload.hpp"
 #include "sketch/cdg_sketch.hpp"
 #include "sketch/graceful_sketch.hpp"
 #include "sketch/slack_sketch.hpp"
@@ -29,5 +30,11 @@ CdgSketchSet read_cdg_sketches(std::istream& in);
 void write_graceful_sketches(std::ostream& out, const GracefulSketchSet& set,
                              NodeId n);
 GracefulSketchSet read_graceful_sketches(std::istream& in);
+
+/// The payload's scheme-specific text (what an envelope carries after its
+/// header line); n is the node count the slack/cdg headers record.
+void write_sketch_payload(std::ostream& out, const SketchPayload& payload,
+                          NodeId n);
+SketchPayload read_sketch_payload(std::istream& in, Scheme scheme);
 
 }  // namespace dsketch

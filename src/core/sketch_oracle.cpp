@@ -31,6 +31,7 @@ BuildConfig sketch_build_config(Scheme scheme, const FlagSet& flags) {
 
 SketchOracle::SketchOracle(const Graph& g, const BuildConfig& config)
     : config_(config), n_(g.num_nodes()) {
+  payload_.scheme = config.scheme;
   const obs::Span build_span("sketch_oracle_build",
                              static_cast<std::uint64_t>(n_));
   switch (config.scheme) {
@@ -45,7 +46,7 @@ SketchOracle::SketchOracle(const Graph& g, const BuildConfig& config)
           build_tz_distributed(g, h, config.termination, config.sim);
       cost_ = r.stats;
       cost_ += r.tree_stats;
-      tz_labels_ = std::move(r.labels);
+      payload_.tz = std::move(r.labels);
       break;
     }
     case Scheme::kSlack: {
@@ -53,7 +54,7 @@ SketchOracle::SketchOracle(const Graph& g, const BuildConfig& config)
       SlackSketchResult r =
           build_slack_sketches(g, config.epsilon, config.seed, config.sim);
       cost_ = r.stats;
-      slack_ = std::move(r.sketches);
+      payload_.slack = std::move(r.sketches);
       break;
     }
     case Scheme::kCdg: {
@@ -65,7 +66,7 @@ SketchOracle::SketchOracle(const Graph& g, const BuildConfig& config)
       cdg.termination = config.termination;
       CdgBuildResult r = build_cdg_sketches(g, cdg, config.sim);
       cost_ = r.total();
-      cdg_ = std::move(r.sketches);
+      payload_.cdg = std::move(r.sketches);
       break;
     }
     case Scheme::kGraceful: {
@@ -75,7 +76,7 @@ SketchOracle::SketchOracle(const Graph& g, const BuildConfig& config)
       gc.termination = config.termination;
       GracefulBuildResult r = build_graceful_sketches(g, gc, config.sim);
       cost_ = r.total;
-      graceful_ = std::move(r.sketches);
+      payload_.graceful = std::move(r.sketches);
       break;
     }
   }
@@ -83,32 +84,12 @@ SketchOracle::SketchOracle(const Graph& g, const BuildConfig& config)
 
 Dist SketchOracle::query(NodeId u, NodeId v) const {
   DS_CHECK(u < n_ && v < n_);
-  switch (config_.scheme) {
-    case Scheme::kThorupZwick:
-      return tz_query(tz_labels_.view(u), tz_labels_.view(v));
-    case Scheme::kSlack:
-      return slack_.query(u, v);
-    case Scheme::kCdg:
-      return cdg_.query(u, v);
-    case Scheme::kGraceful:
-      return graceful_.query(u, v);
-  }
-  return kInfDist;
+  return payload_.query(u, v);
 }
 
 std::size_t SketchOracle::size_words(NodeId u) const {
   DS_CHECK(u < n_);
-  switch (config_.scheme) {
-    case Scheme::kThorupZwick:
-      return tz_labels_.size_words(u);
-    case Scheme::kSlack:
-      return slack_.size_words(u);
-    case Scheme::kCdg:
-      return cdg_.size_words(u);
-    case Scheme::kGraceful:
-      return graceful_.size_words(u);
-  }
-  return 0;
+  return payload_.size_words(u);
 }
 
 std::string sketch_guarantee(Scheme scheme, std::uint32_t k,
@@ -164,20 +145,7 @@ Capabilities SketchOracle::capabilities() const {
 }
 
 void SketchOracle::save_payload(std::ostream& out) const {
-  switch (config_.scheme) {
-    case Scheme::kThorupZwick:
-      write_tz_labels(out, tz_labels_);
-      return;
-    case Scheme::kSlack:
-      write_slack_sketches(out, slack_, n_);
-      return;
-    case Scheme::kCdg:
-      write_cdg_sketches(out, cdg_, n_);
-      return;
-    case Scheme::kGraceful:
-      write_graceful_sketches(out, graceful_, n_);
-      return;
-  }
+  write_sketch_payload(out, payload_, n_);
 }
 
 std::unique_ptr<SketchOracle> SketchOracle::load_payload(
@@ -190,20 +158,17 @@ std::unique_ptr<SketchOracle> SketchOracle::load_payload(
   if (envelope.epsilon_recorded) oracle->config_.epsilon = envelope.epsilon;
   if (envelope.scheme == "tz") {
     oracle->config_.scheme = Scheme::kThorupZwick;
-    oracle->tz_labels_ = read_tz_labels(in);
   } else if (envelope.scheme == "slack") {
     oracle->config_.scheme = Scheme::kSlack;
-    oracle->slack_ = read_slack_sketches(in);
   } else if (envelope.scheme == "cdg") {
     oracle->config_.scheme = Scheme::kCdg;
-    oracle->cdg_ = read_cdg_sketches(in);
   } else if (envelope.scheme == "graceful") {
     oracle->config_.scheme = Scheme::kGraceful;
-    oracle->graceful_ = read_graceful_sketches(in);
   } else {
     throw std::runtime_error("unknown sketch scheme in envelope: " +
                              envelope.scheme);
   }
+  oracle->payload_ = read_sketch_payload(in, oracle->config_.scheme);
   // The payload carries its own record counts; the envelope's n must
   // agree or queries would index past the loaded vectors (the CLI
   // bounds-checks against num_nodes(), which is envelope-derived).
@@ -215,19 +180,18 @@ std::unique_ptr<SketchOracle> SketchOracle::load_payload(
           std::to_string(envelope.n));
     }
   };
-  switch (oracle->config_.scheme) {
+  const SketchPayload& p = oracle->payload_;
+  switch (p.scheme) {
     case Scheme::kThorupZwick:
-      check_count(oracle->tz_labels_.num_nodes());
+      check_count(p.tz.num_nodes());
       break;
     case Scheme::kSlack:
-      check_count(oracle->slack_.num_nodes());
+      check_count(p.slack.num_nodes());
       break;
     case Scheme::kCdg:
-      check_count(oracle->cdg_.num_nodes());
-      break;
     case Scheme::kGraceful:
-      for (std::size_t i = 0; i < oracle->graceful_.num_levels(); ++i) {
-        check_count(oracle->graceful_.level(i).num_nodes());
+      for (std::size_t s = 0; s < p.num_segments(); ++s) {
+        check_count(p.cdg_segment(s).num_nodes());
       }
       break;
   }

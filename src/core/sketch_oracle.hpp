@@ -1,12 +1,11 @@
 // The four paper sketch families (tz / slack / cdg / graceful) as one
 // DistanceOracle implementation.
 //
-// This is where the enum-switch that used to live inside SketchEngine
-// went: SketchOracle owns exactly one of the four payloads per
-// config().scheme and implements the polymorphic query/size/save surface
-// over it. The payloads themselves stay private — the packed serving
-// store (serve/sketch_store) is a friend so it can re-encode them without
-// the old leaky per-scheme payload accessors.
+// SketchOracle owns the built SketchPayload (core/sketch_payload) and
+// implements the polymorphic query/size/save surface over it. The heap
+// serving store (serve/sketch_store) holds the same payload type, so
+// packing an oracle is a copy and both answer through the same query
+// functions.
 #pragma once
 
 #include <cstdint>
@@ -19,15 +18,10 @@
 #include "core/config.hpp"
 #include "core/oracle.hpp"
 #include "core/oracle_registry.hpp"
+#include "core/sketch_payload.hpp"
 #include "graph/graph.hpp"
-#include "sketch/cdg_sketch.hpp"
-#include "sketch/graceful_sketch.hpp"
-#include "sketch/slack_sketch.hpp"
-#include "sketch/tz_label.hpp"
 
 namespace dsketch {
-
-class SketchStore;
 
 /// Maps the CLI/bench flag surface (--k, --epsilon, --seed, --echo,
 /// --known-s, --async) onto a BuildConfig for the given scheme; used by
@@ -69,6 +63,12 @@ class SketchOracle final : public DistanceOracle {
   /// build_cost() for the availability-aware accessor).
   const SimStats& cost() const { return cost_; }
 
+  /// The built sketches — what SketchStore::from_oracle copies.
+  const SketchPayload& payload() const { return payload_; }
+  /// False only for sketches loaded from pre-epsilon envelopes, whose
+  /// config().epsilon is a default rather than the recorded build value.
+  bool epsilon_recorded() const { return epsilon_recorded_; }
+
   /// Reconstructs from an envelope payload (the registered loader).
   static std::unique_ptr<SketchOracle> load_payload(
       std::istream& in, const OracleEnvelope& envelope);
@@ -79,27 +79,14 @@ class SketchOracle final : public DistanceOracle {
   double envelope_epsilon() const override { return config_.epsilon; }
 
  private:
-  /// Packs the payloads into the binary serving arena; keeping the
-  /// serialization hook private to the oracle replaces the four public
-  /// *_payload() accessors the engine used to leak.
-  friend class SketchStore;
-
   SketchOracle() = default;  // used by load_payload()
 
   BuildConfig config_;
-  /// False only for sketches loaded from pre-epsilon envelopes, whose
-  /// config().epsilon is a default rather than the recorded build value;
-  /// the store's to_text preserves that provenance.
-  bool epsilon_recorded_ = true;
+  bool epsilon_recorded_ = true;  ///< see epsilon_recorded()
   NodeId n_ = 0;
   SimStats cost_;
   bool cost_available_ = true;  ///< false for envelope-loaded sketches
-
-  // Exactly one of these is populated, per config_.scheme.
-  LabelArena tz_labels_;
-  SlackSketchSet slack_;
-  CdgSketchSet cdg_;
-  GracefulSketchSet graceful_;
+  SketchPayload payload_;
 };
 
 /// Registers the four sketch families ("tz", "slack", "cdg", "graceful").

@@ -1,9 +1,5 @@
 #include "serve/label_codec.hpp"
 
-#include <algorithm>
-
-#include "serve/packed_record.hpp"
-
 namespace dsketch {
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t x) {
@@ -34,48 +30,56 @@ bool decode_id(std::uint64_t v, std::uint32_t* id) {
 std::uint64_t encode_dist(Dist d) { return d + 1; }
 Dist decode_dist(std::uint64_t v) { return v - 1; }
 
-void encode_tz(const std::uint32_t* rec, std::vector<std::uint8_t>& out) {
-  const packed::PackedLabel l{rec};
-  put_varint(out, l.levels());
-  put_varint(out, l.bunch_count());
+void encode_tz(const LabelView& l, std::vector<std::uint8_t>& out) {
+  put_varint(out, l.levels);
+  put_varint(out, l.count);
   Dist prev_dist = 0;
-  for (std::uint32_t i = 0; i < l.levels(); ++i) {
-    put_varint(out, encode_id(l.pivot_id(i)));
-    const Dist d = l.pivot_dist(i);
-    put_varint(out, zigzag64(d - prev_dist));
-    prev_dist = d;
+  for (std::uint32_t i = 0; i < l.levels; ++i) {
+    const DistKey p = l.pivot(i);
+    put_varint(out, encode_id(p.id));
+    put_varint(out, zigzag64(p.dist - prev_dist));
+    prev_dist = p.dist;
   }
-  const std::uint32_t* b = l.bunch();
   std::uint64_t prev_node = 0;
-  for (std::uint32_t e = 0; e < l.bunch_count(); ++e) {
-    const std::uint64_t node = b[packed::kBunchStride * e];
-    put_varint(out, zigzag64(node - prev_node));
-    prev_node = node;
-    put_varint(out, b[packed::kBunchStride * e + 1]);
-    put_varint(out, packed::read_dist(b + packed::kBunchStride * e + 2));
+  for (std::uint32_t e = 0; e < l.count; ++e) {
+    const BunchEntry& b = l.bunch[e];
+    put_varint(out, zigzag64(b.node - prev_node));
+    prev_node = b.node;
+    put_varint(out, b.level);
+    put_varint(out, b.dist);
   }
 }
 
-bool decode_tz(VarintReader& r, std::vector<std::uint32_t>& out) {
-  const std::uint64_t levels = r.get();
-  const std::uint64_t count = r.get();
-  if (!r.ok) return false;
-  // Each pivot takes >= 2 bytes and each entry >= 3; a count that cannot
-  // fit in the remaining slice is corrupt, and rejecting it here bounds
-  // the decode output by the slice size.
+/// Reads a tz record's level and entry counts. Each pivot takes >= 2
+/// bytes and each entry >= 3; a count that cannot fit in the remaining
+/// slice is corrupt, and rejecting it here bounds the decode output by
+/// the slice size.
+bool read_tz_counts(VarintReader& r, std::uint64_t* levels,
+                    std::uint64_t* count) {
+  *levels = r.get();
+  *count = r.get();
   const auto remaining = static_cast<std::uint64_t>(r.end - r.p);
-  if (levels > remaining / 2 || count > remaining / 3) return false;
-  out.push_back(static_cast<std::uint32_t>(levels));
-  out.push_back(static_cast<std::uint32_t>(count));
+  return r.ok && *levels <= remaining / 2 && *count <= remaining / 3;
+}
+
+/// Skips a cdg record's (net_node, net_dist, owner) prefix.
+void skip_cdg_prefix(VarintReader& r) {
+  for (int i = 0; i < 3; ++i) r.get();
+}
+
+bool decode_tz(VarintReader& r, NodeId owner, TzLabelBuilder& label) {
+  std::uint64_t levels = 0;
+  std::uint64_t count = 0;
+  if (!read_tz_counts(r, &levels, &count)) return false;
+  label.reset(owner, static_cast<std::uint32_t>(levels));
   Dist prev_dist = 0;
-  for (std::uint64_t i = 0; i < levels; ++i) {
+  for (std::uint32_t i = 0; i < levels; ++i) {
     std::uint32_t id = 0;
     if (!decode_id(r.get(), &id)) return false;
     const Dist d = prev_dist + unzigzag64(r.get());
     if (!r.ok) return false;
     prev_dist = d;
-    out.push_back(id);
-    packed::pack_dist(out, d);
+    label.set_pivot(i, DistKey{d, id});
   }
   std::uint64_t prev_node = 0;
   for (std::uint64_t e = 0; e < count; ++e) {
@@ -84,174 +88,86 @@ bool decode_tz(VarintReader& r, std::vector<std::uint32_t>& out) {
     const Dist dist = r.get();
     if (!r.ok || node > kU32Max || level > kU32Max) return false;
     prev_node = node;
-    out.push_back(static_cast<std::uint32_t>(node));
-    out.push_back(static_cast<std::uint32_t>(level));
-    packed::pack_dist(out, dist);
+    label.add_bunch_entry(BunchEntry{static_cast<NodeId>(node),
+                                     static_cast<std::uint32_t>(level), dist});
   }
-  return r.ok;
-}
-
-bool decode_cdg_prefix(VarintReader& r, std::vector<std::uint32_t>& out) {
-  std::uint32_t net_node = 0;
-  if (!decode_id(r.get(), &net_node)) return false;
-  const std::uint64_t dist_v = r.get();
-  std::uint32_t owner = 0;
-  if (!decode_id(r.get(), &owner)) return false;
-  if (!r.ok) return false;
-  out.push_back(net_node);
-  packed::pack_dist(out, decode_dist(dist_v));
-  out.push_back(owner);
-  return true;
+  return label.sorted();
 }
 
 }  // namespace
 
-void encode_record_v3(Scheme scheme, const std::uint32_t* rec,
-                      std::size_t words, std::uint64_t slack_net_size,
-                      std::vector<std::uint8_t>& out) {
-  switch (scheme) {
+void encode_v3_record(const SketchPayload& payload, std::size_t segment,
+                      NodeId u, std::vector<std::uint8_t>& out) {
+  switch (payload.scheme) {
     case Scheme::kThorupZwick:
-      encode_tz(rec, out);
+      encode_tz(payload.tz.view(u), out);
       return;
-    case Scheme::kSlack:
-      for (std::uint64_t i = 0; i < slack_net_size; ++i) {
-        put_varint(out, encode_dist(packed::read_dist(rec + 2 * i)));
+    case Scheme::kSlack: {
+      const Dist* row = payload.slack.row(u);
+      for (std::size_t i = 0; i < payload.slack.net().size(); ++i) {
+        put_varint(out, encode_dist(row[i]));
       }
-      (void)words;
       return;
+    }
     case Scheme::kCdg:
-    case Scheme::kGraceful:
-      put_varint(out, encode_id(rec[0]));
-      put_varint(out, encode_dist(packed::read_dist(rec + 1)));
-      put_varint(out, encode_id(rec[3]));
-      encode_tz(rec + packed::kCdgPrefixWords, out);
+    case Scheme::kGraceful: {
+      const CdgRecord rec = payload.cdg_segment(segment).sketch(u);
+      put_varint(out, encode_id(rec.net_node));
+      put_varint(out, encode_dist(rec.net_dist));
+      put_varint(out, encode_id(rec.label.owner));
+      encode_tz(rec.label, out);
       return;
+    }
   }
 }
 
-bool decode_record_v3(Scheme scheme, const std::uint8_t* begin,
-                      const std::uint8_t* end, std::uint64_t slack_net_size,
-                      std::vector<std::uint32_t>& out_words) {
-  const std::size_t checkpoint = out_words.size();
+bool decode_v3_record(Scheme scheme, const std::uint8_t* begin,
+                      const std::uint8_t* end, NodeId u,
+                      std::size_t slack_net_size, DecodedRecord& out) {
   VarintReader r(begin, end);
   bool ok = false;
   switch (scheme) {
     case Scheme::kThorupZwick:
-      ok = decode_tz(r, out_words);
+      ok = decode_tz(r, u, out.label);
       break;
-    case Scheme::kSlack: {
-      ok = true;
-      for (std::uint64_t i = 0; ok && i < slack_net_size; ++i) {
-        const std::uint64_t v = r.get();
-        ok = r.ok;
-        if (ok) packed::pack_dist(out_words, decode_dist(v));
-      }
+    case Scheme::kSlack:
+      // Each distance takes >= 1 byte: a wider row cannot fit the slice.
+      if (slack_net_size > static_cast<std::size_t>(end - begin)) return false;
+      out.row.resize(slack_net_size);
+      for (Dist& d : out.row) d = decode_dist(r.get());
+      ok = r.ok;
+      break;
+    case Scheme::kCdg:
+    case Scheme::kGraceful: {
+      NodeId owner = kInvalidNode;
+      ok = decode_id(r.get(), &out.net_node);
+      out.net_dist = decode_dist(r.get());
+      ok = ok && decode_id(r.get(), &owner) && r.ok &&
+           decode_tz(r, owner, out.label);
       break;
     }
-    case Scheme::kCdg:
-    case Scheme::kGraceful:
-      ok = decode_cdg_prefix(r, out_words) && decode_tz(r, out_words);
-      break;
   }
   // A record must consume its slice exactly — trailing bytes mean the
   // offset table and the blob disagree.
-  if (!ok || !r.done()) {
-    out_words.resize(checkpoint);
-    return false;
-  }
-  return true;
+  return ok && r.ok && r.done();
 }
 
-V3TzHeader v3_parse_tz_header(const std::uint8_t* begin,
-                              const std::uint8_t* end,
-                              std::vector<DistKey>& pivots) {
-  V3TzHeader h;
+std::size_t v3_label_cells(Scheme scheme, const std::uint8_t* begin,
+                           const std::uint8_t* end) {
   VarintReader r(begin, end);
-  const std::uint64_t levels = r.get();
-  const std::uint64_t count = r.get();
-  if (!r.ok) return h;
-  const auto remaining = static_cast<std::uint64_t>(r.end - r.p);
-  if (levels > remaining / 2 || count > remaining / 3) return h;
-  Dist prev_dist = 0;
-  for (std::uint64_t i = 0; i < levels; ++i) {
-    std::uint32_t id = 0;
-    if (!decode_id(r.get(), &id)) return h;
-    const Dist d = prev_dist + unzigzag64(r.get());
-    if (!r.ok) return h;
-    prev_dist = d;
-    pivots.push_back(DistKey{d, id});
-  }
-  h.levels = static_cast<std::uint32_t>(levels);
-  h.count = static_cast<std::uint32_t>(count);
-  h.bunch_begin = r.p;
-  h.end = end;
-  h.ok = true;
-  return h;
+  if (scheme != Scheme::kThorupZwick) skip_cdg_prefix(r);
+  std::uint64_t levels = 0;
+  std::uint64_t count = 0;
+  if (!read_tz_counts(r, &levels, &count)) return 0;
+  return static_cast<std::size_t>(levels + count);
 }
 
-void v3_scan_bunch(const V3TzHeader& h, const NodeId* probes, Dist* out,
-                   std::size_t n_probes) {
-  if (!h.ok || n_probes == 0) return;
-  VarintReader r(h.bunch_begin, h.end);
-  std::uint64_t prev_node = 0;
-  for (std::uint32_t e = 0; e < h.count; ++e) {
-    const std::uint64_t node = prev_node + unzigzag64(r.get());
-    r.get();  // level: not needed for membership
-    const Dist dist = r.get();
-    if (!r.ok || node > 0xffffffffull) return;  // malformed tail: stop
-    prev_node = node;
-    const auto w = static_cast<NodeId>(node);
-    for (std::size_t j = 0; j < n_probes; ++j) {
-      if (probes[j] == w && out[j] == kInfDist) out[j] = dist;
-    }
-  }
-}
-
-Dist v3_tz_query(const std::uint8_t* ub, const std::uint8_t* ue,
-                 const std::uint8_t* vb, const std::uint8_t* ve,
-                 V3QueryScratch& scratch) {
-  scratch.pivots_u.clear();
-  scratch.pivots_v.clear();
-  const V3TzHeader hu = v3_parse_tz_header(ub, ue, scratch.pivots_u);
-  const V3TzHeader hv = v3_parse_tz_header(vb, ve, scratch.pivots_v);
-  if (!hu.ok || !hv.ok) return kInfDist;
-  const std::uint32_t k = std::min(hu.levels, hv.levels);
-  if (k == 0) return kInfDist;
-  // probe_ids[0..k): u's pivots, looked up in B(v);
-  // probe_ids[k..2k): v's pivots, looked up in B(u).
-  scratch.probe_ids.resize(2 * k);
-  scratch.probe_dists.assign(2 * k, kInfDist);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    scratch.probe_ids[i] = scratch.pivots_u[i].id;
-    scratch.probe_ids[k + i] = scratch.pivots_v[i].id;
-  }
-  v3_scan_bunch(hv, scratch.probe_ids.data(), scratch.probe_dists.data(), k);
-  v3_scan_bunch(hu, scratch.probe_ids.data() + k,
-                scratch.probe_dists.data() + k, k);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    const DistKey& pu = scratch.pivots_u[i];
-    if (pu.id != kInvalidNode && scratch.probe_dists[i] != kInfDist) {
-      return pu.dist + scratch.probe_dists[i];
-    }
-    const DistKey& pv = scratch.pivots_v[i];
-    if (pv.id != kInvalidNode && scratch.probe_dists[k + i] != kInfDist) {
-      return pv.dist + scratch.probe_dists[k + i];
-    }
-  }
-  return kInfDist;
-}
-
-V3CdgPrefix v3_parse_cdg_prefix(const std::uint8_t* begin,
-                                const std::uint8_t* end) {
-  V3CdgPrefix p;
-  VarintReader r(begin, end);
-  if (!decode_id(r.get(), &p.net_node)) return p;
-  p.net_dist = decode_dist(r.get());
-  if (!decode_id(r.get(), &p.owner)) return p;
-  if (!r.ok) return p;
-  p.rest = r.p;
-  p.ok = true;
-  return p;
+void empty_record(Scheme scheme, NodeId u, std::size_t slack_net_size,
+                  DecodedRecord& out) {
+  out.label.reset(scheme == Scheme::kThorupZwick ? u : kInvalidNode, 0);
+  out.row.assign(slack_net_size, kInfDist);
+  out.net_node = kInvalidNode;
+  out.net_dist = kInfDist;  // cdg_query's guard answers kInfDist
 }
 
 }  // namespace dsketch

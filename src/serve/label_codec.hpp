@@ -1,11 +1,10 @@
-// v3 record codec: delta + LEB128-varint encoding of packed sketch
-// records.
+// v3 record codec: delta + LEB128-varint encoding of one node's sketch,
+// straight from and into the label plane (core/sketch_payload).
 //
-// The v2 store spends 4 fixed words on a bunch entry and 3 on a pivot;
-// almost all of those bits are zero on real graphs (node ids are dense,
-// distances are small, bunches are sorted so consecutive node ids are
-// close). The v3 format re-encodes each node's packed u32 record as a
-// byte string:
+// A fixed-width record would spend 4 words on a bunch entry and 3 on a
+// pivot; almost all of those bits are zero on real graphs (node ids are
+// dense, distances are small, bunches are sorted so consecutive node ids
+// are close). Each node's record is therefore a byte string:
 //
 //   tz record      varint(levels) varint(count)
 //                  per pivot:  varint(id+1; 0 = invalid)
@@ -20,21 +19,26 @@
 // Pivot distances are non-decreasing across levels on a fresh build and
 // bunch entries are sorted by node id, so the zigzag deltas are small
 // non-negatives; zigzag (not plain unsigned deltas) keeps the coding
-// *bijective* for every structurally valid u32 record — including
-// repair-tightened labels whose pivot distances are no longer monotone —
-// which is what makes v2 -> v3 -> v2 byte-identical (tested).
+// bijective for every label — including repair-tightened labels whose
+// pivot distances are no longer monotone — so decode then encode
+// reproduces a store's bytes exactly (tested).
 //
 // Every decode is bounds-checked against the record slice: corrupt bytes
-// can produce garbage values or a clean failure, never an out-of-bounds
-// read. That property is what lets the mmap store serve records without
-// a load-time payload checksum pass.
+// produce a clean failure, never an out-of-bounds read. A decoded record
+// must consume its slice exactly and keep its bunch in (node, level)
+// order, the order every label view assumes. That property is what lets
+// the mmap store decode records per query without a load-time payload
+// checksum pass.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/sketch_payload.hpp"
 #include "graph/graph.hpp"
+#include "sketch/tz_label.hpp"
 
 namespace dsketch {
 
@@ -66,6 +70,7 @@ struct VarintReader {
       : p(begin), end(stop) {}
 
   std::uint64_t get() {
+    if (p != end && *p < 0x80) return *p++;  // one-byte fast path
     std::uint64_t x = 0;
     unsigned shift = 0;
     while (p != end) {
@@ -82,77 +87,42 @@ struct VarintReader {
   bool done() const { return p == end; }
 };
 
-// ---- whole-record transcoding ----------------------------------------------
+// ---- records ----------------------------------------------------------------
 
-/// Encodes the packed u32 record [rec, rec + words) for `scheme` as v3
-/// bytes appended to `out`. `slack_net_size` is the slack record width in
-/// distances (ignored for other schemes). The record must be structurally
-/// valid (see sketch_store's node_record_ok).
-void encode_record_v3(Scheme scheme, const std::uint32_t* rec,
-                      std::size_t words, std::uint64_t slack_net_size,
-                      std::vector<std::uint8_t>& out);
+/// Appends node u's record in store segment `segment` of `payload` (see
+/// SketchPayload::num_segments) as v3 bytes.
+void encode_v3_record(const SketchPayload& payload, std::size_t segment,
+                      NodeId u, std::vector<std::uint8_t>& out);
 
-/// Decodes one v3 record slice back into packed u32 words appended to
-/// `out_words`. Returns false (leaving out_words restored to its input
-/// length) if the bytes are not a structurally valid record consuming
-/// exactly [begin, end).
-bool decode_record_v3(Scheme scheme, const std::uint8_t* begin,
-                      const std::uint8_t* end, std::uint64_t slack_net_size,
-                      std::vector<std::uint32_t>& out_words);
+/// One decoded record, in label-plane form. Reused across records so
+/// decoding allocates only when a record outgrows the previous ones.
+struct DecodedRecord {
+  TzLabelBuilder label;  ///< tz / cdg: the label (owner set)
+  std::vector<Dist> row;  ///< slack: one distance per net node
+  NodeId net_node = kInvalidNode;  ///< cdg: u'
+  Dist net_dist = kInfDist;        ///< cdg: d(u, u')
 
-// ---- streaming queries over v3 record slices -------------------------------
-// Used by the mmap store: answers are computed straight off the encoded
-// bytes — pivots decode into a small scratch vector, and each bunch is
-// walked exactly once per query (a merge-scan of the probe set against
-// the delta stream), so nothing is materialized per record.
-
-/// Decoded tz record header: pivots plus the position of the bunch
-/// stream. `pivots` points into the caller's scratch vector.
-struct V3TzHeader {
-  std::uint32_t levels = 0;
-  std::uint32_t count = 0;
-  const std::uint8_t* bunch_begin = nullptr;  ///< first bunch byte
-  const std::uint8_t* end = nullptr;          ///< record slice end
-  bool ok = false;
+  /// The cdg fields as a record view (valid until the next decode).
+  CdgRecord cdg() const { return CdgRecord{net_node, net_dist, label.view()}; }
 };
 
-/// Parses levels/count/pivots of the tz record slice [begin, end),
-/// appending the pivots to `pivots` (not cleared). For a cdg record pass
-/// the slice starting at its embedded tz record.
-V3TzHeader v3_parse_tz_header(const std::uint8_t* begin,
-                              const std::uint8_t* end,
-                              std::vector<DistKey>& pivots);
+/// Decodes the record slice [begin, end) of node u for `scheme` into
+/// `out` (slack rows hold `slack_net_size` distances; a tz label's owner
+/// is u). Returns false unless the bytes are exactly one structurally
+/// valid record; `out` is then unspecified.
+bool decode_v3_record(Scheme scheme, const std::uint8_t* begin,
+                      const std::uint8_t* end, NodeId u,
+                      std::size_t slack_net_size, DecodedRecord& out);
 
-/// One pass over a v3 bunch stream, probing for up to `n_probes` node
-/// ids: out[i] (pre-filled with kInfDist by the caller) receives the
-/// distance of the first entry whose node is probes[i] (left at kInfDist
-/// if absent or the stream is malformed). Mirrors LabelView::bunch_dist
-/// for every probe in one scan.
-void v3_scan_bunch(const V3TzHeader& h, const NodeId* probes, Dist* out,
-                   std::size_t n_probes);
+/// Label cells (pivots plus bunch entries) the tz or cdg record slice
+/// [begin, end) declares in its header — what a loader reserves before
+/// decoding a segment. 0 when the header is malformed.
+std::size_t v3_label_cells(Scheme scheme, const std::uint8_t* begin,
+                           const std::uint8_t* end);
 
-/// The Lemma 3.2 query over two v3 tz record slices (two header parses +
-/// two bunch scans). `scratch` is caller-owned reusable storage.
-struct V3QueryScratch {
-  std::vector<DistKey> pivots_u;
-  std::vector<DistKey> pivots_v;
-  std::vector<NodeId> probe_ids;
-  std::vector<Dist> probe_dists;
-};
-Dist v3_tz_query(const std::uint8_t* ub, const std::uint8_t* ue,
-                 const std::uint8_t* vb, const std::uint8_t* ve,
-                 V3QueryScratch& scratch);
-
-/// cdg prefix decoded off a v3 record slice; `rest` points at the
-/// embedded tz record.
-struct V3CdgPrefix {
-  NodeId net_node = kInvalidNode;
-  Dist net_dist = kInfDist;
-  NodeId owner = kInvalidNode;
-  const std::uint8_t* rest = nullptr;
-  bool ok = false;
-};
-V3CdgPrefix v3_parse_cdg_prefix(const std::uint8_t* begin,
-                                const std::uint8_t* end);
+/// Sets `out` to the empty record a quarantined node serves: every query
+/// against it answers kInfDist ("don't know"), never a wrong distance.
+void empty_record(Scheme scheme, NodeId u, std::size_t slack_net_size,
+                  DecodedRecord& out);
 
 }  // namespace dsketch

@@ -1,27 +1,28 @@
 /// \file
 /// Memory-mapped serving of a v3 sketch store.
 ///
-/// SketchStore::read decodes the whole file into heap arenas — fine for
-/// tooling, but a serving frontend that hosts many stores (or one store
-/// much larger than RAM) wants the kernel's page cache to be the only
-/// copy. MmapSketchStore maps the file read-only and answers queries
-/// straight off the encoded bytes:
+/// SketchStore::read decodes the whole file into the label plane — fine
+/// for tooling, but a serving frontend that hosts many stores (or one
+/// store much larger than RAM) wants the kernel's page cache to be the
+/// only copy. MmapSketchStore maps the file read-only and answers queries
+/// off the encoded bytes:
 ///
-///   - open() eagerly trusts only the 64-byte header (magic + FNV-1a
-///     header checksum) and the segment *framing*: meta words, the
-///     page-aligned byte-offset tables (checked monotone, [0] == 0,
-///     [n] == blob_bytes), and that every section fits the mapping.
-///     That touches O(n) offset-table pages but zero blob pages.
-///   - The blob is validated lazily: every per-query decode is
-///     bounds-checked against the record slice (see label_codec), so a
-///     corrupt blob yields kInfDist answers, never an out-of-bounds
-///     read. Pass verify_checksum=true to pay one full payload pass up
-///     front instead.
-///   - Queries never materialize a record: tz is two header parses plus
-///     one scan of each bunch stream (probing all k pivot ids per
-///     entry), slack is a lockstep scan of the two varint rows, cdg
-///     adds a 3-varint prefix decode. Answers are bit-identical to the
-///     heap SketchStore on the same file (tested).
+///   - open() runs the same header-and-framing parser as the heap loader
+///     (serve/store_format): the 64-byte header (magic + FNV-1a header
+///     checksum) and the segment framing — meta words, the page-aligned
+///     byte-offset tables (monotone, [0] == 0, [n] == blob_bytes), and
+///     that every section fits the mapping. That touches O(n)
+///     offset-table pages but zero blob pages.
+///   - The blob is validated lazily: each query decodes the two queried
+///     records with the bounds-checked record decoder (serve/label_codec)
+///     into thread-local scratch, so a corrupt blob yields kInfDist
+///     answers, never an out-of-bounds read. Pass verify_checksum=true to
+///     pay one full payload pass up front instead.
+///   - The decoded records are then answered by the same query functions
+///     the heap store and the build-side oracle run (tz_query,
+///     slack_query, cdg_query), so answers are bit-identical to the heap
+///     SketchStore on the same file (tested). The price is a record
+///     decode on every query, warm or cold.
 ///
 /// First touch of a record's page is a major/minor page fault (the
 /// "cold" cost E7 reports); repeated touches run at memory speed
@@ -36,15 +37,18 @@
 
 #include "core/oracle.hpp"
 #include "serve/sketch_store.hpp"
+#include "serve/store_format.hpp"
 
 namespace dsketch {
 
+struct DecodedRecord;
+
 class MmapSketchStore final : public DistanceOracle {
  public:
-  /// Maps `path` (a v3 store; v1/v2 files throw kUnsupportedVersion —
-  /// convert via SketchStore::save_file). Throws StoreCorruptionError on
-  /// a bad header or broken framing, and — with verify_checksum — on a
-  /// payload checksum mismatch.
+  /// Maps the v3 store at `path` (v1/v2 files throw
+  /// kUnsupportedVersion). Throws StoreCorruptionError on a bad header or
+  /// broken framing, and — with verify_checksum — on a payload checksum
+  /// mismatch.
   static std::unique_ptr<MmapSketchStore> open(const std::string& path,
                                                bool verify_checksum = false);
 
@@ -52,14 +56,14 @@ class MmapSketchStore final : public DistanceOracle {
   MmapSketchStore(const MmapSketchStore&) = delete;
   MmapSketchStore& operator=(const MmapSketchStore&) = delete;
 
-  /// Streaming query over the encoded records; thread-safe (the scratch
+  /// Decodes the two records and answers them; thread-safe (the scratch
   /// is thread-local). Malformed records answer kInfDist.
   Dist query(NodeId u, NodeId v) const override;
 
   NodeId num_nodes() const override { return n_; }
-  /// Word-model size of node u's records — same formula the heap store
-  /// reports, decoded from the record headers (not the encoded bytes;
-  /// encoded_bytes_for is the on-disk number).
+  /// Words of node u's records in the paper's accounting — the number
+  /// the heap store and the build-side oracle report (0 for a malformed
+  /// record; encoded_bytes_for is the on-disk number).
   std::size_t size_words(NodeId u) const override;
   std::string scheme() const override;
   std::string guarantee() const override;
@@ -82,24 +86,12 @@ class MmapSketchStore final : public DistanceOracle {
   /// cold (fault-in) latency without reopening the file.
   void drop_pages() const;
 
-  /// Decodes node u's record in `segment` back to packed u32 words —
-  /// the test hook that proves mmap bytes and heap arenas agree. Returns
-  /// an empty vector when the record is malformed.
-  std::vector<std::uint32_t> decode_record(std::size_t segment,
-                                           NodeId u) const;
-
  private:
   MmapSketchStore() = default;
 
-  struct MSeg {
-    std::vector<std::uint64_t> meta;
-    const std::uint8_t* offsets = nullptr;  ///< n+1 little-endian u64s
-    const std::uint8_t* blob = nullptr;
-    std::uint64_t blob_bytes = 0;
-  };
-
-  std::uint64_t off(const MSeg& seg, NodeId i) const;
-  Dist query_cdg_segment(const MSeg& seg, NodeId u, NodeId v) const;
+  /// Decodes node u's record of segment `s` into `out`; false when the
+  /// record is malformed.
+  bool decode(std::size_t s, NodeId u, DecodedRecord& out) const;
 
   void* map_ = nullptr;
   std::size_t map_len_ = 0;
@@ -108,7 +100,7 @@ class MmapSketchStore final : public DistanceOracle {
   std::uint32_t k_ = 0;
   double epsilon_ = 0.0;
   bool epsilon_known_ = true;
-  std::vector<MSeg> segments_;
+  std::vector<store_format::Segment> segments_;
 };
 
 }  // namespace dsketch

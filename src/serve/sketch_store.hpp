@@ -1,55 +1,45 @@
 /// \file
-/// Compact binary sketch store — the serving-tier representation.
+/// Binary sketch store — the serving-tier representation.
 ///
 /// The paper's deployment story (§1) is build-once / query-many: the
 /// expensive distributed construction runs offline, and the resulting
-/// sketches are shipped to query frontends. The text format in
-/// core/serialization is convenient for debugging but parses into
-/// pointer-heavy per-node structures (vectors + hash maps). This store
-/// instead keeps every scheme in one contiguous arena:
+/// sketches are shipped to query frontends. A SketchStore holds the same
+/// label plane as the build-side oracle (core/sketch_payload): packing an
+/// oracle is a copy, and queries run the same per-scheme functions
+/// (tz_query, slack_query, cdg_query), so answers are bit-identical to
+/// the oracle's by construction (tested).
 ///
-///   header | per-segment { meta | offset table (n+1) | packed arena }
-///
-/// A node's sketch is the half-open arena slice [offsets[u], offsets[u+1])
-/// of 32-bit words; distances occupy two words (lo, hi). TZ bunch entries
-/// are stored sorted by node id so membership tests are branchless binary
-/// searches. Queries parse records in place: zero per-query allocation,
-/// and answers are bit-identical to SketchEngine::query (tested).
+/// On disk the store is the v3 format: varint records (serve/label_codec)
+/// behind page-aligned byte-offset tables. read() decodes every record
+/// back into the label plane; serve/mmap_store serves the same file in
+/// place, decoding the two queried records per query.
 ///
 /// On-disk layout (little-endian):
-///   bytes 0..7   magic "DSKSTOR3"  (v1 "DSKSTOR1" / v2 "DSKSTOR2" files
-///                                   still load through the heap path)
-///   u32 version, u32 scheme, u32 n, u32 k, u32 segments, u32 flags
+///   bytes 0..7   magic "DSKSTOR3"
+///   u32 version (3), u32 scheme, u32 n, u32 k, u32 segments, u32 flags
 ///   f64 epsilon                       (flags bit 0: epsilon was recorded)
 ///   u64 payload_bytes, u64 checksum (FNV-1a 64 over the payload)
-///   u64 header_checksum             (v2/v3: FNV-1a 64 over the 48
-///                                    header bytes after the magic)
-///   v1/v2 payload: per segment u64 meta_count, u64 meta[],
-///            u64 offsets[n+1] (u32-word units), u64 arena_count,
-///            u32 arena[]
-///   v3 payload (starts at file offset 64): per segment
+///   u64 header_checksum             (FNV-1a 64 over the 48 header bytes
+///                                    after the magic)
+///   payload (starts at file offset 64): per segment
 ///            u64 meta_count, u64 meta[], u64 blob_bytes,
 ///            zero pad to the next 4096-byte file boundary,
 ///            u64 offsets[n+1] (BYTE offsets into the blob; offsets[0]=0,
 ///            offsets[n]=blob_bytes), pad to 4096,
-///            u8 blob[blob_bytes] (delta+varint records, see
+///            u8 blob[blob_bytes] (one varint record per node, see
 ///            serve/label_codec.hpp), pad to 4096
-///   The v3 pads are inside the payload checksum. Page-aligning the
-///   offset table and the blob is what lets serve/mmap_store map the
-///   file and serve queries straight off the encoded bytes.
+///   The pads are inside the payload checksum. Page-aligning the offset
+///   table and the blob is what lets serve/mmap_store map the file and
+///   serve queries off the encoded bytes. Segments: one for tz, slack and
+///   cdg, one per epsilon level for graceful; slack's meta holds the net
+///   (size, then ids). v1/v2 files ("DSKSTOR1"/"DSKSTOR2") are rejected
+///   with kUnsupportedVersion: stores are rebuildable artifacts.
 ///
 /// Durability: save_file writes a temp file, fsyncs, then renames into
 /// place, so a crash mid-save never leaves a torn store at the target
 /// path. Loads bounds-check every section before trusting it and throw
 /// StoreCorruptionError (a std::runtime_error) with a typed diagnosis;
 /// recover_file salvages the intact node records of a corrupt file.
-///
-/// Record layouts (u32 words; D = 2-word little-endian distance):
-///   tz       [levels, bunch_count, (pivot_id, D) x levels,
-///             (node, level, D) x bunch_count sorted by node]
-///   slack    [D x |net|]               (net ids live in the segment meta)
-///   cdg      [net_node, D, owner, <tz record of L(owner)>]
-///   graceful one cdg segment per epsilon level
 #pragma once
 
 #include <cstdint>
@@ -62,9 +52,14 @@
 #include "core/config.hpp"
 #include "core/engine.hpp"
 #include "core/oracle.hpp"
+#include "core/sketch_payload.hpp"
 #include "graph/graph.hpp"
 
 namespace dsketch {
+
+namespace store_format {
+struct File;
+}
 
 /// What exactly a store load found wrong. Ordered roughly by how early in
 /// the pipeline the fault is detected.
@@ -72,8 +67,8 @@ enum class StoreError {
   kIo,                  ///< file missing / unreadable / write failure
   kBadMagic,            ///< not a sketch store at all
   kTruncatedHeader,     ///< file ends inside the fixed header
-  kHeaderChecksum,      ///< v2 header checksum mismatch (bit-flipped header)
-  kUnsupportedVersion,  ///< version this build cannot parse
+  kHeaderChecksum,      ///< header checksum mismatch (bit-flipped header)
+  kUnsupportedVersion,  ///< version this build cannot parse (v1/v2)
   kUnknownScheme,       ///< scheme tag outside the known families
   kTruncatedPayload,    ///< file ends inside the payload
   kPayloadChecksum,     ///< payload bytes fail the FNV-1a checksum
@@ -92,25 +87,22 @@ class StoreCorruptionError : public std::runtime_error {
   StoreError kind_;
 };
 
-/// Which on-disk encoding write()/save_file() emit. v3 (the default) is
-/// the delta+varint page-aligned format mmap serving needs; v2 is the
-/// fixed-width word format, kept writable for back-compat tests and
-/// downgrade paths. Reads sniff the version from the magic.
-enum class StoreFormat { kV2 = 2, kV3 = 3 };
+/// The on-disk encoding write()/save_file() emit: the delta+varint
+/// page-aligned v3 format, the only one.
+enum class StoreFormat { kV3 = 3 };
 
-/// Packed, checksummed, query-ready sketches for all four schemes. A
-/// SketchStore is itself a DistanceOracle — the serving-tier
-/// representation of one — so anything that takes an oracle (the query
-/// service, evaluate_stretch, the benches) serves straight from the
-/// packed arena; the inherited query_batch is the zero-alloc packed
-/// query path.
+/// Checksummed, query-ready sketches for all four schemes. A SketchStore
+/// is itself a DistanceOracle — the serving-tier representation of one —
+/// so anything that takes an oracle (the query service, evaluate_stretch,
+/// the benches) serves straight from its label plane; the inherited
+/// query_batch is the zero-alloc query path.
 class SketchStore final : public DistanceOracle {
  public:
   /// An empty store (no nodes); fill via from_oracle/from_text/read.
   SketchStore() = default;
 
-  /// Packs a sketch-backed oracle's payload. Throws std::runtime_error
-  /// for oracles without a packed representation (the baselines).
+  /// Copies a sketch-backed oracle's label plane. Throws
+  /// std::runtime_error for oracles without one (the baselines).
   static SketchStore from_oracle(const DistanceOracle& oracle);
 
   /// Whether from_oracle(oracle) would succeed — the one predicate the
@@ -122,13 +114,13 @@ class SketchStore final : public DistanceOracle {
 
   /// Converters bridging the text format of core/serialization.
   /// from_text reads exactly what SketchEngine::save wrote; to_text writes
-  /// a file SketchEngine::load accepts (bunches come out in canonical
-  /// order, so text -> binary -> text is query-equivalent, not byte-equal).
+  /// a file SketchEngine::load accepts. Both sides are the same label
+  /// plane, so store -> text -> store reproduces the store's bytes.
   static SketchStore from_text(std::istream& in);
   void to_text(std::ostream& out) const;
 
   /// Binary round trip. read()/load_file() validate magic, version,
-  /// header checksum (v2), structural sizes, and the payload checksum,
+  /// header checksum, framing, the payload checksum, and every record,
   /// throwing StoreCorruptionError on any mismatch. save_file is atomic:
   /// temp file + fsync + rename, so readers of `path` see either the old
   /// complete store or the new complete store, never a torn write.
@@ -155,17 +147,18 @@ class SketchStore final : public DistanceOracle {
   /// frontend hands to its QueryService.
   static std::unique_ptr<DistanceOracle> load_oracle(const std::string& path);
 
-  /// Distance estimate from the two packed sketches only; allocation-free
+  /// Distance estimate from the two nodes' sketches only; allocation-free
   /// and safe to call concurrently from any number of threads.
   Dist query(NodeId u, NodeId v) const override;
 
-  /// Packed words stored for node u, summed across segments.
+  /// Words stored at node u in the paper's accounting — the same number
+  /// the build-side oracle and the mmap store report.
   std::size_t size_words(NodeId u) const override;
-  /// Registry name of the packed family ("tz", "slack", ...).
+  /// Registry name of the stored family ("tz", "slack", ...).
   std::string scheme() const override { return scheme_name(scheme_); }
   /// Worst-case guarantee with the recorded k/epsilon filled in.
   std::string guarantee() const override;
-  /// Capabilities of the packed family (no build cost: it was paid by
+  /// Capabilities of the stored family (no build cost: it was paid by
   /// whoever built).
   Capabilities capabilities() const override;
   /// DistanceOracle::save: writes the text envelope (to_text); the binary
@@ -184,46 +177,29 @@ class SketchStore final : public DistanceOracle {
   /// is then a default, not the recorded build value, and to_text()
   /// writes the old header style to preserve that provenance.
   bool epsilon_known() const { return epsilon_known_; }
-  /// Packed segments (1 for tz/slack/cdg; one per level for graceful).
-  std::size_t num_segments() const { return segments_.size(); }
+  /// Store segments (1 for tz/slack/cdg; one per level for graceful).
+  std::size_t num_segments() const { return payload_.num_segments(); }
 
-  /// Total packed payload size (arena + offsets + meta), in bytes —
-  /// the fixed-width v1/v2 word model.
-  std::size_t payload_bytes() const;
-
-  /// The v3 (delta+varint) payload size in bytes, including the
-  /// page-alignment padding — what `save_file` actually puts on disk
-  /// past the 64-byte header. The honest serving-footprint number the
-  /// benches report next to the word-model size.
+  /// The payload size in bytes, including the page-alignment padding —
+  /// what `save_file` puts on disk past the 64-byte header.
   std::size_t encoded_bytes() const;
 
-  /// v3-encoded bytes of node u's records, summed across segments — the
-  /// per-node serving footprint without file framing or padding. The
-  /// word model (size_words) double-counts against this: it bills 4
-  /// bytes per u32 word where the varint coding typically spends 1-2.
+  /// Encoded bytes of node u's records, summed across segments — the
+  /// per-node serving footprint without file framing or padding.
   std::size_t encoded_record_bytes(NodeId u) const;
 
-  /// Arena words backing node u's record in segment 0 (diagnostics).
-  std::size_t node_record_words(NodeId u) const;
-
  private:
-  struct Segment {
-    std::vector<std::uint64_t> meta;
-    std::vector<std::uint64_t> offsets;  // n+1 entries, in u32 units
-    std::vector<std::uint32_t> arena;
-  };
-
-  Dist query_segment(const Segment& seg, NodeId u, NodeId v) const;
-  void validate_structure() const;
-  std::vector<std::uint8_t> build_v2_payload() const;
-  std::vector<std::uint8_t> build_v3_payload() const;
+  /// The store behind a parsed file; see decode_payload in the .cpp.
+  static SketchStore decode(const store_format::File& file,
+                            std::vector<char>* quarantined);
+  std::vector<std::uint8_t> encode_payload() const;
 
   Scheme scheme_ = Scheme::kThorupZwick;
   NodeId n_ = 0;
   std::uint32_t k_ = 0;
   double epsilon_ = 0.0;
   bool epsilon_known_ = true;
-  std::vector<Segment> segments_;
+  SketchPayload payload_;
 };
 
 /// Result of SketchStore::recover_file — see its doc comment.

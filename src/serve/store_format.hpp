@@ -1,31 +1,36 @@
-// On-disk framing constants shared by the heap store (sketch_store) and
-// the mmap store (mmap_store): magics, the fixed header layout, the
-// FNV-1a checksum, and the v3 page-alignment rule. The authoritative
-// layout description lives in serve/sketch_store.hpp.
+// The v3 store file framing shared by the heap store (sketch_store) and
+// the mmap store (mmap_store): the magic, the fixed header, the FNV-1a
+// checksum, the page-alignment rule, and the one parser that validates a
+// file image's header and segment framing. The authoritative layout
+// description lives in serve/sketch_store.hpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string>
+#include <vector>
 
+#include "graph/graph.hpp"
 #include "serve/sketch_store.hpp"
 
 namespace dsketch {
 namespace store_format {
 
-constexpr char kMagicV1[8] = {'D', 'S', 'K', 'S', 'T', 'O', 'R', '1'};
-constexpr char kMagicV2[8] = {'D', 'S', 'K', 'S', 'T', 'O', 'R', '2'};
-constexpr char kMagicV3[8] = {'D', 'S', 'K', 'S', 'T', 'O', 'R', '3'};
+/// Throws StoreCorruptionError(kind) with the store's message prefix.
+[[noreturn]] void fail(StoreError kind, const std::string& what);
+
+constexpr char kMagic[8] = {'D', 'S', 'K', 'S', 'T', 'O', 'R', '3'};
+constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kFlagEpsilonKnown = 1;  // header flags word, bit 0
 constexpr std::size_t kHeaderBytes = 48;  // after the magic, pre-checksum
-/// v2/v3 payload starts here: 8 magic + 48 header + 8 header checksum.
+/// The payload starts here: 8 magic + 48 header + 8 header checksum.
 constexpr std::size_t kPayloadStart = 64;
-/// v3 offset tables and blobs are zero-padded to this file alignment.
+/// Offset tables and blobs are zero-padded to this file alignment.
 constexpr std::size_t kPageBytes = 4096;
 
 /// Pad needed after `payload_pos` payload bytes to reach the next
 /// page-aligned *file* position.
-inline std::size_t v3_pad(std::size_t payload_pos) {
+inline std::size_t page_pad(std::size_t payload_pos) {
   return (kPageBytes - (kPayloadStart + payload_pos) % kPageBytes) %
          kPageBytes;
 }
@@ -39,9 +44,14 @@ inline std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) {
   return hash;
 }
 
-/// The decoded fixed header (identical field set across v1/v2/v3).
+inline std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t x = 0;
+  for (int i = 0; i < 8; ++i) x |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return x;
+}
+
+/// The decoded fixed header.
 struct StoreHeader {
-  std::uint32_t version = 0;
   std::uint32_t scheme_raw = 0;
   std::uint32_t n = 0;
   std::uint32_t k = 0;
@@ -52,64 +62,40 @@ struct StoreHeader {
   std::uint64_t checksum = 0;
 };
 
-inline std::uint32_t load_u32(const std::uint8_t* p) {
-  std::uint32_t x = 0;
-  for (int i = 0; i < 4; ++i) x |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return x;
-}
+/// One segment's framing, pointing into the parsed file image.
+struct Segment {
+  std::vector<std::uint64_t> meta;  ///< slack: [net size, net ids...]
+  const std::uint8_t* offsets = nullptr;  ///< n+1 little-endian u64s
+  const std::uint8_t* blob = nullptr;
+  /// Blob bytes in the image: the declared size, less what a truncated
+  /// file lost (kSalvage only).
+  std::uint64_t blob_bytes = 0;
 
-inline std::uint64_t load_u64(const std::uint8_t* p) {
-  std::uint64_t x = 0;
-  for (int i = 0; i < 8; ++i) x |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return x;
-}
+  /// Byte offset of node u's record in the blob (u in [0, n]).
+  std::uint64_t offset(NodeId u) const {
+    return load_u64(offsets + 8 * static_cast<std::size_t>(u));
+  }
+};
 
-/// Parses and validates a v3 header from the first `size` mapped bytes.
-/// Magic, header checksum, version, and scheme tag are all verified —
-/// these 64 bytes are the only part of the file the mmap store trusts
-/// eagerly. Throws StoreCorruptionError like the stream loader.
-inline StoreHeader parse_v3_header(const std::uint8_t* data,
-                                   std::size_t size) {
-  const auto fail = [](StoreError kind, const std::string& what) {
-    throw StoreCorruptionError(kind, "sketch store: " + what);
-  };
-  if (size < 8) fail(StoreError::kBadMagic, "bad magic");
-  if (std::memcmp(data, kMagicV3, 8) != 0) {
-    if (std::memcmp(data, kMagicV1, 8) == 0 ||
-        std::memcmp(data, kMagicV2, 8) == 0) {
-      fail(StoreError::kUnsupportedVersion,
-           "mmap serving requires a v3 store (convert with save_file)");
-    }
-    fail(StoreError::kBadMagic, "bad magic");
-  }
-  if (size < kPayloadStart) {
-    fail(StoreError::kTruncatedHeader, "truncated header");
-  }
-  const std::uint8_t* h = data + 8;
-  if (fnv1a64(h, kHeaderBytes) != load_u64(h + kHeaderBytes)) {
-    fail(StoreError::kHeaderChecksum, "header checksum mismatch");
-  }
-  StoreHeader out;
-  out.version = load_u32(h);
-  if (out.version != 3) {
-    fail(StoreError::kUnsupportedVersion,
-         "unsupported version " + std::to_string(out.version));
-  }
-  out.scheme_raw = load_u32(h + 4);
-  if (out.scheme_raw > static_cast<std::uint32_t>(Scheme::kGraceful)) {
-    fail(StoreError::kUnknownScheme,
-         "unknown scheme tag " + std::to_string(out.scheme_raw));
-  }
-  out.n = load_u32(h + 8);
-  out.k = load_u32(h + 12);
-  out.segment_count = load_u32(h + 16);
-  out.epsilon_known = (load_u32(h + 20) & kFlagEpsilonKnown) != 0;
-  std::uint64_t eps_bits = load_u64(h + 24);
-  std::memcpy(&out.epsilon, &eps_bits, sizeof(out.epsilon));
-  out.payload_size = load_u64(h + 32);
-  out.checksum = load_u64(h + 40);
-  return out;
-}
+struct File {
+  StoreHeader header;
+  std::vector<Segment> segments;
+};
+
+enum class Parse {
+  kStrict,    ///< every section present; payload checksum not read
+  kVerified,  ///< kStrict plus the payload checksum
+  kSalvage,   ///< header intact, payload may be short or corrupt
+};
+
+/// Validates the header of the file image [data, data + size) — magic,
+/// header checksum, version, scheme tag — and walks its segment framing:
+/// meta words, the page-aligned byte-offset tables (monotone, [0] == 0,
+/// [n] == blob_bytes), and that every section fits. No record byte is
+/// read. Throws StoreCorruptionError with a typed diagnosis. In kSalvage
+/// mode blobs may be short and a graceful store keeps the levels before
+/// the first broken framing.
+File parse(const std::uint8_t* data, std::size_t size, Parse mode);
 
 }  // namespace store_format
 }  // namespace dsketch

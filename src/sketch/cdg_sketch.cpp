@@ -154,13 +154,26 @@ class LabelDisseminationProtocol : public Protocol {
 
 }  // namespace
 
-Dist CdgSketchSet::query(NodeId u, NodeId v) const {
-  if (u == v) return 0;
-  const NodeSketch& su = sketches_[u];
-  const NodeSketch& sv = sketches_[v];
-  const Dist mid = tz_query(su.label.view(), sv.label.view());
+Dist cdg_query(const CdgRecord& u, const CdgRecord& v) {
+  if (u.net_dist == kInfDist || v.net_dist == kInfDist) return kInfDist;
+  const Dist mid = tz_query(u.label, v.label);
   if (mid == kInfDist) return kInfDist;
-  return su.net_dist + mid + sv.net_dist;
+  return u.net_dist + mid + v.net_dist;
+}
+
+void CdgSketchSet::reserve(std::size_t nodes, std::size_t cells) {
+  net_node_.reserve(net_node_.size() + nodes);
+  net_dist_.reserve(net_dist_.size() + nodes);
+  owner_.reserve(owner_.size() + nodes);
+  labels_.reserve(nodes, cells);
+}
+
+void CdgSketchSet::append(NodeId net_node, Dist net_dist,
+                          const LabelView& label) {
+  net_node_.push_back(net_node);
+  net_dist_.push_back(net_dist);
+  owner_.push_back(label.owner);
+  labels_.append(label);
 }
 
 CdgBuildResult build_cdg_sketches(const Graph& g, const CdgConfig& config,
@@ -221,18 +234,16 @@ CdgBuildResult build_cdg_sketches(const Graph& g, const CdgConfig& config,
   DS_CHECK_MSG(dissemination.complete(),
                "every node must receive its owner's full label");
 
-  std::vector<CdgSketchSet::NodeSketch> sketches(n);
   for (NodeId u = 0; u < n; ++u) {
-    CdgSketchSet::NodeSketch& s = sketches[u];
-    s.net_node = voronoi.owner[u];
-    s.net_dist = voronoi.dist[u];
-    if (voronoi.owner[u] == u) {
-      s.label = TzLabelBuilder::from_view(tz.labels.view(u));
+    const NodeId owner = voronoi.owner[u];
+    if (owner == u) {
+      result.sketches.append(owner, voronoi.dist[u], tz.labels.view(u));
     } else {
-      s.label = deserialize_label(voronoi.owner[u], dissemination.received(u));
+      const TzLabelBuilder label =
+          deserialize_label(owner, dissemination.received(u));
+      result.sketches.append(owner, voronoi.dist[u], label.view());
     }
   }
-  result.sketches = CdgSketchSet(std::move(sketches));
   return result;
 }
 

@@ -37,28 +37,49 @@ struct CdgConfig {
   TerminationMode termination = TerminationMode::kOracle;
 };
 
+/// One node's CDG sketch, viewed in place.
+struct CdgRecord {
+  NodeId net_node = kInvalidNode;  ///< u' — nearest net node
+  Dist net_dist = kInfDist;        ///< d(u, u')
+  LabelView label;                 ///< L(u'), as disseminated; owner u'
+};
+
+/// The CDG estimate d(u,u') + tz_query(L(u'), L(v')) + d(v',v) from two
+/// records. An infinite net distance (unreachable net node, or a
+/// quarantined store record) answers kInfDist instead of wrapping the sum.
+Dist cdg_query(const CdgRecord& u, const CdgRecord& v);
+
+/// Every node's CDG sketch: net node and distance per node, and the
+/// disseminated labels in one LabelArena (node u's record holds L(u')).
 class CdgSketchSet {
  public:
-  struct NodeSketch {
-    NodeId net_node = kInvalidNode;  ///< u' — nearest net node
-    Dist net_dist = kInfDist;        ///< d(u, u')
-    TzLabelBuilder label;            ///< L(u'), as disseminated (finalized)
-  };
-
   CdgSketchSet() = default;
-  explicit CdgSketchSet(std::vector<NodeSketch> sketches)
-      : sketches_(std::move(sketches)) {}
 
-  Dist query(NodeId u, NodeId v) const;
-  /// Nodes covered (one sketch per node).
-  std::size_t num_nodes() const { return sketches_.size(); }
-  std::size_t size_words(NodeId u) const {
-    return 2 + sketches_[u].label.size_words();
+  /// Appends node num_nodes()'s sketch; label.owner is kept as the owner
+  /// of the label (u').
+  void append(NodeId net_node, Dist net_dist, const LabelView& label);
+  /// Capacity for `nodes` more sketches whose labels total `cells` cells.
+  void reserve(std::size_t nodes, std::size_t cells);
+
+  Dist query(NodeId u, NodeId v) const {
+    return u == v ? 0 : cdg_query(sketch(u), sketch(v));
   }
-  const NodeSketch& sketch(NodeId u) const { return sketches_[u]; }
+  /// Nodes covered (one sketch per node).
+  std::size_t num_nodes() const { return net_node_.size(); }
+  std::size_t size_words(NodeId u) const {
+    return 2 + labels_.size_words(u);
+  }
+  CdgRecord sketch(NodeId u) const {
+    LabelView label = labels_.view(u);
+    label.owner = owner_[u];
+    return CdgRecord{net_node_[u], net_dist_[u], label};
+  }
 
  private:
-  std::vector<NodeSketch> sketches_;
+  std::vector<NodeId> net_node_;
+  std::vector<Dist> net_dist_;
+  std::vector<NodeId> owner_;  ///< label owner per node (u' when built)
+  LabelArena labels_;
 };
 
 struct CdgBuildResult {

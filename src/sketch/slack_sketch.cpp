@@ -6,12 +6,9 @@
 
 namespace dsketch {
 
-Dist SlackSketchSet::query(NodeId u, NodeId v) const {
-  if (u == v) return 0;
+Dist slack_query(const Dist* du, const Dist* dv, std::size_t net_size) {
   Dist best = kInfDist;
-  const auto& du = dist_[u];
-  const auto& dv = dist_[v];
-  for (std::size_t i = 0; i < net_.size(); ++i) {
+  for (std::size_t i = 0; i < net_size; ++i) {
     if (du[i] == kInfDist || dv[i] == kInfDist) continue;
     best = std::min(best, du[i] + dv[i]);
   }
@@ -25,17 +22,18 @@ SlackSketchResult build_slack_sketches(const Graph& g, double epsilon,
   if (cfg.phase.empty()) cfg.phase = "slack_net_bf";
   MultiSourceBfResult bf = run_multi_source_bf(g, net, cfg);
 
-  std::vector<std::vector<Dist>> dist(n, std::vector<Dist>(net.size(), kInfDist));
+  SlackSketchResult result;
+  result.sketches = SlackSketchSet(net);
+  std::vector<Dist> row(net.size());
   for (NodeId u = 0; u < n; ++u) {
     for (std::size_t i = 0; i < net.size(); ++i) {
       const auto it = bf.dist[u].find(net[i]);
       DS_CHECK_MSG(it != bf.dist[u].end(),
                    "connected graph: every net distance must be learned");
-      dist[u][i] = it->second;
+      row[i] = it->second;
     }
+    result.sketches.append_row(row.data());
   }
-  SlackSketchResult result;
-  result.sketches = SlackSketchSet(std::move(net), std::move(dist));
   result.stats = bf.stats;
   return result;
 }

@@ -17,19 +17,39 @@
 
 namespace dsketch {
 
+/// The slack estimate from two sketch rows of `net_size` net distances:
+/// min over net nodes w of d(u,w) + d(w,v), skipping unreachable w.
+Dist slack_query(const Dist* du, const Dist* dv, std::size_t net_size);
+
 class SlackSketchSet {
  public:
   SlackSketchSet() = default;
-  SlackSketchSet(std::vector<NodeId> net, std::vector<std::vector<Dist>> dist)
-      : net_(std::move(net)), dist_(std::move(dist)) {}
+  /// An empty table over `net`; rows are added with append_row.
+  explicit SlackSketchSet(std::vector<NodeId> net) : net_(std::move(net)) {}
 
   const std::vector<NodeId>& net() const { return net_; }
 
+  /// Capacity for `nodes` more rows.
+  void reserve(std::size_t nodes) {
+    dist_.reserve(dist_.size() + nodes * net_.size());
+  }
+
+  /// Appends node num_nodes()'s row of net().size() distances.
+  void append_row(const Dist* row) {
+    dist_.insert(dist_.end(), row, row + net_.size());
+    ++n_;
+  }
+
   /// Nodes covered (rows of the distance table).
-  std::size_t num_nodes() const { return dist_.size(); }
+  std::size_t num_nodes() const { return n_; }
+
+  /// Node u's row: its distance to every net node, in net() order.
+  const Dist* row(NodeId u) const { return dist_.data() + u * net_.size(); }
 
   /// Estimate d(u,v) from the two stored sketches only.
-  Dist query(NodeId u, NodeId v) const;
+  Dist query(NodeId u, NodeId v) const {
+    return u == v ? 0 : slack_query(row(u), row(v), net_.size());
+  }
 
   /// Words stored at node u: one (id, distance) pair per net node.
   std::size_t size_words(NodeId u) const {
@@ -37,12 +57,13 @@ class SlackSketchSet {
     return 2 * net_.size();
   }
 
-  /// Distance from u to the i-th net node (test hook).
-  Dist net_dist(NodeId u, std::size_t i) const { return dist_[u][i]; }
+  /// Distance from u to the i-th net node.
+  Dist net_dist(NodeId u, std::size_t i) const { return row(u)[i]; }
 
  private:
   std::vector<NodeId> net_;
-  std::vector<std::vector<Dist>> dist_;  ///< [node][net index]
+  std::size_t n_ = 0;
+  std::vector<Dist> dist_;  ///< row-major [node][net index]
 };
 
 struct SlackSketchResult {

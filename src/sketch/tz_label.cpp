@@ -22,7 +22,7 @@ bool operator==(const LabelView& a, const LabelView& b) {
     return false;
   }
   for (std::uint32_t i = 0; i < a.levels; ++i) {
-    if (!(a.pivots[i] == b.pivots[i])) return false;
+    if (!(a.pivot(i) == b.pivot(i))) return false;
   }
   for (std::uint32_t i = 0; i < a.count; ++i) {
     if (!(a.bunch[i] == b.bunch[i])) return false;
@@ -31,13 +31,22 @@ bool operator==(const LabelView& a, const LabelView& b) {
 }
 
 TzLabelBuilder TzLabelBuilder::from_view(const LabelView& v) {
-  TzLabelBuilder b(v.owner, v.levels);
-  for (std::uint32_t i = 0; i < v.levels; ++i) {
-    b.pivots_[i] = v.pivots[i];
-  }
+  TzLabelBuilder b;
+  b.owner_ = v.owner;
+  b.pivots_.assign(v.pivots, v.pivots + v.levels);
   b.bunch_.assign(v.bunch, v.bunch + v.count);
   b.sorted_ = std::is_sorted(b.bunch_.begin(), b.bunch_.end(), bunch_order);
   return b;
+}
+
+void TzLabelBuilder::reset(NodeId owner, std::uint32_t k) {
+  owner_ = owner;
+  pivots_.resize(k);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    pivots_[i] = BunchEntry{kInvalidNode, i, kInfDist};
+  }
+  bunch_.clear();
+  sorted_ = true;
 }
 
 void TzLabelBuilder::sort_bunch() {
@@ -60,30 +69,30 @@ LabelView TzLabelBuilder::view() const {
 
 LabelArena LabelArena::from_builders(std::vector<TzLabelBuilder> builders) {
   LabelArena arena;
-  if (builders.empty()) return arena;
-  arena.k_ = builders.front().levels();
-  arena.slots_.resize(builders.size());
   std::size_t total = 0;
   for (const TzLabelBuilder& b : builders) {
-    DS_CHECK(b.levels() == arena.k_);
-    total += b.bunch().size();
+    total += b.levels() + b.bunch().size();
   }
-  arena.pivots_.reserve(builders.size() * static_cast<std::size_t>(arena.k_));
-  arena.entries_.reserve(total);
+  arena.reserve(builders.size(), total);
   for (NodeId u = 0; u < builders.size(); ++u) {
     TzLabelBuilder& b = builders[u];
     DS_CHECK(b.owner() == u);
     b.sort_bunch();
-    for (std::uint32_t i = 0; i < arena.k_; ++i) {
-      arena.pivots_.push_back(b.pivot(i));
-    }
-    Slot& s = arena.slots_[u];
-    s.begin = arena.entries_.size();
-    s.count = static_cast<std::uint32_t>(b.bunch().size());
-    arena.entries_.insert(arena.entries_.end(), b.bunch().begin(),
-                          b.bunch().end());
+    arena.append(b.view());
   }
   return arena;
+}
+
+void LabelArena::append(const LabelView& label) {
+  Slot s;
+  s.begin = cells_.size();
+  s.levels = label.levels;
+  s.count = label.count;
+  cells_.insert(cells_.end(), label.pivots, label.pivots + label.levels);
+  cells_.insert(cells_.end(), label.bunch, label.bunch + label.count);
+  slots_.push_back(s);
+  k_ = std::max(k_, label.levels);
+  ++generation_;
 }
 
 double LabelArena::mean_size_words() const {
@@ -105,21 +114,20 @@ std::size_t LabelArena::total_entries() const {
 
 void LabelArena::replace(NodeId u, const TzLabelBuilder& b) {
   DS_CHECK(b.owner() == u);
-  DS_CHECK(b.levels() == k_);
   DS_CHECK(b.sorted());
-  for (std::uint32_t i = 0; i < k_; ++i) {
-    pivots_[static_cast<std::size_t>(u) * k_ + i] = b.pivot(i);
-  }
+  const LabelView v = b.view();
+  const std::size_t cells = std::size_t{v.levels} + v.count;
   Slot& s = slots_[u];
-  const std::uint32_t count = static_cast<std::uint32_t>(b.bunch().size());
-  if (count <= s.count) {
-    std::copy(b.bunch().begin(), b.bunch().end(),
-              entries_.begin() + static_cast<std::ptrdiff_t>(s.begin));
-  } else {
-    s.begin = entries_.size();
-    entries_.insert(entries_.end(), b.bunch().begin(), b.bunch().end());
+  if (cells > std::size_t{s.levels} + s.count) {
+    s.begin = cells_.size();
+    cells_.resize(cells_.size() + cells);
   }
-  s.count = count;
+  const auto rec = cells_.begin() + static_cast<std::ptrdiff_t>(s.begin);
+  std::copy(v.bunch, v.bunch + v.count,
+            std::copy(v.pivots, v.pivots + v.levels, rec));
+  s.levels = v.levels;
+  s.count = v.count;
+  k_ = std::max(k_, v.levels);
   ++generation_;
 }
 
@@ -175,7 +183,7 @@ TzQueryTrace tz_query_trace(const LabelView& lu, const LabelView& lv) {
   const std::uint32_t k = lu.levels < lv.levels ? lu.levels : lv.levels;
   for (std::uint32_t i = 0; i < k; ++i) {
     // p_i(u) in B(v)?
-    const DistKey& pu = lu.pivot(i);
+    const DistKey pu = lu.pivot(i);
     if (pu.id != kInvalidNode) {
       const Dist dv = lv.bunch_dist(pu.id);
       if (dv != kInfDist) {
@@ -186,7 +194,7 @@ TzQueryTrace tz_query_trace(const LabelView& lu, const LabelView& lv) {
       }
     }
     // p_i(v) in B(u)?
-    const DistKey& pv = lv.pivot(i);
+    const DistKey pv = lv.pivot(i);
     if (pv.id != kInvalidNode) {
       const Dist du = lu.bunch_dist(pv.id);
       if (du != kInfDist) {

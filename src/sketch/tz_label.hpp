@@ -16,17 +16,23 @@
 //     finalize into an arena. sort_bunch() canonicalizes entries by
 //     (node id, level), the order every immutable consumer assumes.
 //   - LabelView: an immutable (pivots ptr, bunch ptr, count) triple over
-//     contiguous storage. Queries, packing, and serialization all walk
-//     views; membership tests are branch-light binary searches and the
+//     contiguous storage. Queries, encoding, and serialization all walk
+//     views; membership tests are branchless binary searches and the
 //     exhaustive query is a sorted-merge intersection. A view never owns —
 //     it is invalidated by any mutation of the storage behind it.
-//   - LabelArena: owns every label of one build as three flat vectors
-//     (pivots, entries, per-node slots). This is what crosses layer
-//     boundaries (build -> oracle -> store -> serve): handing an arena
-//     around moves three buffers instead of deep-copying n heap objects.
-//     Repair mutates in place (distances only tighten) or replaces one
-//     node's slice; every mutation bumps the arena generation so serving
-//     snapshots can detect staleness.
+//   - LabelArena: owns every label of one build as one slab of 16-byte
+//     cells plus a per-node slot. A node's record is its pivots directly
+//     followed by its bunch entries, so a query touches one contiguous
+//     run per label. This is what crosses layer boundaries (build ->
+//     oracle -> store -> serve): handing an arena around moves two
+//     buffers instead of deep-copying n heap objects. Repair mutates in
+//     place (distances only tighten) or replaces one node's record; every
+//     mutation bumps the arena generation so serving snapshots can detect
+//     staleness.
+//
+// A pivot is stored as a bunch-entry cell (pivot id, level, distance):
+// p_i(u) is itself a member of A_i at a known distance, and one cell type
+// is what lets pivots and bunch share the record slab.
 //
 // The query (Lemma 3.2) walks levels i = 0, 1, ... and returns
 //   d(u, p_i(u)) + d(v, p_i(u))   for the first i with p_i(u) in B(v)
@@ -66,33 +72,40 @@ struct BunchEntry {
 };
 
 /// Immutable view of one label: a (pivots ptr, bunch ptr, count) triple
-/// over contiguous storage (a LabelArena slice, a builder's vectors, or a
-/// decoded store record). Bunch entries are sorted by (node id, level);
-/// the view is only valid while the backing storage is alive and
-/// unmutated.
+/// over contiguous storage (a LabelArena record or a builder's vectors).
+/// Pivot cells hold (pivot id, level, distance); bunch entries are sorted
+/// by (node id, level). The view is only valid while the backing storage
+/// is alive and unmutated.
 struct LabelView {
   NodeId owner = kInvalidNode;
   std::uint32_t levels = 0;
   std::uint32_t count = 0;
-  const DistKey* pivots = nullptr;
+  const BunchEntry* pivots = nullptr;
   const BunchEntry* bunch = nullptr;
 
-  const DistKey& pivot(std::uint32_t level) const { return pivots[level]; }
+  DistKey pivot(std::uint32_t level) const {
+    return DistKey{pivots[level].dist, pivots[level].node};
+  }
 
   /// Distance to w if w is in the bunch, kInfDist otherwise. Binary search
   /// over the node-sorted entries; duplicates (one node at several levels)
   /// resolve to the lowest level, which carries the same distance.
   Dist bunch_dist(NodeId w) const {
-    std::uint32_t lo = 0, hi = count;
-    while (lo < hi) {
-      const std::uint32_t mid = lo + (hi - lo) / 2;
-      if (bunch[mid].node < w) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
+    if (count == 0) return kInfDist;
+    // Branchless lower bound: one conditional move per halving step,
+    // with both candidates for the next probe prefetched — a bunch
+    // outside the cache then costs overlapped misses, not a chain.
+    const BunchEntry* base = bunch;
+    for (std::uint32_t len = count; len > 1;) {
+      const std::uint32_t half = len / 2;
+      const std::uint32_t next = (len - half) / 2;
+      __builtin_prefetch(base + next);
+      __builtin_prefetch(base + half + next);
+      base = base[half].node < w ? base + half : base;
+      len -= half;
     }
-    return lo < count && bunch[lo].node == w ? bunch[lo].dist : kInfDist;
+    base += base->node < w ? 1 : 0;
+    return base != bunch + count && base->node == w ? base->dist : kInfDist;
   }
   bool bunch_contains(NodeId w) const { return bunch_dist(w) != kInfDist; }
 
@@ -114,11 +127,16 @@ struct LabelView {
 class TzLabelBuilder {
  public:
   TzLabelBuilder() = default;
-  TzLabelBuilder(NodeId owner, std::uint32_t k) : owner_(owner), pivots_(k) {}
+  TzLabelBuilder(NodeId owner, std::uint32_t k) { reset(owner, k); }
 
-  /// Deep copy of an existing label back into mutable form (store
-  /// unpacking, dissemination reassembly).
+  /// Deep copy of an existing label back into mutable form (dissemination
+  /// reassembly).
   static TzLabelBuilder from_view(const LabelView& v);
+
+  /// Empties the builder into a fresh label of `k` invalid pivots, keeping
+  /// the allocated capacity — the record decoder reuses one builder for
+  /// every record it reads.
+  void reset(NodeId owner, std::uint32_t k);
 
   NodeId owner() const { return owner_; }
   std::uint32_t levels() const {
@@ -126,9 +144,11 @@ class TzLabelBuilder {
   }
 
   void set_pivot(std::uint32_t level, DistKey pivot) {
-    pivots_[level] = pivot;
+    pivots_[level] = BunchEntry{pivot.id, level, pivot.dist};
   }
-  const DistKey& pivot(std::uint32_t level) const { return pivots_[level]; }
+  DistKey pivot(std::uint32_t level) const {
+    return DistKey{pivots_[level].dist, pivots_[level].node};
+  }
 
   void add_bunch_entry(BunchEntry e) {
     if (!bunch_.empty()) {
@@ -166,40 +186,46 @@ class TzLabelBuilder {
 
  private:
   NodeId owner_ = kInvalidNode;
-  std::vector<DistKey> pivots_;
+  std::vector<BunchEntry> pivots_;
   std::vector<BunchEntry> bunch_;
   bool sorted_ = true;
 };
 
-/// Contiguous storage for all labels of one build: three flat buffers
-/// instead of n heap objects. Label u's pivots live at [u*k, (u+1)*k) of
-/// the pivot buffer; its bunch entries at the slot recorded for u (slices
-/// are contiguous per node but, after replace(), not necessarily in node
-/// order). Mutations bump generation(); views are invalidated by any
-/// mutation (replace may reallocate). The serving tier therefore snapshots
-/// by copying the arena — three buffer copies — never by sharing a live
-/// mutable one.
+/// Contiguous storage for all labels of one build: one slab of cells and
+/// one slot per node instead of n heap objects. Label u's record is the
+/// slab run [begin, begin + levels + count): its pivot cells, then its
+/// bunch entries. Records are contiguous per node but, after replace(), not
+/// necessarily in node order. Mutations bump generation(); views are
+/// invalidated by any mutation (replace and append may reallocate). The
+/// serving tier therefore snapshots by copying the arena — two buffer
+/// copies — never by sharing a live mutable one.
 class LabelArena {
  public:
   LabelArena() = default;
 
-  /// Consumes per-node builders (builders[u].owner() must be u, all with
-  /// the same level count). Unsorted builders are finalized here.
+  /// Consumes per-node builders (builders[u].owner() must be u). Unsorted
+  /// builders are finalized here.
   static LabelArena from_builders(std::vector<TzLabelBuilder> builders);
+
+  /// Appends `label` as the record of node num_nodes(). The view's owner
+  /// is not stored: view(u).owner is always u.
+  void append(const LabelView& label);
+  /// Capacity for `nodes` more records of `cells` cells in total, so a
+  /// loader's appends never reallocate the slab.
+  void reserve(std::size_t nodes, std::size_t cells) {
+    slots_.reserve(slots_.size() + nodes);
+    cells_.reserve(cells_.size() + cells);
+  }
 
   NodeId num_nodes() const { return static_cast<NodeId>(slots_.size()); }
   bool empty() const { return slots_.empty(); }
+  /// The largest level count of any label (the build's k).
   std::uint32_t k() const { return k_; }
 
   LabelView view(NodeId u) const {
     const Slot& s = slots_[u];
-    LabelView v;
-    v.owner = u;
-    v.levels = k_;
-    v.count = s.count;
-    v.pivots = pivots_.data() + static_cast<std::size_t>(u) * k_;
-    v.bunch = entries_.data() + s.begin;
-    return v;
+    const BunchEntry* rec = cells_.data() + s.begin;
+    return LabelView{u, s.levels, s.count, rec, rec + s.levels};
   }
 
   std::size_t size_words(NodeId u) const { return view(u).size_words(); }
@@ -214,16 +240,17 @@ class LabelArena {
   // ---- repair hooks (dynamics/incremental) ---------------------------------
   /// Tightens pivot `level` of node u to distance d (id unchanged).
   void tighten_pivot(NodeId u, std::uint32_t level, Dist d) {
-    pivots_[static_cast<std::size_t>(u) * k_ + level].dist = d;
+    cells_[slots_[u].begin + level].dist = d;
     ++generation_;
   }
-  /// Tightens bunch entry `i` (slice-local index) of node u to distance d.
+  /// Tightens bunch entry `i` (record-local index) of node u to distance d.
   void tighten_bunch_dist(NodeId u, std::uint32_t i, Dist d) {
-    entries_[slots_[u].begin + i].dist = d;
+    const Slot& s = slots_[u];
+    cells_[s.begin + s.levels + i].dist = d;
     ++generation_;
   }
-  /// Rebuilds node u's slice from a fresh builder. Equal-size slices are
-  /// overwritten in place; growing slices append at the arena tail and
+  /// Rebuilds node u's record from a fresh builder. Records that fit are
+  /// overwritten in place; growing records append at the slab tail and
   /// repoint the slot (the hole is reclaimed by the next from_builders).
   void replace(NodeId u, const TzLabelBuilder& b);
 
@@ -233,14 +260,14 @@ class LabelArena {
  private:
   struct Slot {
     std::uint64_t begin = 0;
+    std::uint32_t levels = 0;
     std::uint32_t count = 0;
   };
 
   std::uint32_t k_ = 0;
   std::uint64_t generation_ = 0;
-  std::vector<DistKey> pivots_;     // n * k
-  std::vector<BunchEntry> entries_; // per-node contiguous slices
-  std::vector<Slot> slots_;         // n
+  std::vector<BunchEntry> cells_;  // per-node records: pivots, then bunch
+  std::vector<Slot> slots_;        // n
 };
 
 /// Lemma 3.2: estimate d(u, v) from the two labels alone. Never

@@ -75,7 +75,7 @@ TEST(CdgSketch, NetNodesKeepOwnLabel) {
   for (const NodeId w : r.net) {
     EXPECT_EQ(r.sketches.sketch(w).net_node, w);
     EXPECT_EQ(r.sketches.sketch(w).net_dist, 0u);
-    EXPECT_EQ(r.sketches.sketch(w).label.owner(), w);
+    EXPECT_EQ(r.sketches.sketch(w).label.owner, w);
   }
 }
 

@@ -11,6 +11,7 @@
 #include "dynamics/incremental.hpp"
 #include "graph/generators.hpp"
 #include "sketch/tz_centralized.hpp"
+#include "test_paths.hpp"
 
 namespace dsketch {
 namespace {
@@ -83,16 +84,78 @@ INSTANTIATE_TEST_SUITE_P(Schemes, SketchStoreSchemes,
                                            Scheme::kSlack, Scheme::kCdg,
                                            Scheme::kGraceful));
 
+std::uint64_t u64_at(const std::string& bytes, std::size_t pos) {
+  std::uint64_t x = 0;
+  for (int i = 0; i < 8; ++i) {
+    x |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[pos + i]))
+         << (8 * i);
+  }
+  return x;
+}
+
+/// File position of the next 4096-byte boundary at or after `pos`.
+std::size_t page_align(std::size_t pos) { return (pos + 4095) / 4096 * 4096; }
+
+/// Where each segment's offset table and blob start in a v3 file.
+struct V3Map {
+  std::vector<std::size_t> offsets_pos;
+  std::vector<std::size_t> blob_pos;
+
+  V3Map(const std::string& bytes, NodeId n, std::size_t segments) {
+    std::size_t pos = 64;
+    for (std::size_t s = 0; s < segments; ++s) {
+      pos += 8 + 8 * u64_at(bytes, pos);  // meta_count, meta[]
+      const std::uint64_t blob_bytes = u64_at(bytes, pos);
+      pos = page_align(pos + 8);
+      offsets_pos.push_back(pos);
+      pos = page_align(pos + 8 * (std::size_t{n} + 1));
+      blob_pos.push_back(pos);
+      pos = page_align(pos + blob_bytes);
+    }
+  }
+
+  /// File position of node u's record in segment s.
+  std::size_t record(const std::string& bytes, std::size_t s,
+                     NodeId u) const {
+    return blob_pos[s] + u64_at(bytes, offsets_pos[s] + 8 * u);
+  }
+};
+
+/// Recomputes both checksums after a deliberate edit, the way a crafted
+/// file would: the payload's (stored at byte 48) and then the header's.
+void forge_checksums(std::string& bytes) {
+  const auto fnv = [&](std::size_t begin, std::size_t end) {
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (std::size_t i = begin; i < end; ++i) {
+      hash ^= static_cast<std::uint8_t>(bytes[i]);
+      hash *= 1099511628211ULL;
+    }
+    return hash;
+  };
+  const auto patch_u64 = [&](std::size_t pos, std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[pos + i] = static_cast<char>((x >> (8 * i)) & 0xff);
+    }
+  };
+  patch_u64(48, fnv(64, bytes.size()));
+  patch_u64(56, fnv(8, 56));
+}
+
+void write_bytes(const std::string& path, const std::string& data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
+
 class SketchStoreCorruption : public ::testing::Test {
  protected:
-  std::string valid_bytes(StoreFormat format = StoreFormat::kV3) {
+  std::string valid_bytes() {
     const Graph g = erdos_renyi(40, 0.1, {1, 5}, 3);
     BuildConfig cfg;
     cfg.scheme = Scheme::kThorupZwick;
     cfg.k = 2;
     const SketchEngine engine(g, cfg);
     std::stringstream ss;
-    SketchStore::from_engine(engine).write(ss, format);
+    SketchStore::from_engine(engine).write(ss);
     return ss.str();
   }
 };
@@ -134,45 +197,24 @@ TEST_F(SketchStoreCorruption, RejectsEmptyStream) {
 
 TEST_F(SketchStoreCorruption, RejectsChecksumValidStructuralCorruption) {
   // The checksum only detects accidental corruption; a crafted file can
-  // recompute it. Inflate the first TZ record's level count and patch
-  // the checksum: the structural validator must still reject the file
-  // (otherwise the first query would read out of bounds). This aims at
-  // the fixed-width v2 layout; store_v3_test covers the v3 equivalent.
-  std::string bytes = valid_bytes(StoreFormat::kV2);
-  const auto u32_at = [&](std::size_t pos) {
-    return static_cast<std::uint32_t>(
-        static_cast<std::uint8_t>(bytes[pos]) |
-        (static_cast<std::uint8_t>(bytes[pos + 1]) << 8) |
-        (static_cast<std::uint8_t>(bytes[pos + 2]) << 16) |
-        (static_cast<std::uint8_t>(bytes[pos + 3]) << 24));
-  };
-  const std::uint32_t n = u32_at(16);  // magic(8) + version + scheme
-  const auto fnv = [&](std::size_t begin, std::size_t end) {
-    std::uint64_t hash = 14695981039346656037ULL;
-    for (std::size_t i = begin; i < end; ++i) {
-      hash ^= static_cast<std::uint8_t>(bytes[i]);
-      hash *= 1099511628211ULL;
-    }
-    return hash;
-  };
-  const auto patch_u64 = [&](std::size_t pos, std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      bytes[pos + i] = static_cast<char>((x >> (8 * i)) & 0xff);
-    }
-  };
-  // v2 layout: magic(8) + 48 header bytes + header checksum(8) = 64, then
-  // the payload. For tz: meta_count(8) + offsets_count(8) +
-  // offsets(8*(n+1)) + arena_count(8); the next u32 is record 0's levels.
-  const std::size_t header_size = 64;
-  const std::size_t levels_pos = header_size + 24 + 8 * (n + 1);
-  ASSERT_LT(levels_pos + 4, bytes.size());
-  bytes[levels_pos] = static_cast<char>(0xEE);  // levels = huge
-  // Re-forge both checksums: payload (stored at byte 48, inside the
-  // checksummed header span [8, 56)) and then the header's own.
-  patch_u64(48, fnv(header_size, bytes.size()));
-  patch_u64(56, fnv(8, 56));
+  // recompute it. Inflate the first TZ record's bunch count past its
+  // slice and re-forge both checksums: the record decoder must still
+  // reject the file, with a structural diagnosis.
+  std::string bytes = valid_bytes();
+  const auto n = static_cast<NodeId>(u64_at(bytes, 16) & 0xffffffffu);
+  const V3Map map(bytes, n, 1);
+  // Record 0 starts varint(levels) varint(count); both are one byte here.
+  const std::size_t count_pos = map.record(bytes, 0, 0) + 1;
+  ASSERT_LT(static_cast<std::uint8_t>(bytes[count_pos]), 0x80);
+  bytes[count_pos] = static_cast<char>(0x7f);  // count = 127
+  forge_checksums(bytes);
   std::stringstream ss(bytes);
-  EXPECT_THROW(SketchStore::read(ss), std::runtime_error);
+  try {
+    SketchStore::read(ss);
+    FAIL() << "a record overrunning its slice must not load";
+  } catch (const StoreCorruptionError& e) {
+    EXPECT_EQ(e.kind(), StoreError::kStructure);
+  }
 }
 
 TEST_F(SketchStoreCorruption, FuzzTruncationAndBitFlipsAlwaysTyped) {
@@ -209,35 +251,16 @@ class SketchStoreRecovery : public ::testing::Test {
     cfg.k = 2;
     engine_ = std::make_unique<SketchEngine>(graph_, cfg);
     store_ = SketchStore::from_engine(*engine_);
-    path_ = ::testing::TempDir() + "/dsketch_recovery_test.bin";
-    // The byte-offset map below is the fixed-width v2 layout; these tests
-    // double as legacy-format recovery coverage (store_v3_test has the v3
-    // counterparts).
-    store_.save_file(path_, StoreFormat::kV2);
+    path_ = unique_temp_path("recovery.bin");
+    store_.save_file(path_);
     std::ifstream in(path_, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
                   std::istreambuf_iterator<char>());
-    // v2 file: 64-byte header, then tz payload meta_count(8) +
-    // offsets_count(8) + offsets(8*(n+1)) + arena_count(8) + arena.
     n_ = store_.num_nodes();
-    arena_start_ = 64 + 8 + 8 + 8 * (n_ + 1) + 8;
+    map_ = std::make_unique<V3Map>(bytes_, n_, 1);
   }
 
-  std::uint64_t offset_of(NodeId u) const {
-    const std::size_t pos = 64 + 16 + 8 * u;
-    std::uint64_t x = 0;
-    for (int i = 0; i < 8; ++i) {
-      x |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(bytes_[pos + i]))
-           << (8 * i);
-    }
-    return x;
-  }
-
-  void write_file(const std::string& data) const {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  }
+  std::size_t record(NodeId u) const { return map_->record(bytes_, 0, u); }
 
   Graph graph_;
   std::unique_ptr<SketchEngine> engine_;
@@ -245,7 +268,7 @@ class SketchStoreRecovery : public ::testing::Test {
   std::string path_;
   std::string bytes_;
   NodeId n_ = 0;
-  std::size_t arena_start_ = 0;
+  std::unique_ptr<V3Map> map_;
 };
 
 TEST_F(SketchStoreRecovery, IntactFileRecoversWithChecksumOk) {
@@ -266,10 +289,9 @@ TEST_F(SketchStoreRecovery, QuarantinesBrokenRecordAndServesTheRest) {
   // answering bit-identically.
   const NodeId victim = 5;
   std::string mut = bytes_;
-  const std::size_t levels_pos = arena_start_ + 4 * offset_of(victim);
-  mut[levels_pos] = static_cast<char>(0xE8);
-  mut[levels_pos + 1] = static_cast<char>(0x03);  // levels = 1000
-  write_file(mut);
+  ASSERT_LT(static_cast<std::uint8_t>(mut[record(victim)]), 0x80);
+  mut[record(victim)] = static_cast<char>(0x7f);  // levels = 127
+  write_bytes(path_, mut);
 
   EXPECT_THROW(SketchStore::load_file(path_), StoreCorruptionError);
   const SketchStore::Recovery rec = SketchStore::recover_file(path_);
@@ -293,8 +315,8 @@ TEST_F(SketchStoreRecovery, QuarantinesBrokenRecordAndServesTheRest) {
 TEST_F(SketchStoreRecovery, TruncatedArenaQuarantinesTheLostTail) {
   // Chop the file inside the second-to-last record: the nodes whose
   // records fall past the cut are quarantined, the intact prefix serves.
-  const std::size_t cut = arena_start_ + 4 * offset_of(n_ - 2) + 2;
-  write_file(bytes_.substr(0, cut));
+  const std::size_t cut = record(n_ - 2) + 1;
+  write_bytes(path_, bytes_.substr(0, cut));
 
   EXPECT_THROW(SketchStore::load_file(path_), StoreCorruptionError);
   const SketchStore::Recovery rec = SketchStore::recover_file(path_);
@@ -310,9 +332,99 @@ TEST_F(SketchStoreRecovery, TruncatedArenaQuarantinesTheLostTail) {
 TEST_F(SketchStoreRecovery, HeaderDamageIsUnrecoverable) {
   std::string mut = bytes_;
   mut[2] = 'X';  // inside the magic
-  write_file(mut);
+  write_bytes(path_, mut);
   EXPECT_THROW(SketchStore::recover_file(path_), StoreCorruptionError);
 }
+
+// Per-record quarantine in every scheme: a damaged record answers the
+// safe "don't know" (kInfDist), the rest of the store keeps serving.
+class StoreRecoverySchemes : public ::testing::TestWithParam<Scheme> {
+ protected:
+  void SetUp() override {
+    graph_ = erdos_renyi(60, 0.1, {1, 7}, 29);
+    BuildConfig cfg;
+    cfg.scheme = GetParam();
+    cfg.k = 2;
+    cfg.epsilon = 0.25;
+    store_ = SketchStore::from_engine(SketchEngine(graph_, cfg));
+    n_ = store_.num_nodes();
+    path_ = unique_temp_path("store.bin");
+    store_.save_file(path_);
+    std::ifstream in(path_, std::ios::binary);
+    bytes_.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+    map_ = std::make_unique<V3Map>(bytes_, n_, store_.num_segments());
+  }
+
+  Graph graph_;
+  SketchStore store_;
+  NodeId n_ = 0;
+  std::string path_;
+  std::string bytes_;
+  std::unique_ptr<V3Map> map_;
+};
+
+TEST_P(StoreRecoverySchemes, DamagedRecordAnswersInfAndTheRestServe) {
+  // Stomp the victim's record in every segment with continuation-bit
+  // garbage (graceful keeps one record per level).
+  const NodeId victim = 7;
+  std::string mut = bytes_;
+  for (std::size_t s = 0; s < store_.num_segments(); ++s) {
+    const std::size_t begin = map_->record(bytes_, s, victim);
+    const std::size_t end = map_->record(bytes_, s, victim + 1);
+    ASSERT_LT(begin, end);
+    for (std::size_t i = begin; i < end; ++i) mut[i] = static_cast<char>(0xff);
+  }
+  write_bytes(path_, mut);
+
+  EXPECT_THROW(SketchStore::load_file(path_), StoreCorruptionError);
+  const SketchStore::Recovery rec = SketchStore::recover_file(path_);
+  EXPECT_FALSE(rec.checksum_ok);
+  ASSERT_EQ(rec.quarantined, std::vector<NodeId>{victim});
+  for (NodeId u = 0; u < n_; ++u) {
+    for (NodeId v = 0; v < n_; v += 3) {
+      if (u == victim || v == victim) {
+        EXPECT_EQ(rec.store.query(u, v), u == v ? 0 : kInfDist)
+            << "pair " << u << "," << v;
+      } else {
+        EXPECT_EQ(rec.store.query(u, v), store_.query(u, v))
+            << "pair " << u << "," << v;
+      }
+    }
+  }
+}
+
+TEST_P(StoreRecoverySchemes, TruncatedTailQuarantinesTheLostRecords) {
+  // Cut inside the last segment's second-to-last record. Single-segment
+  // schemes lose those two nodes entirely (kInfDist); graceful still
+  // answers them from its intact levels, never below the full answer.
+  const std::size_t last = store_.num_segments() - 1;
+  const std::size_t cut = map_->record(bytes_, last, n_ - 2) + 1;
+  ASSERT_LT(cut, map_->record(bytes_, last, n_ - 1));
+  write_bytes(path_, bytes_.substr(0, cut));
+
+  EXPECT_THROW(SketchStore::load_file(path_), StoreCorruptionError);
+  const SketchStore::Recovery rec = SketchStore::recover_file(path_);
+  EXPECT_FALSE(rec.checksum_ok);
+  ASSERT_EQ(rec.quarantined, (std::vector<NodeId>{n_ - 2, n_ - 1}));
+  for (NodeId u = 0; u < n_; ++u) {
+    for (NodeId v = 0; v < n_; v += 3) {
+      const bool lost = u != v && (u + 2 >= n_ || v + 2 >= n_);
+      if (!lost) {
+        EXPECT_EQ(rec.store.query(u, v), store_.query(u, v));
+      } else if (GetParam() == Scheme::kGraceful) {
+        EXPECT_GE(rec.store.query(u, v), store_.query(u, v));
+      } else {
+        EXPECT_EQ(rec.store.query(u, v), kInfDist);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, StoreRecoverySchemes,
+                         ::testing::Values(Scheme::kThorupZwick,
+                                           Scheme::kSlack, Scheme::kCdg,
+                                           Scheme::kGraceful));
 
 TEST(SketchStoreRecoveryGraceful, TailTruncationKeepsEarlierLevels) {
   // Graceful stores hold one segment per epsilon level; each level alone
@@ -327,7 +439,7 @@ TEST(SketchStoreRecoveryGraceful, TailTruncationKeepsEarlierLevels) {
   const SketchEngine engine(g, cfg);
   const SketchStore store = SketchStore::from_engine(engine);
   ASSERT_GE(store.num_segments(), 2u);
-  const std::string path = ::testing::TempDir() + "/dsketch_graceful_rec.bin";
+  const std::string path = unique_temp_path("graceful.bin");
   store.save_file(path);
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -355,7 +467,7 @@ TEST(SketchStoreAtomicSave, OverwriteLeavesNoTempAndOldOrNewStore) {
   cfg.k = 2;
   const SketchEngine engine(g, cfg);
   const SketchStore store = SketchStore::from_engine(engine);
-  const std::string path = ::testing::TempDir() + "/dsketch_atomic_test.bin";
+  const std::string path = unique_temp_path("atomic.bin");
   store.save_file(path);
   store.save_file(path);  // overwrite in place
   std::ifstream tmp(path + ".tmp");
@@ -412,7 +524,7 @@ TEST(SketchStoreFiles, SaveAndLoadFile) {
   cfg.epsilon = 0.3;
   const SketchEngine engine(g, cfg);
   const SketchStore store = SketchStore::from_engine(engine);
-  const std::string path = ::testing::TempDir() + "/dsketch_store_test.bin";
+  const std::string path = unique_temp_path("store.bin");
   store.save_file(path);
   const SketchStore back = SketchStore::load_file(path);
   for (NodeId u = 0; u < g.num_nodes(); u += 2) {
@@ -444,9 +556,7 @@ TEST(SketchStorePacking, TzLabelOraclePacksAndAnswersIdentically) {
   // A label set records no build epsilon; the store must not invent one.
   EXPECT_FALSE(store.epsilon_known());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    // The packed arena encoding differs from the label view's word count,
-    // but it must exist for every node.
-    EXPECT_GT(store.size_words(u), 0u) << "node " << u;
+    EXPECT_EQ(store.size_words(u), oracle.size_words(u)) << "node " << u;
     for (NodeId v = u; v < g.num_nodes(); v += 3) {
       EXPECT_EQ(store.query(u, v), oracle.query(u, v))
           << "pair " << u << "," << v;

@@ -1,10 +1,11 @@
 // The v3 (delta+varint, page-aligned) store format and its two serving
-// paths: SketchStore::read decoding to heap arenas and MmapSketchStore
-// querying the mapped bytes in place. The contract under test is
-// byte-identical answers between the two, for every scheme, plus typed
-// rejection (or safe kInfDist answers) for every corruption the fuzz
-// loops can produce. The varint decoder runs under ASan in CI, so the
-// corruption loops double as out-of-bounds probes.
+// paths: SketchStore::read decoding into the label plane and
+// MmapSketchStore decoding the queried records per query. The contract
+// under test is byte-identical answers between the builder and the two,
+// for every scheme, byte-identical files to the ones earlier releases
+// wrote, plus typed rejection (or safe kInfDist answers) for every
+// corruption the fuzz loops can produce. The varint decoder runs under
+// ASan in CI, so the corruption loops double as out-of-bounds probes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,11 +17,15 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/sketch_oracle.hpp"
+#include "dynamics/incremental.hpp"
 #include "graph/generators.hpp"
 #include "serve/label_codec.hpp"
 #include "serve/mmap_store.hpp"
 #include "serve/sketch_store.hpp"
-#include "serve/store_format.hpp"
+#include "sketch/hierarchy.hpp"
+#include "sketch/tz_centralized.hpp"
+#include "test_paths.hpp"
 
 namespace dsketch {
 namespace {
@@ -82,56 +87,68 @@ TEST(ZigZag, RoundTripsSignedDeltas) {
 }
 
 // ---------------------------------------------------------------------------
-// record coding: synthetic tz record with the wrinkles the coder must
+// record coding: synthetic tz label with the wrinkles the coder must
 // survive — invalid pivots, duplicate bunch nodes, non-monotone pivot
 // distances (the post-repair shape zigzag deltas exist for).
 
-std::vector<std::uint32_t> synthetic_tz_record() {
-  std::vector<std::uint32_t> rec;
-  const auto push_dist = [&](Dist d) {
-    rec.push_back(static_cast<std::uint32_t>(d & 0xffffffffu));
-    rec.push_back(static_cast<std::uint32_t>(d >> 32));
-  };
-  rec.push_back(3);  // levels
-  rec.push_back(4);  // bunch count
-  rec.push_back(7);                 // pivot 0
-  push_dist(0);
-  rec.push_back(kInvalidNode);      // pivot 1: invalid
-  push_dist(kInfDist);
-  rec.push_back(2);                 // pivot 2: distance *smaller* than p0's
-  push_dist(5);
+SketchPayload synthetic_tz_payload() {
+  TzLabelBuilder label(0, 3);
+  label.set_pivot(0, DistKey{0, 7});
+  // pivot 1 stays invalid
+  label.set_pivot(2, DistKey{5, 2});  // distance *smaller* than p0's
   // bunch sorted by (node, level); node 9 duplicated across levels.
-  rec.push_back(4); rec.push_back(0); push_dist(11);
-  rec.push_back(9); rec.push_back(0); push_dist(3);
-  rec.push_back(9); rec.push_back(2); push_dist(3);
-  rec.push_back(12); rec.push_back(1); push_dist((Dist{1} << 33) + 5);
-  return rec;
+  label.add_bunch_entry({4, 0, 11});
+  label.add_bunch_entry({9, 0, 3});
+  label.add_bunch_entry({9, 2, 3});
+  label.add_bunch_entry({12, 1, (Dist{1} << 33) + 5});
+  SketchPayload payload;
+  payload.tz.append(label.view());
+  return payload;
+}
+
+std::vector<std::uint8_t> encoded(const SketchPayload& payload) {
+  std::vector<std::uint8_t> bytes;
+  encode_v3_record(payload, 0, 0, bytes);
+  return bytes;
 }
 
 TEST(RecordCodec, TzRoundTripsBitExactly) {
-  const std::vector<std::uint32_t> rec = synthetic_tz_record();
-  std::vector<std::uint8_t> bytes;
-  encode_record_v3(Scheme::kThorupZwick, rec.data(), rec.size(), 0, bytes);
-  std::vector<std::uint32_t> back;
-  ASSERT_TRUE(decode_record_v3(Scheme::kThorupZwick, bytes.data(),
-                               bytes.data() + bytes.size(), 0, back));
-  EXPECT_EQ(back, rec);
-  // The varint coding must actually compress vs the 4-bytes-per-word
-  // fixed layout.
-  EXPECT_LT(bytes.size(), rec.size() * 4);
+  const SketchPayload payload = synthetic_tz_payload();
+  const std::vector<std::uint8_t> bytes = encoded(payload);
+  DecodedRecord rec;
+  ASSERT_TRUE(decode_v3_record(Scheme::kThorupZwick, bytes.data(),
+                               bytes.data() + bytes.size(), 0, 0, rec));
+  EXPECT_TRUE(rec.label.view() == payload.tz.view(0));
+  // The varint coding must actually compress vs the label plane's
+  // 16-byte cells.
+  EXPECT_LT(bytes.size(), (3 + 4) * sizeof(BunchEntry));
 }
 
 TEST(RecordCodec, DecodeRejectsEveryTruncation) {
-  const std::vector<std::uint32_t> rec = synthetic_tz_record();
-  std::vector<std::uint8_t> bytes;
-  encode_record_v3(Scheme::kThorupZwick, rec.data(), rec.size(), 0, bytes);
+  const std::vector<std::uint8_t> bytes = encoded(synthetic_tz_payload());
+  DecodedRecord rec;
   for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-    std::vector<std::uint32_t> back;
-    EXPECT_FALSE(decode_record_v3(Scheme::kThorupZwick, bytes.data(),
-                                  bytes.data() + keep, 0, back))
+    EXPECT_FALSE(decode_v3_record(Scheme::kThorupZwick, bytes.data(),
+                                  bytes.data() + keep, 0, 0, rec))
         << "kept " << keep << " of " << bytes.size();
-    EXPECT_TRUE(back.empty());
   }
+}
+
+TEST(RecordCodec, DecodeRejectsUnsortedBunch) {
+  // A label view binary-searches its bunch; a record whose entries are
+  // out of (node, level) order must not decode into one.
+  std::vector<std::uint8_t> bytes;
+  put_varint(bytes, 0);              // levels
+  put_varint(bytes, 2);              // count
+  put_varint(bytes, zigzag64(5));    // node 5
+  put_varint(bytes, 0);
+  put_varint(bytes, 1);
+  put_varint(bytes, zigzag64(static_cast<std::uint64_t>(-2)));  // node 3
+  put_varint(bytes, 0);
+  put_varint(bytes, 1);
+  DecodedRecord rec;
+  EXPECT_FALSE(decode_v3_record(Scheme::kThorupZwick, bytes.data(),
+                                bytes.data() + bytes.size(), 0, 0, rec));
 }
 
 TEST(RecordCodec, DecodeSurvivesRandomBytes) {
@@ -142,12 +159,18 @@ TEST(RecordCodec, DecodeSurvivesRandomBytes) {
     state ^= state << 13; state ^= state >> 7; state ^= state << 17;
     return static_cast<std::uint8_t>(state);
   };
+  DecodedRecord rec;
   for (int trial = 0; trial < 2000; ++trial) {
     std::vector<std::uint8_t> bytes(trial % 37);
     for (auto& b : bytes) b = next();
-    std::vector<std::uint32_t> back;
-    decode_record_v3(Scheme::kThorupZwick, bytes.data(),
-                     bytes.data() + bytes.size(), 0, back);
+    for (const Scheme scheme : {Scheme::kThorupZwick, Scheme::kSlack,
+                                Scheme::kCdg}) {
+      if (decode_v3_record(scheme, bytes.data(), bytes.data() + bytes.size(),
+                           0, 3, rec) &&
+          scheme != Scheme::kSlack) {
+        (void)rec.label.view();  // a decoded label is always viewable
+      }
+    }
   }
 }
 
@@ -160,10 +183,6 @@ BuildConfig config_for(Scheme scheme) {
   cfg.k = 2;
   cfg.epsilon = 0.25;
   return cfg;
-}
-
-std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
 }
 
 class StoreV3Schemes : public ::testing::TestWithParam<Scheme> {
@@ -180,7 +199,7 @@ class StoreV3Schemes : public ::testing::TestWithParam<Scheme> {
 
 TEST_P(StoreV3Schemes, V3RoundTripAnswersIdentically) {
   std::stringstream ss;
-  store_.write(ss, StoreFormat::kV3);
+  store_.write(ss);
   const SketchStore back = SketchStore::read(ss);
   EXPECT_EQ(back.scheme(), store_.scheme());
   for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
@@ -190,19 +209,37 @@ TEST_P(StoreV3Schemes, V3RoundTripAnswersIdentically) {
   }
 }
 
-TEST_P(StoreV3Schemes, V2V3V2WriteIsByteIdentical) {
-  // The coding is bijective on every structurally valid record, so a
-  // store surviving a v3 round trip must re-emit the exact v2 bytes.
-  std::stringstream v2a, v3, v2b;
-  store_.write(v2a, StoreFormat::kV2);
-  store_.write(v3, StoreFormat::kV3);
-  SketchStore::read(v3).write(v2b, StoreFormat::kV2);
-  EXPECT_EQ(v2a.str(), v2b.str());
+TEST_P(StoreV3Schemes, V3DecodeEncodeIsByteIdentical) {
+  // The coding is bijective on every label, so a store decoded into the
+  // label plane re-emits the exact bytes — through the binary format and
+  // through the text envelope alike.
+  std::stringstream v3a, v3b, v3c, text;
+  store_.write(v3a);
+  SketchStore::read(v3a).write(v3b);
+  EXPECT_EQ(v3a.str(), v3b.str());
+  store_.to_text(text);
+  SketchStore::from_text(text).write(v3c);
+  EXPECT_EQ(v3a.str(), v3c.str());
+}
+
+TEST_P(StoreV3Schemes, SizeWordsAgreeAcrossOracleHeapAndMmap) {
+  // One sketch, one size: the paper's accounting everywhere.
+  const std::string path = unique_temp_path("store.bin");
+  store_.save_file(path);
+  const SketchStore heap = SketchStore::load_file(path);
+  const auto mapped = MmapSketchStore::open(path);
+  for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
+    const std::size_t words = engine_.oracle().size_words(u);
+    EXPECT_EQ(store_.size_words(u), words) << "node " << u;
+    EXPECT_EQ(heap.size_words(u), words) << "node " << u;
+    EXPECT_EQ(mapped->size_words(u), words) << "node " << u;
+  }
+  EXPECT_DOUBLE_EQ(heap.mean_size_words(), engine_.mean_size_words());
 }
 
 TEST_P(StoreV3Schemes, MmapAnswersMatchHeapByteForByte) {
-  const std::string path = temp_path("dsketch_v3_mmap.bin");
-  store_.save_file(path, StoreFormat::kV3);
+  const std::string path = unique_temp_path("store.bin");
+  store_.save_file(path);
   const SketchStore heap = SketchStore::load_file(path);
   const auto mapped = MmapSketchStore::open(path, /*verify_checksum=*/true);
   EXPECT_EQ(mapped->scheme(), heap.scheme());
@@ -216,28 +253,51 @@ TEST_P(StoreV3Schemes, MmapAnswersMatchHeapByteForByte) {
     for (NodeId v = u; v < graph_.num_nodes(); v += 3) {
       EXPECT_EQ(mapped->query(u, v), heap.query(u, v))
           << "pair " << u << "," << v;
+      EXPECT_EQ(heap.query(u, v), engine_.query(u, v))
+          << "pair " << u << "," << v;
     }
   }
 }
 
+/// This store's file with the magic of an older format version.
+std::string legacy_file(const SketchStore& store, char version) {
+  std::stringstream ss;
+  store.write(ss);
+  std::string bytes = ss.str();
+  bytes[7] = version;  // "DSKSTOR1" / "DSKSTOR2"
+  return bytes;
+}
+
 TEST_P(StoreV3Schemes, MmapRejectsLegacyFormats) {
-  const std::string path = temp_path("dsketch_v2_for_mmap.bin");
-  store_.save_file(path, StoreFormat::kV2);
-  try {
-    MmapSketchStore::open(path);
-    FAIL() << "v2 file must not mmap-open";
-  } catch (const StoreCorruptionError& e) {
-    EXPECT_EQ(e.kind(), StoreError::kUnsupportedVersion);
+  const std::string path = unique_temp_path("legacy.bin");
+  for (const char version : {'1', '2'}) {
+    std::ofstream(path, std::ios::binary) << legacy_file(store_, version);
+    try {
+      MmapSketchStore::open(path);
+      FAIL() << "v" << version << " file must not mmap-open";
+    } catch (const StoreCorruptionError& e) {
+      EXPECT_EQ(e.kind(), StoreError::kUnsupportedVersion);
+    }
   }
 }
 
-TEST_P(StoreV3Schemes, LegacyV2StillLoadsThroughTheHeapPath) {
-  const std::string path = temp_path("dsketch_v2_compat.bin");
-  store_.save_file(path, StoreFormat::kV2);
-  const SketchStore back = SketchStore::load_file(path);
-  for (NodeId u = 0; u < graph_.num_nodes(); u += 2) {
-    for (NodeId v = u; v < graph_.num_nodes(); v += 5) {
-      EXPECT_EQ(back.query(u, v), store_.query(u, v));
+TEST_P(StoreV3Schemes, HeapLoadersRejectLegacyFormats) {
+  // Stores are rebuildable artifacts: v1/v2 files are refused with a
+  // typed error by the strict loader and by recovery alike.
+  const std::string path = unique_temp_path("legacy.bin");
+  for (const char version : {'1', '2'}) {
+    std::ofstream(path, std::ios::binary) << legacy_file(store_, version);
+    for (const bool recover : {false, true}) {
+      try {
+        if (recover) {
+          SketchStore::recover_file(path);
+        } else {
+          SketchStore::load_file(path);
+        }
+        FAIL() << "v" << version << " file must not load";
+      } catch (const StoreCorruptionError& e) {
+        EXPECT_EQ(e.kind(), StoreError::kUnsupportedVersion);
+      }
     }
   }
 }
@@ -260,8 +320,8 @@ class StoreV3Corruption : public ::testing::Test {
     engine_ = std::make_unique<SketchEngine>(graph_, cfg);
     store_ = SketchStore::from_engine(*engine_);
     n_ = store_.num_nodes();
-    path_ = temp_path("dsketch_v3_corruption.bin");
-    store_.save_file(path_, StoreFormat::kV3);
+    path_ = unique_temp_path("store.bin");
+    store_.save_file(path_);
     std::ifstream in(path_, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
                   std::istreambuf_iterator<char>());
@@ -422,17 +482,61 @@ TEST_F(StoreV3Corruption, RecoverQuarantinesTheTruncatedTail) {
 }
 
 TEST_F(StoreV3Corruption, DecodeRecordMatchesHeapWordModel) {
-  // The test hook: decoding a record off the mapping must yield words
-  // whose tz size formula agrees with the heap store's accounting.
+  // Decoding a record off the file bytes must give back the builder's
+  // label, and every representation must bill it the same words.
   const auto mapped = MmapSketchStore::open(path_);
+  const LabelArena& labels = engine_->oracle().payload().tz;
+  const auto* blob = reinterpret_cast<const std::uint8_t*>(bytes_.data()) +
+                     blob_pos_;
+  DecodedRecord rec;
   for (NodeId u = 0; u < n_; ++u) {
-    const std::vector<std::uint32_t> words = mapped->decode_record(0, u);
-    ASSERT_GE(words.size(), 2u) << "node " << u;
-    const std::uint64_t levels = words[0];
-    const std::uint64_t count = words[1];
-    EXPECT_EQ(words.size(), 2 + 3 * levels + 4 * count) << "node " << u;
-    EXPECT_EQ(store_.size_words(u), words.size()) << "node " << u;
+    ASSERT_TRUE(decode_v3_record(Scheme::kThorupZwick, blob + offset_of(u),
+                                 blob + offset_of(u + 1), u, 0, rec))
+        << "node " << u;
+    EXPECT_TRUE(rec.label.view() == labels.view(u)) << "node " << u;
+    EXPECT_EQ(rec.label.size_words(), store_.size_words(u)) << "node " << u;
+    EXPECT_EQ(mapped->size_words(u), store_.size_words(u)) << "node " << u;
   }
+}
+
+// ---------------------------------------------------------------------------
+// pinned bytes: FNV-1a 64 of the whole v3 file for a fixed seeded build
+// of each scheme. A change here changes the on-disk format and every
+// store size the benchmarks report.
+
+std::uint64_t file_fnv(const SketchStore& store) {
+  std::stringstream ss;
+  store.write(ss);
+  const std::string bytes = ss.str();
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+TEST(StorePinnedBytes, V3FilesMatchTheRecordedEncoding) {
+  const Graph g = erdos_renyi(80, 0.08, {1, 9}, 17);
+  const std::pair<Scheme, std::uint64_t> pinned[] = {
+      {Scheme::kThorupZwick, 0xec847401fa4a1b11ULL},
+      {Scheme::kSlack, 0xc152a523b9c2a19fULL},
+      {Scheme::kCdg, 0xe2165b8ed815d21fULL},
+      {Scheme::kGraceful, 0x488f2cfaf1b921d0ULL},
+  };
+  for (const auto& [scheme, fnv] : pinned) {
+    const SketchEngine engine(g, config_for(scheme));
+    EXPECT_EQ(file_fnv(SketchStore::from_engine(engine)), fnv)
+        << scheme_name(scheme);
+  }
+  // A bare label set (no recorded epsilon) packs through the same codec.
+  const std::uint32_t k = 3;
+  Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 42);
+  for (std::uint64_t bump = 1; !h.top_level_nonempty(); ++bump) {
+    h = Hierarchy::sample(g.num_nodes(), k, 42 + bump);
+  }
+  const TzLabelOracle labels(build_tz_centralized(g, h), k);
+  EXPECT_EQ(file_fnv(SketchStore::from_oracle(labels)), 0x5c17b3da38343a10ULL);
 }
 
 }  // namespace

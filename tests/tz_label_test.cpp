@@ -76,6 +76,48 @@ TEST(TzLabelBuilder, FromViewRoundTrips) {
   EXPECT_TRUE(l == copy);
 }
 
+TEST(LabelView, BunchDistMatchesALinearScan) {
+  // The branchless search against the definition: the distance of the
+  // lowest-level entry for w, kInfDist when w is absent — every bunch
+  // size up to a few cache lines, every probe in and around the ids.
+  for (std::uint32_t count = 0; count <= 40; ++count) {
+    TzLabelBuilder l(0, 1);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const NodeId node = 2 * (i / 2) + 1;  // odd ids, each at 2 levels
+      l.add_bunch_entry({node, i % 2, 100 * node + i % 2});
+    }
+    const LabelView v = l.view();
+    for (NodeId w = 0; w <= 2 * count + 2; ++w) {
+      Dist expect = kInfDist;
+      for (std::uint32_t i = 0; i < count && expect == kInfDist; ++i) {
+        if (v.bunch[i].node == w) expect = v.bunch[i].dist;
+      }
+      EXPECT_EQ(v.bunch_dist(w), expect) << "count " << count << " w " << w;
+    }
+  }
+}
+
+TEST(LabelArena, AppendKeepsEachRecordContiguous) {
+  // A record is its pivots directly followed by its bunch, and labels of
+  // different level counts (a quarantined empty record) coexist.
+  TzLabelBuilder a(0, 2);
+  a.set_pivot(0, {0, 0});
+  a.set_pivot(1, {4, 3});
+  a.add_bunch_entry({0, 0, 0});
+  a.add_bunch_entry({2, 1, 6});
+  LabelArena arena;
+  arena.append(a.view());
+  arena.append(TzLabelBuilder(1, 0).view());
+  ASSERT_EQ(arena.num_nodes(), 2u);
+  EXPECT_EQ(arena.k(), 2u);
+  const LabelView v0 = arena.view(0);
+  EXPECT_EQ(v0.bunch, v0.pivots + v0.levels);
+  EXPECT_TRUE(v0 == a.view());
+  EXPECT_EQ(arena.view(1).levels, 0u);
+  EXPECT_EQ(arena.view(1).owner, 1u);
+  EXPECT_EQ(tz_query(arena.view(0), arena.view(1)), kInfDist);
+}
+
 TEST(LabelArena, FromBuildersPreservesLabels) {
   std::vector<TzLabelBuilder> builders;
   for (NodeId u = 0; u < 3; ++u) {

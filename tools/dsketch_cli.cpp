@@ -94,10 +94,9 @@ int usage() {
                "[--epsilon-far E]\n"
                "  list-schemes   (every registered oracle scheme with its "
                "guarantee and capabilities)\n"
-               "  convert --in FILE --out FILE [--format v2|v3]   "
+               "  convert --in FILE --out FILE   "
                "(text <-> binary store, direction auto-detected from the "
-               "input magic; --format forces a binary store in that layout, "
-               "including binary -> binary re-encoding)\n"
+               "input magic)\n"
                "  serve-bench (--store FILE [--mmap [--verify-checksum]] | "
                "--graph FILE --scheme NAME) "
                "[--queries N] [--batch B,B,...] [--threads T,T,...] "
@@ -193,8 +192,8 @@ int finish_build(const FlagSet& flags, const DistanceOracle& oracle) {
     const std::string path = flags.get("store", std::string{});
     const SketchStore store = SketchStore::from_oracle(oracle);
     store.save_file(path);
-    std::printf("binary store saved to %s (%zu payload bytes)\n",
-                path.c_str(), store.payload_bytes());
+    std::printf("binary store saved to %s (%zu encoded bytes)\n",
+                path.c_str(), store.encoded_bytes());
   }
   std::printf("scheme:     %s (%s)\n", oracle.scheme().c_str(),
               oracle.guarantee().c_str());
@@ -402,13 +401,6 @@ int cmd_eval(const FlagSet& flags) {
   return 0;
 }
 
-StoreFormat parse_store_format(const std::string& name) {
-  if (name == "v2") return StoreFormat::kV2;
-  if (name == "v3") return StoreFormat::kV3;
-  throw std::runtime_error("unknown store format: " + name +
-                           " (expected v2|v3)");
-}
-
 int cmd_convert(const FlagSet& flags) {
   const std::string in_path = flags.require("in");
   const std::string out_path = flags.require("out");
@@ -418,25 +410,7 @@ int cmd_convert(const FlagSet& flags) {
   in.read(magic, 8);
   in.clear();
   in.seekg(0);
-  const bool input_is_binary = std::string(magic, 7) == "DSKSTOR";
-  // --format forces a binary output (v2 fixed-width or v3 delta+varint),
-  // which also makes binary -> binary re-encoding — upgrading a v1/v2
-  // store to the mmap-servable v3 layout, or downgrading — a one-liner.
-  if (flags.has("format")) {
-    const StoreFormat format =
-        parse_store_format(flags.get("format", std::string("v3")));
-    const SketchStore store = input_is_binary
-                                  ? SketchStore::read(in)
-                                  : SketchStore::from_text(in);
-    store.save_file(out_path, format);
-    std::printf("converted %s %s -> %s binary store %s (%zu bytes)\n",
-                input_is_binary ? "binary" : "text", in_path.c_str(),
-                format == StoreFormat::kV3 ? "v3" : "v2", out_path.c_str(),
-                format == StoreFormat::kV3 ? store.encoded_bytes()
-                                           : store.payload_bytes());
-    return 0;
-  }
-  if (input_is_binary) {
+  if (std::string(magic, 7) == "DSKSTOR") {
     const SketchStore store = SketchStore::read(in);
     std::ofstream out(out_path);
     if (!out) throw std::runtime_error("cannot open --out file: " + out_path);
@@ -446,8 +420,8 @@ int cmd_convert(const FlagSet& flags) {
   } else {
     const SketchStore store = SketchStore::from_text(in);
     store.save_file(out_path);
-    std::printf("converted text %s -> binary store %s (%zu payload bytes)\n",
-                in_path.c_str(), out_path.c_str(), store.payload_bytes());
+    std::printf("converted text %s -> binary store %s (%zu encoded bytes)\n",
+                in_path.c_str(), out_path.c_str(), store.encoded_bytes());
   }
   return 0;
 }
