@@ -10,8 +10,8 @@
 // Flags: --n (512) / --p / --graph FILE select the instance, --k (3),
 // --sources (12).
 #include "bench_common.hpp"
-#include "core/engine.hpp"
 #include "dynamics/failure_model.hpp"
+#include "serve/sketch_store.hpp"
 
 namespace dsketch::bench {
 
@@ -23,7 +23,7 @@ int run_e11(const FlagSet& flags, std::ostream& out) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = k;
-  const SketchEngine stale(g, cfg);
+  const SketchStore stale(g, cfg);
 
   for (const double fraction : {0.0, 0.05, 0.1, 0.2, 0.4}) {
     const FailurePlan plan = sample_edge_failures(g, fraction, 9);
@@ -31,7 +31,7 @@ int run_e11(const FlagSet& flags, std::ostream& out) {
     const StalenessReport report = evaluate_staleness(
         degraded, [&](NodeId u, NodeId v) { return stale.query(u, v); },
         sources, 5);
-    const SketchEngine rebuilt(degraded, cfg);
+    const SketchStore rebuilt(degraded, cfg);
     row("e11", "stale_sketches")
         .add("n", static_cast<std::uint64_t>(g.num_nodes()))
         .add("k", k)
@@ -44,8 +44,8 @@ int run_e11(const FlagSet& flags, std::ostream& out) {
         .add("mean_stretch", report.stretch.mean())
         .add("p95_stretch", report.stretch.p(95))
         .add("max_stretch", report.stretch.max())
-        .add("rebuild_rounds", rebuilt.cost().rounds)
-        .add("rebuild_messages", rebuilt.cost().messages)
+        .add("rebuild_rounds", rebuilt.build_cost()->rounds)
+        .add("rebuild_messages", rebuilt.build_cost()->messages)
         .emit(out);
   }
   note(out, "e11",

@@ -7,7 +7,7 @@
 //
 //   1. builds a TZ k=3 sketch over an n=4096 ER graph (flags override),
 //   2. round-trips it through the binary SketchStore (save + load),
-//   3. verifies the loaded store answers bit-identically to the engine,
+//   3. verifies the loaded store answers bit-identically to the build,
 //   4. sweeps workload shape x batch size x thread count through the
 //      sharded QueryService, one JSON line per config,
 //   5. emits a scaling summary line (qps at the lowest vs highest thread
@@ -26,7 +26,6 @@
 #include <thread>
 
 #include "bench_common.hpp"
-#include "core/engine.hpp"
 #include "core/oracle_registry.hpp"
 #include "obs_overhead.hpp"
 #include "serve/query_service.hpp"
@@ -120,21 +119,21 @@ int run_e12(const FlagSet& flags, std::ostream& out) {
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = k;
   Timer build_timer;
-  const SketchEngine engine(g, cfg);
+  const SketchStore built(g, cfg);
   const double build_seconds = build_timer.seconds();
 
   // 2. Binary store round trip.
-  SketchStore::from_engine(engine).save_file(store_path);
+  built.save_file(store_path);
   const SketchStore store = SketchStore::load_file(store_path);
 
-  // 3. The loaded store must answer bit-identically to the engine.
+  // 3. The loaded store must answer bit-identically to the build.
   Rng rng(11);
   std::size_t mismatches = 0;
   const std::size_t verify_pairs = 2000;
   for (std::size_t i = 0; i < verify_pairs; ++i) {
     const auto u = static_cast<NodeId>(rng.below(n));
     const auto v = static_cast<NodeId>(rng.below(n));
-    if (store.query(u, v) != engine.query(u, v)) ++mismatches;
+    if (store.query(u, v) != built.query(u, v)) ++mismatches;
   }
   row("e12", "store_verify")
       .add("n", static_cast<std::uint64_t>(n))
@@ -149,7 +148,7 @@ int run_e12(const FlagSet& flags, std::ostream& out) {
       .add("bit_identical", mismatches == 0)
       .emit(out);
   if (mismatches > 0) {
-    note(out, "e12", "FATAL: store answers diverged from the engine");
+    note(out, "e12", "FATAL: store answers diverged from the build");
     return 1;
   }
 

@@ -16,8 +16,8 @@
 #include <memory>
 
 #include "bench_common.hpp"
-#include "core/engine.hpp"
 #include "core/oracle_registry.hpp"
+#include "serve/sketch_store.hpp"
 #include "sketch/tz_distributed.hpp"
 
 namespace dsketch::bench {
@@ -82,10 +82,10 @@ int run_e1(const FlagSet& flags, std::ostream& out) {
       cfg.scheme = Scheme::kThorupZwick;
       cfg.k = k;
       cfg.seed = 100 + k;
-      const SketchEngine engine(topo.graph, cfg);
+      const SketchStore sketches(topo.graph, cfg);
       const auto report =
           eval(topo.graph, gt,
-               [&](NodeId u, NodeId v) { return engine.query(u, v); });
+               [&](NodeId u, NodeId v) { return sketches.query(u, v); });
       row("e1", "stretch_vs_k")
           .add("topology", topo.name)
           .add("n", static_cast<std::uint64_t>(topo.graph.num_nodes()))
@@ -96,7 +96,7 @@ int run_e1(const FlagSet& flags, std::ostream& out) {
           .add("max_stretch", report.all.max())
           .add("underestimates",
                static_cast<std::uint64_t>(report.underestimates))
-          .add("mean_sketch_words", engine.mean_size_words())
+          .add("mean_sketch_words", sketches.mean_size_words())
           .emit(out);
     }
   }

@@ -9,7 +9,7 @@
 #include <cmath>
 
 #include "bench_common.hpp"
-#include "core/engine.hpp"
+#include "serve/sketch_store.hpp"
 #include "sketch/graceful_sketch.hpp"
 
 namespace dsketch::bench {
@@ -30,16 +30,16 @@ int run_e6(const FlagSet& flags, std::ostream& out) {
     tz.scheme = Scheme::kThorupZwick;
     tz.k = logn;
     tz.seed = 3;
-    const SketchEngine tz_engine(g, tz);
-    const auto tz_report =
-        eval(g, gt, [&](NodeId u, NodeId v) { return tz_engine.query(u, v); });
+    const SketchStore tz_sketches(g, tz);
+    const auto tz_report = eval(
+        g, gt, [&](NodeId u, NodeId v) { return tz_sketches.query(u, v); });
     row("e6", "graceful_vs_tz")
         .add("n", static_cast<std::uint64_t>(n))
         .add("scheme", "tz_k_log_n")
         .add("avg_stretch", tz_report.average_stretch())
         .add("max_stretch", tz_report.max_stretch())
-        .add("mean_words", tz_engine.mean_size_words())
-        .add("build_rounds", tz_engine.cost().rounds)
+        .add("mean_words", tz_sketches.mean_size_words())
+        .add("build_rounds", tz_sketches.build_cost()->rounds)
         .emit(out);
 
     GracefulConfig gc;

@@ -3,10 +3,11 @@
 // Hand-rolled timing loops over the query path for each scheme; the TZ
 // query should grow (sub-)linearly in k and stay in the tens to hundreds
 // of nanoseconds — the "quickly in an online fashion" claim of §1. Each
-// config is timed through `SketchEngine::query` (the build-side oracle),
-// the heap `SketchStore` (the same label plane and query kernel, loaded
-// from the v3 file), and the mmap'd v3 store (which decodes the two
-// records on every query), cold and warm.
+// config is timed through the freshly built `SketchStore` (the
+// `engine_ns_per_query` column), the same sketch set loaded back from
+// its v3 file (`store_ns_per_query`: one class, one label plane, one
+// query kernel), and the mmap'd v3 store (which decodes the two records
+// on every query), cold and warm.
 //
 // A second table (`oracle_latency`) times every oracle named by
 // --oracles (default "tz,landmark,exact") through the registry-resolved
@@ -20,7 +21,6 @@
 #include <memory>
 
 #include "bench_common.hpp"
-#include "core/engine.hpp"
 #include "core/oracle_registry.hpp"
 #include "obs_overhead.hpp"
 #include "serve/mmap_store.hpp"
@@ -47,11 +47,12 @@ std::vector<std::pair<NodeId, NodeId>> random_pairs(NodeId n,
 void run_config(const Graph& g, const BuildConfig& cfg, const char* scheme,
                 std::size_t queries, const std::string& store_path,
                 std::ostream& out) {
-  const SketchEngine engine(g, cfg);
-  const SketchStore store = SketchStore::from_engine(engine);
+  const SketchStore built(g, cfg);
+  built.save_file(store_path);
+  const SketchStore store = SketchStore::load_file(store_path);
   const auto pairs = random_pairs(g.num_nodes(), queries, 5);
-  const double engine_ns = time_ns_per_query(
-      pairs, [&](NodeId u, NodeId v) { return engine.query(u, v); });
+  const double built_ns = time_ns_per_query(
+      pairs, [&](NodeId u, NodeId v) { return built.query(u, v); });
   const double store_ns = time_ns_per_query(
       pairs, [&](NodeId u, NodeId v) { return store.query(u, v); });
 
@@ -59,7 +60,6 @@ void run_config(const Graph& g, const BuildConfig& cfg, const char* scheme,
   // the page cache (MADV_DONTNEED), so the first pass pays the fault-in
   // of every offset-table and blob page it touches. Warm: same pairs
   // again with the mapping resident — the steady-state serving number.
-  store.save_file(store_path);
   const auto mmap_store = MmapSketchStore::open(store_path);
   std::size_t mmap_mismatches = 0;
   for (const auto& [u, v] : pairs) {
@@ -77,13 +77,13 @@ void run_config(const Graph& g, const BuildConfig& cfg, const char* scheme,
       .add("epsilon", cfg.epsilon)
       .add("n", static_cast<std::uint64_t>(g.num_nodes()))
       .add("queries", static_cast<std::uint64_t>(queries))
-      .add("engine_ns_per_query", engine_ns)
+      .add("engine_ns_per_query", built_ns)
       .add("store_ns_per_query", store_ns)
       .add("mmap_cold_ns_per_query", mmap_cold_ns)
       .add("mmap_warm_ns_per_query", mmap_warm_ns)
       .add("mmap_mismatches", static_cast<std::uint64_t>(mmap_mismatches))
       .add("mmap_bytes", static_cast<std::uint64_t>(mmap_store->mapped_bytes()))
-      .add("mean_sketch_words", engine.mean_size_words())
+      .add("mean_sketch_words", built.mean_size_words())
       .emit(out);
 }
 
@@ -156,20 +156,17 @@ int run_e7(const FlagSet& flags, std::ostream& out) {
           .emit(out);
     }
   }
-  // Observability cost on the serving path, measured on the packed TZ
-  // store (the representation a deployment queries).
+  // Observability cost on the serving path, measured on the TZ sketch
+  // set (the representation a deployment queries).
   {
-    std::unique_ptr<DistanceOracle> oracle =
+    const std::unique_ptr<DistanceOracle> oracle =
         OracleRegistry::instance().build("tz", g, flags);
-    if (SketchStore::packable(*oracle)) {
-      oracle = std::make_unique<SketchStore>(SketchStore::from_oracle(*oracle));
-    }
     emit_obs_overhead_row("e7", *oracle, queries, out);
   }
   note(out, "e7",
        "Expected shape: TZ ns/query grows (sub-)linearly in k and stays in "
-       "the tens-to-hundreds of ns; the heap store and the engine run one "
-       "kernel over one layout, so their columns differ only by noise; "
+       "the tens-to-hundreds of ns; the built and the loaded store are one "
+       "class over one layout, so their columns differ only by noise; "
        "mmap_mismatches is exactly 0, warm mmap pays a two-record decode "
        "on every query on top of that kernel, and the cold pass adds the "
        "page fault-in. obs_overhead: metrics off vs on vs on+tracing "

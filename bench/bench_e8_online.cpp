@@ -14,8 +14,8 @@
 #include "bench_common.hpp"
 #include "congest/bellman_ford.hpp"
 #include "congest/sketch_exchange.hpp"
-#include "core/engine.hpp"
 #include "obs/round_log.hpp"
+#include "serve/sketch_store.hpp"
 #include "sketch/cdg_sketch.hpp"
 #include "sketch/tz_distributed.hpp"
 
@@ -94,11 +94,12 @@ int run_e8(const FlagSet& flags, std::ostream& out) {
     BuildConfig cfg;
     cfg.scheme = Scheme::kThorupZwick;
     cfg.k = 4;
-    const SketchEngine engine(g, cfg);
-    const double exchange = D + engine.mean_size_words();
+    const SketchStore sketches(g, cfg);
+    const double exchange = D + sketches.mean_size_words();
     for (const std::uint64_t q : {1ull, 10ull, 100ull, 10000ull}) {
       const double amortized =
-          static_cast<double>(engine.cost().rounds) / static_cast<double>(q) +
+          static_cast<double>(sketches.build_cost()->rounds) /
+              static_cast<double>(q) +
           exchange;
       row("e8", "amortization")
           .add("n", std::uint64_t{512})

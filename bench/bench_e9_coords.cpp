@@ -10,7 +10,7 @@
 #include "baselines/landmark.hpp"
 #include "baselines/vivaldi.hpp"
 #include "bench_common.hpp"
-#include "core/engine.hpp"
+#include "serve/sketch_store.hpp"
 
 namespace dsketch::bench {
 
@@ -48,11 +48,11 @@ void run_topology(const std::string& name, const Graph& g,
   BuildConfig tz;
   tz.scheme = Scheme::kThorupZwick;
   tz.k = 3;
-  const SketchEngine tz_engine(g, tz);
+  const SketchStore tz_sketches(g, tz);
   BuildConfig slack;
   slack.scheme = Scheme::kSlack;
   slack.epsilon = 0.1;
-  const SketchEngine slack_engine(g, slack);
+  const SketchStore slack_sketches(g, slack);
 
   struct Entry {
     std::string scheme;
@@ -67,10 +67,10 @@ void run_topology(const std::string& name, const Graph& g,
                      })});
   entries.push_back(
       {"slack_eps_0.1", measure(g, gt, [&](NodeId u, NodeId v) {
-         return slack_engine.query(u, v);
+         return slack_sketches.query(u, v);
        })});
   entries.push_back({"tz_k3", measure(g, gt, [&](NodeId u, NodeId v) {
-                       return tz_engine.query(u, v);
+                       return tz_sketches.query(u, v);
                      })});
   for (auto& e : entries) {
     row("e9", "distortion")

@@ -21,7 +21,7 @@ const std::vector<Experiment>& experiment_registry() {
       {"e6", "graceful",
        "Gracefully degrading sketches vs TZ(k=log n) (Theorem 1.3)", run_e6},
       {"e7", "query",
-       "Per-query latency of every scheme, engine vs packed store "
+       "Per-query latency of every scheme, built vs loaded vs mmap store "
        "(Lemma 3.2)",
        run_e7},
       {"e8", "online",

@@ -8,9 +8,9 @@
 #include <cstdio>
 
 #include "baselines/vivaldi.hpp"
-#include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
+#include "serve/sketch_store.hpp"
 #include "util/stats.hpp"
 
 using namespace dsketch;
@@ -25,7 +25,7 @@ void compare(const char* label, const Graph& g) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 3;
-  const SketchEngine tz(g, cfg);
+  const SketchStore tz(g, cfg);
 
   const SampledGroundTruth gt(g, 10, 3);
   SampleSet viv_dist, tz_dist;

@@ -9,9 +9,9 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
+#include "serve/sketch_store.hpp"
 #include "util/rng.hpp"
 
 using namespace dsketch;
@@ -25,10 +25,10 @@ int main() {
   BuildConfig cfg;
   cfg.scheme = Scheme::kSlack;
   cfg.epsilon = 0.05;  // guarantee holds for all but the closest 5%
-  const SketchEngine engine(overlay, cfg);
+  const SketchStore sketches(overlay, cfg);
   std::printf("sketches: %s, %.0f words/peer, built in %llu rounds\n",
-              engine.guarantee().c_str(), engine.mean_size_words(),
-              static_cast<unsigned long long>(engine.cost().rounds));
+              sketches.guarantee().c_str(), sketches.mean_size_words(),
+              static_cast<unsigned long long>(sketches.build_cost()->rounds));
 
   // Replica selection: a client picks the closest of 5 candidate replicas.
   Rng rng(13);
@@ -46,7 +46,7 @@ int main() {
     NodeId best_true = candidates[0], best_est = candidates[0];
     for (const NodeId c : candidates) {
       if (exact[c] < exact[best_true]) best_true = c;
-      if (engine.query(client, c) < engine.query(client, best_est)) {
+      if (sketches.query(client, c) < sketches.query(client, best_est)) {
         best_est = c;
       }
     }

@@ -7,9 +7,9 @@
 // queries from sketches alone, comparing against exact distances.
 #include <cstdio>
 
-#include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
+#include "serve/sketch_store.hpp"
 
 using namespace dsketch;
 
@@ -25,14 +25,15 @@ int main() {
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 3;
   cfg.termination = TerminationMode::kEcho;
-  const SketchEngine engine(g, cfg);
+  const SketchStore sketches(g, cfg);
+  const SimStats& cost = *sketches.build_cost();
 
-  std::printf("built sketches: %s\n", engine.guarantee().c_str());
+  std::printf("built sketches: %s\n", sketches.guarantee().c_str());
   std::printf("  construction: %llu CONGEST rounds, %llu messages\n",
-              static_cast<unsigned long long>(engine.cost().rounds),
-              static_cast<unsigned long long>(engine.cost().messages));
+              static_cast<unsigned long long>(cost.rounds),
+              static_cast<unsigned long long>(cost.messages));
   std::printf("  mean sketch size: %.1f words per node (vs %u for APSP rows)\n",
-              engine.mean_size_words(), n);
+              sketches.mean_size_words(), n);
 
   // Query a few pairs and compare with exact distances.
   const auto exact_from_3 = dijkstra(g, 3);
@@ -40,7 +41,7 @@ int main() {
               "stretch");
   for (const NodeId v : {77u, 250u, 512u, 999u}) {
     const Dist d = exact_from_3[v];
-    const Dist est = engine.query(3, v);
+    const Dist est = sketches.query(3, v);
     std::printf("%-8u %-8u %-10llu %-10llu %.2f\n", 3u, v,
                 static_cast<unsigned long long>(d),
                 static_cast<unsigned long long>(est),

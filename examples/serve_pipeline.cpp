@@ -5,13 +5,13 @@
 // load the store and answer distance queries from sketches alone — no
 // graph, no network traffic, microseconds per batch.
 //
-//   build phase:  graph -> OracleRegistry::build -> SketchStore::save_file
-//   serve phase:  SketchStore::load_oracle -> QueryService -> answers
+//   build phase:  graph -> OracleRegistry::build -> DistanceOracle::save
+//   serve phase:  OracleRegistry::load -> QueryService -> answers
 //
 // Everything below is scheme-agnostic: swap "tz" for any registered
 // scheme name (dsketch list-schemes) and the pipeline still runs —
-// sketch schemes ship the packed binary store, baselines persist their
-// text envelope, and both serve through the same sharded service.
+// sketch schemes save the v3 store, baselines their text envelope, and
+// the one load call reads either back into the same sharded service.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -24,7 +24,6 @@
 #include "core/oracle_registry.hpp"
 #include "graph/generators.hpp"
 #include "serve/query_service.hpp"
-#include "serve/sketch_store.hpp"
 #include "serve/workload.hpp"
 
 using namespace dsketch;
@@ -43,36 +42,19 @@ std::string store_path() {
   return (dir / "serve_pipeline.store").string();
 }
 
-/// Loads whatever the build phase shipped back to a DistanceOracle.
-std::unique_ptr<DistanceOracle> load_shipped(bool packed) {
-  if (packed) return SketchStore::load_oracle(store_path());
-  std::ifstream in(store_path());
-  return OracleRegistry::instance().load(in).oracle;
-}
-
 }  // namespace
 
 int main() {
   // ---- offline build (expensive, run once) ---------------------------------
-  bool packed = false;
   {
     const Graph g = erdos_renyi(1024, 0.008, {1, 16}, 42);
     const FlagSet flags(
         std::vector<std::pair<std::string, std::string>>{{"k", "3"}});
     const std::unique_ptr<DistanceOracle> oracle =
         OracleRegistry::instance().build(kScheme, g, flags);
-    std::size_t shipped_bytes = 0;
-    packed = SketchStore::packable(*oracle);
-    if (packed) {
-      // Sketch schemes: pack the binary serving representation.
-      const SketchStore store = SketchStore::from_oracle(*oracle);
-      store.save_file(store_path());
-      shipped_bytes = store.encoded_bytes();
-    } else {
-      // Baselines: no packed form — ship the text envelope instead.
-      std::ofstream out(store_path());
-      oracle->save(out);
-    }
+    std::ofstream out(store_path(), std::ios::binary);
+    oracle->save(out);
+    const auto shipped_bytes = static_cast<std::size_t>(out.tellp());
     if (const SimStats* cost = oracle->build_cost()) {
       std::printf("built %s: %u rounds of CONGEST paid once\n",
                   oracle->guarantee().c_str(),
@@ -81,12 +63,14 @@ int main() {
       std::printf("built %s (centralized baseline)\n",
                   oracle->guarantee().c_str());
     }
-    std::printf("  %.1f words/node, %zu encoded bytes on disk\n",
+    std::printf("  %.1f words/node, %zu bytes on disk\n",
                 oracle->mean_size_words(), shipped_bytes);
   }
 
   // ---- serving frontend (cheap, run anywhere, any number of replicas) ------
-  const std::unique_ptr<DistanceOracle> store = load_shipped(packed);
+  std::ifstream in(store_path(), std::ios::binary);
+  const std::unique_ptr<DistanceOracle> store =
+      OracleRegistry::instance().load(in).oracle;
   QueryService service(*store, {.shards = 8, .threads = 4,
                                 .cache_capacity = 4096});
 

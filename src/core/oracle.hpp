@@ -1,12 +1,11 @@
 // The one polymorphic query API every distance estimator implements.
 //
-// The paper's central object is a per-node sketch queried pairwise; the
-// repo grew three disjoint query surfaces around it (the sketch engine,
-// the baselines, the packed serving store). DistanceOracle unifies them:
-// anything that can answer "how far is u from v" — a Thorup–Zwick sketch,
-// a landmark table, the exact APSP matrix, Vivaldi coordinates, or a
-// packed binary store — exposes the same interface, so experiments, the
-// CLI, and the query service are scheme-agnostic.
+// The paper's central object is a per-node sketch queried pairwise.
+// DistanceOracle is the one query surface around it: anything that can
+// answer "how far is u from v" — a sketch set of the four families
+// (serve/sketch_store), a landmark table, the exact APSP matrix, Vivaldi
+// coordinates, or a memory-mapped store — exposes the same interface, so
+// experiments, the CLI, and the query service are scheme-agnostic.
 //
 //   const OracleScheme& s = OracleRegistry::instance().at("tz");
 //   std::unique_ptr<DistanceOracle> oracle = s.build(g, flags);
@@ -14,8 +13,7 @@
 //   oracle->query_batch(pairs, answers);   // the serving hot path
 //   oracle->guarantee();                   // "stretch 5 (all pairs)"
 //
-// See core/oracle_registry.hpp for name-based resolution and the
-// versioned save/load envelope.
+// See core/oracle_registry.hpp for name-based resolution and save/load.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +34,8 @@ struct SimStats;
 using QueryPair = std::pair<NodeId, NodeId>;
 
 /// What a concrete oracle can promise and do; drives scheme-agnostic
-/// consumers (the CLI listing, eval's unreachable handling, the store
-/// converter) without switching on concrete types.
+/// consumers (the CLI listing, eval's unreachable handling, the query
+/// service's cache keys) without switching on concrete types.
 struct Capabilities {
   /// Answers are true distances (stretch exactly 1).
   bool exact = false;
@@ -59,7 +57,7 @@ struct Capabilities {
   /// valid) estimates. The query service keys its cache canonically
   /// only when this is set.
   bool symmetric = false;
-  /// save() round-trips through the registry's envelope loader.
+  /// save() round-trips through OracleRegistry::load.
   bool supports_save = false;
   /// build_cost() reports the CONGEST construction cost (the distributed
   /// sketch schemes; centralized baselines have no simulated cost).
@@ -95,7 +93,7 @@ class DistanceOracle {
   virtual double mean_size_words() const;
 
   /// Registry name of the scheme that built this oracle ("tz",
-  /// "landmark", ...). Matches the envelope tag written by save().
+  /// "landmark", ...). Matches the scheme save() records.
   virtual std::string scheme() const = 0;
 
   /// Human-readable worst-case guarantee with parameters filled in
@@ -110,14 +108,17 @@ class DistanceOracle {
   /// !capabilities().build_cost_available.
   virtual const SimStats* build_cost() const { return nullptr; }
 
-  /// Persists the oracle as a scheme-tagged envelope (header + payload)
-  /// that OracleRegistry::load reconstructs; reloaded oracles answer
-  /// byte-identical queries. Throws when !capabilities().supports_save.
+  /// Persists the oracle so that OracleRegistry::load reconstructs it and
+  /// the reloaded oracle answers byte-identical queries. The default
+  /// writes a scheme-tagged text envelope (header line + save_payload),
+  /// which the baselines use; SketchStore overrides it to write its v3
+  /// file. Throws when !capabilities().supports_save.
   virtual void save(std::ostream& out) const;
 
  protected:
-  /// Serialization hook: writes the scheme payload that the registered
-  /// loader reads back. Default throws "save unsupported".
+  /// Serialization hook of the text envelope: writes the scheme payload
+  /// that the registered loader reads back. Default throws "save
+  /// unsupported".
   virtual void save_payload(std::ostream& out) const;
 
   /// Envelope header fields; schemes without the parameter write 0.

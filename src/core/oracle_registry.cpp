@@ -12,35 +12,64 @@ namespace dsketch {
 // implements the scheme, so the scheme's code and its registry entry
 // stay together. (Function calls, not static initializers: static-library
 // linking would silently drop unreferenced registrar objects.)
-void register_sketch_oracles(OracleRegistry& reg);    // core/sketch_oracle.cpp
+void register_sketch_oracles(OracleRegistry& reg);    // serve/sketch_store.cpp
 void register_exact_oracle(OracleRegistry& reg);      // baselines/exact_oracle.cpp
 void register_landmark_oracle(OracleRegistry& reg);   // baselines/landmark.cpp
 void register_vivaldi_oracle(OracleRegistry& reg);    // baselines/vivaldi.cpp
+// The v3 sketch-file reader load() sends non-text streams to; it lives in
+// serve/sketch_store.cpp beside the format.
+LoadedOracle load_sketch_file(std::istream& in);
 
 OracleEnvelope read_envelope_header(std::istream& in) {
   std::string tag;
   OracleEnvelope env;
-  if (!(in >> tag >> env.scheme >> env.n >> env.k) || tag != "scheme") {
+  if (!(in >> tag >> env.scheme >> env.n >> env.k >> env.epsilon) ||
+      tag != "scheme") {
     throw std::runtime_error("bad oracle envelope header (want: scheme "
-                             "<name> <n> <k> [<epsilon>])");
-  }
-  // The epsilon field was added to the header later; files written before
-  // it have the payload magic as the next token. Peek via getline so both
-  // vintages load.
-  std::string rest;
-  std::getline(in, rest);
-  if (const auto pos = rest.find_first_not_of(" \t\r");
-      pos != std::string::npos) {
-    try {
-      env.epsilon = std::stod(rest.substr(pos));
-    } catch (const std::exception&) {
-      throw std::runtime_error("bad epsilon in oracle envelope header: " +
-                               rest);
-    }
-  } else {
-    env.epsilon_recorded = false;
+                             "<name> <n> <k> <epsilon>)");
   }
   return env;
+}
+
+void check_envelope_flags(const FlagSet& flags, const OracleEnvelope& envelope,
+                          const std::string& path) {
+  const auto fail = [&](const std::string& what, const std::string& have,
+                        const std::string& want) {
+    throw std::runtime_error("--load " + path + ": oracle was built with " +
+                             what + " " + have + " but --" + what + " " +
+                             want + " was requested; rebuild with `dsketch "
+                             "build` or drop the flag");
+  };
+  const OracleRegistry& reg = OracleRegistry::instance();
+  if (flags.has("scheme")) {
+    const std::string requested = flags.get("scheme", std::string{});
+    reg.at(requested);  // typo check with name list
+    if (requested != envelope.scheme) {
+      fail("scheme", envelope.scheme, requested);
+    }
+  }
+  // The envelope's k slot records the scheme's size parameter under the
+  // flag name the registry declares (--k, --landmarks, --dim); schemes
+  // without one record 0 and there is nothing to check.
+  const OracleScheme& scheme_entry = reg.at(envelope.scheme);
+  const std::string& k_flag = scheme_entry.k_flag;
+  if (!k_flag.empty() && flags.has(k_flag) && envelope.k != 0) {
+    const auto k = static_cast<std::uint32_t>(
+        flags.get(k_flag, std::int64_t{0}));
+    if (k != envelope.k) {
+      fail(k_flag, std::to_string(envelope.k), std::to_string(k));
+    }
+  }
+  // Schemes without an epsilon parameter record a meaningless 0; a
+  // harmless --epsilon must not be rejected against it.
+  if (scheme_entry.uses_epsilon && flags.has("epsilon") &&
+      envelope.epsilon_recorded) {
+    const double eps = flags.get("epsilon", 0.0);
+    if (eps != envelope.epsilon) {
+      fail("epsilon", std::to_string(envelope.epsilon),
+           std::to_string(eps));
+    }
+  }
 }
 
 void write_envelope_header(std::ostream& out, const std::string& scheme,
@@ -112,6 +141,7 @@ std::unique_ptr<DistanceOracle> OracleRegistry::build(
 }
 
 LoadedOracle OracleRegistry::load(std::istream& in) const {
+  if (in.peek() != 's') return load_sketch_file(in);
   LoadedOracle loaded;
   loaded.envelope = read_envelope_header(in);
   const OracleScheme& scheme = at(loaded.envelope.scheme);

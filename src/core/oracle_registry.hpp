@@ -11,15 +11,18 @@
 //   auto oracle = reg.build("landmark", g, flags);
 //   for (const OracleScheme* s : reg.schemes()) { ... }   // --list-schemes
 //
-// Envelope format (text, one header line + scheme payload):
+// Saved files come in two kinds, told apart by their first byte:
 //
-//   scheme <name> <n> <k> <epsilon>\n<payload...>
+//   - The four sketch families save the v3 store file
+//     (serve/sketch_store.hpp, magic "DSKSTOR3"); load() sends every
+//     stream that does not open with a text header to the v3 reader
+//     there, which fills the envelope from the binary header.
+//   - The baselines save a text envelope, one header line + payload:
 //
-// The header always carries epsilon (files written before that field
-// have the payload magic as the fifth token; both vintages load, and
-// `epsilon_recorded` reports which one this was). Loading resolves
-// <name> through the registry, so any registered scheme round-trips
-// through the same two functions.
+//       scheme <name> <n> <k> <epsilon>\n<payload...>
+//
+//     Loading resolves <name> through the registry, so every baseline
+//     round-trips through the same two functions.
 #pragma once
 
 #include <cstdint>
@@ -36,23 +39,34 @@
 
 namespace dsketch {
 
-/// Parsed envelope header: what was recorded at save time. Loaders and
-/// the CLI's --load validation consume this instead of re-parsing text.
+/// Parsed file header: what was recorded at save time. Loaders and the
+/// CLI's --load validation consume this instead of re-parsing the file.
 struct OracleEnvelope {
   std::string scheme;
   NodeId n = 0;
   std::uint32_t k = 0;       ///< scheme-defined; 0 when not meaningful
   double epsilon = 0.0;      ///< valid only when epsilon_recorded
-  /// False for legacy pre-epsilon headers: epsilon was never written, so
-  /// flag validation must not trust a default against it.
+  /// False when the file records no build epsilon — a v3 store packed
+  /// from a bare TZ label set (SketchStore::epsilon_known) — so flag
+  /// validation must not check --epsilon against it. Text envelopes
+  /// always record epsilon.
   bool epsilon_recorded = true;
 };
 
-/// Reads and consumes the envelope header line, throwing on malformed
-/// input. The stream is left at the first payload byte.
+/// Reads and consumes the text envelope header line, throwing on
+/// malformed input. The stream is left after the epsilon field.
 OracleEnvelope read_envelope_header(std::istream& in);
 
-/// Writes the envelope header line (always including epsilon).
+/// Rejects explicit build flags that contradict a loaded file's envelope
+/// (--scheme, the scheme's k flag, --epsilon): a loaded oracle answers
+/// with the configuration it was built with, and silently ignoring them
+/// would report estimates under the wrong guarantee. Flags the scheme
+/// does not use, and --epsilon against a file that records no epsilon,
+/// are not checked. `path` names the file in the error message.
+void check_envelope_flags(const FlagSet& flags, const OracleEnvelope& envelope,
+                          const std::string& path);
+
+/// Writes the text envelope header line.
 void write_envelope_header(std::ostream& out, const std::string& scheme,
                            NodeId n, std::uint32_t k, double epsilon);
 
@@ -133,8 +147,11 @@ class OracleRegistry {
                                         const Graph& g,
                                         const FlagSet& flags) const;
 
-  /// Reads the envelope header and dispatches to the named scheme's
-  /// loader. Throws for unknown schemes and schemes without save support.
+  /// Loads what DistanceOracle::save wrote. A stream opening with the
+  /// text header's 's' goes to the named scheme's loader; any other goes
+  /// to the v3 sketch-file reader (load_sketch_file in
+  /// serve/sketch_store). Throws for unknown schemes, schemes without
+  /// save support, and text files naming a sketch scheme.
   LoadedOracle load(std::istream& in) const;
 
  private:

@@ -1,5 +1,10 @@
 #include "core/sketch_payload.hpp"
 
+#include <utility>
+
+#include "obs/trace.hpp"
+#include "sketch/hierarchy.hpp"
+
 namespace dsketch {
 
 Dist SketchPayload::query(NodeId u, NodeId v) const {
@@ -32,6 +37,121 @@ std::size_t SketchPayload::size_words(NodeId u) const {
 
 std::size_t SketchPayload::num_segments() const {
   return scheme == Scheme::kGraceful ? graceful.num_levels() : 1;
+}
+
+SketchPayload build_sketch_payload(const Graph& g, const BuildConfig& config,
+                                   SimStats& cost) {
+  SketchPayload payload;
+  payload.scheme = config.scheme;
+  const obs::Span build_span("sketch_build",
+                             static_cast<std::uint64_t>(g.num_nodes()));
+  switch (config.scheme) {
+    case Scheme::kThorupZwick: {
+      const obs::Span span("build_tz_distributed");
+      // Resample until the top level is populated (whp on the first try).
+      Hierarchy h = Hierarchy::sample(g.num_nodes(), config.k, config.seed);
+      for (std::uint64_t bump = 1; !h.top_level_nonempty(); ++bump) {
+        h = Hierarchy::sample(g.num_nodes(), config.k, config.seed + bump);
+      }
+      TzDistributedResult r =
+          build_tz_distributed(g, h, config.termination, config.sim);
+      cost = r.stats;
+      cost += r.tree_stats;
+      payload.tz = std::move(r.labels);
+      break;
+    }
+    case Scheme::kSlack: {
+      const obs::Span span("build_slack_sketches");
+      SlackSketchResult r =
+          build_slack_sketches(g, config.epsilon, config.seed, config.sim);
+      cost = r.stats;
+      payload.slack = std::move(r.sketches);
+      break;
+    }
+    case Scheme::kCdg: {
+      const obs::Span span("build_cdg_sketches");
+      CdgConfig cdg;
+      cdg.epsilon = config.epsilon;
+      cdg.k = config.k;
+      cdg.seed = config.seed;
+      cdg.termination = config.termination;
+      CdgBuildResult r = build_cdg_sketches(g, cdg, config.sim);
+      cost = r.total();
+      payload.cdg = std::move(r.sketches);
+      break;
+    }
+    case Scheme::kGraceful: {
+      const obs::Span span("build_graceful_sketches");
+      GracefulConfig gc;
+      gc.seed = config.seed;
+      gc.termination = config.termination;
+      GracefulBuildResult r = build_graceful_sketches(g, gc, config.sim);
+      cost = r.total;
+      payload.graceful = std::move(r.sketches);
+      break;
+    }
+  }
+  return payload;
+}
+
+BuildConfig sketch_build_config(Scheme scheme, const FlagSet& flags) {
+  BuildConfig cfg;
+  cfg.scheme = scheme;
+  cfg.k = static_cast<std::uint32_t>(flags.get("k", std::int64_t{3}));
+  cfg.epsilon = flags.get("epsilon", 0.1);
+  cfg.seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{1}));
+  if (flags.get_bool("echo")) cfg.termination = TerminationMode::kEcho;
+  if (flags.get_bool("known-s")) cfg.termination = TerminationMode::kKnownS;
+  cfg.sim.async_max_delay =
+      static_cast<std::uint32_t>(flags.get("async", std::int64_t{1}));
+  // Worker lanes for the event-driven simulator: 1 = serial (default),
+  // 0 = all hardware threads, N = a dedicated pool of N lanes. Results
+  // are byte-identical across settings; this is purely a wall-clock knob.
+  cfg.sim.threads =
+      static_cast<unsigned>(flags.get("sim-threads", std::int64_t{1}));
+  return cfg;
+}
+
+std::string sketch_guarantee(Scheme scheme, std::uint32_t k,
+                             double epsilon) {
+  switch (scheme) {
+    case Scheme::kThorupZwick:
+      return "stretch " + std::to_string(2 * k - 1) + " (all pairs)";
+    case Scheme::kSlack:
+      return "stretch 3 (eps=" + std::to_string(epsilon) + "-slack)";
+    case Scheme::kCdg:
+      return "stretch " + std::to_string(8 * k - 1) + " (eps=" +
+             std::to_string(epsilon) + "-slack)";
+    case Scheme::kGraceful:
+      return "stretch O(log n), average O(1)";
+  }
+  return "";
+}
+
+Capabilities sketch_capabilities(Scheme scheme, std::uint32_t k) {
+  Capabilities caps;
+  caps.supports_paths = true;
+  caps.supports_save = true;
+  caps.build_cost_available = true;
+  switch (scheme) {
+    case Scheme::kThorupZwick:
+      caps.stretch_bound = k > 0 ? static_cast<double>(2 * k - 1) : 0.0;
+      break;
+    case Scheme::kSlack:
+      caps.stretch_bound = 3.0;
+      caps.slack_only = true;
+      // min over net nodes of d(u,w) + d(w,v): orientation-free.
+      caps.symmetric = true;
+      break;
+    case Scheme::kCdg:
+      caps.stretch_bound = k > 0 ? static_cast<double>(8 * k - 1) : 0.0;
+      caps.slack_only = true;
+      break;
+    case Scheme::kGraceful:
+      // O(log n): no constant bound; guarantee() carries the story.
+      break;
+  }
+  return caps;
 }
 
 }  // namespace dsketch

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/sketch_oracle.hpp"
+#include "core/sketch_payload.hpp"
 #include "dynamics/failure_model.hpp"
 #include "obs/trace.hpp"
 #include "sketch/hierarchy.hpp"

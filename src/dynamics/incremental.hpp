@@ -43,9 +43,10 @@
 namespace dsketch {
 
 /// Immutable TZ-label oracle — what TzDynamicSketch publishes to the
-/// serving tier. A frozen label arena with the Lemma 3.2 query; unlike
-/// SketchOracle it carries no build cost and no save path (a repaired
-/// sketch is a transient serving artifact, not a persisted one).
+/// serving tier. A frozen label arena with the Lemma 3.2 query; unlike a
+/// built SketchStore it carries no build cost and no save path (a
+/// repaired sketch is a transient serving artifact, not a persisted one;
+/// SketchStore::from_oracle packs it when it must be shipped).
 class TzLabelOracle final : public DistanceOracle {
  public:
   TzLabelOracle(LabelArena labels, std::uint32_t k);

@@ -7,7 +7,7 @@
 
 #include <algorithm>
 
-#include "core/sketch_oracle.hpp"
+#include "core/sketch_payload.hpp"
 #include "obs/trace.hpp"
 #include "serve/label_codec.hpp"
 #include "util/assert.hpp"

@@ -178,10 +178,11 @@ std::uint64_t QueryService::query_batch(std::span<const Pair> pairs,
   Timer timer;
   // Pin one snapshot (and its failover predecessor) for the whole batch:
   // every pair is answered by the same oracle generation even if swap()
-  // lands mid-batch.
+  // lands mid-batch. One lock takes both, so they are a consistent pair.
   BatchCtx ctx;
-  ctx.snap = slot_.load();
-  ctx.previous = slot_.previous();
+  auto [current, previous] = slot_.pin();
+  ctx.snap = std::move(current);
+  ctx.previous = std::move(previous);
   ctx.canonical_keys = ctx.snap.symmetric && !force_ordered_keys_;
   ctx.batch = batches_;
   // Scatter pair indices to their owning shards (single pass, reused

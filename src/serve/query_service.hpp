@@ -20,23 +20,24 @@
 /// valid) estimates and the service must reproduce the oracle's answer
 /// for the orientation actually asked.
 ///
-/// The oracle lives behind a generation-tagged atomic snapshot
-/// (serve/snapshot.hpp). swap() publishes a replacement with one pointer
-/// flip: in-flight batches finish against the snapshot they pinned,
+/// The oracle lives behind a generation-tagged snapshot slot
+/// (serve/snapshot.hpp). swap() publishes a replacement under the slot's
+/// mutex: in-flight batches finish against the snapshot they pinned,
 /// later batches see the new oracle, and each shard drops its cache the
-/// first time it runs under a new generation — queries never block on a
-/// swap and never observe a torn oracle or a stale cached answer.
+/// first time it runs under a new generation — a batch waits at most for
+/// one two-pointer copy at its start, and never observes a torn oracle
+/// or a stale cached answer.
 ///
-/// The usual backing oracle is the packed SketchStore (the serving
-/// representation), but any registered scheme serves: a landmark table,
-/// the exact matrix, a freshly built sketch.
+/// The usual backing oracle is a SketchStore (the one sketch-set class,
+/// built or loaded), but any registered scheme serves: a landmark table,
+/// the exact matrix, a memory-mapped store.
 ///
 /// \code
 ///   auto oracle = SketchStore::load_oracle("net.sketch");
 ///   QueryService service(std::move(oracle), {.shards = 8, .threads = 8,
 ///                                            .cache_capacity = 4096});
 ///   service.query_batch(pairs, answers);  // answers[i] == oracle->query(...)
-///   service.swap(rebuilt);                // hot-swap, readers never block
+///   service.swap(rebuilt);                // hot-swap, batches never torn
 ///   service.stats().qps;
 /// \endcode
 #pragma once
@@ -166,9 +167,9 @@ class QueryService {
   Dist query(NodeId u, NodeId v);
 
   /// Publishes `next` as the serving oracle and returns its generation.
-  /// One atomic pointer flip: concurrent query_batch calls never block
-  /// and never mix oracles within a batch; each shard's cache is dropped
-  /// the first time it serves under the new generation.
+  /// A short critical section in the slot: concurrent query_batch calls
+  /// never mix oracles within a batch; each shard's cache is dropped the
+  /// first time it serves under the new generation.
   std::uint64_t swap(std::shared_ptr<const DistanceOracle> next);
 
   /// The currently published snapshot (oracle + generation).
@@ -237,7 +238,7 @@ class QueryService {
   /// plus the degraded-mode failover targets, resolved once per batch.
   struct BatchCtx {
     OracleSnapshot snap;      ///< pinned primary
-    OracleSnapshot previous;  ///< slot_.previous(); oracle null before swap 1
+    OracleSnapshot previous;  ///< pinned with snap; oracle null before swap 1
     bool canonical_keys = false;
     std::uint64_t batch = 0;  ///< batch sequence number (breaker clock)
   };

@@ -11,8 +11,7 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "core/serialization.hpp"
-#include "core/sketch_oracle.hpp"
+#include "core/oracle_registry.hpp"
 #include "dynamics/incremental.hpp"
 #include "obs/trace.hpp"
 #include "serve/label_codec.hpp"
@@ -154,64 +153,37 @@ SketchPayload decode_payload(const sf::File& file,
 
 }  // namespace
 
-// ---- from built sketches ---------------------------------------------------
+// ---- build and pack --------------------------------------------------------
 
-bool SketchStore::packable(const DistanceOracle& oracle) {
-  return dynamic_cast<const SketchStore*>(&oracle) != nullptr ||
-         dynamic_cast<const SketchOracle*>(&oracle) != nullptr ||
-         dynamic_cast<const TzLabelOracle*>(&oracle) != nullptr;
-}
+SketchStore::SketchStore(const Graph& g, const BuildConfig& config)
+    : scheme_(config.scheme),
+      n_(g.num_nodes()),
+      k_(config.k),
+      epsilon_(config.epsilon),
+      has_cost_(true),
+      payload_(build_sketch_payload(g, config, cost_)) {}
 
 SketchStore SketchStore::from_oracle(const DistanceOracle& oracle) {
   const obs::Span span("store_from_oracle");
   if (const auto* store = dynamic_cast<const SketchStore*>(&oracle)) {
-    return *store;
+    SketchStore copy = *store;
+    copy.has_cost_ = false;  // a packed copy is not a fresh build
+    return copy;
   }
-  SketchStore store;
   // A bare TZ label arena (distributed build, dynamic-sketch snapshot)
   // is a tz payload; it carries no recorded epsilon.
-  if (const auto* tz = dynamic_cast<const TzLabelOracle*>(&oracle)) {
-    store.scheme_ = Scheme::kThorupZwick;
-    store.k_ = tz->k();
-    store.epsilon_known_ = false;
-    store.n_ = tz->num_nodes();
-    store.payload_.tz = tz->labels();
-    return store;
-  }
-  const auto* sketch = dynamic_cast<const SketchOracle*>(&oracle);
-  if (sketch == nullptr) {
+  const auto* tz = dynamic_cast<const TzLabelOracle*>(&oracle);
+  if (tz == nullptr) {
     throw std::runtime_error("oracle scheme '" + oracle.scheme() +
                              "' has no packed store representation");
   }
-  store.scheme_ = sketch->config().scheme;
-  store.k_ = sketch->config().k;
-  store.epsilon_ = sketch->config().epsilon;
-  // Sketches loaded from pre-epsilon envelopes carry a default, not the
-  // build value; the store must not launder it into a recorded one.
-  store.epsilon_known_ = sketch->epsilon_recorded();
-  store.n_ = sketch->num_nodes();
-  store.payload_ = sketch->payload();
+  SketchStore store;
+  store.scheme_ = Scheme::kThorupZwick;
+  store.k_ = tz->k();
+  store.epsilon_known_ = false;
+  store.n_ = tz->num_nodes();
+  store.payload_.tz = tz->labels();
   return store;
-}
-
-SketchStore SketchStore::from_engine(const SketchEngine& engine) {
-  return from_oracle(engine.oracle());
-}
-
-SketchStore SketchStore::from_text(std::istream& in) {
-  const OracleEnvelope envelope = read_envelope_header(in);
-  return from_oracle(*SketchOracle::load_payload(in, envelope));
-}
-
-void SketchStore::to_text(std::ostream& out) const {
-  out << "scheme " << scheme_name(scheme_) << " " << n_ << " " << k_;
-  if (epsilon_known_) {
-    char eps[40];
-    std::snprintf(eps, sizeof(eps), "%.17g", epsilon_);
-    out << " " << eps;
-  }
-  out << "\n";
-  write_sketch_payload(out, payload_, n_);
 }
 
 // ---- queries ----------------------------------------------------------------
@@ -245,8 +217,7 @@ std::string SketchStore::guarantee() const {
 
 Capabilities SketchStore::capabilities() const {
   Capabilities caps = sketch_capabilities(scheme_, k_);
-  // The CONGEST cost was paid by whoever built; a store never carries it.
-  caps.build_cost_available = false;
+  caps.build_cost_available = has_cost_;
   return caps;
 }
 
@@ -414,6 +385,69 @@ SketchStore::Recovery SketchStore::recover_file(const std::string& path) {
 std::unique_ptr<DistanceOracle> SketchStore::load_oracle(
     const std::string& path) {
   return std::make_unique<SketchStore>(load_file(path));
+}
+
+// ---- registry entries -------------------------------------------------------
+
+LoadedOracle load_sketch_file(std::istream& in) {
+  auto store = std::make_unique<SketchStore>(SketchStore::read(in));
+  LoadedOracle loaded;
+  loaded.envelope.scheme = store->scheme();
+  loaded.envelope.n = store->num_nodes();
+  loaded.envelope.k = store->k();
+  loaded.envelope.epsilon = store->epsilon();
+  loaded.envelope.epsilon_recorded = store->epsilon_known();
+  loaded.oracle = std::move(store);
+  return loaded;
+}
+
+void register_sketch_oracles(OracleRegistry& reg) {
+  // k_flag / uses_epsilon reflect which flags the scheme actually
+  // consumes: validating a flag the build ignores would reject harmless
+  // invocations against meaningless recorded defaults.
+  const auto add = [&reg](const char* name, Scheme scheme,
+                          const char* guarantee, const char* summary,
+                          const char* k_flag, bool uses_epsilon) {
+    OracleScheme s;
+    s.name = name;
+    s.guarantee = guarantee;
+    s.summary = summary;
+    // Scheme-level capabilities (k = 0: parameter-dependent bounds stay
+    // unresolved); instances resolve them with the build values.
+    s.caps = sketch_capabilities(scheme, 0);
+    s.k_flag = k_flag;
+    s.uses_epsilon = uses_epsilon;
+    s.build = [scheme](const Graph& g, const FlagSet& flags) {
+      return std::unique_ptr<DistanceOracle>(
+          new SketchStore(g, sketch_build_config(scheme, flags)));
+    };
+    // Sketch sets are saved as v3 files, which never reach a text loader
+    // (see load_sketch_file); a text envelope naming a sketch scheme is
+    // the retired text sketch format.
+    s.load = [](std::istream&, const OracleEnvelope& envelope)
+        -> std::unique_ptr<DistanceOracle> {
+      fail(StoreError::kUnsupportedVersion,
+           "text sketch files (scheme " + envelope.scheme +
+               ") are not supported; rebuild with `dsketch build --save`");
+    };
+    reg.add(std::move(s));
+  };
+  add("tz", Scheme::kThorupZwick, "stretch 2k-1 (all pairs)",
+      "Thorup-Zwick distributed sketches (Theorem 1.1); flags: --k --seed "
+      "--echo --known-s --async",
+      "k", false);
+  add("slack", Scheme::kSlack, "stretch 3 (eps-slack)",
+      "epsilon-density-net slack sketches (Theorem 4.3); flags: --epsilon "
+      "--seed",
+      "", true);
+  add("cdg", Scheme::kCdg, "stretch 8k-1 (eps-slack)",
+      "coarse distance-graph sketches (Theorem 4.6); flags: --k --epsilon "
+      "--seed",
+      "k", true);
+  add("graceful", Scheme::kGraceful, "stretch O(log n), average O(1)",
+      "graceful-degradation multi-level sketches (Theorem 1.3); flags: "
+      "--seed",
+      "", false);
 }
 
 }  // namespace dsketch

@@ -1,18 +1,24 @@
 /// \file
-/// Binary sketch store — the serving-tier representation.
+/// The sketch set of one build, any of the four families — built, loaded
+/// or packed — and its one file format.
 ///
 /// The paper's deployment story (§1) is build-once / query-many: the
 /// expensive distributed construction runs offline, and the resulting
-/// sketches are shipped to query frontends. A SketchStore holds the same
-/// label plane as the build-side oracle (core/sketch_payload): packing an
-/// oracle is a copy, and queries run the same per-scheme functions
-/// (tz_query, slack_query, cdg_query), so answers are bit-identical to
-/// the oracle's by construction (tested).
+/// sketches are shipped to query frontends. A SketchStore is that sketch
+/// set: its build constructor runs the construction (and keeps the
+/// CONGEST cost), read()/load_file() bring a saved one back, and
+/// from_oracle() packs a bare TZ label set. All three hold the same label
+/// plane (core/sketch_payload) and answer through the same per-scheme
+/// functions (tz_query, slack_query, cdg_query), so answers are
+/// bit-identical however the store came to be (tested).
 ///
-/// On disk the store is the v3 format: varint records (serve/label_codec)
-/// behind page-aligned byte-offset tables. read() decodes every record
-/// back into the label plane; serve/mmap_store serves the same file in
-/// place, decoding the two queried records per query.
+/// A sketch set is saved only in the v3 format: varint records
+/// (serve/label_codec) behind page-aligned byte-offset tables. save(),
+/// write() and save_file() emit the same bytes; OracleRegistry::load
+/// routes any stream that does not open with a text envelope header to
+/// the v3 reader here. read() decodes every record back into the label
+/// plane; serve/mmap_store serves the same file in place, decoding the
+/// two queried records per query.
 ///
 /// On-disk layout (little-endian):
 ///   bytes 0..7   magic "DSKSTOR3"
@@ -32,8 +38,9 @@
 ///   table and the blob is what lets serve/mmap_store map the file and
 ///   serve queries off the encoded bytes. Segments: one for tz, slack and
 ///   cdg, one per epsilon level for graceful; slack's meta holds the net
-///   (size, then ids). v1/v2 files ("DSKSTOR1"/"DSKSTOR2") are rejected
-///   with kUnsupportedVersion: stores are rebuildable artifacts.
+///   (size, then ids). v1/v2 files ("DSKSTOR1"/"DSKSTOR2") and the retired
+///   text sketch files (a `scheme tz ...` envelope) are rejected with
+///   kUnsupportedVersion: stores are rebuildable artifacts.
 ///
 /// Durability: save_file writes a temp file, fsyncs, then renames into
 /// place, so a crash mid-save never leaves a torn store at the target
@@ -49,8 +56,8 @@
 #include <string>
 #include <vector>
 
+#include "congest/accounting.hpp"
 #include "core/config.hpp"
-#include "core/engine.hpp"
 #include "core/oracle.hpp"
 #include "core/sketch_payload.hpp"
 #include "graph/graph.hpp"
@@ -68,7 +75,7 @@ enum class StoreError {
   kBadMagic,            ///< not a sketch store at all
   kTruncatedHeader,     ///< file ends inside the fixed header
   kHeaderChecksum,      ///< header checksum mismatch (bit-flipped header)
-  kUnsupportedVersion,  ///< version this build cannot parse (v1/v2)
+  kUnsupportedVersion,  ///< format this build cannot parse (v1/v2, text)
   kUnknownScheme,       ///< scheme tag outside the known families
   kTruncatedPayload,    ///< file ends inside the payload
   kPayloadChecksum,     ///< payload bytes fail the FNV-1a checksum
@@ -91,33 +98,27 @@ class StoreCorruptionError : public std::runtime_error {
 /// page-aligned v3 format, the only one.
 enum class StoreFormat { kV3 = 3 };
 
-/// Checksummed, query-ready sketches for all four schemes. A SketchStore
-/// is itself a DistanceOracle — the serving-tier representation of one —
-/// so anything that takes an oracle (the query service, evaluate_stretch,
-/// the benches) serves straight from its label plane; the inherited
-/// query_batch is the zero-alloc query path.
+/// Query-ready sketches for all four schemes. A SketchStore is itself a
+/// DistanceOracle — what the registry's "tz", "slack", "cdg" and
+/// "graceful" entries build and load — so anything that takes an oracle
+/// (the query service, evaluate_stretch, the benches) serves straight
+/// from its label plane; the inherited query_batch is the zero-alloc
+/// query path.
 class SketchStore final : public DistanceOracle {
  public:
-  /// An empty store (no nodes); fill via from_oracle/from_text/read.
+  /// An empty store (no nodes); fill via the build constructor,
+  /// from_oracle or read.
   SketchStore() = default;
 
-  /// Copies a sketch-backed oracle's label plane. Throws
-  /// std::runtime_error for oracles without one (the baselines).
+  /// Runs the distributed construction for config.scheme on g (see
+  /// build_sketch_payload); build_cost() then reports its CONGEST cost.
+  SketchStore(const Graph& g, const BuildConfig& config);
+
+  /// Packs another sketch set: a copy of a SketchStore, or the label
+  /// arena of a TzLabelOracle (which records no epsilon). The result
+  /// carries no build cost. Throws std::runtime_error for oracles without
+  /// a label plane (the baselines).
   static SketchStore from_oracle(const DistanceOracle& oracle);
-
-  /// Whether from_oracle(oracle) would succeed — the one predicate the
-  /// CLI and examples share to decide packed vs envelope shipping.
-  static bool packable(const DistanceOracle& oracle);
-
-  /// Compat shim over from_oracle for engine callers.
-  static SketchStore from_engine(const SketchEngine& engine);
-
-  /// Converters bridging the text format of core/serialization.
-  /// from_text reads exactly what SketchEngine::save wrote; to_text writes
-  /// a file SketchEngine::load accepts. Both sides are the same label
-  /// plane, so store -> text -> store reproduces the store's bytes.
-  static SketchStore from_text(std::istream& in);
-  void to_text(std::ostream& out) const;
 
   /// Binary round trip. read()/load_file() validate magic, version,
   /// header checksum, framing, the payload checksum, and every record,
@@ -158,12 +159,17 @@ class SketchStore final : public DistanceOracle {
   std::string scheme() const override { return scheme_name(scheme_); }
   /// Worst-case guarantee with the recorded k/epsilon filled in.
   std::string guarantee() const override;
-  /// Capabilities of the stored family (no build cost: it was paid by
-  /// whoever built).
+  /// Capabilities of the stored family; build_cost_available only for a
+  /// fresh build.
   Capabilities capabilities() const override;
-  /// DistanceOracle::save: writes the text envelope (to_text); the binary
-  /// format keeps its own write()/read() pair.
-  void save(std::ostream& out) const override { to_text(out); }
+  /// The CONGEST construction cost; nullptr unless this store was built
+  /// by the build constructor (the cost is not persisted).
+  const SimStats* build_cost() const override {
+    return has_cost_ ? &cost_ : nullptr;
+  }
+  /// DistanceOracle::save: the v3 file, byte for byte what save_file
+  /// writes, so OracleRegistry::load reads it back.
+  void save(std::ostream& out) const override { write(out); }
 
   /// The sketch family the store holds.
   Scheme store_scheme() const { return scheme_; }
@@ -173,12 +179,14 @@ class SketchStore final : public DistanceOracle {
   std::uint32_t k() const { return k_; }
   /// The slack/CDG epsilon recorded at build time (see epsilon_known()).
   double epsilon() const { return epsilon_; }
-  /// False when the sketch came from a pre-epsilon text file: epsilon()
-  /// is then a default, not the recorded build value, and to_text()
-  /// writes the old header style to preserve that provenance.
+  /// False when the store was packed from a bare TZ label set
+  /// (TzLabelOracle), which records no epsilon: epsilon() is then 0, not
+  /// a build value. The v3 header's flag carries this through save/load.
   bool epsilon_known() const { return epsilon_known_; }
   /// Store segments (1 for tz/slack/cdg; one per level for graceful).
   std::size_t num_segments() const { return payload_.num_segments(); }
+  /// The label plane the store answers from.
+  const SketchPayload& payload() const { return payload_; }
 
   /// The payload size in bytes, including the page-alignment padding —
   /// what `save_file` puts on disk past the 64-byte header.
@@ -199,6 +207,8 @@ class SketchStore final : public DistanceOracle {
   std::uint32_t k_ = 0;
   double epsilon_ = 0.0;
   bool epsilon_known_ = true;
+  bool has_cost_ = false;  ///< see build_cost()
+  SimStats cost_;
   SketchPayload payload_;
 };
 
@@ -208,5 +218,18 @@ struct SketchStore::Recovery {
   std::vector<NodeId> quarantined;  ///< nodes whose records were replaced
   bool checksum_ok = false;  ///< the file was actually fine (no salvage)
 };
+
+class OracleRegistry;
+struct LoadedOracle;
+
+/// Registers the four sketch families ("tz", "slack", "cdg", "graceful"),
+/// each built as a SketchStore.
+void register_sketch_oracles(OracleRegistry& reg);
+
+/// Reads a v3 sketch file into a SketchStore and fills the envelope from
+/// its header (scheme, n, k, epsilon, the epsilon-known flag): where
+/// OracleRegistry::load sends every stream without a text envelope
+/// header. Throws StoreCorruptionError like read().
+LoadedOracle load_sketch_file(std::istream& in);
 
 }  // namespace dsketch

@@ -1,22 +1,22 @@
 /// \file
-/// Generation-tagged atomic oracle snapshots — the hot-swap primitive of
-/// the serving tier.
+/// Generation-tagged oracle snapshots — the hot-swap primitive of the
+/// serving tier.
 ///
 /// A serving frontend holds its DistanceOracle behind an OracleSlot. The
-/// query path calls load() once per batch and works against the returned
-/// snapshot for the whole batch: oracle pointer, generation number, and
+/// query path pins the slot once per batch and works against the pinned
+/// snapshots for the whole batch: oracle pointer, generation number, and
 /// the capability bits the cache policy needs are captured together, so a
-/// concurrent swap can never tear a batch across two oracles. Publishing
-/// a rebuilt oracle (store()) is one atomic pointer flip — readers never
-/// block on it, and the old oracle stays alive until the last in-flight
-/// batch drops its shared_ptr.
+/// concurrent swap can never tear a batch across two oracles. One mutex
+/// guards the (current, previous) pair: a pin or a publish holds it only
+/// long enough to copy two shared_ptrs, so a reader waits at most that
+/// long, once per batch. The old oracle stays alive until the last
+/// in-flight batch drops its shared_ptr.
 ///
 /// Generations are strictly increasing and identify which oracle answered
 /// a batch; the query service invalidates per-shard caches by comparing
 /// the shard's recorded generation against the pinned snapshot's.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -36,63 +36,65 @@ struct OracleSnapshot {
   bool symmetric = false;
 };
 
-/// The swappable slot. load() is the wait-free reader side (one atomic
-/// shared_ptr load); store() serializes writers and bumps the generation.
+/// What a batch pins: the current snapshot and the one it displaced (the
+/// degraded-mode failover target of the query service's circuit breaker;
+/// its oracle is null until the first store()).
+struct PinnedSnapshots {
+  OracleSnapshot current;   ///< what answers the batch
+  OracleSnapshot previous;  ///< what current displaced
+};
+
+/// The swappable slot. Every member is safe from any thread.
 class OracleSlot {
  public:
   /// The slot always holds an oracle; generation starts at 0.
-  explicit OracleSlot(std::shared_ptr<const DistanceOracle> initial) {
-    DS_CHECK(initial != nullptr);
-    snap_.store(make_snapshot(std::move(initial), 0),
-                std::memory_order_release);
+  explicit OracleSlot(std::shared_ptr<const DistanceOracle> initial)
+      : pinned_{make_snapshot(std::move(initial)), {}} {}
+
+  /// The current and previous snapshots, read under one lock so they are
+  /// always a consistent pair.
+  PinnedSnapshots pin() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return pinned_;
   }
 
-  /// The current snapshot; safe from any thread, never blocks on store().
+  /// The current snapshot.
   OracleSnapshot load() const {
-    return *snap_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return pinned_.current;
   }
 
-  /// The snapshot displaced by the most recent store() — kept alive as the
-  /// degraded-mode failover target (query_service circuit breaker). The
-  /// oracle pointer is null until the first store().
-  OracleSnapshot previous() const {
-    const auto p = prev_.load(std::memory_order_acquire);
-    return p ? *p : OracleSnapshot{};
-  }
-
-  /// Publishes `next` under the next generation and returns it. The flip
-  /// itself is one atomic store; the mutex only serializes concurrent
-  /// publishers so generations stay monotonic. The displaced snapshot
-  /// becomes previous().
+  /// Publishes `next` under the next generation and returns it; the
+  /// displaced snapshot becomes the previous one.
   std::uint64_t store(std::shared_ptr<const DistanceOracle> next) {
-    DS_CHECK(next != nullptr);
-    std::lock_guard<std::mutex> lock(writer_mu_);
-    const auto current = snap_.load(std::memory_order_acquire);
-    const std::uint64_t generation = current->generation + 1;
-    prev_.store(current, std::memory_order_release);
-    snap_.store(make_snapshot(std::move(next), generation),
-                std::memory_order_release);
-    return generation;
+    OracleSnapshot snap = make_snapshot(std::move(next));
+    OracleSnapshot dropped;  // released after the lock: a free can be slow
+    std::lock_guard<std::mutex> lock(mu_);
+    snap.generation = pinned_.current.generation + 1;
+    dropped = std::exchange(pinned_.previous,
+                            std::exchange(pinned_.current, std::move(snap)));
+    return pinned_.current.generation;
   }
 
+  /// Generation of the current snapshot.
   std::uint64_t generation() const {
-    return snap_.load(std::memory_order_acquire)->generation;
+    std::lock_guard<std::mutex> lock(mu_);
+    return pinned_.current.generation;
   }
 
  private:
-  static std::shared_ptr<const OracleSnapshot> make_snapshot(
-      std::shared_ptr<const DistanceOracle> oracle,
-      std::uint64_t generation) {
-    auto snap = std::make_shared<OracleSnapshot>();
-    snap->symmetric = oracle->capabilities().symmetric;
-    snap->oracle = std::move(oracle);
-    snap->generation = generation;
+  /// A generation-0 snapshot of `oracle`; store() sets the generation.
+  static OracleSnapshot make_snapshot(
+      std::shared_ptr<const DistanceOracle> oracle) {
+    DS_CHECK(oracle != nullptr);
+    OracleSnapshot snap;
+    snap.symmetric = oracle->capabilities().symmetric;
+    snap.oracle = std::move(oracle);
     return snap;
   }
 
-  std::atomic<std::shared_ptr<const OracleSnapshot>> snap_;
-  std::atomic<std::shared_ptr<const OracleSnapshot>> prev_;
-  std::mutex writer_mu_;
+  mutable std::mutex mu_;
+  PinnedSnapshots pinned_;
 };
 
 /// Wraps a caller-owned oracle reference in a non-owning shared_ptr (the

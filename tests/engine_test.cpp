@@ -1,8 +1,14 @@
+// The build constructor of SketchStore — the one sketch-set class — for
+// each of the four families, and the save/load round trip of what it
+// built.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "baselines/exact_oracle.hpp"
-#include "core/engine.hpp"
+#include "core/oracle_registry.hpp"
 #include "graph/generators.hpp"
+#include "serve/sketch_store.hpp"
 
 namespace dsketch {
 namespace {
@@ -12,18 +18,19 @@ TEST(Engine, ThorupZwickScheme) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 3;
-  const SketchEngine engine(g, cfg);
+  const SketchStore sketches(g, cfg);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 4) {
     for (NodeId v = u + 1; v < g.num_nodes(); v += 5) {
       const Dist d = oracle.query(u, v);
-      EXPECT_GE(engine.query(u, v), d);
-      EXPECT_LE(engine.query(u, v), 5 * d);
+      EXPECT_GE(sketches.query(u, v), d);
+      EXPECT_LE(sketches.query(u, v), 5 * d);
     }
   }
-  EXPECT_GT(engine.cost().rounds, 0u);
-  EXPECT_GT(engine.mean_size_words(), 0.0);
-  EXPECT_NE(engine.guarantee().find("5"), std::string::npos);
+  ASSERT_NE(sketches.build_cost(), nullptr);
+  EXPECT_GT(sketches.build_cost()->rounds, 0u);
+  EXPECT_GT(sketches.mean_size_words(), 0.0);
+  EXPECT_NE(sketches.guarantee().find("5"), std::string::npos);
 }
 
 TEST(Engine, SlackScheme) {
@@ -31,11 +38,11 @@ TEST(Engine, SlackScheme) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kSlack;
   cfg.epsilon = 0.2;
-  const SketchEngine engine(g, cfg);
+  const SketchStore sketches(g, cfg);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 6) {
     for (NodeId v = u + 1; v < g.num_nodes(); v += 7) {
-      EXPECT_GE(engine.query(u, v), oracle.query(u, v));
+      EXPECT_GE(sketches.query(u, v), oracle.query(u, v));
     }
   }
 }
@@ -46,11 +53,11 @@ TEST(Engine, CdgScheme) {
   cfg.scheme = Scheme::kCdg;
   cfg.epsilon = 0.25;
   cfg.k = 2;
-  const SketchEngine engine(g, cfg);
+  const SketchStore sketches(g, cfg);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 6) {
     for (NodeId v = u + 1; v < g.num_nodes(); v += 7) {
-      EXPECT_GE(engine.query(u, v), oracle.query(u, v));
+      EXPECT_GE(sketches.query(u, v), oracle.query(u, v));
     }
   }
 }
@@ -59,14 +66,14 @@ TEST(Engine, GracefulScheme) {
   const Graph g = erdos_renyi(64, 0.1, {1, 9}, 9);
   BuildConfig cfg;
   cfg.scheme = Scheme::kGraceful;
-  const SketchEngine engine(g, cfg);
+  const SketchStore sketches(g, cfg);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 5) {
     for (NodeId v = u + 1; v < g.num_nodes(); v += 6) {
-      EXPECT_GE(engine.query(u, v), oracle.query(u, v));
+      EXPECT_GE(sketches.query(u, v), oracle.query(u, v));
     }
   }
-  EXPECT_NE(engine.guarantee().find("log"), std::string::npos);
+  EXPECT_NE(sketches.guarantee().find("log"), std::string::npos);
 }
 
 TEST(Engine, EchoTerminationWorksThroughFacade) {
@@ -75,13 +82,13 @@ TEST(Engine, EchoTerminationWorksThroughFacade) {
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 2;
   cfg.termination = TerminationMode::kEcho;
-  const SketchEngine engine(g, cfg);
+  const SketchStore sketches(g, cfg);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 7) {
     for (NodeId v = u + 1; v < g.num_nodes(); v += 8) {
       const Dist d = oracle.query(u, v);
-      EXPECT_GE(engine.query(u, v), d);
-      EXPECT_LE(engine.query(u, v), 3 * d);
+      EXPECT_GE(sketches.query(u, v), d);
+      EXPECT_LE(sketches.query(u, v), 3 * d);
     }
   }
 }
@@ -92,17 +99,17 @@ TEST(Engine, KnownSModeThroughFacade) {
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 2;
   cfg.termination = TerminationMode::kKnownS;
-  const SketchEngine engine(g, cfg);
+  const SketchStore sketches(g, cfg);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 7) {
     for (NodeId v = u + 1; v < g.num_nodes(); v += 8) {
       const Dist d = oracle.query(u, v);
-      EXPECT_GE(engine.query(u, v), d);
-      EXPECT_LE(engine.query(u, v), 3 * d);
+      EXPECT_GE(sketches.query(u, v), d);
+      EXPECT_LE(sketches.query(u, v), 3 * d);
     }
   }
   // The padded deadlines make the reported cost the analytic bound.
-  EXPECT_GT(engine.cost().rounds, 1000u);
+  EXPECT_GT(sketches.build_cost()->rounds, 1000u);
 }
 
 TEST(Engine, GuaranteeStringsMentionParameters) {
@@ -110,12 +117,12 @@ TEST(Engine, GuaranteeStringsMentionParameters) {
   BuildConfig tz;
   tz.scheme = Scheme::kThorupZwick;
   tz.k = 4;
-  EXPECT_NE(SketchEngine(g, tz).guarantee().find("7"), std::string::npos);
+  EXPECT_NE(SketchStore(g, tz).guarantee().find("7"), std::string::npos);
   BuildConfig cdg;
   cdg.scheme = Scheme::kCdg;
   cdg.k = 2;
   cdg.epsilon = 0.25;
-  EXPECT_NE(SketchEngine(g, cdg).guarantee().find("15"), std::string::npos);
+  EXPECT_NE(SketchStore(g, cdg).guarantee().find("15"), std::string::npos);
 }
 
 TEST(Engine, MoveSemantics) {
@@ -123,11 +130,48 @@ TEST(Engine, MoveSemantics) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kSlack;
   cfg.epsilon = 0.3;
-  SketchEngine a(g, cfg);
+  SketchStore a(g, cfg);
   const Dist before = a.query(0, 16);
-  SketchEngine b = std::move(a);
+  SketchStore b = std::move(a);
   EXPECT_EQ(b.query(0, 16), before);
+  ASSERT_NE(b.build_cost(), nullptr);
 }
+
+class EngineRoundTrip : public ::testing::TestWithParam<Scheme> {};
+
+TEST_P(EngineRoundTrip, SaveLoadAnswersIdentically) {
+  // What a build saves, OracleRegistry::load reads back: the same
+  // answers, the same per-node sizes, and the build's parameters in the
+  // envelope (the construction cost is not persisted).
+  const Graph g = erdos_renyi(70, 0.08, {1, 9}, 9);
+  BuildConfig cfg;
+  cfg.scheme = GetParam();
+  cfg.k = 2;
+  cfg.epsilon = 0.25;
+  const SketchStore built(g, cfg);
+  std::stringstream ss;
+  built.save(ss);
+  const LoadedOracle loaded = OracleRegistry::instance().load(ss);
+  const DistanceOracle& back = *loaded.oracle;
+  for (NodeId u = 0; u < g.num_nodes(); u += 3) {
+    for (NodeId v = u + 1; v < g.num_nodes(); v += 4) {
+      EXPECT_EQ(back.query(u, v), built.query(u, v));
+    }
+    EXPECT_EQ(back.size_words(u), built.size_words(u));
+  }
+  EXPECT_EQ(loaded.envelope.scheme, scheme_name(cfg.scheme));
+  EXPECT_EQ(loaded.envelope.n, g.num_nodes());
+  EXPECT_EQ(loaded.envelope.k, cfg.k);
+  EXPECT_EQ(loaded.envelope.epsilon, cfg.epsilon);
+  EXPECT_TRUE(loaded.envelope.epsilon_recorded);
+  EXPECT_EQ(back.build_cost(), nullptr);
+  EXPECT_FALSE(back.capabilities().build_cost_available);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, EngineRoundTrip,
+                         ::testing::Values(Scheme::kThorupZwick,
+                                           Scheme::kSlack, Scheme::kCdg,
+                                           Scheme::kGraceful));
 
 }  // namespace
 }  // namespace dsketch

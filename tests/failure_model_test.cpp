@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
 #include "dynamics/failure_model.hpp"
 #include "graph/generators.hpp"
+#include "serve/sketch_store.hpp"
 
 namespace dsketch {
 namespace {
@@ -56,10 +56,10 @@ TEST(FailureModel, StaleSketchesUnderestimateAfterChurn) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 2;
-  const SketchEngine engine(g, cfg);  // built on the healthy graph
+  const SketchStore sketches(g, cfg);  // built on the healthy graph
   const Graph degraded = apply_failures(g, sample_edge_failures(g, 0.3, 3));
   const StalenessReport report = evaluate_staleness(
-      degraded, [&](NodeId u, NodeId v) { return engine.query(u, v); }, 10,
+      degraded, [&](NodeId u, NodeId v) { return sketches.query(u, v); }, 10,
       7);
   EXPECT_GT(report.pairs, 0u);
   // Some pair's estimate now routes through a dead edge.
@@ -72,7 +72,7 @@ TEST(FailureModel, RebuiltSketchesRestoreGuarantee) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 2;
-  const SketchEngine rebuilt(degraded, cfg);
+  const SketchStore rebuilt(degraded, cfg);
   const StalenessReport report = evaluate_staleness(
       degraded, [&](NodeId u, NodeId v) { return rebuilt.query(u, v); }, 10,
       7);

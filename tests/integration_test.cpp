@@ -4,10 +4,10 @@
 
 #include "baselines/exact_oracle.hpp"
 #include "congest/bellman_ford.hpp"
-#include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/shortest_paths.hpp"
+#include "serve/sketch_store.hpp"
 #include "sketch/stretch_eval.hpp"
 
 #include <sstream>
@@ -25,11 +25,11 @@ TEST(Integration, SketchBeatsOnlineQueryOnHighSGraph) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 4;
-  const SketchEngine engine(g, cfg);
+  const SketchStore sketches(g, cfg);
   // Query-time exchange cost model: O(D) hops * sketch words; here we
   // simply verify the sketch is drastically smaller than n words so the
   // exchange beats rebuilding distances.
-  EXPECT_LT(engine.mean_size_words(), 120.0);
+  EXPECT_LT(sketches.mean_size_words(), 120.0);
 }
 
 TEST(Integration, AllSchemesSoundOnIspTopology) {
@@ -44,9 +44,9 @@ TEST(Integration, AllSchemesSoundOnIspTopology) {
     cfg.scheme = scheme;
     cfg.k = 3;
     cfg.epsilon = 0.2;
-    const SketchEngine engine(g, cfg);
+    const SketchStore sketches(g, cfg);
     const auto report = evaluate_stretch(
-        g, gt, [&](NodeId u, NodeId v) { return engine.query(u, v); }, {});
+        g, gt, [&](NodeId u, NodeId v) { return sketches.query(u, v); }, {});
     EXPECT_EQ(report.underestimates, 0u)
         << "scheme " << static_cast<int>(scheme);
     EXPECT_EQ(report.unreachable, 0u);
@@ -62,8 +62,8 @@ TEST(Integration, GraphRoundTripThenBuild) {
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 2;
   cfg.seed = 4;
-  const SketchEngine a(g, cfg);
-  const SketchEngine b(h, cfg);
+  const SketchStore a(g, cfg);
+  const SketchStore b(h, cfg);
   for (NodeId u = 0; u < g.num_nodes(); u += 11) {
     for (NodeId v = u + 1; v < g.num_nodes(); v += 13) {
       EXPECT_EQ(a.query(u, v), b.query(u, v));
@@ -79,10 +79,10 @@ TEST(Integration, ParallelSimulationMatchesSerial) {
   serial.seed = 8;
   BuildConfig parallel = serial;
   parallel.sim.threads = 4;
-  const SketchEngine a(g, serial);
-  const SketchEngine b(g, parallel);
-  EXPECT_EQ(a.cost().rounds, b.cost().rounds);
-  EXPECT_EQ(a.cost().messages, b.cost().messages);
+  const SketchStore a(g, serial);
+  const SketchStore b(g, parallel);
+  EXPECT_EQ(a.build_cost()->rounds, b.build_cost()->rounds);
+  EXPECT_EQ(a.build_cost()->messages, b.build_cost()->messages);
   for (NodeId u = 0; u < g.num_nodes(); u += 7) {
     for (NodeId v = u + 1; v < g.num_nodes(); v += 9) {
       EXPECT_EQ(a.query(u, v), b.query(u, v));
@@ -101,12 +101,12 @@ TEST(Integration, StretchOrderingAcrossK) {
     cfg.scheme = Scheme::kThorupZwick;
     cfg.k = k;
     cfg.seed = 21;
-    const SketchEngine engine(g, cfg);
+    const SketchStore sketches(g, cfg);
     const auto report = evaluate_stretch(
-        g, gt, [&](NodeId u, NodeId v) { return engine.query(u, v); }, {});
+        g, gt, [&](NodeId u, NodeId v) { return sketches.query(u, v); }, {});
     EXPECT_LE(report.max_stretch(), 2.0 * k - 1.0 + 1e-9);
-    EXPECT_LT(engine.mean_size_words(), prev_size);
-    prev_size = engine.mean_size_words();
+    EXPECT_LT(sketches.mean_size_words(), prev_size);
+    prev_size = sketches.mean_size_words();
   }
 }
 
@@ -118,12 +118,13 @@ TEST(Integration, EchoAndOracleCostsComparable) {
   oracle_cfg.seed = 5;
   BuildConfig echo_cfg = oracle_cfg;
   echo_cfg.termination = TerminationMode::kEcho;
-  const SketchEngine a(g, oracle_cfg);
-  const SketchEngine b(g, echo_cfg);
+  const SketchStore a(g, oracle_cfg);
+  const SketchStore b(g, echo_cfg);
   // Echo termination costs more but within the paper's constant-factor
   // prediction (x2 for echoes + convergecast overhead).
-  EXPECT_GE(b.cost().messages, a.cost().messages);
-  EXPECT_LE(b.cost().messages, 6 * a.cost().messages + 100ull * g.num_nodes());
+  EXPECT_GE(b.build_cost()->messages, a.build_cost()->messages);
+  EXPECT_LE(b.build_cost()->messages,
+            6 * a.build_cost()->messages + 100ull * g.num_nodes());
 }
 
 }  // namespace

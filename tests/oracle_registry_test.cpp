@@ -1,22 +1,29 @@
 // The registry + polymorphic round-trip contract: every registered
-// oracle builds, answers, saves through the scheme-tagged envelope, and
-// reloads to byte-identical answers — including the legacy pre-epsilon
-// text-header vintage.
+// oracle builds, answers, saves, and reloads through OracleRegistry::load
+// to byte-identical answers. Sketch schemes save the v3 store file, the
+// baselines a scheme-tagged text envelope.
 #include "core/oracle_registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 
 #include "baselines/exact_oracle.hpp"
-#include "core/sketch_oracle.hpp"
+#include "dynamics/incremental.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
 #include "serve/query_service.hpp"
 #include "serve/sketch_store.hpp"
+#include "serve/store_format.hpp"
+#include "sketch/hierarchy.hpp"
 #include "sketch/stretch_eval.hpp"
+#include "sketch/tz_centralized.hpp"
+#include "sketch/tz_distributed.hpp"
+#include "test_paths.hpp"
 
 namespace dsketch {
 namespace {
@@ -128,6 +135,8 @@ TEST_P(OracleRegistrySchemes, EnvelopeRoundTripIsByteIdentical) {
       EXPECT_EQ(loaded.oracle->query(u, v), oracle->query(u, v))
           << "pair " << u << "," << v;
     }
+    EXPECT_EQ(loaded.oracle->size_words(u), oracle->size_words(u))
+        << "node " << u;
   }
 }
 
@@ -152,22 +161,54 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, OracleRegistrySchemes,
                          ::testing::Values("tz", "slack", "cdg", "graceful",
                                            "exact", "landmark", "vivaldi"));
 
+/// Saves `oracle` and loads it back through the registry.
+LoadedOracle reload(const DistanceOracle& oracle) {
+  std::stringstream ss;
+  oracle.save(ss);
+  return OracleRegistry::instance().load(ss);
+}
+
+/// The StoreError a registry load of `bytes` throws; kIo (with a test
+/// failure) when it loads or throws anything else.
+StoreError load_error(const std::string& bytes) {
+  std::stringstream ss(bytes);
+  try {
+    OracleRegistry::instance().load(ss);
+    ADD_FAILURE() << "loaded: " << bytes.substr(0, 40);
+  } catch (const StoreCorruptionError& e) {
+    return e.kind();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped error: " << e.what();
+  }
+  return StoreError::kIo;
+}
+
 TEST(OracleEnvelope, LegacyPreEpsilonHeaderStillLoads) {
-  // Files written before the epsilon header field have the payload magic
-  // right after k; the envelope reader must flag epsilon as unrecorded
-  // and the payload must still load to identical answers.
+  // A v3 header whose epsilon-known flag is clear records no epsilon.
+  // Clear the flag of a slack save and re-seal the header checksum: the
+  // envelope must flag epsilon as unrecorded and the payload must still
+  // load to identical answers.
   const Graph g = test_graph();
   BuildConfig cfg;
   cfg.scheme = Scheme::kSlack;
   cfg.epsilon = 0.25;
-  const SketchOracle built(g, cfg);
+  const SketchStore built(g, cfg);
   std::stringstream ss;
   built.save(ss);
-  std::string text = ss.str();
-  const auto nl = text.find('\n');
-  std::string header = text.substr(0, nl);
-  header.resize(header.rfind(' '));  // strip the epsilon token
-  std::stringstream legacy(header + text.substr(nl));
+  std::string bytes = ss.str();
+  // The u32 flags word follows the magic and five u32 header fields; the
+  // header checksum covers the header bytes after the magic.
+  constexpr std::size_t kFlags = 8 + 5 * 4;
+  ASSERT_EQ(static_cast<std::uint8_t>(bytes[kFlags]),
+            store_format::kFlagEpsilonKnown);
+  bytes[kFlags] = 0;
+  std::uint64_t sum = store_format::fnv1a64(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()) + 8,
+      store_format::kHeaderBytes);
+  for (std::size_t i = 0; i < 8; ++i, sum >>= 8) {
+    bytes[8 + store_format::kHeaderBytes + i] = static_cast<char>(sum & 0xff);
+  }
+  std::stringstream legacy(bytes);
 
   const LoadedOracle loaded = OracleRegistry::instance().load(legacy);
   EXPECT_FALSE(loaded.envelope.epsilon_recorded);
@@ -180,48 +221,189 @@ TEST(OracleEnvelope, LegacyPreEpsilonHeaderStillLoads) {
 }
 
 TEST(OracleEnvelope, FreshSavesAlwaysRecordEpsilon) {
-  // The epsilon_known() wart is gone from the engine API because the
-  // envelope now always carries epsilon on save — including schemes that
-  // do not use it.
+  // Every fresh save records epsilon — including schemes that do not use
+  // it — so --load validation can trust the recorded value.
   const Graph g = test_graph();
   for (const char* name : {"tz", "graceful", "exact", "landmark"}) {
     const auto oracle =
         OracleRegistry::instance().build(name, g, test_flags());
-    std::stringstream ss;
-    oracle->save(ss);
-    EXPECT_TRUE(read_envelope_header(ss).epsilon_recorded) << name;
+    EXPECT_TRUE(reload(*oracle).envelope.epsilon_recorded) << name;
+  }
+}
+
+TEST(OracleEnvelope, SketchSaveIsTheV3File) {
+  // What `dsketch build --save` writes (DistanceOracle::save) is the v3
+  // store file, byte for byte what save_file writes for the same build.
+  const Graph g = test_graph();
+  for (const char* name : {"tz", "slack", "cdg", "graceful"}) {
+    const auto oracle =
+        OracleRegistry::instance().build(name, g, test_flags());
+    std::stringstream saved, written;
+    oracle->save(saved);
+    const SketchStore packed = SketchStore::from_oracle(*oracle);
+    packed.write(written);
+    EXPECT_EQ(saved.str(), written.str()) << name;
+    const std::string path = unique_temp_path(std::string(name) + ".store");
+    packed.save_file(path);
+    std::ifstream in(path, std::ios::binary);
+    const std::string file((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(saved.str(), file) << name;
   }
 }
 
 TEST(OracleEnvelope, RejectsInflatedNodeCountHeader) {
-  // The payload carries its own record counts; an envelope n that
-  // disagrees (corruption or a hand edit) must be rejected at load, or
-  // the CLI's num_nodes()-based bounds check would wave through queries
-  // that index past the loaded vectors.
+  // The v3 header is checksummed: an n that was changed after the save
+  // (corruption or a hand edit) must be rejected at load, or the CLI's
+  // num_nodes()-based bounds check would wave through queries that index
+  // past the loaded records.
   const Graph g = test_graph();
   for (const char* name : {"tz", "slack", "cdg", "graceful"}) {
     const auto oracle =
         OracleRegistry::instance().build(name, g, test_flags());
     std::stringstream ss;
     oracle->save(ss);
-    std::string text = ss.str();
-    const std::string n_token = " " + std::to_string(g.num_nodes()) + " ";
-    const auto pos = text.find(n_token);
-    ASSERT_NE(pos, std::string::npos);
-    text.replace(pos, n_token.size(),
-                 " " + std::to_string(g.num_nodes() + 9) + " ");
-    std::stringstream corrupted(text);
-    EXPECT_THROW(OracleRegistry::instance().load(corrupted),
-                 std::runtime_error)
-        << name;
+    std::string bytes = ss.str();
+    // u32 n follows the 8-byte magic, the version and the scheme tag.
+    ASSERT_EQ(static_cast<std::uint8_t>(bytes[16]), g.num_nodes());
+    bytes[16] = static_cast<char>(g.num_nodes() + 9);
+    EXPECT_EQ(load_error(bytes), StoreError::kHeaderChecksum) << name;
   }
 }
 
+TEST(OracleEnvelope, TruncatedSketchFileThrowsStoreCorruption) {
+  const Graph g = test_graph();
+  const auto tz = OracleRegistry::instance().build("tz", g, test_flags());
+  std::stringstream ss;
+  tz->save(ss);
+  const std::string bytes = ss.str();
+  for (const std::size_t keep :
+       {std::size_t{1}, std::size_t{63}, std::size_t{64}, bytes.size() / 2,
+        bytes.size() - 1}) {
+    std::stringstream cut(bytes.substr(0, keep));
+    EXPECT_THROW(OracleRegistry::instance().load(cut), StoreCorruptionError)
+        << keep << " bytes";
+  }
+}
+
+TEST(OracleEnvelope, TextSketchFilesAreRejectedWithATypedError) {
+  // The retired text sketch format: an envelope naming a sketch scheme,
+  // or the bare payload without one. Neither may load; both fail typed.
+  for (const char* name : {"tz", "slack", "cdg", "graceful"}) {
+    EXPECT_EQ(load_error(std::string("scheme ") + name +
+                         " 3 2 0.10000000000000001\ndsketch-" + name +
+                         "-v1 3\n"),
+              StoreError::kUnsupportedVersion)
+        << name;
+  }
+  EXPECT_EQ(load_error("dsketch-tz-v1 2\n0 1\n"), StoreError::kBadMagic);
+}
+
 TEST(OracleEnvelope, MalformedHeaderThrows) {
-  for (const char* bad :
-       {"", "bogus tz 10 2 0.1\n", "scheme tz\n", "scheme tz 10 2 junk\n"}) {
+  for (const char* bad : {"", "bogus tz 10 2 0.1\n", "scheme tz\n",
+                          "scheme tz 10 2\n", "scheme tz 10 2 junk\n"}) {
     std::stringstream ss(bad);
     EXPECT_THROW(read_envelope_header(ss), std::runtime_error) << bad;
+  }
+}
+
+TEST(Serialization, TzLabelsRoundTrip) {
+  // In-network TZ labels survive save and load record for record.
+  const Graph g = erdos_renyi(60, 0.08, {1, 9}, 3);
+  Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 5);
+  for (std::uint64_t bump = 1; !h.top_level_nonempty(); ++bump) {
+    h = Hierarchy::sample(g.num_nodes(), 3, 5 + bump);
+  }
+  const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
+  const LoadedOracle loaded = reload(
+      SketchStore::from_oracle(TzLabelOracle(r.labels, 3)));
+  const LabelArena& back =
+      dynamic_cast<const SketchStore&>(*loaded.oracle).payload().tz;
+  ASSERT_EQ(back.num_nodes(), r.labels.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    EXPECT_TRUE(back.view(u) == r.labels.view(u)) << "node " << u;
+  }
+}
+
+TEST(Serialization, SlackRoundTrip) {
+  const Graph g = ring(40, {1, 7}, 2);
+  BuildConfig cfg;
+  cfg.scheme = Scheme::kSlack;
+  cfg.epsilon = 0.25;
+  cfg.seed = 5;
+  const SketchStore built(g, cfg);
+  const LoadedOracle loaded = reload(built);
+  const auto& back = dynamic_cast<const SketchStore&>(*loaded.oracle);
+  EXPECT_EQ(back.payload().slack.net(), built.payload().slack.net());
+  for (NodeId u = 0; u < g.num_nodes(); u += 3) {
+    for (NodeId v = u + 1; v < g.num_nodes(); v += 5) {
+      EXPECT_EQ(back.query(u, v), built.query(u, v));
+    }
+  }
+}
+
+TEST(Serialization, BadMagicRejected) {
+  // Garbage never loads: a stream without the text header's leading 's'
+  // is read as a v3 file and fails its magic, typed; one that opens like
+  // a text header fails the header parse.
+  for (const char* bad : {"", "garbage 5\n"}) {
+    EXPECT_EQ(load_error(bad), StoreError::kBadMagic) << bad;
+  }
+  std::stringstream ss("sketches 1 2 3\n");
+  EXPECT_THROW(OracleRegistry::instance().load(ss), std::runtime_error);
+}
+
+TEST(Serialization, LoadedEngineRejectsGarbage) {
+  // The loaded sketch set is a SketchStore: neither its reader nor the
+  // registry's load yields one from a stream that is not a sketch file.
+  std::stringstream direct("not a sketch file");
+  EXPECT_THROW(SketchStore::read(direct), StoreCorruptionError);
+  EXPECT_EQ(load_error("not a sketch file"), StoreError::kBadMagic);
+}
+
+TEST(Serialization, HeaderPersistsEpsilonForFlagValidation) {
+  const Graph g = ring(30, {1, 4}, 2);
+  BuildConfig cfg;
+  cfg.scheme = Scheme::kSlack;
+  cfg.epsilon = 0.375;
+  const LoadedOracle loaded = reload(SketchStore(g, cfg));
+  EXPECT_EQ(loaded.envelope.scheme, "slack");
+  EXPECT_EQ(loaded.envelope.epsilon, 0.375);
+  EXPECT_TRUE(loaded.envelope.epsilon_recorded);
+  EXPECT_EQ(loaded.oracle->num_nodes(), g.num_nodes());
+  using Flags = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_NO_THROW(check_envelope_flags(FlagSet(Flags{{"epsilon", "0.375"}}),
+                                       loaded.envelope, "slack.store"));
+  EXPECT_THROW(check_envelope_flags(FlagSet(Flags{{"epsilon", "0.25"}}),
+                                    loaded.envelope, "slack.store"),
+               std::runtime_error);
+}
+
+TEST(Serialization, LoadsHeadersWithoutEpsilonField) {
+  // A store packed from a bare TZ label set records no epsilon: its v3
+  // header's epsilon-known flag is clear. Save and load keep it clear,
+  // the envelope says so, and `query --load --epsilon` (its flag check)
+  // does not reject the file against the unrecorded value.
+  const Graph g = test_graph();
+  const std::uint32_t k = 3;
+  Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 42);
+  for (std::uint64_t bump = 1; !h.top_level_nonempty(); ++bump) {
+    h = Hierarchy::sample(g.num_nodes(), k, 42 + bump);
+  }
+  const TzLabelOracle labels(build_tz_centralized(g, h), k);
+  const LoadedOracle loaded = reload(SketchStore::from_oracle(labels));
+  EXPECT_EQ(loaded.envelope.scheme, "tz");
+  EXPECT_EQ(loaded.envelope.k, k);
+  EXPECT_FALSE(loaded.envelope.epsilon_recorded);
+  EXPECT_FALSE(
+      dynamic_cast<const SketchStore&>(*loaded.oracle).epsilon_known());
+  EXPECT_NO_THROW(check_envelope_flags(
+      FlagSet({{"scheme", "tz"}, {"k", "3"}, {"epsilon", "0.3"}}),
+      loaded.envelope, "labels.store"));
+  for (NodeId u = 0; u < g.num_nodes(); u += 5) {
+    for (NodeId v = u + 1; v < g.num_nodes(); v += 6) {
+      EXPECT_EQ(loaded.oracle->query(u, v), labels.query(u, v));
+    }
   }
 }
 

@@ -15,7 +15,6 @@
 
 #include "baselines/exact_oracle.hpp"
 #include "baselines/landmark.hpp"
-#include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "serve/sketch_store.hpp"
 #include "serve/workload.hpp"
@@ -39,7 +38,7 @@ SketchStore make_store(Scheme scheme, NodeId n = 90) {
   cfg.scheme = scheme;
   cfg.k = 2;
   cfg.epsilon = 0.25;
-  return SketchStore::from_engine(SketchEngine(g, cfg));
+  return SketchStore(g, cfg);
 }
 
 std::vector<QueryService::Pair> all_pairs_sample(NodeId n) {
@@ -434,7 +433,7 @@ TEST(QueryServiceDegraded, FallbackOracleServesWhenNoPreviousGeneration) {
   BuildConfig bcfg;
   bcfg.scheme = Scheme::kThorupZwick;
   bcfg.k = 2;
-  const SketchStore store = SketchStore::from_engine(SketchEngine(g, bcfg));
+  const SketchStore store(g, bcfg);
   FlakyOracle sick(store);
   sick.set_sick(true);
   const auto exact = std::make_shared<ExactOracle>(g);

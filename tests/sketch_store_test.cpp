@@ -7,9 +7,9 @@
 #include <memory>
 #include <sstream>
 
-#include "core/engine.hpp"
 #include "dynamics/incremental.hpp"
 #include "graph/generators.hpp"
+#include "serve/mmap_store.hpp"
 #include "sketch/tz_centralized.hpp"
 #include "test_paths.hpp"
 
@@ -28,25 +28,26 @@ class SketchStoreSchemes : public ::testing::TestWithParam<Scheme> {
  protected:
   SketchStoreSchemes()
       : graph_(erdos_renyi(80, 0.08, {1, 9}, 17)),
-        engine_(graph_, config_for(GetParam())) {}
+        built_(graph_, config_for(GetParam())) {}
 
   Graph graph_;
-  SketchEngine engine_;
+  SketchStore built_;
 };
 
 TEST_P(SketchStoreSchemes, PackedQueriesMatchEngineBitIdentically) {
-  const SketchStore store = SketchStore::from_engine(engine_);
+  const SketchStore store = SketchStore::from_oracle(built_);
   EXPECT_EQ(store.num_nodes(), graph_.num_nodes());
+  EXPECT_EQ(store.build_cost(), nullptr);  // a packed copy, not a build
   for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
     for (NodeId v = u; v < graph_.num_nodes(); v += 3) {
-      EXPECT_EQ(store.query(u, v), engine_.query(u, v))
+      EXPECT_EQ(store.query(u, v), built_.query(u, v))
           << "pair " << u << "," << v;
     }
   }
 }
 
 TEST_P(SketchStoreSchemes, BinaryRoundTripPreservesEverything) {
-  const SketchStore store = SketchStore::from_engine(engine_);
+  const SketchStore& store = built_;
   std::stringstream ss;
   store.write(ss);
   const SketchStore back = SketchStore::read(ss);
@@ -56,25 +57,7 @@ TEST_P(SketchStoreSchemes, BinaryRoundTripPreservesEverything) {
   EXPECT_DOUBLE_EQ(back.epsilon(), store.epsilon());
   for (NodeId u = 0; u < graph_.num_nodes(); u += 2) {
     for (NodeId v = u + 1; v < graph_.num_nodes(); v += 5) {
-      EXPECT_EQ(back.query(u, v), engine_.query(u, v));
-    }
-  }
-}
-
-TEST_P(SketchStoreSchemes, TextConvertersRoundTrip) {
-  // engine text -> store must answer like the engine...
-  std::stringstream text;
-  engine_.save(text);
-  const SketchStore store = SketchStore::from_text(text);
-  // ...and store -> text must load back into an equivalent engine.
-  std::stringstream text2;
-  store.to_text(text2);
-  const SketchEngine reloaded = SketchEngine::load(text2);
-  EXPECT_EQ(reloaded.config().scheme, engine_.config().scheme);
-  for (NodeId u = 0; u < graph_.num_nodes(); u += 3) {
-    for (NodeId v = u + 1; v < graph_.num_nodes(); v += 4) {
-      EXPECT_EQ(store.query(u, v), engine_.query(u, v));
-      EXPECT_EQ(reloaded.query(u, v), engine_.query(u, v));
+      EXPECT_EQ(back.query(u, v), built_.query(u, v));
     }
   }
 }
@@ -153,9 +136,8 @@ class SketchStoreCorruption : public ::testing::Test {
     BuildConfig cfg;
     cfg.scheme = Scheme::kThorupZwick;
     cfg.k = 2;
-    const SketchEngine engine(g, cfg);
     std::stringstream ss;
-    SketchStore::from_engine(engine).write(ss);
+    SketchStore(g, cfg).write(ss);
     return ss.str();
   }
 };
@@ -249,8 +231,7 @@ class SketchStoreRecovery : public ::testing::Test {
     BuildConfig cfg;
     cfg.scheme = Scheme::kThorupZwick;
     cfg.k = 2;
-    engine_ = std::make_unique<SketchEngine>(graph_, cfg);
-    store_ = SketchStore::from_engine(*engine_);
+    store_ = SketchStore(graph_, cfg);
     path_ = unique_temp_path("recovery.bin");
     store_.save_file(path_);
     std::ifstream in(path_, std::ios::binary);
@@ -263,7 +244,6 @@ class SketchStoreRecovery : public ::testing::Test {
   std::size_t record(NodeId u) const { return map_->record(bytes_, 0, u); }
 
   Graph graph_;
-  std::unique_ptr<SketchEngine> engine_;
   SketchStore store_;
   std::string path_;
   std::string bytes_;
@@ -346,7 +326,7 @@ class StoreRecoverySchemes : public ::testing::TestWithParam<Scheme> {
     cfg.scheme = GetParam();
     cfg.k = 2;
     cfg.epsilon = 0.25;
-    store_ = SketchStore::from_engine(SketchEngine(graph_, cfg));
+    store_ = SketchStore(graph_, cfg);
     n_ = store_.num_nodes();
     path_ = unique_temp_path("store.bin");
     store_.save_file(path_);
@@ -436,8 +416,7 @@ TEST(SketchStoreRecoveryGraceful, TailTruncationKeepsEarlierLevels) {
   cfg.scheme = Scheme::kGraceful;
   cfg.k = 2;
   cfg.epsilon = 0.25;
-  const SketchEngine engine(g, cfg);
-  const SketchStore store = SketchStore::from_engine(engine);
+  const SketchStore store(g, cfg);
   ASSERT_GE(store.num_segments(), 2u);
   const std::string path = unique_temp_path("graceful.bin");
   store.save_file(path);
@@ -465,8 +444,7 @@ TEST(SketchStoreAtomicSave, OverwriteLeavesNoTempAndOldOrNewStore) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 2;
-  const SketchEngine engine(g, cfg);
-  const SketchStore store = SketchStore::from_engine(engine);
+  const SketchStore store(g, cfg);
   const std::string path = unique_temp_path("atomic.bin");
   store.save_file(path);
   store.save_file(path);  // overwrite in place
@@ -476,63 +454,56 @@ TEST(SketchStoreAtomicSave, OverwriteLeavesNoTempAndOldOrNewStore) {
   EXPECT_EQ(back.num_nodes(), store.num_nodes());
 }
 
-TEST(SketchStoreProvenance, UnknownEpsilonSurvivesConversion) {
-  // A pre-epsilon text file must not come out of a conversion round trip
-  // with a fabricated epsilon claim.
-  const Graph g = ring(24, {1, 3}, 6);
-  BuildConfig cfg;
-  cfg.scheme = Scheme::kSlack;
-  cfg.epsilon = 0.25;
-  const SketchEngine built(g, cfg);
-  std::stringstream ss;
-  built.save(ss);
-  std::string text = ss.str();
-  const auto nl = text.find('\n');
-  std::string header = text.substr(0, nl);
-  header.resize(header.rfind(' '));  // strip the epsilon token
-  std::stringstream old_format(header + text.substr(nl));
-
-  const SketchStore store = SketchStore::from_text(old_format);
-  EXPECT_FALSE(store.epsilon_known());
-  std::stringstream bin;
-  store.write(bin);
-  const SketchStore reloaded = SketchStore::read(bin);
-  EXPECT_FALSE(reloaded.epsilon_known());
-  std::stringstream text2;
-  reloaded.to_text(text2);
-  // The regenerated header must be the old style again (4 tokens, no
-  // epsilon claim), and still load.
-  std::string first_line;
-  std::getline(text2, first_line);
-  EXPECT_EQ(first_line, header);
-  std::stringstream full(text2.str());
-  EXPECT_FALSE(SketchStore::from_text(full).epsilon_known());
-
-  // A normally saved sketch keeps its recorded epsilon through the same
-  // trip.
-  std::stringstream fresh;
-  built.save(fresh);
-  const SketchStore recorded = SketchStore::from_text(fresh);
-  EXPECT_TRUE(recorded.epsilon_known());
-  EXPECT_DOUBLE_EQ(recorded.epsilon(), 0.25);
-}
-
 TEST(SketchStoreFiles, SaveAndLoadFile) {
   const Graph g = ring(30, {1, 4}, 5);
   BuildConfig cfg;
   cfg.scheme = Scheme::kSlack;
   cfg.epsilon = 0.3;
-  const SketchEngine engine(g, cfg);
-  const SketchStore store = SketchStore::from_engine(engine);
+  const SketchStore store(g, cfg);
   const std::string path = unique_temp_path("store.bin");
   store.save_file(path);
   const SketchStore back = SketchStore::load_file(path);
   for (NodeId u = 0; u < g.num_nodes(); u += 2) {
     for (NodeId v = u; v < g.num_nodes(); v += 3) {
-      EXPECT_EQ(back.query(u, v), engine.query(u, v));
+      EXPECT_EQ(back.query(u, v), store.query(u, v));
     }
   }
   EXPECT_THROW(SketchStore::load_file(path + ".missing"), std::runtime_error);
+}
+
+TEST(SketchStoreProvenance, UnknownEpsilonSurvivesConversion) {
+  // A store that records no epsilon (packed from a bare TZ label set)
+  // must not come out of a file round trip, a re-pack or a mapping with
+  // a fabricated epsilon claim; a built store keeps its recorded one.
+  const Graph g = ring(24, {1, 3}, 6);
+  const std::uint32_t k = 2;
+  Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 7);
+  for (std::uint64_t bump = 1; !h.top_level_nonempty(); ++bump) {
+    h = Hierarchy::sample(g.num_nodes(), k, 7 + bump);
+  }
+  const SketchStore unknown = SketchStore::from_oracle(
+      TzLabelOracle(build_tz_centralized(g, h), k));
+  BuildConfig cfg;
+  cfg.scheme = Scheme::kSlack;
+  cfg.epsilon = 0.25;
+  const SketchStore recorded(g, cfg);
+
+  for (const SketchStore* store : {&unknown, &recorded}) {
+    const bool known = store == &recorded;
+    const std::string path = unique_temp_path("provenance.store");
+    store->save_file(path);
+    const SketchStore back = SketchStore::load_file(path);
+    const SketchStore repacked = SketchStore::from_oracle(back);
+    const auto mapped = MmapSketchStore::open(path);
+    EXPECT_EQ(back.epsilon_known(), known);
+    EXPECT_EQ(repacked.epsilon_known(), known);
+    EXPECT_EQ(mapped->epsilon_known(), known);
+    if (known) {
+      EXPECT_DOUBLE_EQ(back.epsilon(), 0.25);
+      EXPECT_DOUBLE_EQ(repacked.epsilon(), 0.25);
+      EXPECT_DOUBLE_EQ(mapped->epsilon(), 0.25);
+    }
+  }
 }
 
 TEST(SketchStorePacking, TzLabelOraclePacksAndAnswersIdentically) {
@@ -547,7 +518,6 @@ TEST(SketchStorePacking, TzLabelOraclePacksAndAnswersIdentically) {
   }
   const LabelArena labels = build_tz_centralized(g, h);
   const TzLabelOracle oracle(labels, k);
-  ASSERT_TRUE(SketchStore::packable(oracle));
   const SketchStore store = SketchStore::from_oracle(oracle);
   EXPECT_EQ(store.scheme(), "tz");
   EXPECT_EQ(store.store_scheme(), Scheme::kThorupZwick);

@@ -16,8 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.hpp"
-#include "core/sketch_oracle.hpp"
+#include "core/oracle_registry.hpp"
 #include "dynamics/incremental.hpp"
 #include "graph/generators.hpp"
 #include "serve/label_codec.hpp"
@@ -189,12 +188,12 @@ class StoreV3Schemes : public ::testing::TestWithParam<Scheme> {
  protected:
   StoreV3Schemes()
       : graph_(erdos_renyi(80, 0.08, {1, 9}, 17)),
-        engine_(graph_, config_for(GetParam())),
-        store_(SketchStore::from_engine(engine_)) {}
+        built_(graph_, config_for(GetParam())),
+        store_(SketchStore::from_oracle(built_)) {}
 
   Graph graph_;
-  SketchEngine engine_;
-  SketchStore store_;
+  SketchStore built_;  ///< the build
+  SketchStore store_;  ///< packed from it
 };
 
 TEST_P(StoreV3Schemes, V3RoundTripAnswersIdentically) {
@@ -211,14 +210,14 @@ TEST_P(StoreV3Schemes, V3RoundTripAnswersIdentically) {
 
 TEST_P(StoreV3Schemes, V3DecodeEncodeIsByteIdentical) {
   // The coding is bijective on every label, so a store decoded into the
-  // label plane re-emits the exact bytes — through the binary format and
-  // through the text envelope alike.
-  std::stringstream v3a, v3b, v3c, text;
+  // label plane re-emits the exact bytes — through read() and through
+  // the registry's load of what save() wrote alike.
+  std::stringstream v3a, v3b, v3c, saved;
   store_.write(v3a);
   SketchStore::read(v3a).write(v3b);
   EXPECT_EQ(v3a.str(), v3b.str());
-  store_.to_text(text);
-  SketchStore::from_text(text).write(v3c);
+  built_.save(saved);
+  OracleRegistry::instance().load(saved).oracle->save(v3c);
   EXPECT_EQ(v3a.str(), v3c.str());
 }
 
@@ -229,12 +228,12 @@ TEST_P(StoreV3Schemes, SizeWordsAgreeAcrossOracleHeapAndMmap) {
   const SketchStore heap = SketchStore::load_file(path);
   const auto mapped = MmapSketchStore::open(path);
   for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-    const std::size_t words = engine_.oracle().size_words(u);
+    const std::size_t words = built_.size_words(u);
     EXPECT_EQ(store_.size_words(u), words) << "node " << u;
     EXPECT_EQ(heap.size_words(u), words) << "node " << u;
     EXPECT_EQ(mapped->size_words(u), words) << "node " << u;
   }
-  EXPECT_DOUBLE_EQ(heap.mean_size_words(), engine_.mean_size_words());
+  EXPECT_DOUBLE_EQ(heap.mean_size_words(), built_.mean_size_words());
 }
 
 TEST_P(StoreV3Schemes, MmapAnswersMatchHeapByteForByte) {
@@ -253,7 +252,7 @@ TEST_P(StoreV3Schemes, MmapAnswersMatchHeapByteForByte) {
     for (NodeId v = u; v < graph_.num_nodes(); v += 3) {
       EXPECT_EQ(mapped->query(u, v), heap.query(u, v))
           << "pair " << u << "," << v;
-      EXPECT_EQ(heap.query(u, v), engine_.query(u, v))
+      EXPECT_EQ(heap.query(u, v), built_.query(u, v))
           << "pair " << u << "," << v;
     }
   }
@@ -317,8 +316,7 @@ class StoreV3Corruption : public ::testing::Test {
     BuildConfig cfg;
     cfg.scheme = Scheme::kThorupZwick;
     cfg.k = 2;
-    engine_ = std::make_unique<SketchEngine>(graph_, cfg);
-    store_ = SketchStore::from_engine(*engine_);
+    store_ = SketchStore(graph_, cfg);
     n_ = store_.num_nodes();
     path_ = unique_temp_path("store.bin");
     store_.save_file(path_);
@@ -357,7 +355,6 @@ class StoreV3Corruption : public ::testing::Test {
   }
 
   Graph graph_;
-  std::unique_ptr<SketchEngine> engine_;
   SketchStore store_;
   std::string path_;
   std::string bytes_;
@@ -485,7 +482,7 @@ TEST_F(StoreV3Corruption, DecodeRecordMatchesHeapWordModel) {
   // Decoding a record off the file bytes must give back the builder's
   // label, and every representation must bill it the same words.
   const auto mapped = MmapSketchStore::open(path_);
-  const LabelArena& labels = engine_->oracle().payload().tz;
+  const LabelArena& labels = store_.payload().tz;
   const auto* blob = reinterpret_cast<const std::uint8_t*>(bytes_.data()) +
                      blob_pos_;
   DecodedRecord rec;
@@ -525,8 +522,7 @@ TEST(StorePinnedBytes, V3FilesMatchTheRecordedEncoding) {
       {Scheme::kGraceful, 0x488f2cfaf1b921d0ULL},
   };
   for (const auto& [scheme, fnv] : pinned) {
-    const SketchEngine engine(g, config_for(scheme));
-    EXPECT_EQ(file_fnv(SketchStore::from_engine(engine)), fnv)
+    EXPECT_EQ(file_fnv(SketchStore(g, config_for(scheme))), fnv)
         << scheme_name(scheme);
   }
   // A bare label set (no recorded epsilon) packs through the same codec.

@@ -4,12 +4,10 @@
 //                 --seed 42 --out net.graph
 //   dsketch info  --graph net.graph [--exact-diameters]
 //   dsketch build --graph net.graph --scheme tz --k 3 [--echo] [--async 4]
-//                 [--sim-threads 0]
-//                 [--save text.sketch] [--store net.store]
+//                 [--sim-threads 0] [--save net.store]
 //   dsketch query --graph net.graph --scheme slack --epsilon 0.1
-//                 --pairs 0:17,3:999 [--exact] [--load text.sketch]
+//                 --pairs 0:17,3:999 [--exact] [--load net.store]
 //   dsketch eval  --graph net.graph --scheme graceful --sources 16
-//   dsketch convert    --in text.sketch --out net.store
 //   dsketch serve-bench --store net.store --workload zipf --batch 1024
 //                 --threads 1,2,4 --shards 8 --cache 4096
 //                 [--metrics-out m.json] [--trace-out t.json]
@@ -41,7 +39,6 @@
 #include "core/oracle.hpp"
 #include "experiments.hpp"
 #include "core/oracle_registry.hpp"
-#include "core/sketch_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "obs/round_log.hpp"
 #include "obs/trace.hpp"
@@ -73,7 +70,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: dsketch "
-               "<gen|ingest|info|build|query|eval|convert|serve-bench|"
+               "<gen|ingest|info|build|query|eval|serve-bench|"
                "dynamic-bench|list-schemes|faults|repro>"
                " [--flags]\n"
                "  gen   --topology er|grid|ring|path|ba|ws|geometric|tree|"
@@ -86,17 +83,15 @@ int usage() {
                "  build --graph FILE --scheme NAME [--k K] "
                "[--epsilon E] [--echo|--known-s] [--async DMAX] "
                "[--sim-threads T] [--seed S] "
-               "[--landmarks L] [--save FILE] [--store FILE] "
-               "[--round-log FILE]\n"
+               "[--landmarks L] [--save FILE] [--round-log FILE]   "
+               "(sketch schemes save the v3 store, baselines a text "
+               "envelope)\n"
                "  query --graph FILE --scheme NAME --pairs u:v,u:v [--exact] "
                "[--load FILE]\n"
                "  eval  --graph FILE --scheme NAME [--sources N] "
                "[--epsilon-far E]\n"
                "  list-schemes   (every registered oracle scheme with its "
                "guarantee and capabilities)\n"
-               "  convert --in FILE --out FILE   "
-               "(text <-> binary store, direction auto-detected from the "
-               "input magic)\n"
                "  serve-bench (--store FILE [--mmap [--verify-checksum]] | "
                "--graph FILE --scheme NAME) "
                "[--queries N] [--batch B,B,...] [--threads T,T,...] "
@@ -179,21 +174,14 @@ void warn_round_limit(const SimStats& cost) {
                cost.limited_phases().c_str());
 }
 
-/// Shared tail of `dsketch build`: save/store/report for a built oracle.
+/// Shared tail of `dsketch build`: save/report for a built oracle.
 int finish_build(const FlagSet& flags, const DistanceOracle& oracle) {
   if (flags.has("save")) {
-    std::ofstream out(flags.get("save", std::string{}));
+    std::ofstream out(flags.get("save", std::string{}), std::ios::binary);
     if (!out) throw std::runtime_error("cannot open --save file");
     oracle.save(out);
     std::printf("oracle saved to %s\n",
                 flags.get("save", std::string{}).c_str());
-  }
-  if (flags.has("store")) {
-    const std::string path = flags.get("store", std::string{});
-    const SketchStore store = SketchStore::from_oracle(oracle);
-    store.save_file(path);
-    std::printf("binary store saved to %s (%zu encoded bytes)\n",
-                path.c_str(), store.encoded_bytes());
   }
   std::printf("scheme:     %s (%s)\n", oracle.scheme().c_str(),
               oracle.guarantee().c_str());
@@ -256,60 +244,14 @@ int cmd_build(const FlagSet& flags) {
     round_log = std::make_unique<obs::RoundLog>(round_log_out);
     BuildConfig cfg = sketch_build_config(scheme, flags);
     cfg.sim.round_log = round_log.get();
-    std::unique_ptr<DistanceOracle> oracle =
-        std::make_unique<SketchOracle>(g, cfg);
+    const SketchStore built(g, cfg);
     round_log->flush();
     std::printf("round log written to %s (%zu line(s))\n", path.c_str(),
                 round_log->lines_emitted());
-    return finish_build(flags, *oracle);
+    return finish_build(flags, built);
   }
   const std::unique_ptr<DistanceOracle> oracle = build_oracle(g, flags);
   return finish_build(flags, *oracle);
-}
-
-/// A loaded oracle answers with whatever configuration it was built with;
-/// silently ignoring contradicting flags would report estimates under the
-/// wrong guarantee. Reject explicit flags that disagree with the envelope.
-void check_loaded_config(const FlagSet& flags, const OracleEnvelope& envelope,
-                         const std::string& path) {
-  const auto fail = [&](const std::string& what, const std::string& have,
-                        const std::string& want) {
-    throw std::runtime_error("--load " + path + ": oracle was built with " +
-                             what + " " + have + " but --" + what + " " +
-                             want + " was requested; rebuild with `dsketch "
-                             "build` or drop the flag");
-  };
-  if (flags.has("scheme")) {
-    const std::string requested = flags.get("scheme", std::string{});
-    OracleRegistry::instance().at(requested);  // typo check with name list
-    if (requested != envelope.scheme) {
-      fail("scheme", envelope.scheme, requested);
-    }
-  }
-  // The envelope's k slot records the scheme's size parameter under the
-  // flag name the registry declares (--k, --landmarks, --dim); schemes
-  // without one record 0 and there is nothing to check. Same for the
-  // pre-epsilon header vintage below.
-  const OracleScheme& scheme_entry =
-      OracleRegistry::instance().at(envelope.scheme);
-  const std::string& k_flag = scheme_entry.k_flag;
-  if (!k_flag.empty() && flags.has(k_flag) && envelope.k != 0) {
-    const auto k = static_cast<std::uint32_t>(
-        flags.get(k_flag, std::int64_t{0}));
-    if (k != envelope.k) {
-      fail(k_flag, std::to_string(envelope.k), std::to_string(k));
-    }
-  }
-  // Schemes without an epsilon parameter record a meaningless 0; a
-  // harmless --epsilon must not be rejected against it.
-  if (scheme_entry.uses_epsilon && flags.has("epsilon") &&
-      envelope.epsilon_recorded) {
-    const double eps = flags.get("epsilon", 0.0);
-    if (eps != envelope.epsilon) {
-      fail("epsilon", std::to_string(envelope.epsilon),
-           std::to_string(eps));
-    }
-  }
 }
 
 int cmd_query(const FlagSet& flags) {
@@ -317,10 +259,10 @@ int cmd_query(const FlagSet& flags) {
   const std::unique_ptr<DistanceOracle> oracle = [&] {
     if (flags.has("load")) {
       const std::string path = flags.get("load", std::string{});
-      std::ifstream in(path);
+      std::ifstream in(path, std::ios::binary);
       if (!in) throw std::runtime_error("cannot open --load file");
       LoadedOracle loaded = OracleRegistry::instance().load(in);
-      check_loaded_config(flags, loaded.envelope, path);
+      check_envelope_flags(flags, loaded.envelope, path);
       if (loaded.oracle->num_nodes() != g.num_nodes()) {
         throw std::runtime_error(
             "--load " + path + ": oracle covers " +
@@ -401,31 +343,6 @@ int cmd_eval(const FlagSet& flags) {
   return 0;
 }
 
-int cmd_convert(const FlagSet& flags) {
-  const std::string in_path = flags.require("in");
-  const std::string out_path = flags.require("out");
-  std::ifstream in(in_path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open --in file: " + in_path);
-  char magic[8] = {};
-  in.read(magic, 8);
-  in.clear();
-  in.seekg(0);
-  if (std::string(magic, 7) == "DSKSTOR") {
-    const SketchStore store = SketchStore::read(in);
-    std::ofstream out(out_path);
-    if (!out) throw std::runtime_error("cannot open --out file: " + out_path);
-    store.to_text(out);
-    std::printf("converted binary store %s -> text %s\n", in_path.c_str(),
-                out_path.c_str());
-  } else {
-    const SketchStore store = SketchStore::from_text(in);
-    store.save_file(out_path);
-    std::printf("converted text %s -> binary store %s (%zu encoded bytes)\n",
-                in_path.c_str(), out_path.c_str(), store.encoded_bytes());
-  }
-  return 0;
-}
-
 int cmd_ingest(const FlagSet& flags) {
   const std::string in_path = flags.require("in");
   const std::string out_path = flags.require("out");
@@ -458,15 +375,10 @@ int cmd_serve_bench(const FlagSet& flags) {
     }
     // No store on disk: build in-process so one command covers the
     // whole build-once/serve-many pipeline — any registered scheme
-    // serves, baselines included. Sketch-backed oracles are packed into
-    // the store first so this path benches the serving representation
-    // (what a deployment ships), same as --store.
+    // serves, baselines included. A sketch scheme builds a SketchStore,
+    // the same representation --store loads.
     const Graph g = read_graph_file(flags.require("graph"));
-    std::unique_ptr<DistanceOracle> built = build_oracle(g, flags);
-    if (SketchStore::packable(*built)) {
-      built = std::make_unique<SketchStore>(SketchStore::from_oracle(*built));
-    }
-    return built;
+    return build_oracle(g, flags);
   }();
 
   WorkloadConfig wl;
@@ -626,11 +538,7 @@ int cmd_metrics_dump(const FlagSet& flags) {
       return SketchStore::load_oracle(flags.get("store", std::string{}));
     }
     const Graph g = read_graph_file(flags.require("graph"));
-    std::unique_ptr<DistanceOracle> built = build_oracle(g, flags);
-    if (SketchStore::packable(*built)) {
-      built = std::make_unique<SketchStore>(SketchStore::from_oracle(*built));
-    }
-    return built;
+    return build_oracle(g, flags);
   }();
   const std::string format = flags.get("format", std::string("prom"));
   if (format != "prom" && format != "json") {
@@ -919,7 +827,6 @@ int main(int argc, char** argv) {
     if (cmd == "build") return cmd_build(flags);
     if (cmd == "query") return cmd_query(flags);
     if (cmd == "eval") return cmd_eval(flags);
-    if (cmd == "convert") return cmd_convert(flags);
     if (cmd == "serve-bench") return cmd_serve_bench(flags);
     if (cmd == "metrics-dump") return cmd_metrics_dump(flags);
     if (cmd == "dynamic-bench") {
