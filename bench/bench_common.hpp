@@ -49,17 +49,6 @@ inline StretchReport eval(const Graph& g, const SampledGroundTruth& gt,
   return evaluate_stretch(g, gt, est, opts);
 }
 
-/// Samples a TZ hierarchy, re-drawing until the top level is nonempty
-/// (the construction requires at least one top-level pivot).
-inline Hierarchy sampled_hierarchy(NodeId n, std::uint32_t k,
-                                   std::uint64_t seed) {
-  Hierarchy h = Hierarchy::sample(n, k, seed);
-  for (std::uint64_t b = 1; !h.top_level_nonempty(); ++b) {
-    h = Hierarchy::sample(n, k, seed + b);
-  }
-  return h;
-}
-
 /// Largest n at which the benches compute diameters exactly; the exact
 /// sweeps are source-parallel over the kernel now, but they are still
 /// n full searches, so larger graphs fall back to sampled lower bounds.

@@ -22,7 +22,7 @@ int run_e10(const FlagSet& flags, std::ostream& out) {
   const Graph g = erdos_renyi(n, flags.get("p", 0.15), {1, 9}, 3);
   const SampledGroundTruth gt(g, sources, 7);
   for (std::uint32_t k = 1; k <= kmax; ++k) {
-    const Hierarchy h = sampled_hierarchy(n, k, 100 + k);
+    const Hierarchy h = Hierarchy::sample(n, k, 100 + k);
     const Graph sp = spanner_graph(g, h);
     SampleSet stretch;
     for (std::size_t r = 0; r < gt.num_rows(); ++r) {

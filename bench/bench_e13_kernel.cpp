@@ -178,7 +178,7 @@ int run_e13(const FlagSet& flags, std::ostream& out) {
   }
 
   // --- tz_build: legacy serial vs kernel at each thread count ---------
-  const Hierarchy h = sampled_hierarchy(n, k, seed + 1);
+  const Hierarchy h = Hierarchy::sample(n, k, seed + 1);
   // Symmetric methodology: every timed build (legacy and kernel) follows
   // one untimed warm-up pass, so first-touch faults and allocator growth
   // are billed to neither side.

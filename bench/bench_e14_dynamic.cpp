@@ -42,7 +42,6 @@
 
 #include "bench_common.hpp"
 #include "core/oracle_registry.hpp"
-#include "dynamics/failure_model.hpp"
 #include "dynamics/incremental.hpp"
 #include "dynamics/update_stream.hpp"
 #include "obs/trace.hpp"
@@ -303,23 +302,19 @@ PolicyOutcome run_policy(const std::string& policy, const Graph& g0,
     // Freshness of what traffic is served *now*, against ground truth on
     // the graph as it is *now*.
     const OracleSnapshot snap = service.snapshot();
-    const StalenessReport staleness = evaluate_staleness(
+    const StretchReport freshness = evaluate_stretch(
         stream.graph(),
-        [&snap](NodeId u, NodeId v) { return snap.oracle->query(u, v); },
-        sources, seed + 100 + round);
-    const double violation_rate =
-        staleness.pairs == 0
-            ? 0.0
-            : static_cast<double>(staleness.underestimates) /
-                  static_cast<double>(staleness.pairs);
+        SampledGroundTruth(stream.graph(), sources, seed + 100 + round),
+        *snap.oracle, {});
+    const double violation_rate = freshness.underestimate_rate();
     violation_sum += violation_rate;
     row("e14", "refresh_rounds")
         .add("policy", policy)
         .add("round", static_cast<std::uint64_t>(round))
         .add("updates_applied", stream.applied())
         .add("violation_rate", violation_rate)
-        .add("mean_stretch", staleness.stretch.mean())
-        .add("p95_stretch", staleness.stretch.p(95))
+        .add("mean_stretch", freshness.all.mean())
+        .add("p95_stretch", freshness.all.p(95))
         .add("rebuilds", rebuilds)
         .add("generation", snap.generation)
         .add("rebuild_seconds", last_rebuild_seconds)

@@ -44,7 +44,7 @@ int run_e15(const FlagSet& flags, std::ostream& out) {
   const NodeId n = g.num_nodes();
   const auto m = static_cast<double>(g.num_edges());
   const std::uint32_t S = sp_diameter_auto(g, 8, 3);
-  const Hierarchy h = sampled_hierarchy(n, k, seed + 11);
+  const Hierarchy h = Hierarchy::sample(n, k, seed + 11);
 
   // --- in-network build (the tentpole path: event-driven, threaded) ----
   SimConfig cfg;

@@ -70,7 +70,7 @@ int run_e16(const FlagSet& flags, std::ostream& out) {
   const NodeId n = g.num_nodes();
   const auto m = static_cast<double>(g.num_edges());
   const std::uint32_t S = sp_diameter_auto(g, 8, 3);
-  const Hierarchy h = sampled_hierarchy(n, k, seed + 3);
+  const Hierarchy h = Hierarchy::sample(n, k, seed + 3);
   const LabelArena central = build_tz_centralized(g, h);
 
   TzFaultTolerance ft;

@@ -108,7 +108,7 @@ int run_e1(const FlagSet& flags, std::ostream& out) {
     const Graph g = erdos_renyi(n, 8.0 / n, {1, 16}, 42);
     const SampledGroundTruth gt(g, sources, 7);
     for (std::uint32_t k = 2; k <= kmax; ++k) {
-      const Hierarchy h = sampled_hierarchy(g.num_nodes(), k, 100 + k);
+      const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 100 + k);
       const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
       const auto pivot_report = eval(g, gt, [&](NodeId u, NodeId v) {
         return tz_query(r.labels.view(u), r.labels.view(v));

@@ -30,7 +30,7 @@ int run_e2(const FlagSet& flags, std::ostream& out) {
     if (n > nmax) continue;
     const Graph g = erdos_renyi(n, 8.0 / n, {1, 12}, 9);
     for (std::uint32_t k = 2; k <= kmax; ++k) {
-      const Hierarchy h = sampled_hierarchy(n, k, 31 + k);
+      const Hierarchy h = Hierarchy::sample(n, k, 31 + k);
       const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
       const SketchStore store =
           SketchStore::from_oracle(TzLabelOracle(r.labels, k));

@@ -25,7 +25,7 @@ int run_e3(const FlagSet& flags, std::ostream& out) {
     if (n > nmax) continue;
     const Graph g = erdos_renyi(n, 8.0 / n, {1, 12}, 5);
     const std::uint32_t S = sp_diameter_auto(g, 8, 3);
-    const Hierarchy h = sampled_hierarchy(n, k, 11);
+    const Hierarchy h = Hierarchy::sample(n, k, 11);
     const auto oracle = build_tz_distributed(g, h, TerminationMode::kOracle);
     const auto echo = build_tz_distributed(g, h, TerminationMode::kEcho);
     const auto knowns =
@@ -78,7 +78,7 @@ int run_e3(const FlagSet& flags, std::ostream& out) {
   topos.push_back({"ring", ring(nf, {1, 12}, 5)});
   for (auto& t : topos) {
     const std::uint32_t S = sp_diameter_auto(t.g, 8, 3);
-    const Hierarchy h = sampled_hierarchy(t.g.num_nodes(), k, 13);
+    const Hierarchy h = Hierarchy::sample(t.g.num_nodes(), k, 13);
     const auto r = build_tz_distributed(t.g, h, TerminationMode::kOracle);
     row("e3", "cost_vs_s")
         .add("topology", t.name)
@@ -91,7 +91,7 @@ int run_e3(const FlagSet& flags, std::ostream& out) {
 
   {
     const Graph g = erdos_renyi(nf, 8.0 / nf, {1, 12}, 5);
-    const Hierarchy h = sampled_hierarchy(nf, k, 17);
+    const Hierarchy h = Hierarchy::sample(nf, k, 17);
     SimConfig on;
     const auto rr = build_tz_distributed(g, h, TerminationMode::kOracle, on);
     const auto eager_cap = build_tz_distributed(

@@ -58,7 +58,7 @@ int run_e8(const FlagSet& flags, std::ostream& out) {
     const SimStats online = online_distance_rounds(t.g, 0, online_cfg);
 
     // Build labels directly so we can serialize one for the exchange.
-    const Hierarchy h = sampled_hierarchy(t.g.num_nodes(), 4, 19);
+    const Hierarchy h = Hierarchy::sample(t.g.num_nodes(), 4, 19);
     const auto built = build_tz_distributed(t.g, h, TerminationMode::kOracle);
     double mean_words = 0;
     for (NodeId u = 0; u < t.g.num_nodes(); ++u) {

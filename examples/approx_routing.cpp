@@ -23,8 +23,7 @@ int main() {
   std::printf("topology: %u nodes, %zu links\n", n, g.num_edges());
 
   const std::uint32_t k = 3;
-  Hierarchy h = Hierarchy::sample(n, k, 5);
-  while (!h.top_level_nonempty()) h = Hierarchy::sample(n, k, 6);
+  const Hierarchy h = Hierarchy::sample(n, k, 5);
   const auto r = build_tz_distributed(g, h, TerminationMode::kEcho);
   std::printf("TZ k=%u sketches + forwarding state built in %llu rounds\n\n",
               k, static_cast<unsigned long long>(r.total_rounds()));

@@ -48,13 +48,9 @@ SketchPayload build_sketch_payload(const Graph& g, const BuildConfig& config,
   switch (config.scheme) {
     case Scheme::kThorupZwick: {
       const obs::Span span("build_tz_distributed");
-      // Resample until the top level is populated (whp on the first try).
-      Hierarchy h = Hierarchy::sample(g.num_nodes(), config.k, config.seed);
-      for (std::uint64_t bump = 1; !h.top_level_nonempty(); ++bump) {
-        h = Hierarchy::sample(g.num_nodes(), config.k, config.seed + bump);
-      }
-      TzDistributedResult r =
-          build_tz_distributed(g, h, config.termination, config.sim);
+      TzDistributedResult r = build_tz_distributed(
+          g, Hierarchy::sample(g.num_nodes(), config.k, config.seed),
+          config.termination, config.sim);
       cost = r.stats;
       cost += r.tree_stats;
       payload.tz = std::move(r.labels);

@@ -51,8 +51,8 @@ struct SketchPayload {
 
 /// Runs the distributed construction for config.scheme on g and returns
 /// its sketches; `cost` receives the total CONGEST cost (tree building,
-/// Bellman-Ford passes, dissemination). TZ resamples the hierarchy from
-/// seed + 1, seed + 2, ... until its top level is populated.
+/// Bellman-Ford passes, dissemination). TZ draws its hierarchy with
+/// Hierarchy::sample(n, k, config.seed).
 SketchPayload build_sketch_payload(const Graph& g, const BuildConfig& config,
                                    SimStats& cost);
 

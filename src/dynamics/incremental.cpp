@@ -4,9 +4,9 @@
 #include <utility>
 
 #include "core/sketch_payload.hpp"
-#include "dynamics/failure_model.hpp"
 #include "obs/trace.hpp"
 #include "sketch/hierarchy.hpp"
+#include "sketch/stretch_eval.hpp"
 #include "sketch/tz_centralized.hpp"
 #include "util/assert.hpp"
 
@@ -46,11 +46,8 @@ TzDynamicSketch::TzDynamicSketch(const Graph& g, std::uint32_t k,
 
 void TzDynamicSketch::build_labels(const Graph& g, std::uint64_t seed,
                                    ThreadPool* pool) {
-  Hierarchy h = Hierarchy::sample(g.num_nodes(), k_, seed);
-  for (std::uint64_t bump = 1; !h.top_level_nonempty(); ++bump) {
-    h = Hierarchy::sample(g.num_nodes(), k_, seed + bump);
-  }
-  labels_ = build_tz_centralized(g, h, pool);
+  labels_ = build_tz_centralized(
+      g, Hierarchy::sample(g.num_nodes(), k_, seed), pool);
   recompute_bound();
 }
 
@@ -165,14 +162,12 @@ bool RebuildPolicy::note_update(const Graph& current,
   if (cfg_.probe_every != 0 && cfg_.max_underestimate_rate > 0 &&
       updates_ % cfg_.probe_every == 0) {
     ++probes_;
-    const StalenessReport report = evaluate_staleness(
-        current,
-        [&serving](NodeId u, NodeId v) { return serving.query(u, v); },
-        cfg_.probe_sources, cfg_.probe_seed + probes_);
-    last_rate_ = report.pairs == 0
-                     ? 0.0
-                     : static_cast<double>(report.underestimates) /
-                           static_cast<double>(report.pairs);
+    last_rate_ =
+        evaluate_stretch(current,
+                         SampledGroundTruth(current, cfg_.probe_sources,
+                                            cfg_.probe_seed + probes_),
+                         serving, {})
+            .underestimate_rate();
     if (last_rate_ > cfg_.max_underestimate_rate) return true;
   }
   return false;

@@ -2,8 +2,9 @@
 // policy that decides when repair is no longer enough.
 //
 // The paper's sketches are preprocessed for one fixed topology (§1, §5);
-// E11 quantifies how fast they rot under churn. This module is the other
-// half of the loop — it keeps a sketch *usable* while the graph moves:
+// E11 quantifies how fast they rot as a delete-only UpdateStream fails
+// edges. This module is the other half of the loop — it keeps a sketch
+// *usable* while the graph moves:
 //
 //   - Distance-decreasing updates (edge inserts, weight decreases) are
 //     repaired in place: every label distance (pivot and bunch entries)
@@ -23,9 +24,10 @@
 //     repaired from the endpoints alone — stale entries may now
 //     *underestimate*, which is the guarantee violation E11 measures.
 //     RebuildPolicy watches the update stream (counts, unrepairable
-//     updates, and an optional sampled underestimate-rate probe) and
-//     fires a full background rebuild when a budget is exceeded; the
-//     serving tier swaps the rebuilt oracle in via serve/snapshot.hpp.
+//     updates, and an optional sampled underestimate-rate probe, scored
+//     by evaluate_stretch like E11 and E14's freshness rows) and fires a
+//     full background rebuild when a budget is exceeded; the serving
+//     tier swaps the rebuilt oracle in via serve/snapshot.hpp.
 #pragma once
 
 #include <cstdint>
@@ -83,8 +85,9 @@ struct RepairStats {
 class TzDynamicSketch {
  public:
   /// Builds the initial sketch (centralized construction — the fast
-  /// in-process path; the hierarchy is resampled until the top level is
-  /// nonempty). `pool == nullptr` uses the global pool.
+  /// in-process path — over Hierarchy::sample(n, k, seed), the hierarchy
+  /// the registry build draws too). `pool == nullptr` uses the global
+  /// pool.
   TzDynamicSketch(const Graph& g, std::uint32_t k, std::uint64_t seed,
                   ThreadPool* pool = nullptr);
 

@@ -101,12 +101,16 @@ bool UpdateStream::deletable(std::size_t index) const {
 }
 
 bool UpdateStream::try_delete(EdgeUpdate& out) {
-  if (edges_.empty()) return false;
-  // Reroll on bridges, bounded: a tree-like graph where most edges are
-  // bridges falls through rather than spinning.
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    const std::size_t i = rng_.below(edges_.size());
-    if (!deletable(i)) continue;
+  // Draw candidates without replacement (a partial Fisher-Yates over
+  // edges_): a bridge is swapped past the end of the live range instead
+  // of rerolled, so a delete fails only when every edge is a bridge —
+  // the graph is a spanning tree — and the kind falls through.
+  for (std::size_t live = edges_.size(); live > 0; --live) {
+    const std::size_t i = rng_.below(live);
+    if (!deletable(i)) {
+      std::swap(edges_[i], edges_[live - 1]);
+      continue;
+    }
     const Edge e = edges_[i];
     out.kind = UpdateKind::kDelete;
     out.u = e.u;

@@ -1,15 +1,15 @@
-// Seeded, deterministic edge-churn generation — the live-network
-// complement of dynamics/failure_model.
+// Seeded, deterministic edge churn: the one model of a changing network.
 //
-// failure_model answers "how do stale sketches score against one batch
-// of failures?" (E11). The refresh pipeline needs the harder shape: an
-// *ongoing* stream of topology changes — inserts, deletes, and weight
-// changes in a configurable mix — applied one at a time to a live graph,
-// so the repair / rebuild machinery can be driven update by update
-// (E14). The stream owns the evolving graph: next() draws an update,
-// applies it, and returns it, keeping the graph connected throughout
-// (bridge deletions are rerolled, like failure_model's bridge skip).
-// Same seed + same initial graph = same stream, bit for bit.
+// The paper's sketches are computed for one fixed topology (§1, §5).
+// This stream moves it: inserts, deletes, and weight changes in a
+// configurable mix, applied one at a time to a live graph. E14 drives the
+// repair / rebuild machinery with it update by update; E11's edge
+// failures are a delete-only stream, advanced through growing targets so
+// the failure sets nest. The stream owns the evolving graph: next()
+// draws an update, applies it, and returns it, keeping the graph
+// connected throughout (deletes draw candidates without replacement and
+// never take a bridge). Same seed + same initial graph = same stream,
+// bit for bit.
 #pragma once
 
 #include <cstdint>

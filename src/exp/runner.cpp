@@ -182,8 +182,7 @@ RunSummary run_manifest(const Manifest& manifest, const RunOptions& options) {
                                ": unknown experiment `" + cell.experiment +
                                "` (known: e1..e14)");
     }
-    if (!options.force && options.resume &&
-        cell_output_valid(result.out_path, cell.id())) {
+    if (!options.force && cell_output_valid(result.out_path, cell.id())) {
       result.status = CellResult::Status::kSkipped;
       continue;
     }

@@ -31,8 +31,7 @@ struct RunOptions {
   std::string out_dir;           ///< artifact root (required)
   std::string corpus_dir;        ///< graph cache; default out_dir + "/corpus"
   std::size_t threads = 0;       ///< parallel cells; 0 = hardware concurrency
-  bool resume = true;            ///< skip cells with valid artifacts
-  bool force = false;            ///< rerun everything (overrides resume)
+  bool force = false;            ///< rerun cells that have valid artifacts
   std::ostream* progress = nullptr;  ///< per-cell progress lines (may be null)
 };
 

@@ -17,13 +17,10 @@ QueryService::QueryService(const DistanceOracle& oracle,
 QueryService::QueryService(std::shared_ptr<const DistanceOracle> oracle,
                            QueryServiceConfig cfg)
     : slot_(std::move(oracle)),
-      force_ordered_keys_(cfg.force_ordered_keys),
-      collect_metrics_(cfg.collect_metrics),
       cfg_(cfg),
       pool_(cfg.threads) {
   if (cfg.shards == 0) {
-    // Enough shards that the pool's serial-fallback threshold
-    // (count < 2 x lanes) never bites and slices stay balanced.
+    // A few shards per lane, so dynamic pulls keep slices balanced.
     cfg.shards = std::max<std::size_t>(8, 4 * (pool_.size() + 1));
   }
   shards_.reserve(cfg.shards);
@@ -128,8 +125,8 @@ void QueryService::run_shard(Shard& shard, const BatchCtx& ctx,
       out[i] = query_degraded(shard, ctx, u, v);
       continue;
     }
-    const std::uint64_t key = ctx.canonical_keys ? canonical_pair_key(u, v)
-                                                 : ordered_pair_key(u, v);
+    const std::uint64_t key = snap.symmetric ? canonical_pair_key(u, v)
+                                             : ordered_pair_key(u, v);
     if (const Dist* hit = shard.cache.get(key)) {
       ++shard.cache_hits;
       out[i] = *hit;
@@ -150,7 +147,9 @@ void QueryService::run_shard(Shard& shard, const BatchCtx& ctx,
       ++shard.deadline_violations;
     }
   }
-  if (collect_metrics_) shard.slice_latency_us.record(timer.seconds() * 1e6);
+  if (cfg_.collect_metrics) {
+    shard.slice_latency_us.record(timer.seconds() * 1e6);
+  }
 
   // Breaker bookkeeping: one strike per failing slice, reset on a clean one.
   if (slice_failed || over_deadline) {
@@ -183,7 +182,6 @@ std::uint64_t QueryService::query_batch(std::span<const Pair> pairs,
   auto [current, previous] = slot_.pin();
   ctx.snap = std::move(current);
   ctx.previous = std::move(previous);
-  ctx.canonical_keys = ctx.snap.symmetric && !force_ordered_keys_;
   ctx.batch = batches_;
   // Scatter pair indices to their owning shards (single pass, reused
   // buffers), then execute each shard's slice on the pool. out[] is

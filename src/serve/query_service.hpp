@@ -61,17 +61,12 @@ namespace dsketch {
 
 /// Shard, thread, and cache sizing for a QueryService.
 struct QueryServiceConfig {
-  /// Partitions of the pair space; 0 picks max(8, 4 x threads). The
-  /// thread pool only engages when shards >= 2 x threads (parallel_for
-  /// runs small counts serially), so keep shards comfortably above the
-  /// thread count — the auto default does.
+  /// Partitions of the pair space; 0 picks max(8, 4 x threads). Lanes
+  /// pull shards one at a time, so a few shards per thread keeps uneven
+  /// slices balanced — the auto default does.
   std::size_t shards = 0;
   std::size_t threads = 0;         ///< pool lanes; 0 = hardware concurrency
   std::size_t cache_capacity = 0;  ///< per-shard LRU entries; 0 disables
-  /// Debug/benchmark override: key caches by the ordered pair even for
-  /// symmetric oracles (the pre-fix behavior; lets serve-bench measure
-  /// the canonical-key hit-rate delta).
-  bool force_ordered_keys = false;
   /// When false, shard slices skip latency recording entirely (no timer
   /// read, no histogram update). The counters (queries/hits) still run —
   /// they are integral to cache behavior, not observability. This is the
@@ -239,7 +234,6 @@ class QueryService {
   struct BatchCtx {
     OracleSnapshot snap;      ///< pinned primary
     OracleSnapshot previous;  ///< pinned with snap; oracle null before swap 1
-    bool canonical_keys = false;
     std::uint64_t batch = 0;  ///< batch sequence number (breaker clock)
   };
 
@@ -253,8 +247,6 @@ class QueryService {
                      NodeId v, Dist& answer);
 
   OracleSlot slot_;
-  bool force_ordered_keys_ = false;
-  bool collect_metrics_ = true;
   QueryServiceConfig cfg_;
   ThreadPool pool_;
   std::vector<Shard> shards_;

@@ -13,15 +13,19 @@ Hierarchy::Hierarchy(std::uint32_t k, std::vector<std::uint32_t> levels)
 }
 
 Hierarchy Hierarchy::sample(NodeId n, std::uint32_t k, std::uint64_t seed) {
-  DS_CHECK(n >= 1 && k >= 1);
-  Rng rng(seed);
+  DS_CHECK(k >= 1);
+  if (n == 0) return Hierarchy(k, {});
   const double p =
       k == 1 ? 0.0 : std::pow(static_cast<double>(n), -1.0 / static_cast<double>(k));
-  std::vector<std::uint32_t> levels(n, 1);
-  for (NodeId u = 0; u < n; ++u) {
-    while (levels[u] < k && rng.bernoulli(p)) ++levels[u];
+  for (;; ++seed) {
+    Rng rng(seed);
+    std::vector<std::uint32_t> levels(n, 1);
+    for (NodeId u = 0; u < n; ++u) {
+      while (levels[u] < k && rng.bernoulli(p)) ++levels[u];
+    }
+    Hierarchy h(k, std::move(levels));
+    if (h.top_level_nonempty()) return h;
   }
-  return Hierarchy(k, std::move(levels));
 }
 
 Hierarchy Hierarchy::sample_on_subset(NodeId n, std::uint32_t k,

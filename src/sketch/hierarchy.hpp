@@ -25,7 +25,10 @@ class Hierarchy {
   /// (possible only for net-restricted hierarchies).
   Hierarchy(std::uint32_t k, std::vector<std::uint32_t> levels);
 
-  /// Standard TZ hierarchy over all of V with probability n^{-1/k}.
+  /// Standard TZ hierarchy over all of V with probability n^{-1/k},
+  /// re-drawn with seed+1, seed+2, ... until A_{k-1} is nonempty (the
+  /// stretch guarantee needs a top-level pivot). n == 0 gives the empty
+  /// hierarchy.
   static Hierarchy sample(NodeId n, std::uint32_t k, std::uint64_t seed);
 
   /// Hierarchy over a ground subset (the density net): members of `ground`
@@ -47,8 +50,9 @@ class Hierarchy {
   /// Nodes with A_i membership but not A_{i+1} — the phase-i sources.
   std::vector<NodeId> phase_sources(std::uint32_t i) const;
 
-  /// True when the top nonempty level A_{k-1} is nonempty (required for the
-  /// stretch guarantee; resample with a new seed otherwise).
+  /// True when the top level A_{k-1} is nonempty (required for the
+  /// stretch guarantee; sample() guarantees it, sample_on_subset() does
+  /// not).
   bool top_level_nonempty() const;
 
  private:

@@ -43,6 +43,12 @@ struct StretchReport {
 
   double average_stretch() const { return all.mean(); }
   double max_stretch() const { return all.max(); }
+  /// Share of scored pairs with est < d; 0 when no pair was scored.
+  double underestimate_rate() const {
+    return all.count() == 0 ? 0.0
+                            : static_cast<double>(underestimates) /
+                                  static_cast<double>(all.count());
+  }
 };
 
 struct EvalOptions {

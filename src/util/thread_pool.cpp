@@ -17,7 +17,6 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
   // The calling thread participates in parallel loops, so spawn threads-1.
   const std::size_t workers = threads > 1 ? threads - 1 : 0;
-  tasks_.resize(workers);
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -51,47 +50,33 @@ void ThreadPool::rethrow_pending_error() {
   if (err) std::rethrow_exception(err);
 }
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& body) {
-  const std::size_t lanes = workers_.size() + 1;
+void ThreadPool::for_each_dynamic(std::size_t count, const Body& body) {
   if (count == 0) return;
-  if (lanes == 1 || count < 2 * lanes || tl_inside_pool) {
+  if (workers_.empty() || count == 1 || tl_inside_pool) {
     // Serial fallbacks run on the caller's own stack: a throw propagates
     // directly, no capture needed.
-    for (std::size_t i = 0; i < count; ++i) body(i);
+    for (std::size_t i = 0; i < count; ++i) body(0, i);
     return;
   }
   std::unique_lock<std::mutex> entry(entry_mutex_, std::try_to_lock);
   if (!entry.owns_lock()) {
     // Another thread is driving the workers; do our loop ourselves.
-    for (std::size_t i = 0; i < count; ++i) body(i);
+    for (std::size_t i = 0; i < count; ++i) body(0, i);
     return;
   }
   tl_inside_pool = true;
-  const std::size_t chunk = (count + lanes - 1) / lanes;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++generation_;
-    pending_ = 0;
-    dyn_active_ = false;
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      const std::size_t begin = std::min(count, (w + 1) * chunk);
-      const std::size_t end = std::min(count, (w + 2) * chunk);
-      tasks_[w] = Task{begin, end, &body};
-      if (begin < end) ++pending_;
-    }
+    pending_ = workers_.size();  // every worker acknowledges every job
+    job_count_ = count;
+    job_body_ = &body;
+    next_index_.store(0, std::memory_order_relaxed);
   }
   cv_start_.notify_all();
-  // Caller handles the first chunk. A caller-side throw must still wait
-  // for the workers below — they hold a pointer into our frame.
-  try {
-    for (std::size_t i = 0; i < std::min(count, chunk); ++i) {
-      if (error_flag_.load(std::memory_order_acquire)) break;
-      body(i);
-    }
-  } catch (...) {
-    record_error();
-  }
+  // The caller pulls as lane 0. A caller-side throw must still wait for
+  // the workers below — they hold a pointer into our frame.
+  pull(0, count, body);
   {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_done_.wait(lock, [this] { return pending_ == 0; });
@@ -100,61 +85,33 @@ void ThreadPool::parallel_for(std::size_t count,
   rethrow_pending_error();
 }
 
-void ThreadPool::for_each_dynamic(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (count == 0) return;
-  const std::size_t lanes = workers_.size() + 1;
-  if (lanes == 1 || count == 1 || tl_inside_pool) {
-    for (std::size_t i = 0; i < count; ++i) body(0, i);
-    return;
-  }
-  std::unique_lock<std::mutex> entry(entry_mutex_, std::try_to_lock);
-  if (!entry.owns_lock()) {
-    for (std::size_t i = 0; i < count; ++i) body(0, i);
-    return;
-  }
-  tl_inside_pool = true;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++generation_;
-    pending_ = workers_.size();  // every worker acknowledges dynamic jobs
-    dyn_active_ = true;
-    dyn_count_ = count;
-    dyn_body_ = &body;
-    dyn_next_.store(0, std::memory_order_relaxed);
-  }
-  cv_start_.notify_all();
-  // Caller pulls as lane 0.
+void ThreadPool::parallel_for(std::size_t count,
+                              const std::function<void(std::size_t)>& body) {
+  for_each_dynamic(count, [&body](std::size_t, std::size_t i) { body(i); });
+}
+
+void ThreadPool::pull(std::size_t lane, std::size_t count,
+                      const Body& body) noexcept {
   try {
     for (;;) {
       if (error_flag_.load(std::memory_order_acquire)) break;
-      const std::size_t i = dyn_next_.fetch_add(1, std::memory_order_relaxed);
+      const std::size_t i = next_index_.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) break;
-      body(0, i);
+      body(lane, i);
     }
   } catch (...) {
     record_error();
     // Fast-forward the shared counter so other lanes stop pulling even
     // before they poll the flag.
-    dyn_next_.store(count, std::memory_order_relaxed);
+    next_index_.store(count, std::memory_order_relaxed);
   }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_done_.wait(lock, [this] { return pending_ == 0; });
-    dyn_active_ = false;
-  }
-  tl_inside_pool = false;
-  rethrow_pending_error();
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
   std::size_t seen_generation = 0;
   for (;;) {
-    Task task;
-    bool dynamic = false;
-    std::size_t dyn_count = 0;
-    const std::function<void(std::size_t, std::size_t)>* dyn_body = nullptr;
+    std::size_t count = 0;
+    const Body* body = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_start_.wait(lock, [&] {
@@ -162,45 +119,14 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       });
       if (stop_) return;
       seen_generation = generation_;
-      dynamic = dyn_active_;
-      if (dynamic) {
-        dyn_count = dyn_count_;
-        dyn_body = dyn_body_;
-      } else {
-        task = tasks_[worker_index];
-      }
+      count = job_count_;
+      body = job_body_;
     }
-    if (dynamic) {
-      tl_inside_pool = true;
-      try {
-        for (;;) {
-          if (error_flag_.load(std::memory_order_acquire)) break;
-          const std::size_t i =
-              dyn_next_.fetch_add(1, std::memory_order_relaxed);
-          if (i >= dyn_count) break;
-          (*dyn_body)(worker_index + 1, i);
-        }
-      } catch (...) {
-        record_error();
-        dyn_next_.store(dyn_count, std::memory_order_relaxed);
-      }
-      tl_inside_pool = false;
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--pending_ == 0) cv_done_.notify_all();
-    } else if (task.begin < task.end) {
-      tl_inside_pool = true;
-      try {
-        for (std::size_t i = task.begin; i < task.end; ++i) {
-          if (error_flag_.load(std::memory_order_acquire)) break;
-          (*task.body)(i);
-        }
-      } catch (...) {
-        record_error();
-      }
-      tl_inside_pool = false;
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--pending_ == 0) cv_done_.notify_all();
-    }
+    tl_inside_pool = true;
+    pull(worker_index + 1, count, *body);
+    tl_inside_pool = false;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--pending_ == 0) cv_done_.notify_all();
   }
 }
 

@@ -2,18 +2,16 @@
 //
 // The CONGEST simulator steps all active nodes each round; node steps are
 // independent (they read their own inbox and write their own outboxes), so a
-// parallel_for over the active set is safe. Determinism is preserved because
+// parallel loop over the active set is safe. Determinism is preserved because
 // message *delivery* order is fixed by edge indices, independent of which
 // thread executed which node.
 //
-// Two loop shapes:
-//   parallel_for      — static contiguous chunks; best for homogeneous
-//                       bodies (simulator node steps, per-node exports).
-//   for_each_dynamic  — atomic work pulling; best for heterogeneous bodies
-//                       (per-source shortest-path searches whose cluster
-//                       sizes vary by orders of magnitude). The body also
-//                       receives a lane id in [0, lanes()) for per-lane
-//                       accumulators.
+// One loop shape: for_each_dynamic, where lanes pull the next index from
+// a shared atomic counter, so bodies of wildly uneven cost (per-source
+// shortest-path searches whose cluster sizes vary by orders of
+// magnitude) still spread evenly. The body also receives a lane id in
+// [0, lanes()) for per-lane accumulators; parallel_for is the same loop
+// for bodies that need no lane id.
 //
 // Both entry points are safe to call from multiple threads at once (the
 // repro runner executes manifest cells on its own threads, and cells call
@@ -57,30 +55,27 @@ class ThreadPool {
   /// upper bound on the lane ids for_each_dynamic hands out.
   std::size_t lanes() const { return workers_.size() + 1; }
 
-  /// Runs body(i) for i in [0, count), blocking until all complete.
-  /// Work is divided into contiguous chunks, one per worker plus caller.
-  /// If any body throws, the first exception is rethrown here after all
-  /// lanes quiesce (see the file comment).
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& body);
-
   /// Runs body(lane, i) for i in [0, count) with dynamic load balancing:
-  /// lanes pull the next index from a shared counter, so wildly uneven
-  /// per-index costs still spread evenly. Blocks until all complete.
-  /// Index-to-lane assignment is nondeterministic; merges keyed by index
-  /// (not lane) stay deterministic. Exceptions rethrow as in parallel_for.
+  /// lanes pull the next index from a shared counter. Blocks until all
+  /// complete. Index-to-lane assignment is nondeterministic; merges keyed
+  /// by index (not lane) stay deterministic. If any body throws, the
+  /// first exception is rethrown here after all lanes quiesce (see the
+  /// file comment).
   void for_each_dynamic(
       std::size_t count,
       const std::function<void(std::size_t, std::size_t)>& body);
 
+  /// for_each_dynamic for a body that takes no lane id.
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& body);
+
  private:
-  struct Task {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    const std::function<void(std::size_t)>* body = nullptr;
-  };
+  using Body = std::function<void(std::size_t, std::size_t)>;
 
   void worker_loop(std::size_t worker_index);
+  /// Pulls and runs indices of the current job as `lane` until the
+  /// counter passes `count` or some lane has thrown; a throw is captured.
+  void pull(std::size_t lane, std::size_t count, const Body& body) noexcept;
   /// Captures std::current_exception() as the invocation's error (first
   /// writer wins) and raises the stop flag other lanes poll.
   void record_error() noexcept;
@@ -93,16 +88,14 @@ class ThreadPool {
   std::mutex entry_mutex_;       // one driving caller at a time
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
-  std::vector<Task> tasks_;      // one slot per worker (static mode)
   std::size_t generation_ = 0;   // bumped per parallel call
   std::size_t pending_ = 0;      // workers still running this generation
   bool stop_ = false;
 
-  // Dynamic-mode state, valid while dyn_active_.
-  bool dyn_active_ = false;
-  std::size_t dyn_count_ = 0;
-  const std::function<void(std::size_t, std::size_t)>* dyn_body_ = nullptr;
-  std::atomic<std::size_t> dyn_next_{0};
+  // The current job, published under mutex_ with each generation.
+  std::size_t job_count_ = 0;
+  const Body* job_body_ = nullptr;
+  std::atomic<std::size_t> next_index_{0};
 
   // Error capture, cleared per invocation (guarded by error_mutex_; the
   // flag is the lock-free fast-path poll).

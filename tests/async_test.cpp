@@ -24,15 +24,6 @@ SimConfig async_cfg(std::uint32_t max_delay, std::uint64_t seed = 0x5eed) {
   return cfg;
 }
 
-Hierarchy sampled_hierarchy(NodeId n, std::uint32_t k, std::uint64_t seed) {
-  Hierarchy h = Hierarchy::sample(n, k, seed);
-  std::uint64_t bump = 1;
-  while (!h.top_level_nonempty()) {
-    h = Hierarchy::sample(n, k, seed + bump++);
-  }
-  return h;
-}
-
 TEST(Async, MultiSourceBfExactUnderDelays) {
   const Graph g = erdos_renyi(80, 0.06, {1, 15}, 4);
   const std::vector<NodeId> sources{1, 33, 77};
@@ -67,7 +58,7 @@ TEST(Async, DelaysStretchRoundCount) {
 
 TEST(Async, TzOracleLabelsIdenticalUnderDelays) {
   const Graph g = erdos_renyi(80, 0.07, {1, 9}, 9);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 3, 5);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 5);
   const auto sync = build_tz_distributed(g, h, TerminationMode::kOracle);
   const auto async =
       build_tz_distributed(g, h, TerminationMode::kOracle, async_cfg(4));
@@ -81,7 +72,7 @@ TEST(Async, TzEchoTerminationCorrectUnderDelaysAndReordering) {
   // accounting and the COMPLETE convergecast must not rely on round
   // synchronization or FIFO links.
   const Graph g = erdos_renyi(70, 0.08, {1, 9}, 13);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 3, 7);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 7);
   const auto central = build_tz_centralized(g, h);
   const auto async =
       build_tz_distributed(g, h, TerminationMode::kEcho, async_cfg(5));
@@ -107,7 +98,7 @@ TEST(Async, CdgDisseminationToleratesReordering) {
 
 TEST(Async, DeterministicForFixedSeed) {
   const Graph g = erdos_renyi(60, 0.08, {1, 5}, 21);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 2, 9);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 2, 9);
   const auto a =
       build_tz_distributed(g, h, TerminationMode::kEcho, async_cfg(4, 42));
   const auto b =
@@ -118,7 +109,7 @@ TEST(Async, DeterministicForFixedSeed) {
 
 TEST(Async, DifferentDelaySeedsSameLabels) {
   const Graph g = grid2d(7, 7, {1, 9}, 2);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 2, 3);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 2, 3);
   const auto a =
       build_tz_distributed(g, h, TerminationMode::kEcho, async_cfg(4, 1));
   const auto b =
@@ -135,7 +126,7 @@ class AsyncSweep
 TEST_P(AsyncSweep, EchoLabelsMatchCentralizedAcrossDelays) {
   const auto [max_delay, seed] = GetParam();
   const Graph g = random_graph_nm(60, 140, {1, 9}, seed);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 2, seed + 11);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 2, seed + 11);
   const auto central = build_tz_centralized(g, h);
   const auto async = build_tz_distributed(g, h, TerminationMode::kEcho,
                                           async_cfg(max_delay, seed));

@@ -23,17 +23,11 @@
 namespace dsketch {
 namespace {
 
-Hierarchy usable_hierarchy(NodeId n, std::uint32_t k, std::uint64_t seed) {
-  Hierarchy h = Hierarchy::sample(n, k, seed);
-  while (!h.top_level_nonempty()) h = Hierarchy::sample(n, k, ++seed);
-  return h;
-}
-
 class TzUnderFaults : public ::testing::Test {
  protected:
   TzUnderFaults()
       : g_(erdos_renyi(90, 0.07, {1, 5}, 53)),
-        h_(usable_hierarchy(g_.num_nodes(), 2, 54)),
+        h_(Hierarchy::sample(g_.num_nodes(), 2, 54)),
         central_(build_tz_centralized(g_, h_)) {}
 
   FaultConfig lossy_config() const {

@@ -68,6 +68,23 @@ TEST(Hierarchy, DeterministicForSeed) {
   }
 }
 
+TEST(Hierarchy, SampleRedrawsUntilTheTopLevelIsNonempty) {
+  // n = 5, k = 5: a node reaches A_4 with probability 5^{-4/5} ~ 0.28,
+  // so about a fifth of first draws leave the top level empty. A
+  // re-drawn seed s continues with s + 1, so it equals seed s + 1.
+  std::size_t redrawn = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Hierarchy h = Hierarchy::sample(5, 5, seed);
+    EXPECT_TRUE(h.top_level_nonempty());
+    const Hierarchy next = Hierarchy::sample(5, 5, seed + 1);
+    bool same = true;
+    for (NodeId u = 0; u < 5; ++u) same &= h.level_of(u) == next.level_of(u);
+    redrawn += same ? 1 : 0;
+  }
+  EXPECT_GT(redrawn, 0u);
+  EXPECT_EQ(Hierarchy::sample(0, 3, 1).n(), 0u);
+}
+
 TEST(Hierarchy, TopLevelEmptinessDetected) {
   // k=2 over a single ground node with p=0: top level must be empty.
   const Hierarchy h = Hierarchy::sample_on_subset(5, 2, {0}, 0.0, 1);

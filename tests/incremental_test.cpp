@@ -4,10 +4,10 @@
 
 #include <memory>
 
-#include "dynamics/failure_model.hpp"
 #include "dynamics/update_stream.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
+#include "sketch/stretch_eval.hpp"
 #include "util/rng.hpp"
 
 namespace dsketch {
@@ -184,9 +184,9 @@ TEST(TzDynamicSketch, DeletesAreUnrepairableUntilRebuild) {
 
   // The stale sketch underestimates on the degraded graph ...
   const auto stale = sketch.snapshot();
-  const StalenessReport before = evaluate_staleness(
-      stream.graph(),
-      [&stale](NodeId u, NodeId v) { return stale->query(u, v); }, 8, 3);
+  const StretchReport before =
+      evaluate_stretch(stream.graph(), SampledGroundTruth(stream.graph(), 8, 3),
+                       *stale, {});
   // (12 deletions from a 48-node graph: some estimate should now route
   // through a dead edge — if not, the graph was too redundant and the
   // test would be vacuous.)
@@ -237,8 +237,12 @@ TEST(RebuildPolicy, ProbeTriggersOnUnderestimateRate) {
   const Graph g = base_graph();
   TzDynamicSketch sketch(g, 2, 7);
   const auto stale = sketch.snapshot();
-  const FailurePlan plan = sample_edge_failures(g, 0.3, 5);
-  const Graph degraded = apply_failures(g, plan);
+  UpdateStream failures(
+      g, {.insert_weight = 0, .reweight_weight = 0, .seed = 5});
+  while (failures.applied() < static_cast<std::uint64_t>(0.3 * g.num_edges())) {
+    ASSERT_EQ(failures.next().kind, UpdateKind::kDelete);
+  }
+  const Graph& degraded = failures.graph();
 
   RebuildPolicyConfig cfg;
   cfg.max_underestimate_rate = 1e-6;

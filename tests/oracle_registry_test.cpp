@@ -310,10 +310,7 @@ TEST(OracleEnvelope, MalformedHeaderThrows) {
 TEST(Serialization, TzLabelsRoundTrip) {
   // In-network TZ labels survive save and load record for record.
   const Graph g = erdos_renyi(60, 0.08, {1, 9}, 3);
-  Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 5);
-  for (std::uint64_t bump = 1; !h.top_level_nonempty(); ++bump) {
-    h = Hierarchy::sample(g.num_nodes(), 3, 5 + bump);
-  }
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 5);
   const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
   const LoadedOracle loaded = reload(
       SketchStore::from_oracle(TzLabelOracle(r.labels, 3)));
@@ -386,10 +383,7 @@ TEST(Serialization, LoadsHeadersWithoutEpsilonField) {
   // does not reject the file against the unrecorded value.
   const Graph g = test_graph();
   const std::uint32_t k = 3;
-  Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 42);
-  for (std::uint64_t bump = 1; !h.top_level_nonempty(); ++bump) {
-    h = Hierarchy::sample(g.num_nodes(), k, 42 + bump);
-  }
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 42);
   const TzLabelOracle labels(build_tz_centralized(g, h), k);
   const LoadedOracle loaded = reload(SketchStore::from_oracle(labels));
   EXPECT_EQ(loaded.envelope.scheme, "tz");

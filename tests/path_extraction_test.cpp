@@ -10,18 +10,9 @@
 namespace dsketch {
 namespace {
 
-Hierarchy sampled_hierarchy(NodeId n, std::uint32_t k, std::uint64_t seed) {
-  Hierarchy h = Hierarchy::sample(n, k, seed);
-  std::uint64_t bump = 1;
-  while (!h.top_level_nonempty()) {
-    h = Hierarchy::sample(n, k, seed + bump++);
-  }
-  return h;
-}
-
 TEST(PathExtraction, RouteToBunchMemberIsExactShortestPath) {
   const Graph g = erdos_renyi(80, 0.07, {1, 9}, 5);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 3, 7);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 7);
   const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 3) {
@@ -41,7 +32,7 @@ TEST(PathExtraction, RouteToBunchMemberIsExactShortestPath) {
 
 TEST(PathExtraction, SelfRouteIsTrivial) {
   const Graph g = ring(12, {1, 3}, 1);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 2, 3);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 2, 3);
   const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
   const auto path = route_to_target(g, r.routing, 4, 4);
   EXPECT_EQ(path, std::vector<NodeId>{4});
@@ -49,7 +40,7 @@ TEST(PathExtraction, SelfRouteIsTrivial) {
 
 TEST(PathExtraction, EndToEndPathMatchesQueryEstimate) {
   const Graph g = erdos_renyi(100, 0.06, {1, 9}, 11);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 3, 13);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 13);
   const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
   for (NodeId u = 0; u < g.num_nodes(); u += 4) {
     for (NodeId v = u + 1; v < g.num_nodes(); v += 5) {
@@ -67,7 +58,7 @@ TEST(PathExtraction, EndToEndPathMatchesQueryEstimate) {
 TEST(PathExtraction, PathStretchBounded) {
   const std::uint32_t k = 3;
   const Graph g = grid2d(9, 9, {1, 12}, 3);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), k, 5);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 5);
   const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 5) {
@@ -82,7 +73,7 @@ TEST(PathExtraction, PathStretchBounded) {
 
 TEST(PathExtraction, WitnessIsInBothBunchesOrPivotChain) {
   const Graph g = random_tree(60, {1, 7}, 9);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 2, 11);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 2, 11);
   const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
   const ApproxPath p = extract_approximate_path(g, r.labels, r.routing, 3, 42);
   ASSERT_NE(p.witness, kInvalidNode);
@@ -93,7 +84,7 @@ TEST(PathExtraction, WitnessIsInBothBunchesOrPivotChain) {
 
 TEST(PathExtraction, SameNode) {
   const Graph g = ring(10, {1, 1}, 0);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 2, 1);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 2, 1);
   const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
   const ApproxPath p = extract_approximate_path(g, r.labels, r.routing, 5, 5);
   EXPECT_EQ(p.nodes, std::vector<NodeId>{5});
@@ -107,7 +98,7 @@ class PathExtractionSweep
 TEST_P(PathExtractionSweep, RealizedPathsAcrossModes) {
   const auto [k, seed, mode] = GetParam();
   const Graph g = random_graph_nm(70, 170, {1, 11}, seed);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), k, seed + 3);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, seed + 3);
   const auto r = build_tz_distributed(g, h, mode);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 6) {

@@ -146,20 +146,6 @@ TEST(QueryService, SymmetricOracleCachesCanonically) {
   }
   // Every reverse-orientation query must have hit the forward entry.
   EXPECT_EQ(service.stats().cache_hits, pairs);
-
-  // The pre-fix behavior (ordered keys) misses every reverse query —
-  // kept reachable via force_ordered_keys so the delta stays measurable.
-  QueryService ordered(oracle, {.shards = 4,
-                                .threads = 1,
-                                .cache_capacity = 4096,
-                                .force_ordered_keys = true});
-  for (NodeId u = 0; u < g.num_nodes(); u += 3) {
-    for (NodeId v = u + 1; v < g.num_nodes(); v += 5) {
-      ordered.query(u, v);
-      ordered.query(v, u);
-    }
-  }
-  EXPECT_EQ(ordered.stats().cache_hits, 0u);
 }
 
 TEST(QueryService, AsymmetricOracleKeepsOrderedKeys) {
@@ -257,8 +243,7 @@ TEST(QueryService, AutoShardCountScalesWithThreads) {
   QueryService small(store, {.shards = 0, .threads = 1});
   EXPECT_GE(small.num_shards(), 8u);
   QueryService wide(store, {.shards = 0, .threads = 6});
-  // parallel_for runs counts < 2*lanes serially; auto-sharding must stay
-  // above that threshold so the pool actually engages.
+  // Auto-sharding keeps a few shards per lane so pulls stay balanced.
   EXPECT_GE(wide.num_shards(), 2 * wide.num_threads());
 }
 

@@ -477,10 +477,7 @@ TEST(SketchStoreProvenance, UnknownEpsilonSurvivesConversion) {
   // a fabricated epsilon claim; a built store keeps its recorded one.
   const Graph g = ring(24, {1, 3}, 6);
   const std::uint32_t k = 2;
-  Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 7);
-  for (std::uint64_t bump = 1; !h.top_level_nonempty(); ++bump) {
-    h = Hierarchy::sample(g.num_nodes(), k, 7 + bump);
-  }
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 7);
   const SketchStore unknown = SketchStore::from_oracle(
       TzLabelOracle(build_tz_centralized(g, h), k));
   BuildConfig cfg;
@@ -511,11 +508,7 @@ TEST(SketchStorePacking, TzLabelOraclePacksAndAnswersIdentically) {
   // sketch snapshot) must pack into the store and answer bit-identically.
   const Graph g = erdos_renyi(70, 0.08, {1, 9}, 41);
   const std::uint32_t k = 3;
-  Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 42);
-  std::uint64_t bump = 1;
-  while (!h.top_level_nonempty()) {
-    h = Hierarchy::sample(g.num_nodes(), k, 42 + bump++);
-  }
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 42);
   const LabelArena labels = build_tz_centralized(g, h);
   const TzLabelOracle oracle(labels, k);
   const SketchStore store = SketchStore::from_oracle(oracle);
@@ -537,11 +530,7 @@ TEST(SketchStorePacking, TzLabelOraclePacksAndAnswersIdentically) {
 TEST(SketchStorePacking, TzLabelStoreSurvivesBinaryRoundTrip) {
   const Graph g = grid2d(6, 6, {1, 5}, 43);
   const std::uint32_t k = 2;
-  Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 44);
-  std::uint64_t bump = 1;
-  while (!h.top_level_nonempty()) {
-    h = Hierarchy::sample(g.num_nodes(), k, 44 + bump++);
-  }
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 44);
   const TzLabelOracle oracle(build_tz_centralized(g, h), k);
   const SketchStore store = SketchStore::from_oracle(oracle);
   std::stringstream ss;

@@ -10,18 +10,9 @@
 namespace dsketch {
 namespace {
 
-Hierarchy sampled_hierarchy(NodeId n, std::uint32_t k, std::uint64_t seed) {
-  Hierarchy h = Hierarchy::sample(n, k, seed);
-  std::uint64_t bump = 1;
-  while (!h.top_level_nonempty()) {
-    h = Hierarchy::sample(n, k, seed + bump++);
-  }
-  return h;
-}
-
 TEST(Spanner, EdgesAreSubsetOfGraph) {
   const Graph g = erdos_renyi(100, 0.08, {1, 9}, 3);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 3, 5);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 5);
   std::unordered_set<std::uint64_t> original;
   for (const Edge& e : g.edges()) {
     original.insert((static_cast<std::uint64_t>(e.u) << 32) | e.v);
@@ -36,7 +27,7 @@ TEST(Spanner, KEqualsOneKeepsShortestPathDag) {
   // k=1: clusters are all of V, so the spanner holds a full shortest path
   // tree per node — exact distances survive.
   const Graph g = grid2d(6, 6, {1, 7}, 2);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 1, 1);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 1, 1);
   const Graph sp = spanner_graph(g, h);
   for (NodeId u = 0; u < g.num_nodes(); u += 5) {
     const auto dg = dijkstra(g, u);
@@ -47,14 +38,14 @@ TEST(Spanner, KEqualsOneKeepsShortestPathDag) {
 
 TEST(Spanner, SparserThanOriginalOnDenseGraphs) {
   const Graph g = erdos_renyi(300, 0.2, {1, 9}, 7);  // dense
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 3, 9);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 9);
   const auto spanner = extract_spanner(g, h);
   EXPECT_LT(spanner.size(), g.num_edges() / 2);
 }
 
 TEST(Spanner, ConnectedResult) {
   const Graph g = erdos_renyi(150, 0.06, {1, 9}, 11);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 4, 13);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 4, 13);
   EXPECT_TRUE(spanner_graph(g, h).connected());
 }
 
@@ -65,7 +56,7 @@ class SpannerStretchSweep
 TEST_P(SpannerStretchSweep, StretchBounded) {
   const auto [k, seed] = GetParam();
   const Graph g = random_graph_nm(120, 400, {1, 11}, seed);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), k, seed + 5);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, seed + 5);
   const Graph sp = spanner_graph(g, h);
   for (NodeId u = 0; u < g.num_nodes(); u += 7) {
     const auto dg = dijkstra(g, u);

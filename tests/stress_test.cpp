@@ -16,8 +16,7 @@ namespace {
 TEST(Stress, TzAtFourThousandNodes) {
   const NodeId n = 4096;
   const Graph g = erdos_renyi(n, 6.0 / n, {1, 16}, 99);
-  Hierarchy h = Hierarchy::sample(n, 4, 7);
-  while (!h.top_level_nonempty()) h = Hierarchy::sample(n, 4, 8);
+  const Hierarchy h = Hierarchy::sample(n, 4, 7);
   SimConfig cfg;
   cfg.threads = 0;  // use all cores
   const auto r = build_tz_distributed(g, h, TerminationMode::kOracle, cfg);
@@ -44,8 +43,7 @@ TEST(Stress, TzAtFourThousandNodes) {
 TEST(Stress, EchoTerminationAtTwoThousandNodes) {
   const NodeId n = 2048;
   const Graph g = barabasi_albert(n, 3, {1, 8}, 5);
-  Hierarchy h = Hierarchy::sample(n, 3, 11);
-  while (!h.top_level_nonempty()) h = Hierarchy::sample(n, 3, 12);
+  const Hierarchy h = Hierarchy::sample(n, 3, 11);
   const auto echo = build_tz_distributed(g, h, TerminationMode::kEcho);
   const auto oracle = build_tz_distributed(g, h, TerminationMode::kOracle);
   ASSERT_EQ(echo.labels.num_nodes(), n);

@@ -55,6 +55,22 @@ TEST(EvaluateStretch, CountsUnreachable) {
   EXPECT_EQ(report.all.count(), 0u);
 }
 
+TEST(EvaluateStretch, UnderestimateRateDividesByScoredPairs) {
+  EXPECT_EQ(StretchReport{}.underestimate_rate(), 0.0);
+  const Graph g = ring(20, {2, 2}, 0);
+  const SampledGroundTruth gt(g, 5, 1);
+  // Unreachable answers are not scored: no pair, no rate.
+  const auto none = evaluate_stretch(
+      g, gt, [&](NodeId, NodeId) { return kInfDist; }, {});
+  EXPECT_EQ(none.all.count(), 0u);
+  EXPECT_EQ(none.underestimate_rate(), 0.0);
+  // Every pair is at distance >= 2, so answering 1 underestimates all.
+  const auto all_low = evaluate_stretch(
+      g, gt, [&](NodeId, NodeId) -> Dist { return 1; }, {});
+  EXPECT_EQ(all_low.underestimates, all_low.all.count());
+  EXPECT_DOUBLE_EQ(all_low.underestimate_rate(), 1.0);
+}
+
 TEST(EvaluateStretch, FarNearSplitPartitions) {
   const Graph g = erdos_renyi(80, 0.08, {1, 9}, 5);
   const SampledGroundTruth gt(g, 8, 3);

@@ -10,19 +10,10 @@
 namespace dsketch {
 namespace {
 
-Hierarchy sampled_hierarchy(NodeId n, std::uint32_t k, std::uint64_t seed) {
-  Hierarchy h = Hierarchy::sample(n, k, seed);
-  std::uint64_t bump = 1;
-  while (!h.top_level_nonempty()) {
-    h = Hierarchy::sample(n, k, seed + bump++);
-  }
-  return h;
-}
-
 TEST(TzDistributed, OracleStretchAndSoundness) {
   const std::uint32_t k = 3;
   const Graph g = erdos_renyi(100, 0.06, {1, 9}, 21);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), k, 5);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 5);
   const TzDistributedResult r =
       build_tz_distributed(g, h, TerminationMode::kOracle);
   const ExactOracle oracle(g);
@@ -39,7 +30,7 @@ TEST(TzDistributed, OracleStretchAndSoundness) {
 
 TEST(TzDistributed, PhaseEndRoundsMonotone) {
   const Graph g = grid2d(8, 8, {1, 4}, 2);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 3, 9);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 9);
   const TzDistributedResult r =
       build_tz_distributed(g, h, TerminationMode::kOracle);
   ASSERT_EQ(r.phase_end_rounds.size(), 3u);
@@ -49,7 +40,7 @@ TEST(TzDistributed, PhaseEndRoundsMonotone) {
 
 TEST(TzDistributed, EchoModeProducesSameLabelsAsOracle) {
   const Graph g = erdos_renyi(80, 0.07, {1, 7}, 33);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 3, 11);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 11);
   const auto oracle_run =
       build_tz_distributed(g, h, TerminationMode::kOracle);
   const auto echo_run = build_tz_distributed(g, h, TerminationMode::kEcho);
@@ -63,7 +54,7 @@ TEST(TzDistributed, EchoModeProducesSameLabelsAsOracle) {
 TEST(TzDistributed, EchoOverheadIsModest) {
   // §3.3: echoes double messages; COMPLETE/START add O(n + D) per phase.
   const Graph g = erdos_renyi(120, 0.05, {1, 5}, 8);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 2, 3);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 2, 3);
   const auto oracle_run =
       build_tz_distributed(g, h, TerminationMode::kOracle);
   const auto echo_run = build_tz_distributed(g, h, TerminationMode::kEcho);
@@ -76,14 +67,14 @@ TEST(TzDistributed, RoundsScaleWithShortestPathDiameter) {
   // On a path (S = n-1) with k=1 the construction floods every source
   // through every node; rounds must be >= S.
   const Graph g = path(60, {1, 1}, 0);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 1, 1);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 1, 1);
   const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
   EXPECT_GE(r.stats.rounds, 59u);
 }
 
 TEST(TzDistributed, KEqualsOneLearnsExactDistances) {
   const Graph g = random_tree(50, {1, 9}, 12);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 1, 1);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 1, 1);
   const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -96,7 +87,7 @@ TEST(TzDistributed, KEqualsOneLearnsExactDistances) {
 
 TEST(TzDistributed, WeightedGraphEchoMode) {
   const Graph g = grid2d(6, 6, {1, 20}, 15);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 2, 2);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 2, 2);
   const auto r = build_tz_distributed(g, h, TerminationMode::kEcho);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 2) {
@@ -111,7 +102,7 @@ TEST(TzDistributed, WeightedGraphEchoMode) {
 
 TEST(TzDistributed, ExhaustiveQueryNeverWorseAndStillSound) {
   const Graph g = erdos_renyi(120, 0.05, {1, 9}, 27);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 3, 15);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 15);
   const auto r = build_tz_distributed(g, h, TerminationMode::kOracle);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 3) {
@@ -132,7 +123,7 @@ class TzDistributedSweep
 TEST_P(TzDistributedSweep, StretchBoundAcrossTopologiesAndModes) {
   const auto [k, seed, mode] = GetParam();
   const Graph g = random_graph_nm(70, 170, {1, 11}, seed);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), k, seed + 100);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, seed + 100);
   const auto r = build_tz_distributed(g, h, mode);
   const ExactOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 3) {

@@ -22,15 +22,6 @@
 namespace dsketch {
 namespace {
 
-Hierarchy sampled_hierarchy(NodeId n, std::uint32_t k, std::uint64_t seed) {
-  Hierarchy h = Hierarchy::sample(n, k, seed);
-  std::uint64_t bump = 1;
-  while (!h.top_level_nonempty()) {
-    h = Hierarchy::sample(n, k, seed + bump++);
-  }
-  return h;
-}
-
 void expect_equal_labels(const LabelArena& a, const LabelArena& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   for (NodeId u = 0; u < a.num_nodes(); ++u) {
@@ -81,7 +72,7 @@ class EquivalenceSweep
 TEST_P(EquivalenceSweep, DistributedOracleEqualsCentralized) {
   const auto [k, seed] = GetParam();
   for (auto& c : topologies(seed)) {
-    const Hierarchy h = sampled_hierarchy(c.graph.num_nodes(), k, seed + 7);
+    const Hierarchy h = Hierarchy::sample(c.graph.num_nodes(), k, seed + 7);
     const auto central = build_tz_centralized(c.graph, h);
     const auto distributed =
         build_tz_distributed(c.graph, h, TerminationMode::kOracle);
@@ -93,7 +84,7 @@ TEST_P(EquivalenceSweep, DistributedOracleEqualsCentralized) {
 TEST_P(EquivalenceSweep, DistributedEchoEqualsCentralized) {
   const auto [k, seed] = GetParam();
   for (auto& c : topologies(seed)) {
-    const Hierarchy h = sampled_hierarchy(c.graph.num_nodes(), k, seed + 7);
+    const Hierarchy h = Hierarchy::sample(c.graph.num_nodes(), k, seed + 7);
     const auto central = build_tz_centralized(c.graph, h);
     const auto distributed =
         build_tz_distributed(c.graph, h, TerminationMode::kEcho);
@@ -105,7 +96,7 @@ TEST_P(EquivalenceSweep, DistributedEchoEqualsCentralized) {
 TEST_P(EquivalenceSweep, DistributedKnownSEqualsCentralized) {
   const auto [k, seed] = GetParam();
   for (auto& c : topologies(seed)) {
-    const Hierarchy h = sampled_hierarchy(c.graph.num_nodes(), k, seed + 7);
+    const Hierarchy h = Hierarchy::sample(c.graph.num_nodes(), k, seed + 7);
     const auto central = build_tz_centralized(c.graph, h);
     const auto distributed =
         build_tz_distributed(c.graph, h, TerminationMode::kKnownS);
@@ -138,7 +129,7 @@ TEST(Disconnected, AllTerminationModesMatchCentralized) {
   const Graph g = disjoint_union(parts, /*isolated=*/3);
   for (const std::uint32_t k : {1u, 2u, 3u}) {
     SCOPED_TRACE("k=" + std::to_string(k));
-    const Hierarchy h = sampled_hierarchy(g.num_nodes(), k, 21);
+    const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 21);
     const auto central = build_tz_centralized(g, h);
     const auto oracle =
         build_tz_distributed(g, h, TerminationMode::kOracle);
@@ -171,7 +162,7 @@ TEST(Determinism, ByteIdenticalAcrossWorkerThreadsAndReruns) {
   // across reruns. 300 nodes keeps the active set above the parallelism
   // threshold so the threaded paths genuinely engage.
   const Graph g = erdos_renyi(300, 0.04, {1, 9}, 77);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 3, 78);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 78);
   SimConfig base;
   base.threads = 1;
   const auto reference =
@@ -194,7 +185,7 @@ TEST(Determinism, ByteIdenticalAcrossWorkerThreadsAndReruns) {
 
 TEST(Determinism, OracleAndKnownSModesAcrossThreadCounts) {
   const Graph g = barabasi_albert(250, 3, {1, 6}, 31);
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), 2, 32);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 2, 32);
   for (const TerminationMode mode :
        {TerminationMode::kOracle, TerminationMode::kKnownS}) {
     SimConfig base;
@@ -219,7 +210,7 @@ TEST(ServePath, DistributedBuildPackServeMatchesCentralized) {
   // the centralized labels.
   const Graph g = erdos_renyi(120, 0.05, {1, 9}, 91);
   const std::uint32_t k = 3;
-  const Hierarchy h = sampled_hierarchy(g.num_nodes(), k, 92);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 92);
   const auto central = build_tz_centralized(g, h);
   SimConfig cfg;
   cfg.threads = 2;

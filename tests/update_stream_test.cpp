@@ -2,16 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "graph/generators.hpp"
+#include "graph/shortest_paths.hpp"
+#include "serve/sketch_store.hpp"
+#include "sketch/stretch_eval.hpp"
 
 namespace dsketch {
 namespace {
 
 Graph base_graph(NodeId n = 64) { return erdos_renyi(n, 0.1, {1, 9}, 11); }
+
+UpdateStreamConfig delete_only(std::uint64_t seed) {
+  return {.insert_weight = 0, .reweight_weight = 0, .seed = seed};
+}
+
+/// E11's edge-failure model: advances a delete-only stream to
+/// floor(fraction x m) failed edges of `g`, stopping early once only a
+/// spanning tree is left. Every update must delete one edge and keep
+/// the graph connected (so no bridge ever fails).
+void fail_edges(UpdateStream& stream, const Graph& g, double fraction) {
+  const auto target = static_cast<std::uint64_t>(
+      fraction * static_cast<double>(g.num_edges()));
+  while (stream.applied() < target &&
+         stream.graph().num_edges() >= g.num_nodes()) {
+    const std::size_t before = stream.graph().num_edges();
+    ASSERT_EQ(stream.next().kind, UpdateKind::kDelete);
+    ASSERT_EQ(stream.graph().num_edges(), before - 1);
+    ASSERT_TRUE(stream.graph().connected());
+  }
+}
 
 std::uint64_t pair_key(NodeId u, NodeId v) {
   if (u > v) std::swap(u, v);
@@ -149,6 +173,22 @@ TEST(UpdateStream, InfeasibleKindFallsThrough) {
   }
 }
 
+TEST(UpdateStream, DeletesDrawWithoutReplacementPastBridges) {
+  // A 200-node path plus the chord (197, 199): only the triangle's three
+  // edges may be deleted. Independent rerolls mostly miss them; drawing
+  // without replacement finds one on every seed.
+  std::vector<Edge> edges = path(200, {1, 5}, 1).edges();
+  edges.push_back({197, 199, 3});
+  const Graph g = Graph::from_edges(200, edges);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    UpdateStream stream(g, delete_only(seed));
+    const EdgeUpdate update = stream.next();
+    EXPECT_EQ(update.kind, UpdateKind::kDelete) << "seed " << seed;
+    EXPECT_GE(std::min(update.u, update.v), 197u) << "seed " << seed;
+    EXPECT_TRUE(stream.graph().connected());
+  }
+}
+
 TEST(UpdateStream, DistanceDecreaseClassification) {
   EdgeUpdate insert{UpdateKind::kInsert, 0, 1, 5, 0};
   EdgeUpdate del{UpdateKind::kDelete, 0, 1, 0, 5};
@@ -162,6 +202,90 @@ TEST(UpdateStream, DistanceDecreaseClassification) {
   EXPECT_STREQ(update_kind_name(UpdateKind::kDelete), "delete");
   EXPECT_STREQ(update_kind_name(UpdateKind::kReweight), "reweight");
 }
+
+TEST(FailureModel, PlanRespectsFractionAndConnectivity) {
+  const Graph g = erdos_renyi(200, 0.05, {1, 9}, 3);
+  UpdateStream stream(g, delete_only(7));
+  fail_edges(stream, g, 0.2);
+  EXPECT_EQ(stream.applied(), static_cast<std::uint64_t>(
+                                 0.2 * static_cast<double>(g.num_edges())));
+  EXPECT_GT(stream.applied(), 0u);
+  EXPECT_EQ(stream.graph().num_edges(), g.num_edges() - stream.applied());
+}
+
+TEST(FailureModel, BridgesSurvive) {
+  // A path: every edge is a bridge, so the delete-only stream cannot
+  // delete and falls through to another kind.
+  const Graph g = path(30, {1, 5}, 1);
+  UpdateStream stream(g, delete_only(3));
+  EXPECT_NE(stream.next().kind, UpdateKind::kDelete);
+  EXPECT_TRUE(stream.graph().connected());
+  EXPECT_GE(stream.graph().num_edges(), g.num_edges());
+}
+
+TEST(FailureModel, DistancesOnlyGrowAfterFailures) {
+  const Graph g = erdos_renyi(100, 0.08, {1, 9}, 9);
+  UpdateStream stream(g, delete_only(5));
+  fail_edges(stream, g, 0.3);
+  const auto before = dijkstra(g, 0);
+  const auto after = dijkstra(stream.graph(), 0);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_GE(after[v], before[v]);
+  }
+}
+
+TEST(FailureModel, StaleSketchesUnderestimateAfterChurn) {
+  // The point of E11: stale sketches lose the one-sided guarantee.
+  const Graph g = erdos_renyi(200, 0.05, {1, 9}, 13);
+  BuildConfig cfg;
+  cfg.scheme = Scheme::kThorupZwick;
+  cfg.k = 2;
+  const SketchStore sketches(g, cfg);  // built on the healthy graph
+  UpdateStream stream(g, delete_only(3));
+  fail_edges(stream, g, 0.3);
+  const Graph& degraded = stream.graph();
+  const StretchReport report = evaluate_stretch(
+      degraded, SampledGroundTruth(degraded, 10, 7), sketches, {});
+  EXPECT_GT(report.all.count(), 0u);
+  // Some pair's estimate now routes through a dead edge.
+  EXPECT_GT(report.underestimates, 0u);
+}
+
+TEST(FailureModel, RebuiltSketchesRestoreGuarantee) {
+  const Graph g = erdos_renyi(150, 0.06, {1, 9}, 17);
+  UpdateStream stream(g, delete_only(9));
+  fail_edges(stream, g, 0.25);
+  const Graph& degraded = stream.graph();
+  BuildConfig cfg;
+  cfg.scheme = Scheme::kThorupZwick;
+  cfg.k = 2;
+  const SketchStore rebuilt(degraded, cfg);
+  const StretchReport report = evaluate_stretch(
+      degraded, SampledGroundTruth(degraded, 10, 7), rebuilt, {});
+  EXPECT_EQ(report.underestimates, 0u);
+  EXPECT_LE(report.max_stretch(), 3.0);
+}
+
+class FailureSweep : public ::testing::TestWithParam<double> {};
+
+TEST_P(FailureSweep, DegradedGraphStaysConnected) {
+  const double fraction = GetParam();
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const Graph g = random_graph_nm(120, 360, {1, 9}, seed);
+    UpdateStream stream(g, delete_only(seed + 5));
+    fail_edges(stream, g, fraction);
+    // Down to floor(fraction x m) edges failed, but never below a
+    // spanning tree (at 0.7 the stream stops at n - 1 edges).
+    const auto target = static_cast<std::size_t>(
+        fraction * static_cast<double>(g.num_edges()));
+    EXPECT_EQ(stream.graph().num_edges(),
+              std::max<std::size_t>(g.num_edges() - target,
+                                    g.num_nodes() - 1));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fractions, FailureSweep,
+                         ::testing::Values(0.05, 0.2, 0.5, 0.7));
 
 }  // namespace
 }  // namespace dsketch

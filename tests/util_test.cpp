@@ -187,14 +187,14 @@ TEST(ThreadPool, WorkerExceptionRethrownAtJoin) {
 }
 
 TEST(ThreadPool, CallerExceptionRethrownAfterWorkersQuiesce) {
-  // Index 0 always runs on the calling thread's chunk (static split): the
-  // caller-side throw must still wait for the workers before rethrowing.
+  // Index 0 is pulled first, usually by the calling thread: whichever lane
+  // throws, the rethrow must still wait for the other lanes to quiesce.
   ThreadPool pool(4);
   std::atomic<int> done{0};
   const auto boom = [&](std::size_t i) {
     if (i == 0) {
-      // Wait until a worker lane has made progress so the rethrow really
-      // races against in-flight workers, then throw from the caller chunk.
+      // Wait until another lane has made progress so the rethrow really
+      // races against in-flight lanes, then throw.
       while (done.load() == 0) std::this_thread::yield();
       throw std::runtime_error("caller boom");
     }

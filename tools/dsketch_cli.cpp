@@ -96,7 +96,7 @@ int usage() {
                "--graph FILE --scheme NAME) "
                "[--queries N] [--batch B,B,...] [--threads T,T,...] "
                "[--shards S] [--cache C] [--workload uniform|zipf] "
-               "[--zipf-s S] [--hot-pairs H] [--mirror] [--ordered-keys] "
+               "[--zipf-s S] [--hot-pairs H] [--mirror] "
                "[--seed S] [--verify N] [--metrics-out FILE] "
                "[--trace-out FILE]\n"
                "  metrics-dump (--store FILE | --graph FILE --scheme NAME) "
@@ -222,16 +222,16 @@ int cmd_build(const FlagSet& flags) {
   std::unique_ptr<obs::RoundLog> round_log;
   const std::string scheme_name_flag = flags.get("scheme", std::string("tz"));
   if (flags.has("round-log")) {
-    const auto scheme_of = [](const std::string& name, Scheme& out) {
-      if (name == "tz") out = Scheme::kThorupZwick;
-      else if (name == "slack") out = Scheme::kSlack;
-      else if (name == "cdg") out = Scheme::kCdg;
-      else if (name == "graceful") out = Scheme::kGraceful;
-      else return false;
-      return true;
-    };
-    Scheme scheme;
-    if (!scheme_of(scheme_name_flag, scheme)) {
+    Scheme scheme = Scheme::kThorupZwick;
+    bool sketch_scheme = false;
+    for (const Scheme s : {Scheme::kThorupZwick, Scheme::kSlack, Scheme::kCdg,
+                           Scheme::kGraceful}) {
+      if (scheme_name_flag == scheme_name(s)) {
+        scheme = s;
+        sketch_scheme = true;
+      }
+    }
+    if (!sketch_scheme) {
       throw std::runtime_error("--round-log only applies to the sketch "
                                "schemes (tz|slack|cdg|graceful); scheme " +
                                scheme_name_flag + " runs no CONGEST rounds");
@@ -420,9 +420,6 @@ int cmd_serve_bench(const FlagSet& flags) {
       cfg.shards = static_cast<std::size_t>(shards);
       cfg.threads = static_cast<std::size_t>(threads);
       cfg.cache_capacity = static_cast<std::size_t>(cache);
-      // Debug A/B: measure the hit-rate cost of ordered cache keys on a
-      // symmetric oracle (the pre-canonical-key behavior).
-      cfg.force_ordered_keys = flags.get_bool("ordered-keys");
       QueryService service(*oracle, cfg);
       WorkloadGenerator gen(oracle->num_nodes(), wl);
 
@@ -707,10 +704,7 @@ int cmd_faults(const FlagSet& flags) {
         .emit(std::cout);
   }
 
-  Hierarchy h = Hierarchy::sample(g.num_nodes(), k, seed + 3);
-  for (std::uint64_t b = 1; !h.top_level_nonempty(); ++b) {
-    h = Hierarchy::sample(g.num_nodes(), k, seed + 3 + b);
-  }
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, seed + 3);
   SimConfig cfg;
   cfg.threads =
       static_cast<unsigned>(flags.get("sim-threads", std::int64_t{0}));
