@@ -3,9 +3,9 @@
 // termination detection (echo + COMPLETE convergecast) costs only a
 // constant factor over knowing S.
 //
-// Also runs the capacity ablation (DESIGN.md ✦): with per-edge capacity
-// disabled, round counts collapse, demonstrating the CONGEST constraint is
-// what the bound is made of.
+// Also runs the capacity ablation: with per-edge capacity disabled, round
+// counts collapse, demonstrating the CONGEST constraint is what the bound
+// is made of.
 //
 // Flags: --nmax (1024) caps the n sweep (the S sweep and the bandwidth
 // ablation run at min(512, nmax)), --k (3).

@@ -20,10 +20,10 @@
 // (no I/O) so they are unit-testable in isolation; the TZ protocol wires
 // their outputs to actual sends.
 //
-// Deviation from the paper, documented in DESIGN.md: we wait for echoes from
-// *all* neighbors of a broadcast (the paper excludes the trigger's sender,
-// which echoes immediately anyway); this costs at most one extra round per
-// record and simplifies matching.
+// Deviation from the paper: we wait for echoes from *all* neighbors of a
+// broadcast (the paper excludes the trigger's sender, which echoes
+// immediately anyway); this costs at most one extra round per record and
+// simplifies matching.
 #pragma once
 
 #include <cstdint>

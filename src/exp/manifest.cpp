@@ -440,6 +440,9 @@ graph = "er512"
 queries = 20000
 
 [[cell]]
+experiment = "e10"
+
+[[cell]]
 experiment = "e11"
 graph = "er512"
 sources = 8

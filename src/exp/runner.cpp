@@ -215,9 +215,11 @@ RunSummary run_manifest(const Manifest& manifest, const RunOptions& options) {
     jobs.push_back(std::move(job));
   }
 
-  // Dynamic work queue: heterogeneous cell runtimes make static chunking
-  // (ThreadPool::parallel_for) a poor fit, so workers pull the next
-  // pending job until the queue drains.
+  // Dynamic work queue on plain std::thread workers, each pulling the next
+  // pending job until the queue drains. Cells do not run as ThreadPool
+  // tasks: inside a pool task every nested parallel loop runs serially
+  // (tl_inside_pool), which would serialize the cells' own parallel
+  // builds and E12's service lanes.
   std::map<std::string, CellResult*> result_by_id;
   for (CellResult& r : summary.cells) result_by_id[r.id] = &r;
   std::atomic<std::size_t> next{0};

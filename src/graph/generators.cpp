@@ -143,21 +143,6 @@ Graph grid2d(NodeId rows, NodeId cols, WeightSpec weights,
   return b.build();
 }
 
-Graph torus2d(NodeId rows, NodeId cols, WeightSpec weights,
-              std::uint64_t seed) {
-  DS_CHECK(rows >= 2 && cols >= 2);
-  Rng rng(seed);
-  GraphBuilder b(rows * cols);
-  auto id = [cols](NodeId r, NodeId c) { return r * cols + c; };
-  for (NodeId r = 0; r < rows; ++r) {
-    for (NodeId c = 0; c < cols; ++c) {
-      b.add_edge(id(r, c), id(r, (c + 1) % cols), weights.sample(rng));
-      b.add_edge(id(r, c), id((r + 1) % rows, c), weights.sample(rng));
-    }
-  }
-  return b.build();
-}
-
 Graph ring(NodeId n, WeightSpec weights, std::uint64_t seed) {
   DS_CHECK(n >= 3);
   Rng rng(seed);
@@ -173,20 +158,6 @@ Graph path(NodeId n, WeightSpec weights, std::uint64_t seed) {
   Rng rng(seed);
   GraphBuilder b(n);
   for (NodeId i = 0; i + 1 < n; ++i) b.add_edge(i, i + 1, weights.sample(rng));
-  return b.build();
-}
-
-Graph hypercube(unsigned dim, WeightSpec weights, std::uint64_t seed) {
-  DS_CHECK(dim >= 1 && dim <= 20);
-  Rng rng(seed);
-  const NodeId n = NodeId{1} << dim;
-  GraphBuilder b(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (unsigned bit = 0; bit < dim; ++bit) {
-      const NodeId v = u ^ (NodeId{1} << bit);
-      if (v > u) b.add_edge(u, v, weights.sample(rng));
-    }
-  }
   return b.build();
 }
 
@@ -335,78 +306,6 @@ Graph caterpillar(NodeId spine, NodeId legs_per_node, Weight spine_weight,
     for (NodeId l = 0; l < legs_per_node; ++l) b.add_edge(i, next++, 1);
   }
   (void)rng;
-  return b.build();
-}
-
-Graph kary_tree(NodeId arity, NodeId levels, WeightSpec weights,
-                std::uint64_t seed) {
-  DS_CHECK(arity >= 2 && levels >= 2);
-  Rng rng(seed);
-  // n = (arity^levels - 1) / (arity - 1)
-  NodeId n = 1, layer = 1;
-  for (NodeId l = 1; l < levels; ++l) {
-    layer *= arity;
-    n += layer;
-  }
-  GraphBuilder b(n);
-  for (NodeId child = 1; child < n; ++child) {
-    b.add_edge(child, (child - 1) / arity, weights.sample(rng));
-  }
-  return b.build();
-}
-
-Graph barbell(NodeId clique, NodeId bridge, WeightSpec weights,
-              std::uint64_t seed) {
-  DS_CHECK(clique >= 2);
-  Rng rng(seed);
-  const NodeId n = 2 * clique + bridge;
-  GraphBuilder b(n);
-  for (NodeId u = 0; u < clique; ++u) {
-    for (NodeId v = u + 1; v < clique; ++v) {
-      b.add_edge(u, v, weights.sample(rng));
-      b.add_edge(clique + bridge + u, clique + bridge + v,
-                 weights.sample(rng));
-    }
-  }
-  NodeId prev = clique - 1;  // last node of the left clique
-  for (NodeId i = 0; i < bridge; ++i) {
-    b.add_edge(prev, clique + i, weights.sample(rng));
-    prev = clique + i;
-  }
-  b.add_edge(prev, clique + bridge, weights.sample(rng));  // right clique
-  return b.build();
-}
-
-Graph kronecker(unsigned dim, double a, double bb, double c, double d,
-                WeightSpec weights, std::uint64_t seed) {
-  DS_CHECK(dim >= 2 && dim <= 20);
-  Rng rng(seed);
-  const NodeId n = NodeId{1} << dim;
-  GraphBuilder b(n);
-  // Sample expected-edge-count many R-MAT draws; duplicates deduplicate.
-  const double sum = a + bb + c + d;
-  const auto draws = static_cast<std::size_t>(
-      static_cast<double>(n) * 8.0 * sum);  // density knob: ~8·sum edges/node
-  for (std::size_t i = 0; i < draws; ++i) {
-    NodeId u = 0, v = 0;
-    for (unsigned bit = 0; bit < dim; ++bit) {
-      const double r = rng.uniform() * sum;
-      unsigned ub, vb;
-      if (r < a) {
-        ub = 0, vb = 0;
-      } else if (r < a + bb) {
-        ub = 0, vb = 1;
-      } else if (r < a + bb + c) {
-        ub = 1, vb = 0;
-      } else {
-        ub = 1, vb = 1;
-      }
-      u = (u << 1) | ub;
-      v = (v << 1) | vb;
-    }
-    if (u != v) b.add_edge(u, v, weights.sample(rng));
-  }
-  add_backbone(b, weights, rng);
   return b.build();
 }
 

@@ -2,7 +2,7 @@
 //
 // The theorems bound rounds by the shortest-path diameter S and sketch
 // quality by n and k, so the benchmark suite needs topologies with:
-//   - small S (expanders: Erdős–Rényi, hypercube, Barabási–Albert),
+//   - small S (expanders: Erdős–Rényi, Barabási–Albert),
 //   - large S (weighted paths, rings, 2-D grids),
 //   - low doubling dimension (random geometric, grids) where coordinate
 //     systems such as Vivaldi do well, and
@@ -49,18 +49,12 @@ Graph random_geometric(NodeId n, double radius, std::uint64_t seed,
 /// rows x cols 2-D grid; S = rows + cols - 2 when unweighted.
 Graph grid2d(NodeId rows, NodeId cols, WeightSpec weights, std::uint64_t seed);
 
-/// rows x cols 2-D torus (wrap-around grid).
-Graph torus2d(NodeId rows, NodeId cols, WeightSpec weights, std::uint64_t seed);
-
 /// Simple cycle on n nodes.
 Graph ring(NodeId n, WeightSpec weights, std::uint64_t seed);
 
 /// Path on n nodes — maximizes S (= n-1), the paper's worst case for
 /// no-preprocessing distance computation.
 Graph path(NodeId n, WeightSpec weights, std::uint64_t seed);
-
-/// Hypercube on 2^dim nodes (dim <= 20).
-Graph hypercube(unsigned dim, WeightSpec weights, std::uint64_t seed);
 
 /// Barabási–Albert preferential attachment, `attach` edges per new node.
 Graph barabasi_albert(NodeId n, NodeId attach, WeightSpec weights,
@@ -96,20 +90,5 @@ Graph complete(NodeId n, WeightSpec weights, std::uint64_t seed);
 /// stays moderate; stresses the S-vs-D gap discussed in §2.1.
 Graph caterpillar(NodeId spine, NodeId legs_per_node, Weight spine_weight,
                   std::uint64_t seed);
-
-/// Complete k-ary tree with `levels` levels (root at node 0).
-Graph kary_tree(NodeId arity, NodeId levels, WeightSpec weights,
-                std::uint64_t seed);
-
-/// Barbell: two cliques of `clique` nodes joined by a path of `bridge`
-/// nodes — a classic bottleneck topology (poor expansion, large S).
-Graph barbell(NodeId clique, NodeId bridge, WeightSpec weights,
-              std::uint64_t seed);
-
-/// Stochastic-Kronecker-style graph on 2^dim nodes: edge (u,v) appears
-/// with probability prod over bits of P[u_bit][v_bit], the standard
-/// internet/social topology model (R-MAT initiator). Backbone added.
-Graph kronecker(unsigned dim, double a, double b, double c, double d,
-                WeightSpec weights, std::uint64_t seed);
 
 }  // namespace dsketch

@@ -15,7 +15,7 @@ struct DistPolicy {
     return true;
   }
   bool visit(NodeId, Dist) const { return true; }
-  bool relax(NodeId, NodeId v, Dist nd, Weight) {
+  bool relax(NodeId, NodeId v, Dist nd) {
     if (ws.fresh(v) && ws.dist_ref(v) <= nd) return false;
     ws.touch(v);
     ws.dist_ref(v) = nd;
@@ -43,7 +43,7 @@ struct OwnerPolicy {
     return false;
   }
   bool visit(NodeId, Dist) const { return true; }
-  bool relax(NodeId u, NodeId v, Dist nd, Weight) {
+  bool relax(NodeId u, NodeId v, Dist nd) {
     if (!ws.fresh(v)) {
       ws.touch(v);
       ws.dist_ref(v) = nd;
@@ -71,7 +71,7 @@ struct MinHopsPolicy {
     return true;
   }
   bool visit(NodeId, Dist) const { return true; }
-  bool relax(NodeId u, NodeId v, Dist nd, Weight) {
+  bool relax(NodeId u, NodeId v, Dist nd) {
     const std::uint32_t nh = ws.hops_ref(u) + 1;
     if (!ws.fresh(v)) {
       ws.touch(v);

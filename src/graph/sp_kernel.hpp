@@ -4,9 +4,9 @@
 // Every search in the library (plain/multi-source Dijkstra, hop BFS, the
 // lexicographic (dist, hops) Dijkstra, pruned TZ cluster growth) is one
 // instantiation of sp_detail::drain over
-//   - a workspace (SpWorkspace): epoch-stamped dist/owner/hops/parent
-//     arrays — resetting between searches is a version bump, not an O(n)
-//     fill, so one worker can run millions of small pruned searches
+//   - a workspace (SpWorkspace): epoch-stamped dist/owner/hops arrays —
+//     resetting between searches is a version bump, not an O(n) fill,
+//     so one worker can run millions of small pruned searches
 //     without touching memory it never visits;
 //   - a frontier engine: a monotone bucket queue (Dial) when the graph's
 //     max edge weight is small (weights are poly(n) integers per the
@@ -16,11 +16,9 @@
 // Determinism contract: dist, owner, and hops are each the unique least
 // fixed point of their relaxation rule (improvements strictly decrease a
 // lexicographic key and every improvement re-enters the frontier), so
-// those results are identical across engines, pop-order tie-breaks, and
-// thread counts. Parent edges (TrackParent searches) are one valid
-// shortest-path tree: deterministic for a fixed engine, but tie cases may
-// pick different parents under different engines. The property tests in
-// tests/sp_kernel_test.cpp pin the contract against a legacy reference.
+// every kernel output is identical across engines, pop-order tie-breaks,
+// and thread counts. The property tests in tests/sp_kernel_test.cpp pin
+// the contract against a legacy reference.
 #pragma once
 
 #include <algorithm>
@@ -85,12 +83,6 @@ class SpWorkspace {
   void ensure_hops() {
     if (hops_.size() < stamp_.size()) hops_.resize(stamp_.size());
   }
-  void ensure_parent() {
-    if (parent_.size() < stamp_.size()) {
-      parent_.resize(stamp_.size());
-      parent_weight_.resize(stamp_.size());
-    }
-  }
 
   // --- results of the last search ---
   NodeId size() const { return n_; }
@@ -102,10 +94,6 @@ class SpWorkspace {
   std::uint32_t hops(NodeId u) const {
     return reached(u) ? hops_[u] : kInvalidHops;
   }
-  NodeId parent(NodeId u) const {
-    return reached(u) ? parent_[u] : kInvalidNode;
-  }
-  Weight parent_weight(NodeId u) const { return parent_weight_[u]; }
 
   /// Dense copies (kInfDist / kInvalidNode / kInvalidHops where unreached).
   std::vector<Dist> export_dist() const {
@@ -130,8 +118,6 @@ class SpWorkspace {
   Dist& dist_ref(NodeId u) { return dist_[u]; }
   NodeId& owner_ref(NodeId u) { return owner_[u]; }
   std::uint32_t& hops_ref(NodeId u) { return hops_[u]; }
-  NodeId& parent_ref(NodeId u) { return parent_[u]; }
-  Weight& parent_weight_ref(NodeId u) { return parent_weight_[u]; }
 
  private:
   friend class BucketFrontier;
@@ -144,8 +130,6 @@ class SpWorkspace {
   std::vector<Dist> dist_;
   std::vector<NodeId> owner_;
   std::vector<std::uint32_t> hops_;
-  std::vector<NodeId> parent_;
-  std::vector<Weight> parent_weight_;
 
   // Frontier scratch, reused across searches (kept allocated).
   std::vector<std::vector<NodeId>> buckets_;
@@ -322,7 +306,7 @@ namespace sp_detail {
 //   bool seed(NodeId s)               — stamp s as a source; false to skip
 //   bool visit(NodeId u, Dist d)      — gate called once per settled node,
 //                                       in pop order; false prunes u
-//   bool relax(NodeId u, NodeId v, Dist nd, Weight w)
+//   bool relax(NodeId u, NodeId v, Dist nd)
 //                                     — try to improve v via u; true when
 //                                       v's key changed (v is then pushed)
 
@@ -334,7 +318,7 @@ inline void drain(const Graph& g, SpWorkspace& ws, Frontier& f, Policy& p) {
     if (!p.visit(u, d)) continue;
     for (const HalfEdge& he : g.neighbors(u)) {
       const Dist nd = d + he.weight;
-      if (p.relax(u, he.to, nd, he.weight)) f.push(he.to, nd);
+      if (p.relax(u, he.to, nd)) f.push(he.to, nd);
     }
   }
 }
@@ -382,31 +366,24 @@ void sp_dijkstra_min_hops(const Graph& g, NodeId source, SpWorkspace& ws,
 /// Pruned single-source Dijkstra — the TZ cluster-growth primitive.
 /// `visit(x, d)` is called once per settled node in pop order; returning
 /// false prunes the expansion at x (the gate predicate of §3.1 cluster
-/// growth). With TrackParent, ws.parent(x)/ws.parent_weight(x) give the
-/// tree edge through which x was reached (kInvalidNode at the source).
-template <bool TrackParent = false, class Visit>
+/// growth).
+template <class Visit>
 void sp_pruned_dijkstra(const Graph& g, NodeId source, SpWorkspace& ws,
                         Visit&& visit, SpEngine engine = SpEngine::kAuto) {
   ws.prepare(g.num_nodes());
-  if constexpr (TrackParent) ws.ensure_parent();
   struct Policy {
     SpWorkspace& ws;
     Visit& gate;
     bool seed(NodeId s) {
       ws.touch(s);
       ws.dist_ref(s) = 0;
-      if constexpr (TrackParent) ws.parent_ref(s) = kInvalidNode;
       return true;
     }
     bool visit(NodeId u, Dist d) { return gate(u, d); }
-    bool relax(NodeId u, NodeId v, Dist nd, Weight w) {
+    bool relax(NodeId, NodeId v, Dist nd) {
       if (ws.fresh(v) && ws.dist_ref(v) <= nd) return false;
       ws.touch(v);
       ws.dist_ref(v) = nd;
-      if constexpr (TrackParent) {
-        ws.parent_ref(v) = u;
-        ws.parent_weight_ref(v) = w;
-      }
       return true;
     }
   } policy{ws, visit};

@@ -3,67 +3,37 @@
 #include <unordered_set>
 #include <utility>
 
-#include "graph/sp_kernel.hpp"
-#include "sketch/tz_centralized.hpp"
+#include "sketch/path_extraction.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dsketch {
 
-std::vector<Edge> extract_spanner(const Graph& g, const Hierarchy& hierarchy) {
-  const std::uint32_t k = hierarchy.k();
-  const NodeId n = g.num_nodes();
-  DS_CHECK(hierarchy.n() == n);
-  ThreadPool& tp = global_pool();
-  const LevelGates gates = compute_level_gates(g, hierarchy, &tp);
-
-  // Same pruned cluster growth as the label construction, but recording
-  // the tree edge through which each cluster member was reached. Sources
-  // grow in parallel; per-source tree edges merge in phase order, so the
-  // first-wins dedup below is thread-count independent.
-  struct GrowJob {
-    std::uint32_t level;
-    NodeId source;
-  };
-  std::vector<GrowJob> jobs;
-  for (std::uint32_t i = 0; i < k; ++i) {
-    for (const NodeId w : hierarchy.phase_sources(i)) {
-      jobs.push_back(GrowJob{i, w});
-    }
-  }
-  std::vector<std::vector<Edge>> tree_edges(jobs.size());
-  tp.for_each_dynamic(jobs.size(), [&](std::size_t, std::size_t j) {
-    const auto [level, w] = jobs[j];
-    const std::vector<DistKey>* next_gate =
-        level + 1 < k ? &gates.gate[level + 1] : nullptr;
-    SpWorkspace& ws = thread_workspace();
-    std::vector<Edge>& out = tree_edges[j];
-    sp_pruned_dijkstra<true>(g, w, ws, [&](NodeId x, Dist d) {
-      if (next_gate != nullptr && !(DistKey{d, w} < (*next_gate)[x])) {
-        return false;
-      }
-      if (ws.parent(x) != kInvalidNode) {
-        out.push_back(Edge{x, ws.parent(x), ws.parent_weight(x)});
-      }
-      return true;
-    });
-  });
-
+std::vector<Edge> extract_spanner(const Graph& g, const LabelArena& labels) {
+  DS_CHECK_MSG(labels.num_nodes() == g.num_nodes(),
+               "labels do not cover the graph");
   std::unordered_set<std::uint64_t> picked;
   std::vector<Edge> spanner;
-  for (const std::vector<Edge>& edges : tree_edges) {
-    for (Edge e : edges) {
-      if (e.u > e.v) std::swap(e.u, e.v);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const LabelView lu = labels.view(u);
+    for (std::uint32_t j = 0; j < lu.count; ++j) {
+      const NodeId w = lu.bunch[j].node;
+      // Entries are node-sorted; a node at several levels is one target.
+      if (w == u || (j > 0 && lu.bunch[j - 1].node == w)) continue;
+      const std::optional<std::uint32_t> e = next_hop(g, labels, u, w);
+      if (!e) continue;
+      const HalfEdge& he = g.neighbors(u)[*e];
+      Edge edge{u, he.to, he.weight};
+      if (edge.u > edge.v) std::swap(edge.u, edge.v);
       const std::uint64_t key =
-          (static_cast<std::uint64_t>(e.u) << 32) | e.v;
-      if (picked.insert(key).second) spanner.push_back(e);
+          (static_cast<std::uint64_t>(edge.u) << 32) | edge.v;
+      if (picked.insert(key).second) spanner.push_back(edge);
     }
   }
   return spanner;
 }
 
-Graph spanner_graph(const Graph& g, const Hierarchy& hierarchy) {
-  return Graph::from_edges(g.num_nodes(), extract_spanner(g, hierarchy));
+Graph spanner_graph(const Graph& g, const LabelArena& labels) {
+  return Graph::from_edges(g.num_nodes(), extract_spanner(g, labels));
 }
 
 }  // namespace dsketch

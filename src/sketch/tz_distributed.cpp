@@ -149,13 +149,6 @@ class TzProtocol : public Protocol {
     return true;
   }
 
-  RoutingTable take_routing() {
-    RoutingTable table;
-    table.next_hop.reserve(nodes_.size());
-    for (auto& s : nodes_) table.next_hop.push_back(std::move(s.next_hop));
-    return table;
-  }
-
   LabelArena take_labels() {
     const std::uint32_t k = hier_.k();
     std::vector<TzLabelBuilder> builders;
@@ -199,10 +192,8 @@ class TzProtocol : public Protocol {
 
     // Phase-local Bellman-Ford state.
     std::unordered_map<NodeId, Dist> dist;
-    std::unordered_map<NodeId, std::uint32_t> hop;  // edge of last accept
     std::unordered_map<NodeId, char> queued;
     std::deque<NodeId> pending;
-    std::unordered_map<NodeId, std::uint32_t> next_hop;  // final, all phases
 
     // Echo-mode machinery.
     EchoTracker echo;
@@ -261,7 +252,6 @@ class TzProtocol : public Protocol {
     const bool improves = it == s.dist.end() || cand < it->second;
     if (key < gate && improves) {
       s.dist[src] = cand;
-      s.hop[src] = in.local_edge;
       if (mode_ == TerminationMode::kEcho) {
         if (auto old = s.echo.accept_trigger(src, in.local_edge, a)) {
           send_echo(ctx, p, src, *old);
@@ -382,9 +372,7 @@ class TzProtocol : public Protocol {
       if (own < best) best = own;
     }
     s.pivot[p] = best;
-    for (const auto& [v, e] : s.hop) s.next_hop.emplace(v, e);
     s.dist.clear();
-    s.hop.clear();
     s.queued.clear();
     s.pending.clear();
     DS_CHECK(!s.echo.has_outstanding());
@@ -549,7 +537,6 @@ TzDistributedResult build_tz_distributed(const Graph& g,
   DS_CHECK_MSG(!result.stats.hit_round_limit,
                "TZ construction exceeded the round budget");
   result.labels = protocol.take_labels();
-  result.routing = protocol.take_routing();
   result.phase_end_rounds = protocol.phase_end_rounds();
   if (mode == TerminationMode::kKnownS) {
     result.phase_end_rounds.clear();

@@ -12,6 +12,9 @@
 // At the end of phase i the surviving estimates are exactly the bunch slice
 // B_i(u) with exact distances (gate monotonicity — see tz_centralized.cpp),
 // and p_i(u) = min-key of {(0,u) if u in A_i} ∪ B_i(u) ∪ {p_{i+1}(u)}.
+// A node keeps no per-target forwarding state: the next hop toward any
+// bunch member is a function of the labels and the node's own edges
+// (sketch/path_extraction).
 //
 // Phase synchronization comes in two flavours:
 //   kOracle — a global observer detects quiescence and starts the next phase
@@ -27,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "congest/accounting.hpp"
@@ -48,16 +50,6 @@ namespace dsketch {
 ///            round bound, needs zero control messages.
 enum class TerminationMode { kOracle, kEcho, kKnownS };
 
-/// Node-local forwarding state produced as a free by-product of Algorithm 2:
-/// for every w in B(u) ∪ {pivots}, the local edge of u on an exact shortest
-/// path toward w. Never shipped over the network (labels are what travel);
-/// enables source routing toward any bunch member and, via the common query
-/// witness, end-to-end approximate path extraction (sketch/path_extraction).
-struct RoutingTable {
-  /// next_hop[u] maps target node -> local edge index at u.
-  std::vector<std::unordered_map<NodeId, std::uint32_t>> next_hop;
-};
-
 /// Fault-tolerant construction switch. When enabled, every protocol message
 /// rides the reliable link layer (congest/reliable.hpp): one extra header
 /// word per frame buys exactly-once in-order delivery under a FaultPlan's
@@ -74,7 +66,6 @@ struct TzFaultTolerance {
 
 struct TzDistributedResult {
   LabelArena labels;  ///< labels.view(u) is node u's sketch; empty on failure
-  RoutingTable routing;
   SimStats stats;                ///< main construction run
   SimStats tree_stats;           ///< leader election + BFS tree (kEcho only)
   std::vector<std::uint64_t> phase_end_rounds;  ///< round at each phase end

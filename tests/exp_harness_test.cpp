@@ -8,17 +8,17 @@
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "graph/graph_io.hpp"
+#include "test_paths.hpp"
 
 namespace dsketch::exp {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh scratch directory per test.
-fs::path scratch(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("dsketch_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+/// Fresh scratch directory per test, removed at scope exit.
+TempPath scratch(const std::string& name) {
+  TempPath dir = unique_temp_path(name);
+  fs::create_directories(dir.str());
   return dir;
 }
 
@@ -51,7 +51,8 @@ TEST(JsonLines, RejectsMalformedInput) {
 }
 
 TEST(CorpusCache, ContentAddressingReusesAndRegenerates) {
-  const fs::path dir = scratch("corpus");
+  const TempPath scratch_dir = scratch("corpus");
+  const fs::path dir = scratch_dir.str();
   GraphSpec spec;
   spec.name = "ring64";
   spec.params = {{"topology", "ring"}, {"n", "64"}};
@@ -107,7 +108,8 @@ queries = 200
 }
 
 TEST(Runner, RunsResumesAndForces) {
-  const fs::path dir = scratch("runner");
+  const TempPath scratch_dir = scratch("runner");
+  const fs::path dir = scratch_dir.str();
   RunOptions opts;
   opts.out_dir = dir.string();
   opts.threads = 2;
@@ -138,7 +140,8 @@ TEST(Runner, RunsResumesAndForces) {
 }
 
 TEST(Runner, UnknownExperimentFailsFast) {
-  const fs::path dir = scratch("runner_bad");
+  const TempPath scratch_dir = scratch("runner_bad");
+  const fs::path dir = scratch_dir.str();
   Manifest m = parse_manifest(
       "name = \"bad\"\n[[cell]]\nexperiment = \"e99\"\n");
   RunOptions opts;
@@ -147,7 +150,8 @@ TEST(Runner, UnknownExperimentFailsFast) {
 }
 
 TEST(Runner, CellOutputValidRejectsBadArtifacts) {
-  const fs::path dir = scratch("validate");
+  const TempPath scratch_dir = scratch("validate");
+  const fs::path dir = scratch_dir.str();
   EXPECT_FALSE(cell_output_valid((dir / "missing.jsonl").string(), "x"));
   const fs::path garbage = dir / "garbage.jsonl";
   { std::ofstream(garbage) << "not json at all\n"; }
@@ -161,7 +165,8 @@ TEST(Runner, CellOutputValidRejectsBadArtifacts) {
 }
 
 TEST(Report, RendersTablesNotesAndCells) {
-  const fs::path dir = scratch("report");
+  const TempPath scratch_dir = scratch("report");
+  const fs::path dir = scratch_dir.str();
   RunOptions opts;
   opts.out_dir = dir.string();
   const RunSummary summary = run_manifest(tiny_manifest(), opts);
@@ -187,7 +192,8 @@ TEST(Report, RendersTablesNotesAndCells) {
 }
 
 TEST(Report, EmptyOutputDirectoryIsHandled) {
-  const fs::path dir = scratch("report_empty");
+  const TempPath scratch_dir = scratch("report_empty");
+  const fs::path dir = scratch_dir.str();
   const std::string report = generate_report(dir.string(), "none");
   EXPECT_NE(report.find("No cell artifacts found"), std::string::npos);
 }

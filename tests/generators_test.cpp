@@ -40,11 +40,6 @@ TEST(Generators, GridDimensions) {
   EXPECT_TRUE(g.connected());
 }
 
-TEST(Generators, TorusIsFourRegular) {
-  const Graph g = torus2d(6, 6, {1, 1}, 0);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) EXPECT_EQ(g.degree(u), 4u);
-}
-
 TEST(Generators, RingAndPath) {
   const Graph r = ring(10, {1, 1}, 0);
   EXPECT_EQ(r.num_edges(), 10u);
@@ -53,13 +48,6 @@ TEST(Generators, RingAndPath) {
   EXPECT_EQ(p.num_edges(), 9u);
   EXPECT_EQ(p.degree(0), 1u);
   EXPECT_EQ(p.degree(5), 2u);
-}
-
-TEST(Generators, HypercubeStructure) {
-  const Graph g = hypercube(4, {1, 1}, 0);
-  EXPECT_EQ(g.num_nodes(), 16u);
-  EXPECT_EQ(g.num_edges(), 32u);  // n * dim / 2
-  for (NodeId u = 0; u < 16; ++u) EXPECT_EQ(g.degree(u), 4u);
 }
 
 TEST(Generators, BarabasiAlbertConnectedAndSkewed) {
@@ -108,35 +96,6 @@ TEST(Generators, CaterpillarShape) {
   EXPECT_EQ(g.num_nodes(), 40u);
   EXPECT_TRUE(g.connected());
   EXPECT_EQ(g.degree(39), 1u);  // legs are leaves
-}
-
-TEST(Generators, KaryTreeStructure) {
-  const Graph g = kary_tree(3, 4, {1, 1}, 0);
-  EXPECT_EQ(g.num_nodes(), 40u);  // 1 + 3 + 9 + 27
-  EXPECT_EQ(g.num_edges(), 39u);
-  EXPECT_EQ(g.degree(0), 3u);   // root
-  EXPECT_EQ(g.degree(39), 1u);  // a leaf
-  EXPECT_TRUE(g.connected());
-}
-
-TEST(Generators, BarbellStructure) {
-  const Graph g = barbell(10, 5, {1, 1}, 0);
-  EXPECT_EQ(g.num_nodes(), 25u);
-  EXPECT_TRUE(g.connected());
-  // Clique nodes have degree >= 9; a middle bridge node has degree 2.
-  EXPECT_GE(g.degree(0), 9u);
-  EXPECT_EQ(g.degree(12), 2u);
-}
-
-TEST(Generators, KroneckerConnectedAndSkewed) {
-  const Graph g = kronecker(9, 0.57, 0.19, 0.19, 0.05, {1, 4}, 7);
-  EXPECT_EQ(g.num_nodes(), 512u);
-  EXPECT_TRUE(g.connected());
-  std::size_t max_deg = 0;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    max_deg = std::max(max_deg, g.degree(u));
-  }
-  EXPECT_GT(max_deg, 15u);  // heavy-tailed degrees
 }
 
 TEST(Generators, GeometricConnected) {

@@ -7,6 +7,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/graph_io.hpp"
+#include "test_paths.hpp"
 
 namespace dsketch {
 namespace {
@@ -64,7 +65,7 @@ TEST(GraphIo, RejectsEmptyInput) {
 
 TEST(GraphIo, FileRoundTrip) {
   const Graph g = ring(16, {2, 9}, 5);
-  const std::string path = ::testing::TempDir() + "/dsketch_io_test.graph";
+  const TempPath path = unique_temp_path("io.graph");
   write_graph_file(path, g);
   const Graph h = read_graph_file(path);
   EXPECT_EQ(h.num_nodes(), 16u);
@@ -210,7 +211,7 @@ TEST(Ingest, RejectsMalformedInput) {
 }
 
 TEST(Ingest, FileEntryPointAndFormatNames) {
-  const std::string path = ::testing::TempDir() + "/dsketch_ingest_test.txt";
+  const TempPath path = unique_temp_path("edges.txt");
   {
     std::ofstream out(path);
     out << "# tiny\n0 1\n1 2\n";

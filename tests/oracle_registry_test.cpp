@@ -243,7 +243,7 @@ TEST(OracleEnvelope, SketchSaveIsTheV3File) {
     const SketchStore packed = SketchStore::from_oracle(*oracle);
     packed.write(written);
     EXPECT_EQ(saved.str(), written.str()) << name;
-    const std::string path = unique_temp_path(std::string(name) + ".store");
+    const TempPath path = unique_temp_path(std::string(name) + ".store");
     packed.save_file(path);
     std::ifstream in(path, std::ios::binary);
     const std::string file((std::istreambuf_iterator<char>(in)),
@@ -425,8 +425,7 @@ TEST(SketchStoreOracle, PacksFromOracleAndRejectsBaselines) {
 TEST(SketchStoreOracle, LoadOracleRoundTrip) {
   const Graph g = test_graph();
   const auto tz = OracleRegistry::instance().build("tz", g, test_flags());
-  const std::string path =
-      ::testing::TempDir() + "/oracle_registry_store.bin";
+  const TempPath path = unique_temp_path("store.bin");
   SketchStore::from_oracle(*tz).save_file(path);
   const std::unique_ptr<DistanceOracle> oracle =
       SketchStore::load_oracle(path);

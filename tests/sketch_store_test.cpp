@@ -232,7 +232,6 @@ class SketchStoreRecovery : public ::testing::Test {
     cfg.scheme = Scheme::kThorupZwick;
     cfg.k = 2;
     store_ = SketchStore(graph_, cfg);
-    path_ = unique_temp_path("recovery.bin");
     store_.save_file(path_);
     std::ifstream in(path_, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
@@ -245,7 +244,7 @@ class SketchStoreRecovery : public ::testing::Test {
 
   Graph graph_;
   SketchStore store_;
-  std::string path_;
+  const TempPath path_ = unique_temp_path("recovery.bin");
   std::string bytes_;
   NodeId n_ = 0;
   std::unique_ptr<V3Map> map_;
@@ -328,7 +327,6 @@ class StoreRecoverySchemes : public ::testing::TestWithParam<Scheme> {
     cfg.epsilon = 0.25;
     store_ = SketchStore(graph_, cfg);
     n_ = store_.num_nodes();
-    path_ = unique_temp_path("store.bin");
     store_.save_file(path_);
     std::ifstream in(path_, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
@@ -339,7 +337,7 @@ class StoreRecoverySchemes : public ::testing::TestWithParam<Scheme> {
   Graph graph_;
   SketchStore store_;
   NodeId n_ = 0;
-  std::string path_;
+  const TempPath path_ = unique_temp_path("store.bin");
   std::string bytes_;
   std::unique_ptr<V3Map> map_;
 };
@@ -418,7 +416,7 @@ TEST(SketchStoreRecoveryGraceful, TailTruncationKeepsEarlierLevels) {
   cfg.epsilon = 0.25;
   const SketchStore store(g, cfg);
   ASSERT_GE(store.num_segments(), 2u);
-  const std::string path = unique_temp_path("graceful.bin");
+  const TempPath path = unique_temp_path("graceful.bin");
   store.save_file(path);
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -445,10 +443,10 @@ TEST(SketchStoreAtomicSave, OverwriteLeavesNoTempAndOldOrNewStore) {
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 2;
   const SketchStore store(g, cfg);
-  const std::string path = unique_temp_path("atomic.bin");
+  const TempPath path = unique_temp_path("atomic.bin");
   store.save_file(path);
   store.save_file(path);  // overwrite in place
-  std::ifstream tmp(path + ".tmp");
+  std::ifstream tmp(path.str() + ".tmp");
   EXPECT_FALSE(tmp.good()) << "temp file left behind";
   const SketchStore back = SketchStore::load_file(path);
   EXPECT_EQ(back.num_nodes(), store.num_nodes());
@@ -460,7 +458,7 @@ TEST(SketchStoreFiles, SaveAndLoadFile) {
   cfg.scheme = Scheme::kSlack;
   cfg.epsilon = 0.3;
   const SketchStore store(g, cfg);
-  const std::string path = unique_temp_path("store.bin");
+  const TempPath path = unique_temp_path("store.bin");
   store.save_file(path);
   const SketchStore back = SketchStore::load_file(path);
   for (NodeId u = 0; u < g.num_nodes(); u += 2) {
@@ -468,7 +466,7 @@ TEST(SketchStoreFiles, SaveAndLoadFile) {
       EXPECT_EQ(back.query(u, v), store.query(u, v));
     }
   }
-  EXPECT_THROW(SketchStore::load_file(path + ".missing"), std::runtime_error);
+  EXPECT_THROW(SketchStore::load_file(path.str() + ".missing"), std::runtime_error);
 }
 
 TEST(SketchStoreProvenance, UnknownEpsilonSurvivesConversion) {
@@ -487,7 +485,7 @@ TEST(SketchStoreProvenance, UnknownEpsilonSurvivesConversion) {
 
   for (const SketchStore* store : {&unknown, &recorded}) {
     const bool known = store == &recorded;
-    const std::string path = unique_temp_path("provenance.store");
+    const TempPath path = unique_temp_path("provenance.store");
     store->save_file(path);
     const SketchStore back = SketchStore::load_file(path);
     const SketchStore repacked = SketchStore::from_oracle(back);

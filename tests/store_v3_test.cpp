@@ -223,7 +223,7 @@ TEST_P(StoreV3Schemes, V3DecodeEncodeIsByteIdentical) {
 
 TEST_P(StoreV3Schemes, SizeWordsAgreeAcrossOracleHeapAndMmap) {
   // One sketch, one size: the paper's accounting everywhere.
-  const std::string path = unique_temp_path("store.bin");
+  const TempPath path = unique_temp_path("store.bin");
   store_.save_file(path);
   const SketchStore heap = SketchStore::load_file(path);
   const auto mapped = MmapSketchStore::open(path);
@@ -237,7 +237,7 @@ TEST_P(StoreV3Schemes, SizeWordsAgreeAcrossOracleHeapAndMmap) {
 }
 
 TEST_P(StoreV3Schemes, MmapAnswersMatchHeapByteForByte) {
-  const std::string path = unique_temp_path("store.bin");
+  const TempPath path = unique_temp_path("store.bin");
   store_.save_file(path);
   const SketchStore heap = SketchStore::load_file(path);
   const auto mapped = MmapSketchStore::open(path, /*verify_checksum=*/true);
@@ -268,7 +268,7 @@ std::string legacy_file(const SketchStore& store, char version) {
 }
 
 TEST_P(StoreV3Schemes, MmapRejectsLegacyFormats) {
-  const std::string path = unique_temp_path("legacy.bin");
+  const TempPath path = unique_temp_path("legacy.bin");
   for (const char version : {'1', '2'}) {
     std::ofstream(path, std::ios::binary) << legacy_file(store_, version);
     try {
@@ -283,7 +283,7 @@ TEST_P(StoreV3Schemes, MmapRejectsLegacyFormats) {
 TEST_P(StoreV3Schemes, HeapLoadersRejectLegacyFormats) {
   // Stores are rebuildable artifacts: v1/v2 files are refused with a
   // typed error by the strict loader and by recovery alike.
-  const std::string path = unique_temp_path("legacy.bin");
+  const TempPath path = unique_temp_path("legacy.bin");
   for (const char version : {'1', '2'}) {
     std::ofstream(path, std::ios::binary) << legacy_file(store_, version);
     for (const bool recover : {false, true}) {
@@ -318,7 +318,6 @@ class StoreV3Corruption : public ::testing::Test {
     cfg.k = 2;
     store_ = SketchStore(graph_, cfg);
     n_ = store_.num_nodes();
-    path_ = unique_temp_path("store.bin");
     store_.save_file(path_);
     std::ifstream in(path_, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
@@ -356,7 +355,7 @@ class StoreV3Corruption : public ::testing::Test {
 
   Graph graph_;
   SketchStore store_;
-  std::string path_;
+  const TempPath path_ = unique_temp_path("store.bin");
   std::string bytes_;
   NodeId n_ = 0;
   std::uint64_t blob_bytes_ = 0;
