@@ -5,11 +5,11 @@
 // mean and max label sizes normalized by k*n^{1/k}, and count nodes whose
 // label exceeds the whp bound (expected: 0).
 //
-// The paper's word model (size_words) bills 4 bytes per u32 word; the v3
-// store's delta+varint coding spends far less per entry. Each row reports
-// both bytes/node figures side by side — the word model keeps the bound
-// column comparable across PRs, the encoded column is the real serving
-// footprint (and the ≥2x acceptance gauge for the v3 format).
+// The paper's word model (size_words) bills 4 bytes per u32 word; the
+// store's bit-packed record (sketch/tz_label.hpp) spends far less per
+// entry. Each row reports both bytes/node figures side by side — the word
+// model keeps the bound column comparable across PRs, the encoded column
+// is the real serving footprint, in memory and on disk alike.
 //
 // Flags: --nmax (2048) caps the n sweep, --kmax (4) caps the k sweep.
 #include <cmath>
@@ -65,8 +65,8 @@ int run_e2(const FlagSet& flags, std::ostream& out) {
   }
   note(out, "e2",
        "Expected shape: mean/(k n^{1/k}) stays O(1) (roughly flat in n); "
-       "no node exceeds the whp bound; encoded_compression >= 2x (the v3 "
-       "varint coding vs the 4-bytes-per-word model).");
+       "no node exceeds the whp bound; encoded_compression >= 2x (the "
+       "bit-packed record vs the 4-bytes-per-word model).");
   return 0;
 }
 

@@ -3,9 +3,10 @@
 // The paper's central object is a per-node sketch queried pairwise.
 // DistanceOracle is the one query surface around it: anything that can
 // answer "how far is u from v" — a sketch set of the four families
-// (serve/sketch_store), a landmark table, the exact APSP matrix, Vivaldi
-// coordinates, or a memory-mapped store — exposes the same interface, so
-// experiments, the CLI, and the query service are scheme-agnostic.
+// (serve/sketch_store: built, loaded into one heap buffer, or mapped), a
+// landmark table, the exact APSP matrix, Vivaldi coordinates — exposes the
+// same interface, so experiments, the CLI, and the query service are
+// scheme-agnostic.
 //
 //   const OracleScheme& s = OracleRegistry::instance().at("tz");
 //   std::unique_ptr<DistanceOracle> oracle = s.build(g, flags);
@@ -111,7 +112,7 @@ class DistanceOracle {
   /// Persists the oracle so that OracleRegistry::load reconstructs it and
   /// the reloaded oracle answers byte-identical queries. The default
   /// writes a scheme-tagged text envelope (header line + save_payload),
-  /// which the baselines use; SketchStore overrides it to write its v3
+  /// which the baselines use; SketchStore overrides it to write its v4
   /// file. Throws when !capabilities().supports_save.
   virtual void save(std::ostream& out) const;
 

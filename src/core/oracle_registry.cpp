@@ -16,7 +16,7 @@ void register_sketch_oracles(OracleRegistry& reg);    // serve/sketch_store.cpp
 void register_exact_oracle(OracleRegistry& reg);      // baselines/exact_oracle.cpp
 void register_landmark_oracle(OracleRegistry& reg);   // baselines/landmark.cpp
 void register_vivaldi_oracle(OracleRegistry& reg);    // baselines/vivaldi.cpp
-// The v3 sketch-file reader load() sends non-text streams to; it lives in
+// The v4 sketch-file reader load() sends non-text streams to; it lives in
 // serve/sketch_store.cpp beside the format.
 LoadedOracle load_sketch_file(std::istream& in);
 

@@ -13,9 +13,9 @@
 //
 // Saved files come in two kinds, told apart by their first byte:
 //
-//   - The four sketch families save the v3 store file
+//   - The four sketch families save the v4 store file
 //     (serve/sketch_store.hpp, magic "DSKSTOR3"); load() sends every
-//     stream that does not open with a text header to the v3 reader
+//     stream that does not open with a text header to the v4 reader
 //     there, which fills the envelope from the binary header.
 //   - The baselines save a text envelope, one header line + payload:
 //
@@ -46,7 +46,7 @@ struct OracleEnvelope {
   NodeId n = 0;
   std::uint32_t k = 0;       ///< scheme-defined; 0 when not meaningful
   double epsilon = 0.0;      ///< valid only when epsilon_recorded
-  /// False when the file records no build epsilon — a v3 store packed
+  /// False when the file records no build epsilon — a v4 store packed
   /// from a bare TZ label set (SketchStore::epsilon_known) — so flag
   /// validation must not check --epsilon against it. Text envelopes
   /// always record epsilon.
@@ -149,7 +149,7 @@ class OracleRegistry {
 
   /// Loads what DistanceOracle::save wrote. A stream opening with the
   /// text header's 's' goes to the named scheme's loader; any other goes
-  /// to the v3 sketch-file reader (load_sketch_file in
+  /// to the v4 sketch-file reader (load_sketch_file in
   /// serve/sketch_store). Throws for unknown schemes, schemes without
   /// save support, and text files naming a sketch scheme.
   LoadedOracle load(std::istream& in) const;

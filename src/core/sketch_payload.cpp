@@ -39,6 +39,87 @@ std::size_t SketchPayload::num_segments() const {
   return scheme == Scheme::kGraceful ? graceful.num_levels() : 1;
 }
 
+const RecordSlab& SketchPayload::segment(std::size_t s) const {
+  switch (scheme) {
+    case Scheme::kThorupZwick:
+      return tz.slab();
+    case Scheme::kSlack:
+      return slack.rows();
+    case Scheme::kCdg:
+      return cdg.records();
+    case Scheme::kGraceful:
+      break;
+  }
+  return graceful.level(s).records();
+}
+
+SketchPayload SketchPayload::from_segments(Scheme scheme, std::uint32_t k,
+                                           std::vector<NodeId> slack_net,
+                                           std::vector<RecordSlab> segments) {
+  SketchPayload payload;
+  payload.scheme = scheme;
+  switch (scheme) {
+    case Scheme::kThorupZwick:
+      payload.tz = LabelArena(std::move(segments.at(0)), k);
+      break;
+    case Scheme::kSlack:
+      payload.slack =
+          SlackSketchSet(std::move(slack_net), std::move(segments.at(0)));
+      break;
+    case Scheme::kCdg:
+      payload.cdg = CdgSketchSet(std::move(segments.at(0)));
+      break;
+    case Scheme::kGraceful: {
+      std::vector<CdgSketchSet> levels;
+      for (RecordSlab& slab : segments) levels.emplace_back(std::move(slab));
+      payload.graceful = GracefulSketchSet(std::move(levels));
+      break;
+    }
+  }
+  return payload;
+}
+
+std::vector<std::uint8_t> SketchPayload::empty_record(Scheme scheme) {
+  RecordSlab one;
+  switch (scheme) {
+    case Scheme::kThorupZwick: {
+      LabelArena arena;
+      arena.append(LabelView());
+      one = arena.slab();
+      break;
+    }
+    case Scheme::kSlack: {
+      SlackSketchSet slack;  // an empty net: width 0, every distance kInfDist
+      slack.append_row(nullptr);
+      one = slack.rows();
+      break;
+    }
+    case Scheme::kCdg:
+    case Scheme::kGraceful: {
+      CdgSketchSet cdg;
+      cdg.append(kInvalidNode, kInfDist, LabelView());
+      one = cdg.records();
+      break;
+    }
+  }
+  return {one.record(0), one.record(0) + one.record_size(0)};
+}
+
+bool SketchPayload::valid_record(Scheme scheme, const std::uint8_t* record,
+                                 std::size_t size,
+                                 std::size_t slack_net_size) {
+  switch (scheme) {
+    case Scheme::kThorupZwick:
+      return LabelView::valid(record, size);
+    case Scheme::kSlack:
+      return SlackRow::valid(record, size, slack_net_size);
+    case Scheme::kCdg:
+    case Scheme::kGraceful:
+      return CdgRecord::valid(record, size);
+  }
+  return false;
+}
+
 SketchPayload build_sketch_payload(const Graph& g, const BuildConfig& config,
                                    SimStats& cost) {
   SketchPayload payload;

@@ -56,13 +56,13 @@ void TzDynamicSketch::recompute_bound() {
   for (NodeId u = 0; u < labels_.num_nodes(); ++u) {
     const LabelView label = labels_.view(u);
     for (std::uint32_t i = 0; i < label.levels; ++i) {
-      const DistKey& p = label.pivot(i);
+      const DistKey p = label.pivot(i);
       if (p.id != kInvalidNode && p.dist != kInfDist) {
         bound_ = std::max(bound_, p.dist);
       }
     }
     for (std::uint32_t j = 0; j < label.count; ++j) {
-      bound_ = std::max(bound_, label.bunch[j].dist);
+      bound_ = std::max(bound_, label.entry(j).dist);
     }
   }
 }
@@ -118,7 +118,7 @@ bool TzDynamicSketch::apply(const Graph& updated, const EdgeUpdate& update) {
     if (dist_a_[x] == kInfDist && dist_b_[x] == kInfDist) continue;
     const LabelView label = labels_.view(x);
     for (std::uint32_t i = 0; i < label.levels; ++i) {
-      const DistKey& p = label.pivot(i);
+      const DistKey p = label.pivot(i);
       if (p.id == kInvalidNode || p.dist == kInfDist) continue;
       const Dist cand = via_edge(x, p.id);
       if (cand < p.dist) {
@@ -127,8 +127,9 @@ bool TzDynamicSketch::apply(const Graph& updated, const EdgeUpdate& update) {
       }
     }
     for (std::uint32_t j = 0; j < label.count; ++j) {
-      const Dist cand = via_edge(x, label.bunch[j].node);
-      if (cand < label.bunch[j].dist) {
+      const BunchEntry e = label.entry(j);
+      const Dist cand = via_edge(x, e.node);
+      if (cand < e.dist) {
         labels_.tighten_bunch_dist(x, j, cand);
         ++stats_.entries_improved;
       }

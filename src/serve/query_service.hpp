@@ -29,8 +29,9 @@
 /// or a stale cached answer.
 ///
 /// The usual backing oracle is a SketchStore (the one sketch-set class,
-/// built or loaded), but any registered scheme serves: a landmark table,
-/// the exact matrix, a memory-mapped store.
+/// built, loaded into one heap buffer, or mapped — swapping between a
+/// heap and a mapped store of one file is a plain swap()), but any
+/// registered scheme serves: a landmark table, the exact matrix.
 ///
 /// \code
 ///   auto oracle = SketchStore::load_oracle("net.sketch");

@@ -9,12 +9,12 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 
 #include "core/oracle_registry.hpp"
 #include "dynamics/incremental.hpp"
 #include "obs/trace.hpp"
-#include "serve/label_codec.hpp"
 #include "serve/store_format.hpp"
 #include "util/assert.hpp"
 
@@ -24,131 +24,13 @@ namespace {
 namespace sf = store_format;
 using sf::fail;
 
-// ---- little-endian byte packing --------------------------------------------
+/// Zero bytes for the page pads (a pad is shorter than a page).
+constexpr std::uint8_t kZeroPage[sf::kPageBytes] = {};
 
-class ByteWriter {
- public:
-  void u32(std::uint32_t x) {
-    for (int i = 0; i < 4; ++i) bytes_.push_back((x >> (8 * i)) & 0xff);
-  }
-  void u64(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) bytes_.push_back((x >> (8 * i)) & 0xff);
-  }
-  void f64(double x) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &x, sizeof(bits));
-    u64(bits);
-  }
-  void raw(const std::vector<std::uint8_t>& data) {
-    bytes_.insert(bytes_.end(), data.begin(), data.end());
-  }
-  /// Zero-pads the payload to the next page-aligned file position.
-  void pad_page() {
-    bytes_.insert(bytes_.end(), sf::page_pad(bytes_.size()), 0);
-  }
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-};
-
-/// Reads one store's file image from `in`: the 64-byte header, then at
-/// most the payload size it declares, in bounded chunks — a corrupted
-/// size must fail as "truncated" in sf::parse, not as a giant allocation.
-std::vector<std::uint8_t> read_image(std::istream& in) {
-  std::vector<std::uint8_t> image(sf::kPayloadStart);
-  in.read(reinterpret_cast<char*>(image.data()),
-          static_cast<std::streamsize>(image.size()));
-  image.resize(static_cast<std::size_t>(in.gcount()));
-  if (image.size() < sf::kPayloadStart) return image;
-  const std::uint64_t payload_size = sf::load_u64(image.data() + 40);
-  constexpr std::uint64_t kReadChunk = 1 << 24;
-  while (image.size() - sf::kPayloadStart < payload_size) {
-    const std::uint64_t want = std::min(
-        kReadChunk, payload_size - (image.size() - sf::kPayloadStart));
-    const std::size_t old_size = image.size();
-    image.resize(old_size + static_cast<std::size_t>(want));
-    in.read(reinterpret_cast<char*>(image.data() + old_size),
-            static_cast<std::streamsize>(want));
-    image.resize(old_size + static_cast<std::size_t>(in.gcount()));
-    if (static_cast<std::uint64_t>(in.gcount()) < want) break;
-  }
-  return image;
-}
-
-std::vector<std::uint8_t> read_image(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(StoreError::kIo, "cannot open for read: " + path);
-  return read_image(in);
-}
-
-/// Decodes every record of a parsed file into the label plane. Strict
-/// (quarantined == nullptr) throws on the first invalid record; salvage
-/// replaces invalid or missing records by the empty record and marks
-/// their nodes.
-SketchPayload decode_payload(const sf::File& file,
-                             std::vector<char>* quarantined) {
-  const auto scheme = static_cast<Scheme>(file.header.scheme_raw);
-  const NodeId n = file.header.n;
-  SketchPayload payload;
-  payload.scheme = scheme;
-  std::vector<CdgSketchSet> levels;
-  DecodedRecord rec;
-  for (const sf::Segment& seg : file.segments) {
-    std::size_t slack_net = 0;
-    std::size_t cells = 0;
-    if (scheme == Scheme::kSlack) {
-      slack_net = static_cast<std::size_t>(seg.meta[0]);
-      payload.slack = SlackSketchSet(
-          std::vector<NodeId>(seg.meta.begin() + 1, seg.meta.end()));
-      payload.slack.reserve(n);
-    } else {
-      // Size the label slab up front: growing it record by record would
-      // copy and fault in every byte of it several times.
-      for (NodeId u = 0; u < n && seg.offset(u + 1) <= seg.blob_bytes;
-           ++u) {
-        cells += v3_label_cells(scheme, seg.blob + seg.offset(u),
-                                seg.blob + seg.offset(u + 1));
-      }
-    }
-    CdgSketchSet cdg;
-    if (scheme == Scheme::kThorupZwick) payload.tz.reserve(n, cells);
-    if (scheme == Scheme::kCdg || scheme == Scheme::kGraceful) {
-      cdg.reserve(n, cells);
-    }
-    for (NodeId u = 0; u < n; ++u) {
-      const std::uint64_t begin = seg.offset(u);
-      const std::uint64_t end = seg.offset(u + 1);
-      if (end > seg.blob_bytes ||
-          !decode_v3_record(scheme, seg.blob + begin, seg.blob + end, u,
-                            slack_net, rec)) {
-        if (quarantined == nullptr) {
-          fail(StoreError::kStructure, "invalid node record");
-        }
-        (*quarantined)[u] = 1;
-        empty_record(scheme, u, slack_net, rec);
-      }
-      switch (scheme) {
-        case Scheme::kThorupZwick:
-          payload.tz.append(rec.label.view());
-          break;
-        case Scheme::kSlack:
-          payload.slack.append_row(rec.row.data());
-          break;
-        case Scheme::kCdg:
-        case Scheme::kGraceful:
-          cdg.append(rec.net_node, rec.net_dist, rec.label.view());
-          break;
-      }
-    }
-    if (scheme == Scheme::kCdg) payload.cdg = std::move(cdg);
-    if (scheme == Scheme::kGraceful) levels.push_back(std::move(cdg));
-  }
-  if (scheme == Scheme::kGraceful) {
-    payload.graceful = GracefulSketchSet(std::move(levels));
-  }
-  return payload;
+/// The slack net a segment's meta words hold (empty for other schemes).
+std::vector<NodeId> slack_net(const sf::Segment& seg) {
+  if (seg.meta.empty()) return {};
+  return {seg.meta.begin() + 1, seg.meta.end()};
 }
 
 }  // namespace
@@ -199,16 +81,24 @@ std::size_t SketchStore::size_words(NodeId u) const {
 }
 
 std::size_t SketchStore::encoded_bytes() const {
-  return encode_payload().size();
+  std::size_t bytes = 0;
+  for_each_payload_run([&](const std::uint8_t*, std::size_t size) {
+    bytes += size;
+  });
+  return bytes;
 }
 
 std::size_t SketchStore::encoded_record_bytes(NodeId u) const {
   DS_CHECK(u < n_);
-  std::vector<std::uint8_t> bytes;
+  std::size_t bytes = 0;
   for (std::size_t s = 0; s < num_segments(); ++s) {
-    encode_v3_record(payload_, s, u, bytes);
+    bytes += payload_.segment(s).record_size(u);
   }
-  return bytes.size();
+  return bytes;
+}
+
+void SketchStore::drop_pages() const {
+  if (image_ != nullptr) image_->drop_pages();
 }
 
 std::string SketchStore::guarantee() const {
@@ -223,61 +113,75 @@ Capabilities SketchStore::capabilities() const {
 
 // ---- binary round trip ------------------------------------------------------
 
-std::vector<std::uint8_t> SketchStore::encode_payload() const {
-  ByteWriter payload;
-  std::vector<std::uint8_t> blob;
-  std::vector<std::uint64_t> offsets;
+template <typename Fn>
+void SketchStore::for_each_payload_run(Fn&& fn) const {
+  std::size_t pos = 0;
+  const auto put = [&](const std::uint8_t* data, std::size_t size) {
+    fn(data, size);
+    pos += size;
+  };
+  const auto pad = [&] { put(kZeroPage, sf::page_pad(pos)); };
+  std::vector<std::uint8_t> head;
+  const auto head_u64 = [&](std::uint64_t x) {
+    head.resize(head.size() + 8);
+    store_le64(head.data() + head.size() - 8, x);
+  };
   for (std::size_t s = 0; s < num_segments(); ++s) {
+    const RecordSlab& slab = payload_.segment(s);
+    head.clear();
     if (scheme_ == Scheme::kSlack) {
       const std::vector<NodeId>& net = payload_.slack.net();
-      payload.u64(net.size() + 1);
-      payload.u64(net.size());
-      for (const NodeId w : net) payload.u64(w);
+      head_u64(net.size() + 1);
+      head_u64(net.size());
+      for (const NodeId w : net) head_u64(w);
     } else {
-      payload.u64(0);
+      head_u64(0);
     }
-    blob.clear();
-    offsets.assign(1, 0);
-    for (NodeId u = 0; u < n_; ++u) {
-      encode_v3_record(payload_, s, u, blob);
-      offsets.push_back(blob.size());
-    }
-    payload.u64(blob.size());
-    payload.pad_page();
-    for (const std::uint64_t o : offsets) payload.u64(o);
-    payload.pad_page();
-    payload.raw(blob);
-    payload.pad_page();
+    head_u64(slab.blob().size());
+    put(head.data(), head.size());
+    pad();
+    put(slab.offset_table().data(), slab.offset_table().size());
+    pad();
+    put(slab.blob().data(), slab.blob().size());
+    pad();
   }
-  return payload.take();
 }
 
 void SketchStore::write(std::ostream& out, StoreFormat /*format*/) const {
   const obs::Span span("store_write");
-  const std::vector<std::uint8_t> body = encode_payload();
-  out.write(sf::kMagic, 8);
-  ByteWriter h;
-  h.u32(sf::kVersion);
-  h.u32(static_cast<std::uint32_t>(scheme_));
-  h.u32(n_);
-  h.u32(k_);
-  h.u32(static_cast<std::uint32_t>(num_segments()));
-  h.u32(epsilon_known_ ? sf::kFlagEpsilonKnown : 0);
-  h.f64(epsilon_);
-  h.u64(body.size());
-  h.u64(sf::fnv1a64(body.data(), body.size()));
+  std::uint64_t payload_bytes = 0;
+  std::uint64_t checksum = 14695981039346656037ULL;
+  for_each_payload_run([&](const std::uint8_t* data, std::size_t size) {
+    payload_bytes += size;
+    checksum = sf::fnv1a64(data, size, checksum);
+  });
+  std::vector<std::uint8_t> h(sf::kHeaderBytes);
+  store_le32(h.data(), sf::kVersion);
+  store_le32(h.data() + 4, static_cast<std::uint32_t>(scheme_));
+  store_le32(h.data() + 8, n_);
+  store_le32(h.data() + 12, k_);
+  store_le32(h.data() + 16, static_cast<std::uint32_t>(num_segments()));
+  store_le32(h.data() + 20, epsilon_known_ ? sf::kFlagEpsilonKnown : 0);
+  std::memcpy(h.data() + 24, &epsilon_, sizeof(epsilon_));
+  store_le64(h.data() + 32, payload_bytes);
+  store_le64(h.data() + 40, checksum);
   // The header is checksummed too: the payload checksum cannot cover it,
   // and a bit flip in n/k/epsilon/payload_size must not go unnoticed.
-  h.u64(sf::fnv1a64(h.bytes().data(), h.bytes().size()));
-  out.write(reinterpret_cast<const char*>(h.bytes().data()),
-            static_cast<std::streamsize>(h.bytes().size()));
-  out.write(reinterpret_cast<const char*>(body.data()),
-            static_cast<std::streamsize>(body.size()));
+  h.resize(sf::kHeaderBytes + 8);
+  store_le64(h.data() + sf::kHeaderBytes,
+             sf::fnv1a64(h.data(), sf::kHeaderBytes));
+  out.write(sf::kMagic, 8);
+  out.write(reinterpret_cast<const char*>(h.data()),
+            static_cast<std::streamsize>(h.size()));
+  for_each_payload_run([&](const std::uint8_t* data, std::size_t size) {
+    out.write(reinterpret_cast<const char*>(data),
+              static_cast<std::streamsize>(size));
+  });
   if (!out) fail(StoreError::kIo, "write failed");
 }
 
-SketchStore SketchStore::decode(const store_format::File& file,
-                                std::vector<char>* quarantined) {
+SketchStore SketchStore::from_file(const sf::File& file,
+                                   std::vector<RecordSlab> slabs) {
   const sf::StoreHeader& hdr = file.header;
   SketchStore store;
   store.scheme_ = static_cast<Scheme>(hdr.scheme_raw);
@@ -285,15 +189,50 @@ SketchStore SketchStore::decode(const store_format::File& file,
   store.k_ = hdr.k;
   store.epsilon_ = hdr.epsilon;
   store.epsilon_known_ = hdr.epsilon_known;
-  store.payload_ = decode_payload(file, quarantined);
+  store.payload_ = SketchPayload::from_segments(
+      store.scheme_, hdr.k, slack_net(file.segments[0]), std::move(slabs));
+  return store;
+}
+
+SketchStore SketchStore::from_image(std::shared_ptr<const sf::Image> image,
+                                    const sf::File& file) {
+  std::vector<RecordSlab> slabs;
+  for (const sf::Segment& seg : file.segments) {
+    slabs.emplace_back(image, seg.offsets, seg.blob, file.header.n);
+  }
+  SketchStore store = from_file(file, std::move(slabs));
+  store.image_ = std::move(image);
   return store;
 }
 
 SketchStore SketchStore::read(std::istream& in) {
   const obs::Span span("store_read");
-  const std::vector<std::uint8_t> image = read_image(in);
-  return decode(sf::parse(image.data(), image.size(), sf::Parse::kVerified),
-                nullptr);
+  std::shared_ptr<const sf::Image> image = sf::Image::read(in);
+  const sf::File file =
+      sf::parse(image->data(), image->size(), sf::Parse::kVerified);
+  const auto scheme = static_cast<Scheme>(file.header.scheme_raw);
+  for (const sf::Segment& seg : file.segments) {
+    const std::size_t net = scheme == Scheme::kSlack ? seg.meta[0] : 0;
+    for (NodeId u = 0; u < file.header.n; ++u) {
+      if (!SketchPayload::valid_record(
+              scheme, seg.blob + seg.offset(u),
+              static_cast<std::size_t>(seg.offset(u + 1) - seg.offset(u)),
+              net)) {
+        fail(StoreError::kStructure, "invalid node record");
+      }
+    }
+  }
+  return from_image(std::move(image), file);
+}
+
+std::unique_ptr<SketchStore> SketchStore::open(const std::string& path,
+                                               bool verify_checksum) {
+  const obs::Span span("store_mmap_open");
+  std::shared_ptr<const sf::Image> image = sf::Image::map(path);
+  const sf::File file = sf::parse(
+      image->data(), image->size(),
+      verify_checksum ? sf::Parse::kVerified : sf::Parse::kStrict);
+  return std::make_unique<SketchStore>(from_image(std::move(image), file));
 }
 
 void SketchStore::save_file(const std::string& path, StoreFormat format) const {
@@ -369,14 +308,38 @@ SketchStore::Recovery SketchStore::recover_file(const std::string& path) {
   }
   // Segment framing (meta + offsets) must parse for a segment to be
   // salvageable at all; the blob may be short (truncation) and individual
-  // records may be garbage (bit flips) — those quarantine per node.
-  const std::vector<std::uint8_t> image = read_image(path);
+  // records may be garbage (bit flips) — those quarantine per node. The
+  // intact records are copied into fresh slabs.
+  const std::shared_ptr<const sf::Image> image = sf::Image::read_file(path);
   const sf::File file =
-      sf::parse(image.data(), image.size(), sf::Parse::kSalvage);
-  std::vector<char> quarantined(file.header.n, 0);
+      sf::parse(image->data(), image->size(), sf::Parse::kSalvage);
+  const auto scheme = static_cast<Scheme>(file.header.scheme_raw);
+  const NodeId n = file.header.n;
+  const std::vector<std::uint8_t> empty = SketchPayload::empty_record(scheme);
+  std::vector<char> quarantined(n, 0);
+  std::vector<RecordSlab> slabs;
+  for (const sf::Segment& seg : file.segments) {
+    const std::size_t net = scheme == Scheme::kSlack ? seg.meta[0] : 0;
+    RecordSlab& slab = slabs.emplace_back();
+    for (NodeId u = 0; u < n; ++u) {
+      const std::uint64_t begin = seg.offset(u);
+      const std::uint64_t end = seg.offset(u + 1);
+      // The image has 8 readable bytes past its end, so a record cut
+      // short by truncation can still be validated in place.
+      const std::span<const std::uint8_t> rec(
+          seg.blob + begin, static_cast<std::size_t>(end - begin));
+      if (end <= seg.blob_bytes &&
+          SketchPayload::valid_record(scheme, rec.data(), rec.size(), net)) {
+        slab.append(rec);
+      } else {
+        quarantined[u] = 1;
+        slab.append(empty);
+      }
+    }
+  }
   Recovery rec;
-  rec.store = decode(file, &quarantined);
-  for (NodeId u = 0; u < rec.store.n_; ++u) {
+  rec.store = from_file(file, std::move(slabs));
+  for (NodeId u = 0; u < n; ++u) {
     if (quarantined[u]) rec.quarantined.push_back(u);
   }
   return rec;
@@ -421,7 +384,7 @@ void register_sketch_oracles(OracleRegistry& reg) {
       return std::unique_ptr<DistanceOracle>(
           new SketchStore(g, sketch_build_config(scheme, flags)));
     };
-    // Sketch sets are saved as v3 files, which never reach a text loader
+    // Sketch sets are saved as v4 files, which never reach a text loader
     // (see load_sketch_file); a text envelope naming a sketch scheme is
     // the retired text sketch format.
     s.load = [](std::istream&, const OracleEnvelope& envelope)

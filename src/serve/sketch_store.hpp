@@ -1,28 +1,28 @@
 /// \file
 /// The sketch set of one build, any of the four families — built, loaded
-/// or packed — and its one file format.
+/// or mapped — and its one file format.
 ///
 /// The paper's deployment story (§1) is build-once / query-many: the
 /// expensive distributed construction runs offline, and the resulting
 /// sketches are shipped to query frontends. A SketchStore is that sketch
 /// set: its build constructor runs the construction (and keeps the
-/// CONGEST cost), read()/load_file() bring a saved one back, and
-/// from_oracle() packs a bare TZ label set. All three hold the same label
-/// plane (core/sketch_payload) and answer through the same per-scheme
-/// functions (tz_query, slack_query, cdg_query), so answers are
-/// bit-identical however the store came to be (tested).
+/// CONGEST cost), read()/load_file() bring a saved one back into one heap
+/// buffer, open() maps one, and from_oracle() packs a bare TZ label set.
+/// All of them hold the same label plane (core/sketch_payload): one
+/// bit-packed record per node (sketch/record_slab), which a loaded or
+/// mapped store reads where the file's bytes lie, with no decode step.
+/// They answer through the same per-scheme functions (tz_query,
+/// slack_query, cdg_query), so answers are bit-identical however the
+/// store came to be (tested).
 ///
-/// A sketch set is saved only in the v3 format: varint records
-/// (serve/label_codec) behind page-aligned byte-offset tables. save(),
-/// write() and save_file() emit the same bytes; OracleRegistry::load
-/// routes any stream that does not open with a text envelope header to
-/// the v3 reader here. read() decodes every record back into the label
-/// plane; serve/mmap_store serves the same file in place, decoding the
-/// two queried records per query.
+/// A sketch set is saved only in the v4 format: the label plane's records
+/// behind page-aligned byte-offset tables. save(), write() and save_file()
+/// emit the same bytes; OracleRegistry::load routes any stream that does
+/// not open with a text envelope header to the reader here.
 ///
 /// On-disk layout (little-endian):
-///   bytes 0..7   magic "DSKSTOR3"
-///   u32 version (3), u32 scheme, u32 n, u32 k, u32 segments, u32 flags
+///   bytes 0..7   magic "DSKSTOR4"
+///   u32 version (4), u32 scheme, u32 n, u32 k, u32 segments, u32 flags
 ///   f64 epsilon                       (flags bit 0: epsilon was recorded)
 ///   u64 payload_bytes, u64 checksum (FNV-1a 64 over the payload)
 ///   u64 header_checksum             (FNV-1a 64 over the 48 header bytes
@@ -31,15 +31,18 @@
 ///            u64 meta_count, u64 meta[], u64 blob_bytes,
 ///            zero pad to the next 4096-byte file boundary,
 ///            u64 offsets[n+1] (BYTE offsets into the blob; offsets[0]=0,
-///            offsets[n]=blob_bytes), pad to 4096,
-///            u8 blob[blob_bytes] (one varint record per node, see
-///            serve/label_codec.hpp), pad to 4096
-///   The pads are inside the payload checksum. Page-aligning the offset
-///   table and the blob is what lets serve/mmap_store map the file and
-///   serve queries off the encoded bytes. Segments: one for tz, slack and
-///   cdg, one per epsilon level for graceful; slack's meta holds the net
-///   (size, then ids). v1/v2 files ("DSKSTOR1"/"DSKSTOR2") and the retired
-///   text sketch files (a `scheme tz ...` envelope) are rejected with
+///            offsets[n]=blob_bytes-8), pad to 4096,
+///            u8 blob[blob_bytes] (one packed record per node, then 8 zero
+///            bytes so every record can be read with 8-byte loads), pad
+///            to 4096
+///   The pads are inside the payload checksum. Records: a tz record is a
+///   packed label (sketch/tz_label.hpp); a slack record is a u8 width and
+///   the row of net distances at that width, all-ones meaning kInfDist; a
+///   cdg record is u32 net node, u32 label owner, u64 net distance, then a
+///   tz record. Segments: exactly one for tz, slack and cdg, one per
+///   epsilon level for graceful; slack's meta holds the net (size, then
+///   ids). v1/v2/v3 files ("DSKSTOR1".."DSKSTOR3") and the retired text
+///   sketch files (a `scheme tz ...` envelope) are rejected with
 ///   kUnsupportedVersion: stores are rebuildable artifacts.
 ///
 /// Durability: save_file writes a temp file, fsyncs, then renames into
@@ -65,6 +68,7 @@
 namespace dsketch {
 
 namespace store_format {
+class Image;
 struct File;
 }
 
@@ -75,7 +79,7 @@ enum class StoreError {
   kBadMagic,            ///< not a sketch store at all
   kTruncatedHeader,     ///< file ends inside the fixed header
   kHeaderChecksum,      ///< header checksum mismatch (bit-flipped header)
-  kUnsupportedVersion,  ///< format this build cannot parse (v1/v2, text)
+  kUnsupportedVersion,  ///< format this build cannot parse (v1-v3, text)
   kUnknownScheme,       ///< scheme tag outside the known families
   kTruncatedPayload,    ///< file ends inside the payload
   kPayloadChecksum,     ///< payload bytes fail the FNV-1a checksum
@@ -94,8 +98,8 @@ class StoreCorruptionError : public std::runtime_error {
   StoreError kind_;
 };
 
-/// The on-disk encoding write()/save_file() emit: the delta+varint
-/// page-aligned v3 format, the only one.
+/// The on-disk encoding write()/save_file() emit. There is one format,
+/// v4; the argument is ignored and kept for callers that still name it.
 enum class StoreFormat { kV3 = 3 };
 
 /// Query-ready sketches for all four schemes. A SketchStore is itself a
@@ -120,16 +124,31 @@ class SketchStore final : public DistanceOracle {
   /// a label plane (the baselines).
   static SketchStore from_oracle(const DistanceOracle& oracle);
 
-  /// Binary round trip. read()/load_file() validate magic, version,
-  /// header checksum, framing, the payload checksum, and every record,
-  /// throwing StoreCorruptionError on any mismatch. save_file is atomic:
-  /// temp file + fsync + rename, so readers of `path` see either the old
+  /// Binary round trip. read()/load_file() read the file into one heap
+  /// buffer, validate magic, version, header checksum, framing, the
+  /// payload checksum and every record (widths, size, sorted ids), then
+  /// serve from that buffer — no second copy, no decode. They throw
+  /// StoreCorruptionError on any mismatch. save_file is atomic: temp
+  /// file + fsync + rename, so readers of `path` see either the old
   /// complete store or the new complete store, never a torn write.
   void write(std::ostream& out, StoreFormat format = StoreFormat::kV3) const;
   static SketchStore read(std::istream& in);
   void save_file(const std::string& path,
                  StoreFormat format = StoreFormat::kV3) const;
   static SketchStore load_file(const std::string& path);
+
+  /// Maps the store at `path` read-only and serves from the mapping: the
+  /// page cache is the only copy. Runs the same framing parser as read()
+  /// (header, checksummed header, monotone in-bounds offset tables) but
+  /// leaves records to the query kernel's per-record bounds checks, so
+  /// corrupt record bytes answer a distance or kInfDist, never an
+  /// out-of-bounds read. verify_checksum pays one payload pass up front.
+  static std::unique_ptr<SketchStore> open(const std::string& path,
+                                           bool verify_checksum = false);
+  /// Releases a mapped store's resident pages so the next queries fault
+  /// them back in (benches re-measure cold latency this way); a no-op on
+  /// a built or heap-loaded store.
+  void drop_pages() const;
 
   /// Best-effort salvage of a corrupt store file. Parses the framing with
   /// every bounds check but without requiring the payload checksum, then
@@ -153,7 +172,7 @@ class SketchStore final : public DistanceOracle {
   Dist query(NodeId u, NodeId v) const override;
 
   /// Words stored at node u in the paper's accounting — the same number
-  /// the build-side oracle and the mmap store report.
+  /// the build-side oracle reports.
   std::size_t size_words(NodeId u) const override;
   /// Registry name of the stored family ("tz", "slack", ...).
   std::string scheme() const override { return scheme_name(scheme_); }
@@ -167,7 +186,7 @@ class SketchStore final : public DistanceOracle {
   const SimStats* build_cost() const override {
     return has_cost_ ? &cost_ : nullptr;
   }
-  /// DistanceOracle::save: the v3 file, byte for byte what save_file
+  /// DistanceOracle::save: the v4 file, byte for byte what save_file
   /// writes, so OracleRegistry::load reads it back.
   void save(std::ostream& out) const override { write(out); }
 
@@ -181,7 +200,8 @@ class SketchStore final : public DistanceOracle {
   double epsilon() const { return epsilon_; }
   /// False when the store was packed from a bare TZ label set
   /// (TzLabelOracle), which records no epsilon: epsilon() is then 0, not
-  /// a build value. The v3 header's flag carries this through save/load.
+  /// a build value. The file header's flag carries this through
+  /// save/load.
   bool epsilon_known() const { return epsilon_known_; }
   /// Store segments (1 for tz/slack/cdg; one per level for graceful).
   std::size_t num_segments() const { return payload_.num_segments(); }
@@ -192,15 +212,21 @@ class SketchStore final : public DistanceOracle {
   /// what `save_file` puts on disk past the 64-byte header.
   std::size_t encoded_bytes() const;
 
-  /// Encoded bytes of node u's records, summed across segments — the
+  /// Packed bytes of node u's records, summed across segments — the
   /// per-node serving footprint without file framing or padding.
   std::size_t encoded_record_bytes(NodeId u) const;
 
  private:
-  /// The store behind a parsed file; see decode_payload in the .cpp.
-  static SketchStore decode(const store_format::File& file,
-                            std::vector<char>* quarantined);
-  std::vector<std::uint8_t> encode_payload() const;
+  /// The store of `file`'s header over `slabs`, one per segment.
+  static SketchStore from_file(const store_format::File& file,
+                               std::vector<RecordSlab> slabs);
+  /// The store serving the parsed file `file` out of `image`.
+  static SketchStore from_image(
+      std::shared_ptr<const store_format::Image> image,
+      const store_format::File& file);
+  /// Emits the payload as a sequence of byte runs: fn(data, size).
+  template <typename Fn>
+  void for_each_payload_run(Fn&& fn) const;
 
   Scheme scheme_ = Scheme::kThorupZwick;
   NodeId n_ = 0;
@@ -210,6 +236,8 @@ class SketchStore final : public DistanceOracle {
   bool has_cost_ = false;  ///< see build_cost()
   SimStats cost_;
   SketchPayload payload_;
+  /// The file bytes the payload borrows (loaded or mapped stores).
+  std::shared_ptr<const store_format::Image> image_;
 };
 
 /// Result of SketchStore::recover_file — see its doc comment.
@@ -226,7 +254,7 @@ struct LoadedOracle;
 /// each built as a SketchStore.
 void register_sketch_oracles(OracleRegistry& reg);
 
-/// Reads a v3 sketch file into a SketchStore and fills the envelope from
+/// Reads a v4 sketch file into a SketchStore and fills the envelope from
 /// its header (scheme, n, k, epsilon, the epsilon-known flag): where
 /// OracleRegistry::load sends every stream without a text envelope
 /// header. Throws StoreCorruptionError like read().

@@ -1,6 +1,7 @@
 #include "sketch/cdg_sketch.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <unordered_map>
 #include <utility>
@@ -24,7 +25,7 @@ std::vector<Word> serialize_label(const LabelView& label) {
     out.push_back(label.pivot(i).dist);
   }
   for (std::uint32_t i = 0; i < label.count; ++i) {
-    const BunchEntry& e = label.bunch[i];
+    const BunchEntry e = label.entry(i);
     out.push_back(e.node);
     out.push_back(e.level);
     out.push_back(e.dist);
@@ -161,19 +162,32 @@ Dist cdg_query(const CdgRecord& u, const CdgRecord& v) {
   return u.net_dist + mid + v.net_dist;
 }
 
-void CdgSketchSet::reserve(std::size_t nodes, std::size_t cells) {
-  net_node_.reserve(net_node_.size() + nodes);
-  net_dist_.reserve(net_dist_.size() + nodes);
-  owner_.reserve(owner_.size() + nodes);
-  labels_.reserve(nodes, cells);
+namespace {
+/// u32 net node, u32 label owner, u64 net distance.
+constexpr std::size_t kCdgPrefixBytes = 16;
+}  // namespace
+
+CdgRecord::CdgRecord(const std::uint8_t* rec, std::size_t size) {
+  if (size < kCdgPrefixBytes) return;
+  net_node = load_le32(rec);
+  net_dist = load_le64(rec + 8);
+  label = LabelView(load_le32(rec + 4), rec + kCdgPrefixBytes,
+                    size - kCdgPrefixBytes);
+}
+
+bool CdgRecord::valid(const std::uint8_t* rec, std::size_t size) {
+  return size >= kCdgPrefixBytes &&
+         LabelView::valid(rec + kCdgPrefixBytes, size - kCdgPrefixBytes);
 }
 
 void CdgSketchSet::append(NodeId net_node, Dist net_dist,
                           const LabelView& label) {
-  net_node_.push_back(net_node);
-  net_dist_.push_back(net_dist);
-  owner_.push_back(label.owner);
-  labels_.append(label);
+  const std::span<const std::uint8_t> bytes = label.bytes();
+  std::uint8_t* rec = records_.append(kCdgPrefixBytes + bytes.size());
+  store_le32(rec, net_node);
+  store_le32(rec + 4, label.owner);
+  store_le64(rec + 8, net_dist);
+  std::memcpy(rec + kCdgPrefixBytes, bytes.data(), bytes.size());
 }
 
 CdgBuildResult build_cdg_sketches(const Graph& g, const CdgConfig& config,

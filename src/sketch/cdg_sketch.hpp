@@ -42,6 +42,16 @@ struct CdgRecord {
   NodeId net_node = kInvalidNode;  ///< u' — nearest net node
   Dist net_dist = kInfDist;        ///< d(u, u')
   LabelView label;                 ///< L(u'), as disseminated; owner u'
+
+  /// The packed record at [rec, rec + size), 8 bytes past which are
+  /// readable: u32 net node, u32 label owner, u64 net distance, then the
+  /// label's TZ record. A record too short for that prefix reads as the
+  /// empty sketch (net distance kInfDist).
+  CdgRecord(const std::uint8_t* rec, std::size_t size);
+  CdgRecord() = default;
+
+  /// True when the record is exactly `size` bytes of well-formed sketch.
+  static bool valid(const std::uint8_t* rec, std::size_t size);
 };
 
 /// The CDG estimate d(u,u') + tz_query(L(u'), L(v')) + d(v',v) from two
@@ -49,37 +59,35 @@ struct CdgRecord {
 /// quarantined store record) answers kInfDist instead of wrapping the sum.
 Dist cdg_query(const CdgRecord& u, const CdgRecord& v);
 
-/// Every node's CDG sketch: net node and distance per node, and the
-/// disseminated labels in one LabelArena (node u's record holds L(u')).
+/// Every node's CDG sketch, one packed record per node (node u's record
+/// holds L(u')).
 class CdgSketchSet {
  public:
   CdgSketchSet() = default;
+  /// Serves the packed records of `records` (e.g. borrowed from a store
+  /// file).
+  explicit CdgSketchSet(RecordSlab records) : records_(std::move(records)) {}
 
   /// Appends node num_nodes()'s sketch; label.owner is kept as the owner
   /// of the label (u').
   void append(NodeId net_node, Dist net_dist, const LabelView& label);
-  /// Capacity for `nodes` more sketches whose labels total `cells` cells.
-  void reserve(std::size_t nodes, std::size_t cells);
 
   Dist query(NodeId u, NodeId v) const {
     return u == v ? 0 : cdg_query(sketch(u), sketch(v));
   }
   /// Nodes covered (one sketch per node).
-  std::size_t num_nodes() const { return net_node_.size(); }
+  std::size_t num_nodes() const { return records_.num_records(); }
   std::size_t size_words(NodeId u) const {
-    return 2 + labels_.size_words(u);
+    return 2 + sketch(u).label.size_words();
   }
   CdgRecord sketch(NodeId u) const {
-    LabelView label = labels_.view(u);
-    label.owner = owner_[u];
-    return CdgRecord{net_node_[u], net_dist_[u], label};
+    return CdgRecord(records_.record(u), records_.record_size(u));
   }
+  /// The packed records, as a store segment holds them.
+  const RecordSlab& records() const { return records_; }
 
  private:
-  std::vector<NodeId> net_node_;
-  std::vector<Dist> net_dist_;
-  std::vector<NodeId> owner_;  ///< label owner per node (u' when built)
-  LabelArena labels_;
+  RecordSlab records_;
 };
 
 struct CdgBuildResult {

@@ -15,10 +15,12 @@ std::vector<Edge> extract_spanner(const Graph& g, const LabelArena& labels) {
   std::vector<Edge> spanner;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const LabelView lu = labels.view(u);
+    NodeId prev = kInvalidNode;
     for (std::uint32_t j = 0; j < lu.count; ++j) {
-      const NodeId w = lu.bunch[j].node;
+      const NodeId w = lu.entry(j).node;
       // Entries are node-sorted; a node at several levels is one target.
-      if (w == u || (j > 0 && lu.bunch[j - 1].node == w)) continue;
+      if (w == u || w == prev) continue;
+      prev = w;
       const std::optional<std::uint32_t> e = next_hop(g, labels, u, w);
       if (!e) continue;
       const HalfEdge& he = g.neighbors(u)[*e];

@@ -58,7 +58,7 @@ TEST(TzDynamicSketch, FreshBuildIsExactPerEntryAndNeverUnderestimates) {
       EXPECT_EQ(p.dist, truth[p.id]);
     }
     for (std::uint32_t j = 0; j < label.count; ++j) {
-      const BunchEntry& e = label.bunch[j];
+      const BunchEntry e = label.entry(j);
       EXPECT_EQ(e.dist, truth[e.node]);
     }
   }
@@ -130,7 +130,7 @@ TEST(TzDynamicSketch, RepairKeepsEntriesExactUnderInsertsAndDecreases) {
       EXPECT_EQ(p.dist, truth[p.id]) << "pivot at node " << u;
     }
     for (std::uint32_t j = 0; j < label.count; ++j) {
-      const BunchEntry& e = label.bunch[j];
+      const BunchEntry e = label.entry(j);
       EXPECT_EQ(e.dist, truth[e.node])
           << "bunch entry (" << u << " -> " << e.node << ")";
     }

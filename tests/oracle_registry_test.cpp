@@ -1,6 +1,6 @@
 // The registry + polymorphic round-trip contract: every registered
 // oracle builds, answers, saves, and reloads through OracleRegistry::load
-// to byte-identical answers. Sketch schemes save the v3 store file, the
+// to byte-identical answers. Sketch schemes save the v4 store file, the
 // baselines a scheme-tagged text envelope.
 #include "core/oracle_registry.hpp"
 
@@ -184,7 +184,7 @@ StoreError load_error(const std::string& bytes) {
 }
 
 TEST(OracleEnvelope, LegacyPreEpsilonHeaderStillLoads) {
-  // A v3 header whose epsilon-known flag is clear records no epsilon.
+  // A v4 header whose epsilon-known flag is clear records no epsilon.
   // Clear the flag of a slack save and re-seal the header checksum: the
   // envelope must flag epsilon as unrecorded and the payload must still
   // load to identical answers.
@@ -232,7 +232,7 @@ TEST(OracleEnvelope, FreshSavesAlwaysRecordEpsilon) {
 }
 
 TEST(OracleEnvelope, SketchSaveIsTheV3File) {
-  // What `dsketch build --save` writes (DistanceOracle::save) is the v3
+  // What `dsketch build --save` writes (DistanceOracle::save) is the v4
   // store file, byte for byte what save_file writes for the same build.
   const Graph g = test_graph();
   for (const char* name : {"tz", "slack", "cdg", "graceful"}) {
@@ -253,7 +253,7 @@ TEST(OracleEnvelope, SketchSaveIsTheV3File) {
 }
 
 TEST(OracleEnvelope, RejectsInflatedNodeCountHeader) {
-  // The v3 header is checksummed: an n that was changed after the save
+  // The v4 header is checksummed: an n that was changed after the save
   // (corruption or a hand edit) must be rejected at load, or the CLI's
   // num_nodes()-based bounds check would wave through queries that index
   // past the loaded records.
@@ -341,7 +341,7 @@ TEST(Serialization, SlackRoundTrip) {
 
 TEST(Serialization, BadMagicRejected) {
   // Garbage never loads: a stream without the text header's leading 's'
-  // is read as a v3 file and fails its magic, typed; one that opens like
+  // is read as a v4 file and fails its magic, typed; one that opens like
   // a text header fails the header parse.
   for (const char* bad : {"", "garbage 5\n"}) {
     EXPECT_EQ(load_error(bad), StoreError::kBadMagic) << bad;
@@ -377,7 +377,7 @@ TEST(Serialization, HeaderPersistsEpsilonForFlagValidation) {
 }
 
 TEST(Serialization, LoadsHeadersWithoutEpsilonField) {
-  // A store packed from a bare TZ label set records no epsilon: its v3
+  // A store packed from a bare TZ label set records no epsilon: its v4
   // header's epsilon-known flag is clear. Save and load keep it clear,
   // the envelope says so, and `query --load --epsilon` (its flag check)
   // does not reject the file against the unrecorded value.

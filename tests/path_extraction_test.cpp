@@ -24,7 +24,7 @@ TEST(PathExtraction, RouteToBunchMemberIsExactShortestPath) {
   for (NodeId u = 0; u < g.num_nodes(); u += 3) {
     const LabelView lu = r.labels.view(u);
     for (std::uint32_t j = 0; j < lu.count; ++j) {
-      const BunchEntry& e = lu.bunch[j];
+      const BunchEntry e = lu.entry(j);
       const auto path = route_to_target(g, r.labels, u, e.node);
       ASSERT_GE(path.size(), 1u);
       EXPECT_EQ(path.front(), u);
@@ -102,9 +102,9 @@ std::vector<Dist> expect_exact_walks(const Graph& g, const LabelArena& labels) {
   for (NodeId u = 0; u < g.num_nodes(); u += 3) {
     const LabelView lu = labels.view(u);
     for (std::uint32_t j = 0; j < lu.count; ++j) {
-      const auto path = route_to_target(g, labels, u, lu.bunch[j].node);
-      EXPECT_FALSE(path.empty()) << u << " -> " << lu.bunch[j].node;
-      EXPECT_EQ(path_weight(g, path), lu.bunch[j].dist);
+      const auto path = route_to_target(g, labels, u, lu.entry(j).node);
+      EXPECT_FALSE(path.empty()) << u << " -> " << lu.entry(j).node;
+      EXPECT_EQ(path_weight(g, path), lu.entry(j).dist);
     }
   }
   std::vector<Dist> weights;
@@ -121,7 +121,7 @@ std::vector<Dist> expect_exact_walks(const Graph& g, const LabelArena& labels) {
 
 TEST(PathExtraction, CentralizedAndLoadedLabelsRouteLikeInNetwork) {
   // Forwarding is read off the labels, so any label set of one hierarchy
-  // routes alike: in-network, centralized, or loaded from a v3 file. The
+  // routes alike: in-network, centralized, or loaded from a v4 file. The
   // unit-weight grid has many equal-length paths (ties).
   const std::uint32_t k = 3;
   for (const Graph& g : {erdos_renyi(150, 0.05, {1, 9}, 21),

@@ -2,16 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <thread>
 
 #include "dynamics/incremental.hpp"
 #include "graph/generators.hpp"
-#include "serve/mmap_store.hpp"
+#include "serve/query_service.hpp"
+#include "sketch/path_extraction.hpp"
 #include "sketch/tz_centralized.hpp"
 #include "test_paths.hpp"
+#include "util/rng.hpp"
 
 namespace dsketch {
 namespace {
@@ -79,7 +83,7 @@ std::uint64_t u64_at(const std::string& bytes, std::size_t pos) {
 /// File position of the next 4096-byte boundary at or after `pos`.
 std::size_t page_align(std::size_t pos) { return (pos + 4095) / 4096 * 4096; }
 
-/// Where each segment's offset table and blob start in a v3 file.
+/// Where each segment's offset table and blob start in a store file.
 struct V3Map {
   std::vector<std::size_t> offsets_pos;
   std::vector<std::size_t> blob_pos;
@@ -179,16 +183,16 @@ TEST_F(SketchStoreCorruption, RejectsEmptyStream) {
 
 TEST_F(SketchStoreCorruption, RejectsChecksumValidStructuralCorruption) {
   // The checksum only detects accidental corruption; a crafted file can
-  // recompute it. Inflate the first TZ record's bunch count past its
-  // slice and re-forge both checksums: the record decoder must still
-  // reject the file, with a structural diagnosis.
+  // recompute it. Give the first TZ record an id width no record can
+  // have and re-forge both checksums: the record check must still reject
+  // the file, with a structural diagnosis.
   std::string bytes = valid_bytes();
   const auto n = static_cast<NodeId>(u64_at(bytes, 16) & 0xffffffffu);
   const V3Map map(bytes, n, 1);
-  // Record 0 starts varint(levels) varint(count); both are one byte here.
-  const std::size_t count_pos = map.record(bytes, 0, 0) + 1;
-  ASSERT_LT(static_cast<std::uint8_t>(bytes[count_pos]), 0x80);
-  bytes[count_pos] = static_cast<char>(0x7f);  // count = 127
+  // Record 0 starts u8 levels, u8 id width.
+  const std::size_t width_pos = map.record(bytes, 0, 0) + 1;
+  ASSERT_LE(static_cast<std::uint8_t>(bytes[width_pos]), 32);
+  bytes[width_pos] = static_cast<char>(0x7f);  // id width 127
   forge_checksums(bytes);
   std::stringstream ss(bytes);
   try {
@@ -343,8 +347,8 @@ class StoreRecoverySchemes : public ::testing::TestWithParam<Scheme> {
 };
 
 TEST_P(StoreRecoverySchemes, DamagedRecordAnswersInfAndTheRestServe) {
-  // Stomp the victim's record in every segment with continuation-bit
-  // garbage (graceful keeps one record per level).
+  // Stomp the victim's record in every segment with all-ones garbage
+  // (graceful keeps one record per level).
   const NodeId victim = 7;
   std::string mut = bytes_;
   for (std::size_t s = 0; s < store_.num_segments(); ++s) {
@@ -489,7 +493,7 @@ TEST(SketchStoreProvenance, UnknownEpsilonSurvivesConversion) {
     store->save_file(path);
     const SketchStore back = SketchStore::load_file(path);
     const SketchStore repacked = SketchStore::from_oracle(back);
-    const auto mapped = MmapSketchStore::open(path);
+    const auto mapped = SketchStore::open(path);
     EXPECT_EQ(back.epsilon_known(), known);
     EXPECT_EQ(repacked.epsilon_known(), known);
     EXPECT_EQ(mapped->epsilon_known(), known);
@@ -542,6 +546,84 @@ TEST(SketchStorePacking, TzLabelStoreSurvivesBinaryRoundTrip) {
       EXPECT_EQ(back.query(u, v), oracle.query(u, v));
     }
   }
+}
+
+TEST(SketchStoreMapped, FourLanesServeAMappingAcrossHotSwaps) {
+  // A 4-lane service serves a mapped store while another thread swaps it
+  // with a heap-loaded store of the same file and with fresh mappings.
+  // Every batch must equal the Lemma 3.2 query over the built labels, and
+  // a mapping must stay valid for as long as anything pins it.
+  const Graph g = erdos_renyi(300, 0.03, {1, 9}, 13);
+  BuildConfig cfg;
+  cfg.scheme = Scheme::kThorupZwick;
+  cfg.k = 3;
+  const SketchStore built(g, cfg);
+  const TempPath path = unique_temp_path("mapped.store");
+  built.save_file(path);
+
+  Rng rng(17);
+  std::vector<QueryPair> pairs(512);
+  for (auto& [u, v] : pairs) {
+    u = static_cast<NodeId>(rng.below(g.num_nodes()));
+    v = static_cast<NodeId>(rng.below(g.num_nodes()));
+  }
+  const LabelArena& labels = built.payload().tz;
+  std::vector<Dist> expect(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    expect[i] =
+        tz_query(labels.view(pairs[i].first), labels.view(pairs[i].second));
+  }
+
+  const std::shared_ptr<const DistanceOracle> heap =
+      std::make_shared<const SketchStore>(SketchStore::load_file(path));
+  std::shared_ptr<const DistanceOracle> first = SketchStore::open(path);
+  const std::weak_ptr<const DistanceOracle> first_alive = first;
+  QueryServiceConfig qcfg;
+  qcfg.shards = 8;
+  qcfg.threads = 4;
+  qcfg.cache_capacity = 64;
+  QueryService service(std::move(first), qcfg);
+
+  // A snapshot pins the first mapping; the service lets go of it at the
+  // first swap below.
+  OracleSnapshot pinned = service.snapshot();
+  std::atomic<bool> done{false};
+  std::thread swapper([&] {
+    // At least two swaps, so the slot's current and previous snapshots
+    // both move past the first mapping.
+    for (int i = 0; i < 2 || !done.load(); ++i) {
+      if (i % 2 == 0) {
+        service.swap(heap);
+      } else {
+        service.swap(SketchStore::open(path));
+      }
+    }
+  });
+  std::vector<Dist> answers(pairs.size());
+  for (int batch = 0; batch < 60; ++batch) {
+    service.query_batch(pairs, answers);
+    ASSERT_EQ(answers, expect) << "batch " << batch;
+  }
+  done.store(true);
+  swapper.join();
+
+  // The pinned mapping still answers, through the store and through a
+  // copy of its label arena; both share the mapped bytes.
+  ASSERT_FALSE(first_alive.expired());
+  const auto& mapped = dynamic_cast<const SketchStore&>(*pinned.oracle);
+  LabelArena copy = mapped.payload().tz;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(pinned.oracle->query(pairs[i].first, pairs[i].second),
+              expect[i]);
+  }
+  pinned = OracleSnapshot{};
+  EXPECT_TRUE(first_alive.expired());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(tz_query(copy.view(pairs[i].first), copy.view(pairs[i].second)),
+              expect[i]);
+  }
+  // Forwarding reads the same borrowed labels.
+  EXPECT_EQ(next_hop(g, copy, 0, 0), next_hop(g, labels, 0, 0));
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
-// The v3 (delta+varint, page-aligned) store format and its two serving
-// paths: SketchStore::read decoding into the label plane and
-// MmapSketchStore decoding the queried records per query. The contract
-// under test is byte-identical answers between the builder and the two,
-// for every scheme, byte-identical files to the ones earlier releases
-// wrote, plus typed rejection (or safe kInfDist answers) for every
-// corruption the fuzz loops can produce. The varint decoder runs under
-// ASan in CI, so the corruption loops double as out-of-bounds probes.
+// The v4 store format — the label plane's packed records behind
+// page-aligned offset tables — and its two ways of serving a file: one
+// heap buffer (SketchStore::read) and one mapping (SketchStore::open),
+// both answering through the same query kernel over the same bytes. The
+// contract under test is byte-identical answers between the builder and
+// the two, for every scheme, files that reload and re-save byte for byte,
+// plus typed rejection (or safe kInfDist answers) for every corruption
+// the fuzz loops can produce. The record readers run under ASan in CI,
+// so the corruption loops double as out-of-bounds probes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,8 +20,6 @@
 #include "core/oracle_registry.hpp"
 #include "dynamics/incremental.hpp"
 #include "graph/generators.hpp"
-#include "serve/label_codec.hpp"
-#include "serve/mmap_store.hpp"
 #include "serve/sketch_store.hpp"
 #include "sketch/hierarchy.hpp"
 #include "sketch/tz_centralized.hpp"
@@ -30,67 +29,11 @@ namespace dsketch {
 namespace {
 
 // ---------------------------------------------------------------------------
-// label_codec primitives
+// the packed record: a synthetic tz label with the wrinkles the packer
+// must survive — invalid pivots, duplicate bunch nodes, non-monotone pivot
+// distances (the post-repair shape), a distance past 32 bits.
 
-TEST(Varint, RoundTripsBoundaryValues) {
-  for (const std::uint64_t x :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{127},
-        std::uint64_t{128}, std::uint64_t{16383}, std::uint64_t{16384},
-        std::uint64_t{1} << 32, static_cast<std::uint64_t>(-2),
-        static_cast<std::uint64_t>(-1)}) {
-    std::vector<std::uint8_t> bytes;
-    put_varint(bytes, x);
-    VarintReader r{bytes.data(), bytes.data() + bytes.size()};
-    EXPECT_EQ(r.get(), x);
-    EXPECT_TRUE(r.ok);
-    EXPECT_TRUE(r.done());
-  }
-}
-
-TEST(Varint, TruncationFailsCleanly) {
-  std::vector<std::uint8_t> bytes;
-  put_varint(bytes, std::uint64_t{1} << 40);
-  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-    VarintReader r{bytes.data(), bytes.data() + keep};
-    r.get();
-    EXPECT_FALSE(r.ok) << "kept " << keep << " of " << bytes.size();
-  }
-}
-
-TEST(Varint, OverflowPastSixtyFourBitsRejected) {
-  // Ten continuation bytes encode up to 70 bits; bit 64 set must fail.
-  std::vector<std::uint8_t> bytes(9, 0x80);
-  bytes.push_back(0x02);  // would be bit 64
-  VarintReader r{bytes.data(), bytes.data() + bytes.size()};
-  r.get();
-  EXPECT_FALSE(r.ok);
-}
-
-TEST(Varint, DoneRejectsTrailingBytes) {
-  std::vector<std::uint8_t> bytes;
-  put_varint(bytes, 7);
-  bytes.push_back(0);
-  VarintReader r{bytes.data(), bytes.data() + bytes.size()};
-  EXPECT_EQ(r.get(), 7u);
-  EXPECT_FALSE(r.done());
-}
-
-TEST(ZigZag, RoundTripsSignedDeltas) {
-  for (const std::int64_t d : {std::int64_t{0}, std::int64_t{1},
-                               std::int64_t{-1}, std::int64_t{1} << 40,
-                               -(std::int64_t{1} << 40)}) {
-    EXPECT_EQ(static_cast<std::int64_t>(
-                  unzigzag64(zigzag64(static_cast<std::uint64_t>(d)))),
-              d);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// record coding: synthetic tz label with the wrinkles the coder must
-// survive — invalid pivots, duplicate bunch nodes, non-monotone pivot
-// distances (the post-repair shape zigzag deltas exist for).
-
-SketchPayload synthetic_tz_payload() {
+TzLabelBuilder synthetic_label() {
   TzLabelBuilder label(0, 3);
   label.set_pivot(0, DistKey{0, 7});
   // pivot 1 stays invalid
@@ -100,76 +43,130 @@ SketchPayload synthetic_tz_payload() {
   label.add_bunch_entry({9, 0, 3});
   label.add_bunch_entry({9, 2, 3});
   label.add_bunch_entry({12, 1, (Dist{1} << 33) + 5});
-  SketchPayload payload;
-  payload.tz.append(label.view());
-  return payload;
+  return label;
 }
 
-std::vector<std::uint8_t> encoded(const SketchPayload& payload) {
-  std::vector<std::uint8_t> bytes;
-  encode_v3_record(payload, 0, 0, bytes);
+/// `label`'s packed record, followed by the 8 readable tail bytes.
+std::vector<std::uint8_t> packed(const TzLabelBuilder& label) {
+  const std::span<const std::uint8_t> rec = label.view().bytes();
+  std::vector<std::uint8_t> bytes(rec.begin(), rec.end());
+  bytes.resize(bytes.size() + 8, 0);
   return bytes;
 }
 
+void expect_same_cells(const LabelView& v, const TzLabelBuilder& b) {
+  ASSERT_EQ(v.levels, b.levels());
+  ASSERT_EQ(v.count, b.bunch().size());
+  for (std::uint32_t i = 0; i < v.levels; ++i) {
+    EXPECT_TRUE(v.pivot(i) == b.pivot(i)) << "pivot " << i;
+  }
+  for (std::uint32_t i = 0; i < v.count; ++i) {
+    EXPECT_TRUE(v.entry(i) == b.bunch()[i]) << "entry " << i;
+  }
+}
+
 TEST(RecordCodec, TzRoundTripsBitExactly) {
-  const SketchPayload payload = synthetic_tz_payload();
-  const std::vector<std::uint8_t> bytes = encoded(payload);
-  DecodedRecord rec;
-  ASSERT_TRUE(decode_v3_record(Scheme::kThorupZwick, bytes.data(),
-                               bytes.data() + bytes.size(), 0, 0, rec));
-  EXPECT_TRUE(rec.label.view() == payload.tz.view(0));
-  // The varint coding must actually compress vs the label plane's
-  // 16-byte cells.
-  EXPECT_LT(bytes.size(), (3 + 4) * sizeof(BunchEntry));
+  const TzLabelBuilder label = synthetic_label();
+  LabelArena arena;
+  arena.append(label.view());
+  const LabelView v = arena.view(0);
+  expect_same_cells(v, label);
+  EXPECT_EQ(v.pivot(1).id, kInvalidNode);
+  EXPECT_EQ(v.pivot(1).dist, kInfDist);
+  EXPECT_EQ(v.bunch_dist(12), (Dist{1} << 33) + 5);
+  EXPECT_TRUE(LabelView::valid(v.bytes().data(), v.bytes().size()));
+  // The packing must actually compress vs the builder's 16-byte cells.
+  EXPECT_LT(v.bytes().size(), (3 + 4) * sizeof(BunchEntry));
+
+  // Fields up to 64 bits wide round-trip too.
+  TzLabelBuilder wide(3, 2);
+  wide.set_pivot(0, DistKey{kInfDist - 1, 3});
+  wide.set_pivot(1, DistKey{kInfDist, 0xfffffffe});
+  wide.add_bunch_entry({0, 0, Dist{1} << 63});
+  wide.add_bunch_entry({0xfffffffe, 1, kInfDist - 1});
+  arena.append(wide.view());
+  expect_same_cells(arena.view(1), wide);
+  EXPECT_EQ(arena.view(1).bunch_dist(0xfffffffe), kInfDist - 1);
+  EXPECT_EQ(arena.view(1).bunch_dist(0), Dist{1} << 63);
+  EXPECT_EQ(arena.view(1).bunch_dist(5), kInfDist);
+
+  // Slack rows: a 64-bit-wide row keeps its largest finite distance.
+  SlackSketchSet slack({1, 2, 3});
+  const Dist row[] = {kInfDist - 1, kInfDist, 0};
+  slack.append_row(row);
+  EXPECT_EQ(slack.row(0).at(0), kInfDist - 1);
+  EXPECT_EQ(slack.row(0).at(1), kInfDist);
+  EXPECT_EQ(slack.row(0).at(2), 0u);
 }
 
 TEST(RecordCodec, DecodeRejectsEveryTruncation) {
-  const std::vector<std::uint8_t> bytes = encoded(synthetic_tz_payload());
-  DecodedRecord rec;
-  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-    EXPECT_FALSE(decode_v3_record(Scheme::kThorupZwick, bytes.data(),
-                                  bytes.data() + keep, 0, 0, rec))
-        << "kept " << keep << " of " << bytes.size();
+  // A record cut anywhere fails the checked load and reads as the empty
+  // label in the kernel: kInfDist, never a partial label.
+  const std::vector<std::uint8_t> bytes = packed(synthetic_label());
+  const std::size_t size = bytes.size() - 8;
+  for (std::size_t keep = 0; keep < size; ++keep) {
+    EXPECT_FALSE(LabelView::valid(bytes.data(), keep)) << "kept " << keep;
+    const LabelView v(0, bytes.data(), keep);
+    EXPECT_EQ(v.levels, 0u) << "kept " << keep;
+    EXPECT_EQ(v.count, 0u) << "kept " << keep;
   }
+  EXPECT_TRUE(LabelView::valid(bytes.data(), size));
+  EXPECT_FALSE(LabelView::valid(bytes.data(), size - 1));
 }
 
 TEST(RecordCodec, DecodeRejectsUnsortedBunch) {
   // A label view binary-searches its bunch; a record whose entries are
-  // out of (node, level) order must not decode into one.
-  std::vector<std::uint8_t> bytes;
-  put_varint(bytes, 0);              // levels
-  put_varint(bytes, 2);              // count
-  put_varint(bytes, zigzag64(5));    // node 5
-  put_varint(bytes, 0);
-  put_varint(bytes, 1);
-  put_varint(bytes, zigzag64(static_cast<std::uint64_t>(-2)));  // node 3
-  put_varint(bytes, 0);
-  put_varint(bytes, 1);
-  DecodedRecord rec;
-  EXPECT_FALSE(decode_v3_record(Scheme::kThorupZwick, bytes.data(),
-                                bytes.data() + bytes.size(), 0, 0, rec));
+  // out of (node, level) order must not pass the checked load.
+  TzLabelBuilder label(0, 0);
+  label.add_bunch_entry({3, 0, 1});
+  label.add_bunch_entry({5, 0, 1});
+  std::vector<std::uint8_t> bytes = packed(label);
+  const std::size_t size = bytes.size() - 8;
+  ASSERT_TRUE(LabelView::valid(bytes.data(), size));
+  // The id column starts right after the 12-byte header (no pivots):
+  // entries store id - 3 at 2 bits each. Swap them to (5, 3).
+  write_bits(bytes.data() + 12, 0, 2, 2);
+  write_bits(bytes.data() + 12, 2, 2, 0);
+  EXPECT_EQ(LabelView(0, bytes.data(), size).entry(0).node, 5u);
+  EXPECT_FALSE(LabelView::valid(bytes.data(), size));
 }
 
 TEST(RecordCodec, DecodeSurvivesRandomBytes) {
-  // Arbitrary bytes must either decode to *some* structurally valid
-  // record or fail — never crash or read out of bounds (ASan-checked).
+  // Arbitrary bytes read through the kernel's per-record checks either
+  // as some label or as the empty one — never a crash or an out-of-
+  // bounds read (ASan-checked). The checked load may accept or refuse.
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;
   const auto next = [&] {
     state ^= state << 13; state ^= state >> 7; state ^= state << 17;
     return static_cast<std::uint8_t>(state);
   };
-  DecodedRecord rec;
+  const std::vector<std::uint8_t> anchor = packed(synthetic_label());
+  const LabelView other(1, anchor.data(), anchor.size() - 8);
   for (int trial = 0; trial < 2000; ++trial) {
-    std::vector<std::uint8_t> bytes(trial % 37);
+    // Exactly size bytes plus the 8-byte tail a slab guarantees.
+    std::vector<std::uint8_t> bytes(trial % 53 + 8);
     for (auto& b : bytes) b = next();
-    for (const Scheme scheme : {Scheme::kThorupZwick, Scheme::kSlack,
-                                Scheme::kCdg}) {
-      if (decode_v3_record(scheme, bytes.data(), bytes.data() + bytes.size(),
-                           0, 3, rec) &&
-          scheme != Scheme::kSlack) {
-        (void)rec.label.view();  // a decoded label is always viewable
-      }
+    if (trial % 3 == 0 && bytes.size() > 12) {
+      bytes[0] %= 4;  // small level and width fields reach deeper code
+      bytes[1] %= 8;
+      bytes[2] %= 20;
+      bytes[3] %= 3;
+      bytes[4] %= 8;
+      bytes[5] = bytes[6] = bytes[7] = 0;
     }
+    const std::size_t size = bytes.size() - 8;
+    (void)LabelView::valid(bytes.data(), size);
+    const LabelView v(0, bytes.data(), size);
+    (void)tz_query(v, other);
+    (void)tz_query(other, v);
+    (void)tz_query_exhaustive(v, other);
+    for (NodeId w = 0; w < 16; ++w) (void)v.bunch_dist(w);
+    const SlackRow row(bytes.data(), size, 3);
+    (void)slack_query(row, row);
+    (void)SlackRow::valid(bytes.data(), size, 3);
+    const CdgRecord cdg(bytes.data(), size);
+    (void)cdg_query(cdg, cdg);
+    (void)CdgRecord::valid(bytes.data(), size);
   }
 }
 
@@ -209,16 +206,30 @@ TEST_P(StoreV3Schemes, V3RoundTripAnswersIdentically) {
 }
 
 TEST_P(StoreV3Schemes, V3DecodeEncodeIsByteIdentical) {
-  // The coding is bijective on every label, so a store decoded into the
-  // label plane re-emits the exact bytes — through read() and through
-  // the registry's load of what save() wrote alike.
-  std::stringstream v3a, v3b, v3c, saved;
-  store_.write(v3a);
-  SketchStore::read(v3a).write(v3b);
-  EXPECT_EQ(v3a.str(), v3b.str());
+  // A loaded store serves the file's own records, so saving it re-emits
+  // the exact bytes — through read(), through the registry's load of what
+  // save() wrote, and from a mapping alike.
+  std::stringstream a, b, c, saved;
+  store_.write(a);
+  SketchStore::read(a).write(b);
+  EXPECT_EQ(a.str(), b.str());
   built_.save(saved);
-  OracleRegistry::instance().load(saved).oracle->save(v3c);
-  EXPECT_EQ(v3a.str(), v3c.str());
+  OracleRegistry::instance().load(saved).oracle->save(c);
+  EXPECT_EQ(a.str(), c.str());
+
+  const TempPath path = unique_temp_path("store.bin");
+  const TempPath again = unique_temp_path("again.bin");
+  store_.save_file(path);
+  SketchStore::load_file(path).save_file(again);
+  const auto slurp = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  EXPECT_EQ(slurp(again), a.str());
+  SketchStore::open(path)->save_file(again);
+  EXPECT_EQ(slurp(again), a.str());
+  EXPECT_EQ(a.str().size(), 64 + store_.encoded_bytes());
 }
 
 TEST_P(StoreV3Schemes, SizeWordsAgreeAcrossOracleHeapAndMmap) {
@@ -226,7 +237,7 @@ TEST_P(StoreV3Schemes, SizeWordsAgreeAcrossOracleHeapAndMmap) {
   const TempPath path = unique_temp_path("store.bin");
   store_.save_file(path);
   const SketchStore heap = SketchStore::load_file(path);
-  const auto mapped = MmapSketchStore::open(path);
+  const auto mapped = SketchStore::open(path);
   for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
     const std::size_t words = built_.size_words(u);
     EXPECT_EQ(store_.size_words(u), words) << "node " << u;
@@ -240,14 +251,14 @@ TEST_P(StoreV3Schemes, MmapAnswersMatchHeapByteForByte) {
   const TempPath path = unique_temp_path("store.bin");
   store_.save_file(path);
   const SketchStore heap = SketchStore::load_file(path);
-  const auto mapped = MmapSketchStore::open(path, /*verify_checksum=*/true);
+  const auto mapped = SketchStore::open(path, /*verify_checksum=*/true);
   EXPECT_EQ(mapped->scheme(), heap.scheme());
   EXPECT_EQ(mapped->num_nodes(), heap.num_nodes());
   EXPECT_EQ(mapped->num_segments(), heap.num_segments());
   EXPECT_EQ(mapped->k(), heap.k());
   for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
     EXPECT_EQ(mapped->size_words(u), heap.size_words(u)) << "node " << u;
-    EXPECT_EQ(mapped->encoded_bytes_for(u), heap.encoded_record_bytes(u))
+    EXPECT_EQ(mapped->encoded_record_bytes(u), heap.encoded_record_bytes(u))
         << "node " << u;
     for (NodeId v = u; v < graph_.num_nodes(); v += 3) {
       EXPECT_EQ(mapped->query(u, v), heap.query(u, v))
@@ -263,16 +274,16 @@ std::string legacy_file(const SketchStore& store, char version) {
   std::stringstream ss;
   store.write(ss);
   std::string bytes = ss.str();
-  bytes[7] = version;  // "DSKSTOR1" / "DSKSTOR2"
+  bytes[7] = version;  // "DSKSTOR1" .. "DSKSTOR3"
   return bytes;
 }
 
 TEST_P(StoreV3Schemes, MmapRejectsLegacyFormats) {
   const TempPath path = unique_temp_path("legacy.bin");
-  for (const char version : {'1', '2'}) {
+  for (const char version : {'1', '2', '3'}) {
     std::ofstream(path, std::ios::binary) << legacy_file(store_, version);
     try {
-      MmapSketchStore::open(path);
+      SketchStore::open(path);
       FAIL() << "v" << version << " file must not mmap-open";
     } catch (const StoreCorruptionError& e) {
       EXPECT_EQ(e.kind(), StoreError::kUnsupportedVersion);
@@ -281,10 +292,10 @@ TEST_P(StoreV3Schemes, MmapRejectsLegacyFormats) {
 }
 
 TEST_P(StoreV3Schemes, HeapLoadersRejectLegacyFormats) {
-  // Stores are rebuildable artifacts: v1/v2 files are refused with a
+  // Stores are rebuildable artifacts: v1/v2/v3 files are refused with a
   // typed error by the strict loader and by recovery alike.
   const TempPath path = unique_temp_path("legacy.bin");
-  for (const char version : {'1', '2'}) {
+  for (const char version : {'1', '2', '3'}) {
     std::ofstream(path, std::ios::binary) << legacy_file(store_, version);
     for (const bool recover : {false, true}) {
       try {
@@ -307,7 +318,7 @@ INSTANTIATE_TEST_SUITE_P(Schemes, StoreV3Schemes,
                                            Scheme::kGraceful));
 
 // ---------------------------------------------------------------------------
-// corruption: the v3 byte-level map needed to aim at specific sections
+// corruption: the byte-level map needed to aim at specific sections
 
 class StoreV3Corruption : public ::testing::Test {
  protected:
@@ -322,16 +333,16 @@ class StoreV3Corruption : public ::testing::Test {
     std::ifstream in(path_, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
                   std::istreambuf_iterator<char>());
-    // v3 segment framing for a meta-free tz store: u64 meta_count,
+    // Segment framing for a meta-free tz store: u64 meta_count,
     // u64 blob_bytes, pad to the next 4096 file boundary, the offset
-    // table (n+1 u64 byte offsets), pad, blob.
+    // table (n+1 u64 byte offsets), pad, blob (records, 8-byte tail).
     ASSERT_EQ(u64_at(64), 0u) << "tz segment has no meta";
     blob_bytes_ = u64_at(72);
     offsets_pos_ = 4096;
     blob_pos_ = offsets_pos_ + 8 * (n_ + 1);
     blob_pos_ += (4096 - blob_pos_ % 4096) % 4096;
     ASSERT_EQ(offset_of(0), 0u);
-    ASSERT_EQ(offset_of(n_), blob_bytes_);
+    ASSERT_EQ(offset_of(n_) + 8, blob_bytes_);
   }
 
   std::uint64_t u64_at(std::size_t pos) const {
@@ -386,7 +397,7 @@ TEST_F(StoreV3Corruption, MmapOpenRejectsTruncation) {
         offsets_pos_ - 1, offsets_pos_ + 8 * (n_ / 2), blob_pos_ - 1,
         bytes_.size() - 1}) {
     write_file(bytes_.substr(0, keep));
-    EXPECT_THROW(MmapSketchStore::open(path_), StoreCorruptionError)
+    EXPECT_THROW(SketchStore::open(path_), StoreCorruptionError)
         << "truncated to " << keep;
   }
 }
@@ -401,7 +412,7 @@ TEST_F(StoreV3Corruption, MmapOpenRejectsBrokenOffsetTable) {
   }
   write_file(mut);
   try {
-    MmapSketchStore::open(path_);
+    SketchStore::open(path_);
     FAIL() << "non-monotone offsets must not open";
   } catch (const StoreCorruptionError& e) {
     EXPECT_EQ(e.kind(), StoreError::kStructure);
@@ -411,14 +422,15 @@ TEST_F(StoreV3Corruption, MmapOpenRejectsBrokenOffsetTable) {
 TEST_F(StoreV3Corruption, MmapOffsetAndBlobFlipsNeverReadOutOfBounds) {
   // Single-byte flips across the offset table and the blob. Each one
   // either fails the eager framing walk (typed throw) or opens and then
-  // answers every probe without crashing — corrupt records answer
-  // kInfDist, and ASan guards the decoder against any stray read.
+  // answers every probe without crashing — corrupt records answer a
+  // distance or kInfDist, and ASan guards the kernel against any stray
+  // read.
   for (std::size_t pos = offsets_pos_; pos < bytes_.size(); pos += 131) {
     std::string mut = bytes_;
     mut[pos] = static_cast<char>(mut[pos] ^ 0x11);
     write_file(mut);
     try {
-      const auto mapped = MmapSketchStore::open(path_);
+      const auto mapped = SketchStore::open(path_);
       for (NodeId u = 0; u < n_; u += 7) {
         for (NodeId v = 0; v < n_; v += 5) {
           (void)mapped->query(u, v);
@@ -431,7 +443,7 @@ TEST_F(StoreV3Corruption, MmapOffsetAndBlobFlipsNeverReadOutOfBounds) {
 }
 
 TEST_F(StoreV3Corruption, RecoverQuarantinesTheDamagedRecord) {
-  // Stomp one node's encoded record with continuation-bit garbage: the
+  // Stomp one node's packed record with all-ones garbage: the
   // strict load fails the checksum, recovery quarantines exactly that
   // node and keeps everyone else answering bit-identically.
   const NodeId victim = 5;
@@ -478,25 +490,105 @@ TEST_F(StoreV3Corruption, RecoverQuarantinesTheTruncatedTail) {
 }
 
 TEST_F(StoreV3Corruption, DecodeRecordMatchesHeapWordModel) {
-  // Decoding a record off the file bytes must give back the builder's
-  // label, and every representation must bill it the same words.
-  const auto mapped = MmapSketchStore::open(path_);
+  // A label read in place off the file bytes is the builder's label, and
+  // every representation bills it the same words.
+  const auto mapped = SketchStore::open(path_);
   const LabelArena& labels = store_.payload().tz;
   const auto* blob = reinterpret_cast<const std::uint8_t*>(bytes_.data()) +
                      blob_pos_;
-  DecodedRecord rec;
   for (NodeId u = 0; u < n_; ++u) {
-    ASSERT_TRUE(decode_v3_record(Scheme::kThorupZwick, blob + offset_of(u),
-                                 blob + offset_of(u + 1), u, 0, rec))
-        << "node " << u;
-    EXPECT_TRUE(rec.label.view() == labels.view(u)) << "node " << u;
-    EXPECT_EQ(rec.label.size_words(), store_.size_words(u)) << "node " << u;
+    const std::size_t size = offset_of(u + 1) - offset_of(u);
+    ASSERT_TRUE(LabelView::valid(blob + offset_of(u), size)) << "node " << u;
+    const LabelView v(u, blob + offset_of(u), size);
+    EXPECT_TRUE(v == labels.view(u)) << "node " << u;
+    EXPECT_TRUE(v == mapped->payload().tz.view(u)) << "node " << u;
+    EXPECT_EQ(v.size_words(), store_.size_words(u)) << "node " << u;
     EXPECT_EQ(mapped->size_words(u), store_.size_words(u)) << "node " << u;
   }
 }
 
+TEST_F(StoreV3Corruption, MmapRandomRecordBytesAnswerWithoutOverreads) {
+  // Random bytes over whole records, framing intact: the mapped store
+  // opens (records are not validated eagerly) and every query answers a
+  // distance or kInfDist off the kernel's per-record checks. The heap
+  // loader refuses the same file.
+  std::uint64_t state = 0x2545f4914f6cdd1dULL;
+  for (int trial = 0; trial < 8; ++trial) {
+    std::string mut = bytes_;
+    for (std::size_t i = blob_pos_; i < blob_pos_ + offset_of(n_); ++i) {
+      state ^= state << 13; state ^= state >> 7; state ^= state << 17;
+      // Every other trial keeps the header fields small, so records
+      // reach the column reads instead of failing the width check.
+      mut[i] = static_cast<char>(trial % 2 == 0 ? state : state % 5);
+    }
+    write_file(mut);
+    const auto mapped = SketchStore::open(path_);
+    for (NodeId u = 0; u < n_; ++u) {
+      for (NodeId v = 0; v < n_; ++v) (void)mapped->query(u, v);
+      (void)mapped->size_words(u);
+    }
+    EXPECT_THROW(SketchStore::load_file(path_), StoreCorruptionError);
+  }
+}
+
+TEST(StoreSegments, TwoSegmentTzFileIsRejectedEverywhere) {
+  // A tz store has exactly one segment. Duplicate the segment of a real
+  // file, fix up the header and both checksums: the parser shared by
+  // read(), open() and recover_file() must refuse it as a structural
+  // fault.
+  const Graph g = erdos_renyi(200, 0.03, {1, 9}, 5);
+  BuildConfig cfg;
+  cfg.scheme = Scheme::kThorupZwick;
+  cfg.k = 3;
+  std::stringstream ss;
+  SketchStore(g, cfg).write(ss);
+  std::string bytes = ss.str();
+  // The segment ends on a page boundary. A second copy starts there, so
+  // its 16-byte head (meta count 0, blob size) pads to the next page;
+  // from its offset table on, the sections repeat whole.
+  const std::string payload = bytes.substr(64);
+  bytes += payload.substr(0, 16) + std::string(4096 - 16, '\0') +
+           payload.substr(4096 - 64);
+  const auto patch_u64 = [&](std::size_t pos, std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[pos + i] = static_cast<char>((x >> (8 * i)) & 0xff);
+    }
+  };
+  const auto fnv = [&](std::size_t begin, std::size_t end) {
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (std::size_t i = begin; i < end; ++i) {
+      hash ^= static_cast<std::uint8_t>(bytes[i]);
+      hash *= 1099511628211ULL;
+    }
+    return hash;
+  };
+  bytes[24] = 2;  // u32 segments
+  patch_u64(40, bytes.size() - 64);
+  patch_u64(48, fnv(64, bytes.size()));
+  patch_u64(56, fnv(8, 56));
+  const TempPath path = unique_temp_path("two_segments.bin");
+  std::ofstream(path, std::ios::binary) << bytes;
+
+  const auto expect_structure = [](const auto& load) {
+    try {
+      load();
+      FAIL() << "a two-segment tz store must not load";
+    } catch (const StoreCorruptionError& e) {
+      EXPECT_EQ(e.kind(), StoreError::kStructure);
+    }
+  };
+  expect_structure([&] {
+    std::stringstream in(bytes);
+    SketchStore::read(in);
+  });
+  expect_structure([&] { SketchStore::load_file(path); });
+  expect_structure([&] { SketchStore::open(path); });
+  expect_structure([&] { SketchStore::open(path, true); });
+  expect_structure([&] { SketchStore::recover_file(path); });
+}
+
 // ---------------------------------------------------------------------------
-// pinned bytes: FNV-1a 64 of the whole v3 file for a fixed seeded build
+// pinned bytes: FNV-1a 64 of the whole v4 file for a fixed seeded build
 // of each scheme. A change here changes the on-disk format and every
 // store size the benchmarks report.
 
@@ -512,23 +604,23 @@ std::uint64_t file_fnv(const SketchStore& store) {
   return hash;
 }
 
-TEST(StorePinnedBytes, V3FilesMatchTheRecordedEncoding) {
+TEST(StorePinnedBytes, V4FilesMatchTheRecordedEncoding) {
   const Graph g = erdos_renyi(80, 0.08, {1, 9}, 17);
   const std::pair<Scheme, std::uint64_t> pinned[] = {
-      {Scheme::kThorupZwick, 0xec847401fa4a1b11ULL},
-      {Scheme::kSlack, 0xc152a523b9c2a19fULL},
-      {Scheme::kCdg, 0xe2165b8ed815d21fULL},
-      {Scheme::kGraceful, 0x488f2cfaf1b921d0ULL},
+      {Scheme::kThorupZwick, 0x1b03903bad853738ULL},
+      {Scheme::kSlack, 0x7c99be091a9edf60ULL},
+      {Scheme::kCdg, 0x54d3be15d90afc03ULL},
+      {Scheme::kGraceful, 0x27f4859ccfa675a2ULL},
   };
   for (const auto& [scheme, fnv] : pinned) {
     EXPECT_EQ(file_fnv(SketchStore(g, config_for(scheme))), fnv)
         << scheme_name(scheme);
   }
-  // A bare label set (no recorded epsilon) packs through the same codec.
+  // A bare label set (no recorded epsilon) packs into the same layout.
   const std::uint32_t k = 3;
   const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 42);
   const TzLabelOracle labels(build_tz_centralized(g, h), k);
-  EXPECT_EQ(file_fnv(SketchStore::from_oracle(labels)), 0x5c17b3da38343a10ULL);
+  EXPECT_EQ(file_fnv(SketchStore::from_oracle(labels)), 0xdbf9de83dedda5dfULL);
 }
 
 }  // namespace

@@ -49,7 +49,6 @@
 #include "graph/generators.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/shortest_paths.hpp"
-#include "serve/mmap_store.hpp"
 #include "serve/query_service.hpp"
 #include "serve/sketch_store.hpp"
 #include "serve/workload.hpp"
@@ -84,7 +83,7 @@ int usage() {
                "[--epsilon E] [--echo|--known-s] [--async DMAX] "
                "[--sim-threads T] [--seed S] "
                "[--landmarks L] [--save FILE] [--round-log FILE]   "
-               "(sketch schemes save the v3 store, baselines a text "
+               "(sketch schemes save the v4 store, baselines a text "
                "envelope)\n"
                "  query --graph FILE --scheme NAME --pairs u:v,u:v [--exact] "
                "[--load FILE]\n"
@@ -366,10 +365,11 @@ int cmd_serve_bench(const FlagSet& flags) {
     if (flags.has("store")) {
       const std::string store_path = flags.get("store", std::string{});
       if (flags.get_bool("mmap")) {
-        // Zero-copy serving: queries decode straight off the mapped v3
-        // bytes; --verify-checksum pays one full payload pass up front.
-        return MmapSketchStore::open(store_path,
-                                     flags.get_bool("verify-checksum"));
+        // Zero-copy serving: queries read the records where the mapped
+        // file's bytes lie; --verify-checksum pays one full payload pass
+        // up front.
+        return SketchStore::open(store_path,
+                                 flags.get_bool("verify-checksum"));
       }
       return SketchStore::load_oracle(store_path);
     }
