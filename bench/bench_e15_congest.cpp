@@ -13,6 +13,9 @@
 //   messages <= 2|E| * k * 4 n^{1/k} ln n.
 // Both ratios must land well under 1; the full grid runs this at n=100k.
 //
+// The bounds row splits the simulator's wall time (BFS tree + TZ run) into
+// its step, splice and deliver phases beside build_seconds.
+//
 // Flags: --n / --graph (primary graph, default n=2048 ER with avg degree
 // 8), --k (4), --sim-threads (0 = all hardware threads), --queries
 // (5000), --seed (7).
@@ -96,6 +99,9 @@ int run_e15(const FlagSet& flags, std::ostream& out) {
       .add("message_ratio", static_cast<double>(messages) / message_bound)
       .add("max_outbox", combined.max_outbox)
       .add("build_seconds", build_seconds)
+      .add("step_seconds", combined.step_seconds)
+      .add("splice_seconds", combined.splice_seconds)
+      .add("deliver_seconds", combined.deliver_seconds)
       .emit(out);
 
   // --- pack + serve, verified against the centralized build --------------

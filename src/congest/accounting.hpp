@@ -33,6 +33,13 @@ struct SimStats {
   std::uint64_t duplicated = 0;    ///< extra copies delivered by faults
   bool hit_round_limit = false;    ///< run stopped by max_rounds, not quiescence
 
+  /// Wall time spent in each phase of the simulator's executed rounds
+  /// (step, splice, deliver). Host-dependent: not part of SimPhase and not
+  /// compared by any determinism check.
+  double step_seconds = 0;
+  double splice_seconds = 0;
+  double deliver_seconds = 0;
+
   /// Phase label of a single run (SimConfig::phase); empty when unset.
   std::string label;
   /// Per-phase breakdown accumulated by operator+=. Empty for a single
@@ -123,6 +130,9 @@ struct SimStats {
     duplicated += o.duplicated;
     if (o.max_outbox > max_outbox) max_outbox = o.max_outbox;
     hit_round_limit = hit_round_limit || o.hit_round_limit;
+    step_seconds += o.step_seconds;
+    splice_seconds += o.splice_seconds;
+    deliver_seconds += o.deliver_seconds;
     return *this;
   }
 };

@@ -1,9 +1,9 @@
 #include "congest/bellman_ford.hpp"
 
-#include <deque>
-
 #include "congest/protocol.hpp"
 #include "util/assert.hpp"
+#include "util/fifo.hpp"
+#include "util/flat_map.hpp"
 
 namespace dsketch {
 namespace {
@@ -23,8 +23,8 @@ class MultiSourceBfProtocol : public Protocol {
   void on_start(NodeCtx& ctx) override {
     const NodeId u = ctx.node();
     if (is_source_[u]) {
-      nodes_[u].dist[u] = 0;
-      enqueue(nodes_[u], u);
+      nodes_[u].sources[u] = SourceState{0, true};
+      nodes_[u].pending.push(u);
       ctx.wake();
     }
   }
@@ -34,41 +34,48 @@ class MultiSourceBfProtocol : public Protocol {
     for (const Inbound& in : ctx.inbox()) {
       const NodeId src = static_cast<NodeId>(in.msg.at(0));
       const Dist cand = in.msg.at(1) + ctx.edge_weight(in.local_edge);
-      const auto it = s.dist.find(src);
-      if (it == s.dist.end() || cand < it->second) {
-        s.dist[src] = cand;
-        enqueue(s, src);
+      const auto [st, fresh] = s.sources.try_emplace(src);
+      if (fresh || cand < st->dist) {
+        st->dist = cand;
+        if (!st->queued) {
+          st->queued = true;
+          s.pending.push(src);
+        }
       }
     }
     if (!s.pending.empty()) {
       const NodeId src = s.pending.front();
-      s.pending.pop_front();
-      s.queued[src] = 0;
-      ctx.broadcast(Message{src, static_cast<Word>(s.dist.at(src))});
+      s.pending.pop();
+      SourceState* st = s.sources.find(src);
+      DS_CHECK(st != nullptr);
+      st->queued = false;
+      ctx.broadcast(Message{src, static_cast<Word>(st->dist)});
       if (!s.pending.empty()) ctx.wake();
     }
   }
 
-  std::vector<std::unordered_map<NodeId, Dist>> take_dist() {
-    std::vector<std::unordered_map<NodeId, Dist>> out;
-    out.reserve(nodes_.size());
-    for (auto& s : nodes_) out.push_back(std::move(s.dist));
+  std::vector<std::unordered_map<NodeId, Dist>> take_dist() const {
+    std::vector<std::unordered_map<NodeId, Dist>> out(nodes_.size());
+    for (std::size_t u = 0; u < nodes_.size(); ++u) {
+      out[u].reserve(nodes_[u].sources.size());
+      nodes_[u].sources.for_each([&](NodeId src, const SourceState& st) {
+        out[u].emplace(src, st.dist);
+      });
+    }
     return out;
   }
 
  private:
-  struct NodeState {
-    std::unordered_map<NodeId, Dist> dist;
-    std::unordered_map<NodeId, char> queued;
-    std::deque<NodeId> pending;
+  // The same per-source state as the TZ construction's phases, minus the
+  // gate: the best distance so far and whether it waits to be broadcast.
+  struct SourceState {
+    Dist dist;
+    bool queued;
   };
-  void enqueue(NodeState& s, NodeId src) {
-    char& q = s.queued[src];
-    if (!q) {
-      q = 1;
-      s.pending.push_back(src);
-    }
-  }
+  struct NodeState {
+    FlatMap<NodeId, SourceState> sources;
+    Fifo<NodeId> pending;
+  };
   std::vector<NodeState> nodes_;
   std::vector<char> is_source_;
 };

@@ -8,59 +8,45 @@ std::optional<EchoObligation> EchoTracker::accept_trigger(NodeId source,
                                                           std::uint32_t edge,
                                                           Dist value) {
   std::optional<EchoObligation> superseded;
-  const auto it = trigger_.find(source);
-  if (it != trigger_.end()) {
-    superseded = it->second;
-    it->second = EchoObligation{edge, value};
-  } else {
-    trigger_.emplace(source, EchoObligation{edge, value});
-  }
+  const auto [slot, inserted] = trigger_.try_emplace(source);
+  if (!inserted) superseded = *slot;
+  *slot = EchoObligation{edge, value};
   return superseded;
 }
 
 void EchoTracker::commit_send(NodeId source, Dist sent_value,
                               std::uint32_t fanout, bool self_announce) {
-  Record rec;
-  rec.value = sent_value;
-  rec.remaining = fanout;
-  rec.self_announce = self_announce;
-  rec.has_trigger = false;
+  Record rec{fanout, self_announce, EchoObligation{}};
   if (!self_announce) {
-    const auto it = trigger_.find(source);
-    DS_CHECK_MSG(it != trigger_.end(), "send without a live trigger");
-    rec.has_trigger = true;
-    rec.trigger = it->second;
-    trigger_.erase(it);
+    EchoObligation* trigger = trigger_.find(source);
+    DS_CHECK_MSG(trigger != nullptr, "send without a live trigger");
+    rec.trigger = *trigger;
+    trigger_.erase(source);
   }
   if (fanout == 0) {
     // Degenerate isolated node: the record completes instantly.
     if (rec.self_announce) self_done_ = true;
     return;
   }
-  records_[source].push_back(rec);
-  ++record_count_;
+  const auto [slot, inserted] = records_.try_emplace({source, sent_value});
+  DS_CHECK_MSG(inserted, "send repeats an outstanding (source, value)");
+  *slot = rec;
 }
 
 std::optional<EchoObligation> EchoTracker::on_echo(NodeId source, Dist value) {
-  const auto it = records_.find(source);
-  DS_CHECK_MSG(it != records_.end(), "echo without matching record");
-  auto& list = it->second;
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (list[i].value != value) continue;
-    DS_CHECK(list[i].remaining > 0);
-    if (--list[i].remaining > 0) return std::nullopt;
-    const Record done = list[i];
-    list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
-    if (list.empty()) records_.erase(it);
-    --record_count_;
-    if (done.self_announce) {
-      self_done_ = true;
-      return std::nullopt;
-    }
-    return done.trigger;
+  DS_CHECK_MSG(!records_.empty(), "echo without matching record");
+  Record* rec = records_.find({source, value});
+  DS_CHECK_MSG(rec != nullptr,
+               "echo value does not match any outstanding record");
+  DS_CHECK(rec->remaining > 0);
+  if (--rec->remaining > 0) return std::nullopt;
+  const Record done = *rec;
+  records_.erase({source, value});
+  if (done.self_announce) {
+    self_done_ = true;
+    return std::nullopt;
   }
-  DS_CHECK_MSG(false, "echo value does not match any outstanding record");
-  return std::nullopt;
+  return done.trigger;
 }
 
 }  // namespace dsketch

@@ -28,10 +28,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "graph/graph.hpp"
+#include "util/flat_map.hpp"
 
 namespace dsketch {
 
@@ -54,7 +54,8 @@ class EchoTracker {
 
   /// The node broadcast (source, sent_value) to `fanout` neighbors; consumes
   /// the pending trigger for `source` (if any — a source's own announcement
-  /// has none).
+  /// has none). A node's sent values for one source strictly decrease, so
+  /// (source, sent_value) never repeats an outstanding record.
   void commit_send(NodeId source, Dist sent_value, std::uint32_t fanout,
                    bool self_announce);
 
@@ -65,23 +66,27 @@ class EchoTracker {
 
   bool self_announce_complete() const { return self_done_; }
   bool has_outstanding() const {
-    return record_count_ != 0 || !trigger_.empty();
+    return !records_.empty() || !trigger_.empty();
   }
-  std::size_t outstanding_records() const { return record_count_; }
+  std::size_t outstanding_records() const { return records_.size(); }
+
+  /// Back to the fresh state for the next phase; the tables keep their
+  /// capacity.
+  void clear() {
+    records_.clear();
+    trigger_.clear();
+    self_done_ = false;
+  }
 
  private:
   struct Record {
-    Dist value;
     std::uint32_t remaining;
-    bool has_trigger;
-    bool self_announce;
+    bool self_announce;       // else `trigger` is owed an echo
     EchoObligation trigger;
   };
-  // Outstanding records per source; values within a source are strictly
-  // decreasing over time so the per-source list stays tiny.
-  std::unordered_map<NodeId, std::vector<Record>> records_;
-  std::unordered_map<NodeId, EchoObligation> trigger_;
-  std::size_t record_count_ = 0;
+  // Outstanding records keyed by (source, sent value).
+  FlatMap<std::pair<NodeId, Dist>, Record> records_;
+  FlatMap<NodeId, EchoObligation> trigger_;
   bool self_done_ = false;
 };
 

@@ -3,16 +3,18 @@
 // The model (§2.2) allows one message of O(log n) bits per edge per direction
 // per round. A *word* is a block of O(log n) bits holding one node ID or one
 // distance. Protocols in this library use messages of at most a small
-// constant number of words (data = <source, dist> = 2 words, ECHO = 3,
-// control = <=2); the simulator enforces a configurable cap so no protocol
-// can smuggle super-constant payloads through an edge in one round.
+// constant number of words (TZ DATA/ECHO and label-exchange chunks = 4,
+// plus one header word when the reliable link layer frames them); the
+// simulator enforces a configurable cap so no protocol can smuggle
+// super-constant payloads through an edge in one round.
 //
 // Messages are trivially copyable: the payload lives in a fixed inline
-// array (capacity kMaxMessageCapacity, a compile-time ceiling above every
-// runtime cap the simulator accepts). Queuing a message is a plain copy
-// into a flat buffer — no per-message heap allocation — which is what lets
-// the event-driven simulator move hundreds of millions of messages at
-// 100k+-node scale.
+// array of kMaxMessageCapacity = 5 words, the widest message any protocol
+// sends (a reliable-framed TZ DATA/ECHO), so a Message is 48 bytes and an
+// Inbound 56. Queuing a message is a plain copy into a flat buffer — no
+// per-message heap allocation — and the bytes per message are what the
+// simulator's delivery cost scales with once the working set outgrows the
+// caches.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +27,9 @@ namespace dsketch {
 using Word = std::uint64_t;
 
 /// Compile-time ceiling on words per message. SimConfig::max_message_words
-/// (the model's O(log n) budget, default 4) must stay at or below this.
-inline constexpr std::size_t kMaxMessageCapacity = 8;
+/// (the model's O(log n) budget, default 4; 5 under the reliable layer) must
+/// stay at or below this.
+inline constexpr std::size_t kMaxMessageCapacity = 5;
 
 struct Message {
   Message() = default;
@@ -57,5 +60,7 @@ struct Inbound {
   std::uint32_t local_edge;
   Message msg;
 };
+
+static_assert(sizeof(Message) == 48 && sizeof(Inbound) == 56);
 
 }  // namespace dsketch

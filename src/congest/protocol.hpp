@@ -44,9 +44,10 @@ class NodeCtx {
 
   /// Enqueues `m` on the outbox of `local_edge`; the simulator transmits one
   /// queued message per edge per direction per round.
-  void send(std::uint32_t local_edge, Message m);
+  void send(std::uint32_t local_edge, const Message& m);
 
-  /// Convenience: send a copy of `m` on every incident edge.
+  /// Sends a copy of `m` on every incident edge, in local-edge order (the
+  /// same queues as one send per edge, in one pass).
   void broadcast(const Message& m);
 
   /// Request on_round next round even without inbound messages.

@@ -1,6 +1,7 @@
 #include "congest/sim.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "congest/fault_plan.hpp"
 #include "util/assert.hpp"
@@ -19,13 +20,10 @@ Weight NodeCtx::edge_weight(std::uint32_t local_edge) const {
 std::span<const Inbound> NodeCtx::inbox() const {
   return sim_.inbox_of(node_);
 }
-void NodeCtx::send(std::uint32_t local_edge, Message m) {
+void NodeCtx::send(std::uint32_t local_edge, const Message& m) {
   sim_.enqueue(node_, local_edge, m);
 }
-void NodeCtx::broadcast(const Message& m) {
-  const std::uint32_t deg = degree();
-  for (std::uint32_t e = 0; e < deg; ++e) send(e, m);
-}
+void NodeCtx::broadcast(const Message& m) { sim_.enqueue_all(node_, m); }
 void NodeCtx::wake() { sim_.wake(node_); }
 void NodeCtx::wake_at(std::uint64_t round) { sim_.schedule_wake(node_, round); }
 std::size_t NodeCtx::outbox_depth(std::uint32_t local_edge) const {
@@ -49,7 +47,7 @@ Simulator::Simulator(const Graph& graph, Protocol& protocol, SimConfig cfg)
   in_active_list_.assign(n, 0);
   edge_busy_flag_.assign(half_edges, 0);
   ready_flag_.assign(n, 0);
-  pull_count_.assign(n, 0);
+  inbound_busy_.assign(half_edges, 0);
   stats_.label = cfg_.phase;
   if (cfg_.round_log != nullptr) cfg_.round_log->begin_phase(cfg_.phase);
   faults_ = cfg_.faults;
@@ -147,6 +145,18 @@ void Simulator::enqueue(NodeId u, std::uint32_t local, const Message& m) {
   box.push(m);
 }
 
+void Simulator::enqueue_all(NodeId u, const Message& m) {
+  DS_CHECK(m.size_words() <= cfg_.max_message_words);
+  const std::size_t base = graph_.half_edge_index(u, 0);
+  const auto deg = static_cast<std::uint32_t>(graph_.degree(u));
+  auto& dirty = dirty_local_[u];
+  for (std::uint32_t local = 0; local < deg; ++local) {
+    auto& box = outbox_[base + local];
+    if (box.empty()) dirty.push_back(local);
+    box.push(m);
+  }
+}
+
 SimStats Simulator::run() {
   for (;;) {
     if (faults_ != nullptr) apply_fault_events();
@@ -184,13 +194,29 @@ SimStats Simulator::run() {
     const std::uint64_t prev_messages = stats_.messages;
     const std::uint64_t prev_words = stats_.words;
     const std::uint64_t prev_dropped = stats_.dropped;
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point t0 = Clock::now();
     step_active_nodes();
+    const Clock::time_point t1 = Clock::now();
     splice_new_work();
+    const Clock::time_point t2 = Clock::now();
     deliver();
+    const Clock::time_point t3 = Clock::now();
+    const auto ns = [](Clock::time_point a, Clock::time_point b) {
+      return static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+    };
+    const std::uint64_t step_ns = ns(t0, t1);
+    const std::uint64_t splice_ns = ns(t1, t2);
+    const std::uint64_t deliver_ns = ns(t2, t3);
+    stats_.step_seconds += static_cast<double>(step_ns) * 1e-9;
+    stats_.splice_seconds += static_cast<double>(splice_ns) * 1e-9;
+    stats_.deliver_seconds += static_cast<double>(deliver_ns) * 1e-9;
     if (cfg_.round_log != nullptr) {
       cfg_.round_log->record(obs::RoundSample{
           round_, stats_.messages - prev_messages, stats_.words - prev_words,
-          active_nodes, stats_.max_outbox, stats_.dropped - prev_dropped});
+          active_nodes, stats_.max_outbox, stats_.dropped - prev_dropped,
+          step_ns, splice_ns, deliver_ns});
     }
     ++round_;
     stats_.rounds = round_;
@@ -452,60 +478,41 @@ void Simulator::deliver_serial(std::vector<NodeId>& next_active) {
 }
 
 void Simulator::deliver_parallel(std::vector<NodeId>& next_active) {
-  // Synchronous receiver-pull delivery. Group busy half-edges by their
-  // receiving node; each receiver then drains its busy inbound edges in
-  // local-edge order. Every half-edge has exactly one receiver, so the
-  // pulls are data-race-free and parallelize over receivers, and each
+  // Synchronous receiver-pull delivery. Each busy half-edge is marked at
+  // its receiver-side slot (v, l); each receiver then drains its marked
+  // slots in local-edge order. Every half-edge has exactly one receiver, so
+  // the pulls are data-race-free and parallelize over receivers, and each
   // inbox comes out already in canonical (local_edge, FIFO) order.
   ready_.clear();
   for (const std::size_t h : busy_edges_) {
     const NodeId to = head_[h];
+    inbound_busy_[graph_.half_edge_index(to, head_local_[h])] = 1;
     if (!ready_flag_[to]) {
       ready_flag_[to] = 1;
-      pull_count_[to] = 0;
       ready_.push_back(to);
     }
-    ++pull_count_[to];
   }
   std::sort(ready_.begin(), ready_.end());
-  pull_offset_.resize(ready_.size());
-  std::uint32_t start = 0;
-  for (std::size_t i = 0; i < ready_.size(); ++i) {
-    const NodeId to = ready_[i];
-    pull_offset_[i] = start;
-    const std::uint32_t count = pull_count_[to];
-    pull_count_[to] = start;  // becomes the scatter cursor
-    start += count;
-  }
-  pull_edges_.resize(start);
-  for (const std::size_t h : busy_edges_) {
-    pull_edges_[pull_count_[head_[h]]++] = h;
-  }
 
   deltas_.assign(ready_.size(), ReceiverDelta{});
   auto pull_one = [this](std::size_t i) {
     const NodeId to = ready_[i];
-    const std::uint32_t begin = pull_offset_[i];
-    const std::uint32_t end = i + 1 < ready_.size()
-                                  ? pull_offset_[i + 1]
-                                  : static_cast<std::uint32_t>(
-                                        pull_edges_.size());
-    std::sort(pull_edges_.begin() + begin, pull_edges_.begin() + end,
-              [this](std::size_t a, std::size_t b) {
-                return head_local_[a] < head_local_[b];
-              });
+    const std::size_t base = graph_.half_edge_index(to, 0);
+    const auto deg = static_cast<std::uint32_t>(graph_.degree(to));
     ReceiverDelta& delta = deltas_[i];
     auto& in = inbox_[to];
-    for (std::uint32_t e = begin; e < end; ++e) {
-      const std::size_t h = pull_edges_[e];
+    for (std::uint32_t to_local = 0; to_local < deg; ++to_local) {
+      const std::size_t r = base + to_local;
+      if (!inbound_busy_[r]) continue;
+      inbound_busy_[r] = 0;
+      // The twin of the receiver-side slot is the sending half-edge.
+      const std::size_t h = graph_.half_edge_index(head_[r], head_local_[r]);
       auto& box = outbox_[h];
       if (box.size() > delta.max_depth) delta.max_depth = box.size();
       std::size_t ship = cfg_.enforce_capacity ? 1 : box.size();
       delta.messages += ship;
-      const std::uint32_t to_local = head_local_[h];
       while (ship-- > 0) {
-        const Message m = box.front();
-        box.pop();
+        const Message& m = box.front();
         delta.words += m.size_words();
         if (faults_ != nullptr) {
           // (edge, seq) keys every fault decision: each half-edge is
@@ -514,6 +521,7 @@ void Simulator::deliver_parallel(std::vector<NodeId>& next_active) {
           const std::uint64_t seq = send_seq_[h]++;
           if (faults_->drop_transmission(h, seq, round_)) {
             ++delta.dropped;
+            box.pop();
             continue;
           }
           if (faults_->duplicate_transmission(h, seq)) {
@@ -523,6 +531,7 @@ void Simulator::deliver_parallel(std::vector<NodeId>& next_active) {
         }
         ++delta.delivered;
         in.push_back(Inbound{to_local, m});
+        box.pop();
       }
     }
   };
@@ -558,8 +567,7 @@ void Simulator::deliver_parallel(std::vector<NodeId>& next_active) {
     ready_flag_[ready_[i]] = 0;
   }
 
-  // Rebuild the busy list in its previous order so edge retirement is
-  // independent of the receiver grouping above.
+  // Retire drained edges, keeping the busy list in its previous order.
   std::vector<std::size_t> still_busy;
   still_busy.reserve(busy_edges_.size());
   for (const std::size_t h : busy_edges_) {

@@ -23,11 +23,14 @@
 //                are folded into the shared timer wheel. Serial, O(new work).
 //   3. deliver — one message per busy half-edge ships (the CONGEST capacity;
 //                all of them under the E3 ablation). Synchronous delivery is
-//                receiver-pull: each receiving node drains its busy inbound
-//                half-edges in local-edge order, so delivery parallelizes
+//                receiver-pull: each busy half-edge is marked at its
+//                receiver-side slot, and each receiving node drains its
+//                marked slots in local-edge order, so delivery parallelizes
 //                over receivers and inbox order is canonical by construction.
 //                Asynchronous runs (async_max_delay > 1) deliver serially so
 //                the delay RNG consumes draws in transmission order.
+// The wall time of each phase is summed into SimStats (step/splice/
+// deliver_seconds) and reported per round to the round log.
 //
 // Determinism contract: for a fixed graph, protocol, and SimConfig (minus
 // `threads`), execution is byte-identical across thread counts and reruns —
@@ -43,6 +46,7 @@
 #include <vector>
 
 #include "obs/round_log.hpp"
+#include "util/fifo.hpp"
 #include "util/rng.hpp"
 
 #include "congest/accounting.hpp"
@@ -126,6 +130,7 @@ class Simulator {
     return {inbox_[u].data(), inbox_[u].size()};
   }
   void enqueue(NodeId u, std::uint32_t local, const Message& m);
+  void enqueue_all(NodeId u, const Message& m);
   void wake(NodeId u) { wake_flag_[u] = 1; }
   /// Node-owned: requests are banked per node during the (possibly
   /// parallel) step and folded into the shared timer wheel at splice time.
@@ -141,26 +146,7 @@ class Simulator {
   }
 
  private:
-  /// Flat FIFO replacing std::deque: contiguous storage, O(1) amortized
-  /// pop via a head cursor, storage reclaimed when drained.
-  struct Outbox {
-    std::vector<Message> q;
-    std::uint32_t head = 0;
-
-    bool empty() const { return head == q.size(); }
-    std::size_t size() const { return q.size() - head; }
-    void push(const Message& m) { q.push_back(m); }
-    Message& front() { return q[head]; }
-    void pop() {
-      if (++head == q.size()) {
-        q.clear();
-        head = 0;
-      } else if (head >= 64 && head * 2 >= q.size()) {
-        q.erase(q.begin(), q.begin() + head);
-        head = 0;
-      }
-    }
-  };
+  using Outbox = Fifo<Message>;
 
   ThreadPool* pool();
   void resolve_twins();
@@ -181,7 +167,8 @@ class Simulator {
   SimStats stats_;
 
   // Per half-edge h = (u, local): FIFO of queued messages, plus the twin
-  // half-edge's (receiver, receiver-local) coordinates.
+  // half-edge's (receiver, receiver-local) coordinates. The twin relation
+  // is symmetric: the twin's head_/head_local_ name (u, local) again.
   std::vector<Outbox> outbox_;
   std::vector<NodeId> head_;                  // receiver node of half-edge
   std::vector<std::uint32_t> head_local_;     // receiver's local edge index
@@ -209,9 +196,9 @@ class Simulator {
   // Receiver-pull delivery scratch (reused across rounds).
   std::vector<NodeId> ready_;                 // receivers with busy inbound
   std::vector<char> ready_flag_;
-  std::vector<std::uint32_t> pull_count_;     // busy inbound edges per rcvr
-  std::vector<std::size_t> pull_edges_;       // grouped by receiver
-  std::vector<std::uint32_t> pull_offset_;    // group starts, aligned w/ ready_
+  // Per receiver-side half-edge (v, l): its twin has a message to ship
+  // this round. Set serially, cleared by v's pull.
+  std::vector<char> inbound_busy_;
   struct ReceiverDelta {
     std::uint64_t messages = 0;
     std::uint64_t words = 0;

@@ -25,6 +25,9 @@ void RoundLog::record(const RoundSample& s) {
   win_messages_ += s.messages;
   win_words_ += s.words;
   win_dropped_ += s.dropped;
+  win_step_ns_ += s.step_ns;
+  win_splice_ns_ += s.splice_ns;
+  win_deliver_ns_ += s.deliver_ns;
   if (s.active_nodes > win_active_max_) win_active_max_ = s.active_nodes;
   if (s.max_outbox > win_outbox_max_) win_outbox_max_ = s.max_outbox;
   if (win_rounds_ >= stride_) emit_window();
@@ -46,7 +49,10 @@ void RoundLog::emit_window() {
       .add("words", win_words_)
       .add("active_nodes", win_active_max_)
       .add("max_outbox", win_outbox_max_)
-      .add("dropped", win_dropped_);
+      .add("dropped", win_dropped_)
+      .add("step_us", static_cast<double>(win_step_ns_) * 1e-3)
+      .add("splice_us", static_cast<double>(win_splice_ns_) * 1e-3)
+      .add("deliver_us", static_cast<double>(win_deliver_ns_) * 1e-3);
   line.emit(out_);
   ++phase_lines_;
   ++total_lines_;
@@ -54,6 +60,9 @@ void RoundLog::emit_window() {
   win_messages_ = 0;
   win_words_ = 0;
   win_dropped_ = 0;
+  win_step_ns_ = 0;
+  win_splice_ns_ = 0;
+  win_deliver_ns_ = 0;
   win_active_max_ = 0;
   win_outbox_max_ = 0;
   // Budget reached: coarsen future windows so a phase of any length

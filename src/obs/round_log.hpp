@@ -6,7 +6,10 @@
 // artifact: samples are aggregated into windows whose stride doubles
 // each time the per-phase line budget is reached, so the full trajectory
 // is preserved (sums of messages/words, maxima of active/outbox) at
-// logarithmically coarsening resolution — never truncated.
+// logarithmically coarsening resolution — never truncated. Each window
+// also carries the summed wall time of the simulator's step, splice and
+// deliver phases (step_us / splice_us / deliver_us), which vary run to
+// run; every other field is deterministic.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +19,8 @@
 namespace dsketch::obs {
 
 /// One executed simulator round, as deltas (messages/words transmitted
-/// this round) plus instantaneous gauges.
+/// this round) plus instantaneous gauges, and the wall time of each of the
+/// round's three phases.
 struct RoundSample {
   std::uint64_t round = 0;         ///< round index just executed
   std::uint64_t messages = 0;      ///< messages shipped this round
@@ -24,6 +28,9 @@ struct RoundSample {
   std::uint64_t active_nodes = 0;  ///< nodes stepped this round
   std::uint64_t max_outbox = 0;    ///< peak queue depth so far
   std::uint64_t dropped = 0;       ///< transmissions lost to fault injection
+  std::uint64_t step_ns = 0;       ///< wall time stepping active nodes
+  std::uint64_t splice_ns = 0;     ///< wall time splicing new sends
+  std::uint64_t deliver_ns = 0;    ///< wall time delivering one hop
 };
 
 class RoundLog {
@@ -70,6 +77,9 @@ class RoundLog {
   std::uint64_t win_active_max_ = 0;
   std::uint64_t win_outbox_max_ = 0;
   std::uint64_t win_dropped_ = 0;
+  std::uint64_t win_step_ns_ = 0;
+  std::uint64_t win_splice_ns_ = 0;
+  std::uint64_t win_deliver_ns_ = 0;
 };
 
 }  // namespace dsketch::obs

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <unordered_map>
 
 #include "graph/shortest_paths.hpp"
 
@@ -13,6 +11,8 @@
 #include "congest/protocol.hpp"
 #include "congest/reliable.hpp"
 #include "util/assert.hpp"
+#include "util/fifo.hpp"
+#include "util/flat_map.hpp"
 
 namespace dsketch {
 namespace {
@@ -184,16 +184,21 @@ class TzProtocol : public Protocol {
   }
 
  private:
+  struct SourceState {
+    Dist dist;    // best distance to the source so far
+    bool queued;  // waiting in `pending`
+  };
+
   struct NodeState {
     int phase;  // current phase index; k = above top; kPreStart = finished
     std::vector<DistKey> pivot;  // pivot[i] valid once phase i finalized;
                                  // pivot[k] = infinite key
     std::vector<BunchEntry> bunch;
 
-    // Phase-local Bellman-Ford state.
-    std::unordered_map<NodeId, Dist> dist;
-    std::unordered_map<NodeId, char> queued;
-    std::deque<NodeId> pending;
+    // Phase-local Bellman-Ford state: one entry per source that passed
+    // the gate, cleared (capacity kept) at the end of every phase.
+    FlatMap<NodeId, SourceState> sources;
+    Fifo<NodeId> pending;  // sources waiting to be broadcast, in order
 
     // Echo-mode machinery.
     EchoTracker echo;
@@ -246,23 +251,24 @@ class TzProtocol : public Protocol {
     }
     DS_CHECK_MSG(s.phase == p, "stale data message");
     const Dist cand = a + ctx.edge_weight(in.local_edge);
-    const DistKey key{cand, src};
     const DistKey& gate = s.pivot[static_cast<std::size_t>(p) + 1];
-    const auto it = s.dist.find(src);
-    const bool improves = it == s.dist.end() || cand < it->second;
-    if (key < gate && improves) {
-      s.dist[src] = cand;
-      if (mode_ == TerminationMode::kEcho) {
-        if (auto old = s.echo.accept_trigger(src, in.local_edge, a)) {
-          send_echo(ctx, p, src, *old);
+    if (DistKey{cand, src} < gate) {
+      const auto [st, fresh] = s.sources.try_emplace(src);
+      if (fresh || cand < st->dist) {
+        st->dist = cand;
+        if (!st->queued) {
+          st->queued = true;
+          s.pending.push(src);
         }
+        if (mode_ == TerminationMode::kEcho) {
+          if (auto old = s.echo.accept_trigger(src, in.local_edge, a)) {
+            send_echo(ctx, p, src, *old);
+          }
+        }
+        return;
       }
-      char& q = s.queued[src];
-      if (!q) {
-        q = 1;
-        s.pending.push_back(src);
-      }
-    } else if (mode_ == TerminationMode::kEcho) {
+    }
+    if (mode_ == TerminationMode::kEcho) {
       send_echo(ctx, p, src, EchoObligation{in.local_edge, a});
     }
   }
@@ -361,22 +367,23 @@ class TzProtocol : public Protocol {
   void finalize_phase(NodeId u) {
     NodeState& s = nodes_[u];
     const std::uint32_t p = static_cast<std::uint32_t>(s.phase);
+    // Table order is arbitrary: sort_bunch fixes the bunch order and the
+    // pivot is the minimum key.
     DistKey best = s.pivot[p + 1];
-    for (const auto& [v, d] : s.dist) {
-      s.bunch.push_back(BunchEntry{v, p, d});
-      const DistKey key{d, v};
+    s.sources.for_each([&](NodeId v, const SourceState& st) {
+      s.bunch.push_back(BunchEntry{v, p, st.dist});
+      const DistKey key{st.dist, v};
       if (key < best) best = key;
-    }
+    });
     if (hier_.level_of(u) > p) {
       const DistKey own{0, u};
       if (own < best) best = own;
     }
     s.pivot[p] = best;
-    s.dist.clear();
-    s.queued.clear();
+    s.sources.clear();
     s.pending.clear();
     DS_CHECK(!s.echo.has_outstanding());
-    s.echo = EchoTracker{};
+    s.echo.clear();
   }
 
   void init_phase(NodeCtx& ctx, int p) {
@@ -387,9 +394,8 @@ class TzProtocol : public Protocol {
       // The source's own announcement passes through the same gate.
       const DistKey own{0, u};
       if (own < s.pivot[static_cast<std::size_t>(p) + 1]) {
-        s.dist[u] = 0;
-        s.queued[u] = 1;
-        s.pending.push_back(u);
+        s.sources[u] = SourceState{0, true};
+        s.pending.push(u);
       }
     }
     if (mode_ == TerminationMode::kEcho) {
@@ -422,9 +428,11 @@ class TzProtocol : public Protocol {
     if (s.phase < 0 || s.phase >= static_cast<int>(hier_.k())) return;
     while (!s.pending.empty()) {
       const NodeId src = s.pending.front();
-      s.pending.pop_front();
-      s.queued[src] = 0;
-      const Dist d = s.dist.at(src);
+      s.pending.pop();
+      SourceState* st = s.sources.find(src);
+      DS_CHECK(st != nullptr);
+      st->queued = false;
+      const Dist d = st->dist;
       broadcast_msg(ctx, Message{kData, static_cast<Word>(s.phase), src,
                                  static_cast<Word>(d)});
       if (mode_ == TerminationMode::kEcho) {

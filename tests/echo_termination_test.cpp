@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "congest/echo_termination.hpp"
 
 namespace dsketch {
@@ -78,6 +81,102 @@ TEST(EchoTracker, ZeroFanoutSelfAnnounceCompletesInstantly) {
   t.commit_send(1, 0, 0, true);
   EXPECT_TRUE(t.self_announce_complete());
   EXPECT_FALSE(t.has_outstanding());
+}
+
+TEST(EchoTracker, ClearedTrackerBehavesAsFreshAcrossPhases) {
+  // One tracker serves every phase of a node: clear() between phases must
+  // leave nothing behind. Phase 1 leaves a record and a trigger pending;
+  // phase 2 then replays the same events as a fresh tracker.
+  const auto run_phase = [](EchoTracker& t) {
+    std::vector<std::optional<EchoObligation>> out;
+    out.push_back(t.accept_trigger(3, 0, 20));
+    t.commit_send(3, 21, 2, false);
+    t.commit_send(9, 0, 1, true);
+    out.push_back(t.on_echo(3, 21));
+    out.push_back(t.on_echo(3, 21));
+    out.push_back(t.on_echo(9, 0));
+    return out;
+  };
+  EchoTracker fresh;
+  const auto expected = run_phase(fresh);
+  EXPECT_TRUE(fresh.self_announce_complete());
+  EXPECT_FALSE(fresh.has_outstanding());
+
+  EchoTracker t;
+  t.accept_trigger(4, 1, 50);
+  t.commit_send(4, 51, 3, false);
+  t.on_echo(4, 51);
+  t.accept_trigger(4, 2, 40);  // a live trigger left over
+  t.commit_send(9, 0, 0, true);
+  EXPECT_TRUE(t.self_announce_complete());
+  EXPECT_EQ(t.outstanding_records(), 1u);
+  t.clear();
+  EXPECT_FALSE(t.has_outstanding());
+  EXPECT_FALSE(t.self_announce_complete());
+  EXPECT_EQ(t.outstanding_records(), 0u);
+
+  const auto got = run_phase(t);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].has_value(), expected[i].has_value()) << i;
+    if (got[i]) {
+      EXPECT_EQ(got[i]->edge, expected[i]->edge);
+      EXPECT_EQ(got[i]->value, expected[i]->value);
+    }
+  }
+  EXPECT_TRUE(t.self_announce_complete());
+  EXPECT_FALSE(t.has_outstanding());
+}
+
+TEST(EchoTrackerDeathTest, EchoForAnUnknownSourceOrValueAborts) {
+  EXPECT_DEATH(
+      {
+        EchoTracker t;
+        t.on_echo(3, 21);
+      },
+      "echo without matching record");
+  EXPECT_DEATH(
+      {
+        EchoTracker t;
+        t.accept_trigger(3, 0, 20);
+        t.commit_send(3, 21, 2, false);
+        t.on_echo(3, 22);  // right source, wrong value
+      },
+      "does not match any outstanding record");
+  EXPECT_DEATH(
+      {
+        EchoTracker t;
+        t.accept_trigger(3, 0, 20);
+        t.commit_send(3, 21, 2, false);
+        t.on_echo(4, 21);  // right value, wrong source
+      },
+      "does not match any outstanding record");
+  EXPECT_DEATH(
+      {
+        // A record echoed out is gone: a late echo no longer matches.
+        EchoTracker t;
+        t.commit_send(5, 0, 1, true);
+        t.commit_send(6, 0, 1, true);
+        t.on_echo(5, 0);
+        t.on_echo(5, 0);
+      },
+      "does not match any outstanding record");
+}
+
+TEST(EchoTrackerDeathTest, RepeatedOutstandingSendAborts) {
+  EXPECT_DEATH(
+      {
+        EchoTracker t;
+        t.commit_send(5, 0, 2, true);
+        t.commit_send(5, 0, 2, true);
+      },
+      "repeats an outstanding");
+  EXPECT_DEATH(
+      {
+        EchoTracker t;
+        t.commit_send(7, 3, 2, false);  // nothing accepted for source 7
+      },
+      "send without a live trigger");
 }
 
 TEST(CompletionTracker, LeafNonSourceFiresImmediately) {

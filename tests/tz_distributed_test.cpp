@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
+#include <vector>
 
 #include "baselines/exact_oracle.hpp"
+#include "congest/bellman_ford.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
+#include "sketch/tz_centralized.hpp"
 #include "sketch/tz_distributed.hpp"
 
 namespace dsketch {
@@ -143,6 +147,87 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 2u),
                        ::testing::Values(TerminationMode::kOracle,
                                          TerminationMode::kEcho)));
+
+// ---- Pinned counts -------------------------------------------------------
+//
+// The simulator and the protocols' state may get cheaper, but never change
+// a send: the rounds, messages, words, node steps and peak outbox depth of
+// one fixed instance are pinned here, as recorded from the simulator before
+// its flat protocol state, 48-byte messages and sort-free receiver pull.
+// The thread-count determinism tests only compare runs of one build with
+// each other; these constants compare builds across commits.
+
+struct Counts {
+  std::uint64_t rounds;
+  std::uint64_t messages;
+  std::uint64_t words;
+  std::uint64_t node_steps;
+  std::uint64_t max_outbox;
+  bool operator==(const Counts&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Counts& c) {
+  return os << "{" << c.rounds << ", " << c.messages << ", " << c.words
+            << ", " << c.node_steps << ", " << c.max_outbox << "}";
+}
+
+Counts counts_of(const SimStats& s) {
+  return {s.rounds, s.messages, s.words, s.node_steps, s.max_outbox};
+}
+
+Graph pinned_graph() { return erdos_renyi(160, 0.05, {1, 12}, 2024); }
+
+TEST(TzDistributedPinned, EveryModeKeepsTheRecordedCountsAndLabels) {
+  const Graph g = pinned_graph();
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 7);
+  const LabelArena central = build_tz_centralized(g, h);
+  const auto expect_central_labels = [&](const TzDistributedResult& r) {
+    ASSERT_TRUE(r.completed);
+    ASSERT_EQ(r.labels.num_nodes(), central.num_nodes());
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      ASSERT_TRUE(r.labels.view(u) == central.view(u)) << "node " << u;
+    }
+  };
+
+  const auto echo = build_tz_distributed(g, h, TerminationMode::kEcho);
+  expect_central_labels(echo);
+  EXPECT_EQ(counts_of(echo.tree_stats), (Counts{8, 5422, 15948, 1014, 1}));
+  EXPECT_EQ(counts_of(echo.stats), (Counts{145, 78737, 312722, 13190, 15}));
+
+  const auto oracle = build_tz_distributed(g, h, TerminationMode::kOracle);
+  expect_central_labels(oracle);
+  EXPECT_EQ(counts_of(oracle.stats), (Counts{56, 33700, 134800, 6984, 1}));
+
+  const auto known = build_tz_distributed(g, h, TerminationMode::kKnownS);
+  expect_central_labels(known);
+  EXPECT_EQ(counts_of(known.stats), (Counts{2332, 33700, 134800, 7144, 1}));
+
+  // Fault tolerance on, no faults: every frame carries the reliable
+  // layer's header word, so DATA/ECHO are the widest (5-word) messages.
+  TzFaultTolerance ft;
+  ft.enabled = true;
+  const auto reliable = build_tz_distributed(
+      g, h, TerminationMode::kEcho, {}, /*eager_send=*/false, 0, ft);
+  expect_central_labels(reliable);
+  EXPECT_EQ(counts_of(reliable.tree_stats), (Counts{8, 5422, 15948, 1014, 1}));
+  EXPECT_EQ(counts_of(reliable.stats),
+            (Counts{180, 104439, 417329, 21400, 17}));
+  EXPECT_EQ(reliable.retransmits, 0u);
+}
+
+TEST(TzDistributedPinned, MultiSourceBellmanFordKeepsTheRecordedCounts) {
+  const Graph g = pinned_graph();
+  const std::vector<NodeId> sources{0, 17, 42, 99, 123, 150};
+  const MultiSourceBfResult r = run_multi_source_bf(g, sources);
+  EXPECT_EQ(counts_of(r.stats), (Counts{21, 16062, 32124, 2495, 1}));
+  for (const NodeId s : sources) {
+    const std::vector<Dist> exact = dijkstra(g, s);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      ASSERT_EQ(r.dist[u].size(), sources.size());
+      EXPECT_EQ(r.dist[u].at(s), exact[u]);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dsketch

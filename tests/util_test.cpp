@@ -6,8 +6,12 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "util/fifo.hpp"
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -255,6 +259,173 @@ TEST(ThreadPool, ConcurrentCallersAreSafe) {
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(total.load(), 6 * 20 * 100);
+}
+
+// ---- FlatMap -----------------------------------------------------------
+
+using IdMap = FlatMap<std::uint32_t, std::uint64_t>;
+
+/// The first `count` keys (from 0 up) whose home slot in an 8-slot table
+/// is `slot`: a single-entry map holds its key at home.
+std::vector<std::uint32_t> keys_homed_at(std::size_t slot, std::size_t count) {
+  std::vector<std::uint32_t> keys;
+  for (std::uint32_t k = 0; keys.size() < count; ++k) {
+    IdMap probe;
+    probe[k] = 0;
+    EXPECT_EQ(probe.capacity(), 8u);
+    if (probe.slot_of(k) == slot) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(FlatMap, EraseMovesAWrappedEntryBackToItsHome) {
+  // a and b both hash to the last slot, so b wraps to slot 0; c hashes to
+  // slot 0 and lands behind b in slot 1. Erasing a must shift b back to
+  // its home and c back to its own, or a lookup of b would stop at the
+  // freed last slot.
+  const std::vector<std::uint32_t> last = keys_homed_at(7, 2);
+  const std::uint32_t a = last[0], b = last[1];
+  const std::uint32_t c = keys_homed_at(0, 1)[0];
+  IdMap m;
+  m[a] = 10;
+  m[b] = 20;
+  m[c] = 30;
+  ASSERT_EQ(m.capacity(), 8u);
+  EXPECT_EQ(m.slot_of(a), 7u);
+  EXPECT_EQ(m.slot_of(b), 0u);
+  EXPECT_EQ(m.slot_of(c), 1u);
+
+  EXPECT_TRUE(m.erase(a));
+  EXPECT_FALSE(m.erase(a));
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(m.find(a), nullptr);
+  EXPECT_EQ(m.slot_of(a), m.capacity());
+  EXPECT_EQ(m.slot_of(b), 7u);
+  EXPECT_EQ(m.slot_of(c), 0u);
+  ASSERT_NE(m.find(b), nullptr);
+  EXPECT_EQ(*m.find(b), 20u);
+  ASSERT_NE(m.find(c), nullptr);
+  EXPECT_EQ(*m.find(c), 30u);
+
+  // Reinsert across the wrap and erase the entry in slot 0: b stays put.
+  m[a] = 11;
+  EXPECT_EQ(m.slot_of(a), 1u);
+  EXPECT_TRUE(m.erase(c));
+  EXPECT_EQ(m.slot_of(b), 7u);
+  EXPECT_EQ(m.slot_of(a), 0u);
+  EXPECT_EQ(*m.find(a), 11u);
+}
+
+TEST(FlatMap, GrowsPastTheLoadLimit) {
+  IdMap m;
+  EXPECT_EQ(m.capacity(), 0u);
+  EXPECT_EQ(m.find(5), nullptr);
+  for (std::uint32_t k = 0; k < 1000; ++k) {
+    const auto [value, inserted] = m.try_emplace(k * 7919);
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(*value, 0u);  // value-initialized
+    *value = k;
+    // The load never passes one half, and the capacity stays a power of 2.
+    EXPECT_LE(2 * m.size(), m.capacity());
+    EXPECT_EQ(m.capacity() & (m.capacity() - 1), 0u);
+  }
+  EXPECT_EQ(m.size(), 1000u);
+  for (std::uint32_t k = 0; k < 1000; ++k) {
+    ASSERT_NE(m.find(k * 7919), nullptr);
+    EXPECT_EQ(*m.find(k * 7919), k);
+  }
+  const auto [again, inserted] = m.try_emplace(7919);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(*again, 1u);
+}
+
+TEST(FlatMap, ClearKeepsCapacityForReuse) {
+  FlatMap<std::pair<std::uint32_t, std::uint64_t>, int> m;
+  for (std::uint32_t k = 0; k < 40; ++k) m[{k, k + 100}] = static_cast<int>(k);
+  const std::size_t cap = m.capacity();
+  m.clear();
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.capacity(), cap);
+  EXPECT_EQ(m.find({3, 103}), nullptr);
+  // Reuse: the same ids with other values are distinct keys.
+  for (std::uint32_t k = 0; k < 40; ++k) m[{k, k}] = -static_cast<int>(k);
+  EXPECT_EQ(m.size(), 40u);
+  EXPECT_EQ(m.capacity(), cap);
+  EXPECT_EQ(m.find({3, 103}), nullptr);
+  ASSERT_NE(m.find({3, 3}), nullptr);
+  EXPECT_EQ(*m.find({3, 3}), -3);
+}
+
+TEST(FlatMap, ForEachVisitsEveryLiveKeyOnce) {
+  IdMap m;
+  for (std::uint32_t k = 0; k < 300; ++k) m[k] = 2 * k;
+  for (std::uint32_t k = 0; k < 300; k += 3) EXPECT_TRUE(m.erase(k));
+  std::multiset<std::uint32_t> seen;
+  m.for_each([&](std::uint32_t k, std::uint64_t v) {
+    EXPECT_EQ(v, 2u * k);
+    seen.insert(k);
+  });
+  std::multiset<std::uint32_t> expected;
+  for (std::uint32_t k = 0; k < 300; ++k) {
+    if (k % 3 != 0) expected.insert(k);
+  }
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(FlatMap, RandomOperationsMatchUnorderedMap) {
+  // A small key universe keeps probe runs long and wrapping, so every
+  // erase exercises the backward shift.
+  Rng rng(17);
+  FlatMap<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> m;
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  for (int step = 0; step < 20000; ++step) {
+    const auto id = static_cast<std::uint32_t>(rng.below(24));
+    const std::uint64_t value = rng.below(3);
+    const std::uint64_t ref_key = id * 8 + value;
+    if (rng.below(3) == 0) {
+      EXPECT_EQ(m.erase({id, value}), ref.erase(ref_key) == 1);
+    } else {
+      m[{id, value}] = static_cast<std::uint64_t>(step);
+      ref[ref_key] = static_cast<std::uint64_t>(step);
+    }
+    ASSERT_EQ(m.size(), ref.size());
+    if (step % 97 == 0) {
+      m.clear();
+      ref.clear();
+    }
+  }
+  for (std::uint32_t id = 0; id < 24; ++id) {
+    for (std::uint64_t value = 0; value < 3; ++value) {
+      const auto it = ref.find(id * 8 + value);
+      const std::uint64_t* got = m.find({id, value});
+      ASSERT_EQ(got != nullptr, it != ref.end());
+      if (got != nullptr) {
+        EXPECT_EQ(*got, it->second);
+      }
+    }
+  }
+}
+
+TEST(Fifo, PopsInPushOrderAcrossCompaction) {
+  Fifo<int> q;
+  EXPECT_TRUE(q.empty());
+  int next_out = 0;
+  for (int i = 0; i < 500; ++i) {
+    q.push(i);
+    if (i % 3 == 2) {
+      EXPECT_EQ(q.front(), next_out++);
+      q.pop();
+    }
+  }
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(500 - next_out));
+  while (!q.empty()) {
+    EXPECT_EQ(q.front(), next_out++);
+    q.pop();
+  }
+  EXPECT_EQ(next_out, 500);
+  q.push(7);
+  q.clear();
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace
