@@ -5,7 +5,7 @@
 // of nanoseconds — the "quickly in an online fashion" claim of §1. Each
 // config is timed through the freshly built `SketchStore` (the
 // `engine_ns_per_query` column), the same sketch set loaded back from
-// its v4 file into one heap buffer (`store_ns_per_query`), and the same
+// its store file into one heap buffer (`store_ns_per_query`), and the same
 // file mapped (`SketchStore::open`), cold and warm: one class, one
 // packed layout, one query kernel over all three.
 //

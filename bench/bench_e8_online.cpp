@@ -10,6 +10,9 @@
 // heavy chords. In overlays where the peer's address is known (§2.1), the
 // exchange is direct and D drops out entirely.
 //
+// Exits 1 when a measured exchange does not complete or the words node 0
+// receives differ from the words the peer sent.
+//
 // Flags: --nmax (2048) skips topologies larger than the cap.
 #include "bench_common.hpp"
 #include "congest/bellman_ford.hpp"
@@ -48,6 +51,7 @@ int run_e8(const FlagSet& flags, std::ostream& out) {
   log_opts.experiment = "e8";
   obs::RoundLog round_log(out, log_opts);
 
+  int bad_exchanges = 0;
   for (auto& t : topos) {
     if (t.g.num_nodes() > nmax) continue;
     const std::uint32_t D = hop_diameter_auto(t.g, 6, 3);
@@ -68,8 +72,9 @@ int run_e8(const FlagSet& flags, std::ostream& out) {
 
     // Measured exchange: node 0 fetches the sketch of the "far" node n/2.
     const NodeId peer = t.g.num_nodes() / 2;
-    const auto exchange =
-        exchange_sketch(t.g, 0, peer, serialize_label(built.labels.view(peer)));
+    const std::vector<Word> sent = serialize_label(built.labels.view(peer));
+    const auto exchange = exchange_sketch(t.g, 0, peer, sent);
+    if (!exchange.complete || exchange.words != sent) ++bad_exchanges;
     row("e8", "per_query_rounds")
         .add("topology", t.name)
         .add("regime", t.regime)
@@ -115,7 +120,7 @@ int run_e8(const FlagSet& flags, std::ostream& out) {
        "help), rising well above 1 as S/D grows; amortized per-query cost "
        "drops below the online cost once a handful of queries share the "
        "preprocessing.");
-  return 0;
+  return bad_exchanges == 0 ? 0 : 1;
 }
 
 }  // namespace dsketch::bench

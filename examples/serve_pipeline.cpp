@@ -10,7 +10,7 @@
 //
 // Everything below is scheme-agnostic: swap "tz" for any registered
 // scheme name (dsketch list-schemes) and the pipeline still runs —
-// sketch schemes save the v4 store, baselines their text envelope, and
+// sketch schemes save a binary store, baselines their text envelope, and
 // the one load call reads either back into the same sharded service.
 #include <cstdio>
 #include <cstdlib>

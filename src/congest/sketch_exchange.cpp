@@ -1,21 +1,16 @@
 #include "congest/sketch_exchange.hpp"
 
-#include <unordered_map>
-#include <utility>
-
 #include "congest/protocol.hpp"
+#include "congest/word_stream.hpp"
 #include "util/assert.hpp"
 
 namespace dsketch {
 namespace {
 
-// Messages:
-//   REQUEST: <kRequest, responder, hops>
-//   CHUNK:   <kChunk, seq, w0, w1>   (unicast along parent pointers)
-//   END:     <kEnd, total_words>
-constexpr Word kRequest = 1;
-constexpr Word kChunk = 2;
-constexpr Word kEnd = 3;
+// Messages: <kRequest, responder, hops>, flooded; the reply is a word
+// stream (congest/word_stream), unicast along the parent pointers.
+constexpr Word kRequest = 3;
+static_assert(kRequest != kStreamChunk && kRequest != kStreamEnd);
 
 constexpr std::uint32_t kNoEdge = static_cast<std::uint32_t>(-1);
 
@@ -32,11 +27,6 @@ class ExchangeProtocol : public Protocol {
     if (ctx.node() == requester_) {
       seen_[requester_] = 1;
       ctx.broadcast(Message{kRequest, responder_, 0});
-      if (requester_ == responder_) {
-        // Degenerate self-query: nothing to fetch.
-        received_ = payload_;
-        complete_ = true;
-      }
     }
   }
 
@@ -50,16 +40,16 @@ class ExchangeProtocol : public Protocol {
           parent_edge_[u] = in.local_edge;  // first arrival: toward requester
           const auto hops = static_cast<std::uint32_t>(in.msg.at(2));
           if (u == responder_) {
-            send_reply(ctx, in.local_edge);
+            send_word_stream(ctx, in.local_edge, payload_);
           } else {
             ctx.broadcast(Message{kRequest, responder_, hops + 1});
           }
           break;
         }
-        case kChunk:
-        case kEnd: {
+        case kStreamChunk:
+        case kStreamEnd: {
           if (u == requester_) {
-            absorb(in.msg);
+            reply_.absorb(in.msg);
           } else {
             DS_CHECK(parent_edge_[u] != kNoEdge);
             ctx.send(parent_edge_[u], in.msg);
@@ -72,49 +62,23 @@ class ExchangeProtocol : public Protocol {
     }
   }
 
-  bool complete() const { return complete_; }
-  std::vector<Word> take_words() { return std::move(received_); }
+  // A self-query is complete from the start: nothing to fetch.
+  bool complete() const {
+    return requester_ == responder_ || reply_.complete();
+  }
+  /// The words u holds: v's payload once the reply is complete, else none.
+  std::vector<Word> words() const {
+    if (requester_ == responder_) return payload_;
+    return reply_.complete() ? reply_.words() : std::vector<Word>{};
+  }
 
  private:
-  void send_reply(NodeCtx& ctx, std::uint32_t edge) {
-    for (std::size_t i = 0; i < payload_.size(); i += 2) {
-      Message m{kChunk, static_cast<Word>(i / 2)};
-      m.push(payload_[i]);
-      m.push(i + 1 < payload_.size() ? payload_[i + 1] : 0);
-      ctx.send(edge, std::move(m));
-    }
-    ctx.send(edge, Message{kEnd, payload_.size()});
-  }
-
-  void absorb(const Message& m) {
-    if (m.at(0) == kEnd) {
-      total_ = static_cast<std::size_t>(m.at(1));
-      have_total_ = true;
-    } else {
-      chunks_.emplace(static_cast<std::size_t>(m.at(1)),
-                      std::pair<Word, Word>{m.at(2), m.at(3)});
-    }
-    if (have_total_ && chunks_.size() == (total_ + 1) / 2) {
-      received_.assign(total_, 0);
-      for (const auto& [seq, pair] : chunks_) {
-        DS_CHECK(2 * seq < total_);
-        received_[2 * seq] = pair.first;
-        if (2 * seq + 1 < total_) received_[2 * seq + 1] = pair.second;
-      }
-      complete_ = true;
-    }
-  }
-
   NodeId requester_;
   NodeId responder_;
   const std::vector<Word>& payload_;
   std::vector<std::uint32_t> parent_edge_;
   std::vector<char> seen_;
-  std::unordered_map<std::size_t, std::pair<Word, Word>> chunks_;
-  std::size_t total_ = 0;
-  bool have_total_ = false;
-  bool complete_ = false;
-  std::vector<Word> received_;
+  WordStreamAssembler reply_;
 };
 
 }  // namespace
@@ -131,7 +95,7 @@ SketchExchangeResult exchange_sketch(const Graph& g, NodeId requester,
   result.stats = sim.run();
   DS_CHECK(!result.stats.hit_round_limit);
   result.complete = protocol.complete();
-  result.words = protocol.take_words();
+  result.words = protocol.words();
   return result;
 }
 

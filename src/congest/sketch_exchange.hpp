@@ -10,8 +10,9 @@
 //      remembers the edge the request first arrived on — a parent pointer
 //      toward u);
 //   2. v answers by streaming its serialized sketch words back along the
-//      parent-pointer chain, 2 words per message, pipelined and
-//      sequence-numbered (tolerates asynchronous, non-FIFO links);
+//      parent-pointer chain as a word stream (congest/word_stream): 2
+//      words per message, pipelined and sequence-numbered (tolerates
+//      asynchronous, non-FIFO links);
 //   3. u reassembles the sketch. Total: ~2·hop(u,v) + words/2 rounds.
 //
 // The flood costs O(|E|) messages — that is the price of not having

@@ -1,4 +1,6 @@
-// Build configuration for the public engine façade.
+// What to build: the sketch family and its parameters, as the registry
+// entries, SketchStore's build constructor and build_sketch_payload take
+// them.
 #pragma once
 
 #include <cstdint>

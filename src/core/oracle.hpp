@@ -112,7 +112,7 @@ class DistanceOracle {
   /// Persists the oracle so that OracleRegistry::load reconstructs it and
   /// the reloaded oracle answers byte-identical queries. The default
   /// writes a scheme-tagged text envelope (header line + save_payload),
-  /// which the baselines use; SketchStore overrides it to write its v4
+  /// which the baselines use; SketchStore overrides it to write its store
   /// file. Throws when !capabilities().supports_save.
   virtual void save(std::ostream& out) const;
 

@@ -384,7 +384,7 @@ void register_sketch_oracles(OracleRegistry& reg) {
       return std::unique_ptr<DistanceOracle>(
           new SketchStore(g, sketch_build_config(scheme, flags)));
     };
-    // Sketch sets are saved as v4 files, which never reach a text loader
+    // Sketch sets are saved as binary store files, which never reach a text loader
     // (see load_sketch_file); a text envelope naming a sketch scheme is
     // the retired text sketch format.
     s.load = [](std::istream&, const OracleEnvelope& envelope)

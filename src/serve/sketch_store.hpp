@@ -15,14 +15,14 @@
 /// slack_query, cdg_query), so answers are bit-identical however the
 /// store came to be (tested).
 ///
-/// A sketch set is saved only in the v4 format: the label plane's records
+/// A sketch set is saved only in the v5 format: the label plane's records
 /// behind page-aligned byte-offset tables. save(), write() and save_file()
 /// emit the same bytes; OracleRegistry::load routes any stream that does
 /// not open with a text envelope header to the reader here.
 ///
 /// On-disk layout (little-endian):
-///   bytes 0..7   magic "DSKSTOR4"
-///   u32 version (4), u32 scheme, u32 n, u32 k, u32 segments, u32 flags
+///   bytes 0..7   magic "DSKSTOR5"
+///   u32 version (5), u32 scheme, u32 n, u32 k, u32 segments, u32 flags
 ///   f64 epsilon                       (flags bit 0: epsilon was recorded)
 ///   u64 payload_bytes, u64 checksum (FNV-1a 64 over the payload)
 ///   u64 header_checksum             (FNV-1a 64 over the 48 header bytes
@@ -36,14 +36,18 @@
 ///            bytes so every record can be read with 8-byte loads), pad
 ///            to 4096
 ///   The pads are inside the payload checksum. Records: a tz record is a
-///   packed label (sketch/tz_label.hpp); a slack record is a u8 width and
-///   the row of net distances at that width, all-ones meaning kInfDist; a
-///   cdg record is u32 net node, u32 label owner, u64 net distance, then a
-///   tz record. Segments: exactly one for tz, slack and cdg, one per
-///   epsilon level for graceful; slack's meta holds the net (size, then
-///   ids). v1/v2/v3 files ("DSKSTOR1".."DSKSTOR3") and the retired text
-///   sketch files (a `scheme tz ...` envelope) are rejected with
-///   kUnsupportedVersion: stores are rebuildable artifacts.
+///   packed label (sketch/tz_label.hpp): an 11-byte header (u8 levels, u8
+///   id width, u8 distance width, u32 bunch count, u32 id base), the
+///   pivot ids as u32s, then bit-packed pivot distances, bunch ids (as id
+///   - id base, strictly increasing) and bunch distances, each column
+///   byte-aligned. A slack record is a u8 width and the row of net
+///   distances at that width, all-ones meaning kInfDist; a cdg record is
+///   u32 net node, u32 label owner, u64 net distance, then a tz record.
+///   Segments: exactly one for tz, slack and cdg, one per epsilon level
+///   for graceful; slack's meta holds the net (size, then ids). v1-v4
+///   files ("DSKSTOR1".."DSKSTOR4") and the retired text sketch files (a
+///   `scheme tz ...` envelope) are rejected with kUnsupportedVersion:
+///   stores are rebuildable artifacts.
 ///
 /// Durability: save_file writes a temp file, fsyncs, then renames into
 /// place, so a crash mid-save never leaves a torn store at the target
@@ -79,7 +83,7 @@ enum class StoreError {
   kBadMagic,            ///< not a sketch store at all
   kTruncatedHeader,     ///< file ends inside the fixed header
   kHeaderChecksum,      ///< header checksum mismatch (bit-flipped header)
-  kUnsupportedVersion,  ///< format this build cannot parse (v1-v3, text)
+  kUnsupportedVersion,  ///< format this build cannot parse (v1-v4, text)
   kUnknownScheme,       ///< scheme tag outside the known families
   kTruncatedPayload,    ///< file ends inside the payload
   kPayloadChecksum,     ///< payload bytes fail the FNV-1a checksum
@@ -99,7 +103,7 @@ class StoreCorruptionError : public std::runtime_error {
 };
 
 /// The on-disk encoding write()/save_file() emit. There is one format,
-/// v4; the argument is ignored and kept for callers that still name it.
+/// v5; the argument is ignored and kept for callers that still name it.
 enum class StoreFormat { kV3 = 3 };
 
 /// Query-ready sketches for all four schemes. A SketchStore is itself a
@@ -126,9 +130,9 @@ class SketchStore final : public DistanceOracle {
 
   /// Binary round trip. read()/load_file() read the file into one heap
   /// buffer, validate magic, version, header checksum, framing, the
-  /// payload checksum and every record (widths, size, sorted ids), then
-  /// serve from that buffer — no second copy, no decode. They throw
-  /// StoreCorruptionError on any mismatch. save_file is atomic: temp
+  /// payload checksum and every record (widths, size, strictly increasing
+  /// bunch ids), then serve from that buffer — no second copy, no decode.
+  /// They throw StoreCorruptionError on any mismatch. save_file is atomic: temp
   /// file + fsync + rename, so readers of `path` see either the old
   /// complete store or the new complete store, never a torn write.
   void write(std::ostream& out, StoreFormat format = StoreFormat::kV3) const;
@@ -186,7 +190,7 @@ class SketchStore final : public DistanceOracle {
   const SimStats* build_cost() const override {
     return has_cost_ ? &cost_ : nullptr;
   }
-  /// DistanceOracle::save: the v4 file, byte for byte what save_file
+  /// DistanceOracle::save: the v5 file, byte for byte what save_file
   /// writes, so OracleRegistry::load reads it back.
   void save(std::ostream& out) const override { write(out); }
 
@@ -254,7 +258,7 @@ struct LoadedOracle;
 /// each built as a SketchStore.
 void register_sketch_oracles(OracleRegistry& reg);
 
-/// Reads a v4 sketch file into a SketchStore and fills the envelope from
+/// Reads a v5 sketch file into a SketchStore and fills the envelope from
 /// its header (scheme, n, k, epsilon, the epsilon-known flag): where
 /// OracleRegistry::load sends every stream without a text envelope
 /// header. Throws StoreCorruptionError like read().

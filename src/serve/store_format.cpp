@@ -95,7 +95,7 @@ StoreHeader parse_header(const std::uint8_t* data, std::size_t size) {
   }
   if (data[7] >= '1' && data[7] < kMagic[7]) {
     fail(StoreError::kUnsupportedVersion,
-         "v1/v2/v3 stores are not supported; rebuild the store");
+         "v1-v4 stores are not supported; rebuild the store");
   }
   if (data[7] != kMagic[7]) fail(StoreError::kBadMagic, "bad magic");
   if (size < kPayloadStart) {

@@ -1,4 +1,4 @@
-// The v4 store file framing: the magic, the fixed header, the FNV-1a
+// The v5 store file framing: the magic, the fixed header, the FNV-1a
 // checksum, the page-alignment rule, the one parser that validates a file
 // image's header and segment framing, and the image itself — a file's
 // bytes in one heap buffer or one read-only mapping. The authoritative
@@ -22,8 +22,8 @@ namespace store_format {
 /// Throws StoreCorruptionError(kind) with the store's message prefix.
 [[noreturn]] void fail(StoreError kind, const std::string& what);
 
-constexpr char kMagic[8] = {'D', 'S', 'K', 'S', 'T', 'O', 'R', '4'};
-constexpr std::uint32_t kVersion = 4;
+constexpr char kMagic[8] = {'D', 'S', 'K', 'S', 'T', 'O', 'R', '5'};
+constexpr std::uint32_t kVersion = 5;
 constexpr std::uint32_t kFlagEpsilonKnown = 1;  // header flags word, bit 0
 constexpr std::size_t kHeaderBytes = 48;  // after the magic, pre-checksum
 /// The payload starts here: 8 magic + 48 header + 8 header checksum.

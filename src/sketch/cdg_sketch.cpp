@@ -2,12 +2,11 @@
 
 #include <cmath>
 #include <cstring>
-#include <deque>
-#include <unordered_map>
 #include <utility>
 
 #include "congest/bellman_ford.hpp"
 #include "congest/protocol.hpp"
+#include "congest/word_stream.hpp"
 #include "sketch/density_net.hpp"
 #include "sketch/hierarchy.hpp"
 #include "util/assert.hpp"
@@ -16,8 +15,7 @@ namespace dsketch {
 
 std::vector<Word> serialize_label(const LabelView& label) {
   std::vector<Word> out;
-  out.reserve(2 + 2 * static_cast<std::size_t>(label.levels) +
-              3 * static_cast<std::size_t>(label.count));
+  out.reserve(2 + label.size_words());
   out.push_back(label.levels);
   out.push_back(label.count);
   for (std::uint32_t i = 0; i < label.levels; ++i) {
@@ -27,7 +25,6 @@ std::vector<Word> serialize_label(const LabelView& label) {
   for (std::uint32_t i = 0; i < label.count; ++i) {
     const BunchEntry e = label.entry(i);
     out.push_back(e.node);
-    out.push_back(e.level);
     out.push_back(e.dist);
   }
   return out;
@@ -37,7 +34,7 @@ TzLabelBuilder deserialize_label(NodeId owner, const std::vector<Word>& words) {
   DS_CHECK(words.size() >= 2);
   const auto levels = static_cast<std::uint32_t>(words[0]);
   const auto entries = static_cast<std::size_t>(words[1]);
-  DS_CHECK(words.size() == 2 + 2 * levels + 3 * entries);
+  DS_CHECK(words.size() == 2 + 2 * levels + 2 * entries);
   TzLabelBuilder label(owner, levels);
   std::size_t pos = 2;
   for (std::uint32_t i = 0; i < levels; ++i) {
@@ -45,10 +42,9 @@ TzLabelBuilder deserialize_label(NodeId owner, const std::vector<Word>& words) {
     pos += 2;
   }
   for (std::size_t e = 0; e < entries; ++e) {
-    label.add_bunch_entry(BunchEntry{static_cast<NodeId>(words[pos]),
-                                     static_cast<std::uint32_t>(words[pos + 1]),
-                                     words[pos + 2]});
-    pos += 3;
+    label.add_bunch_entry(
+        BunchEntry{static_cast<NodeId>(words[pos]), words[pos + 1]});
+    pos += 2;
   }
   label.sort_bunch();
   return label;
@@ -56,101 +52,49 @@ TzLabelBuilder deserialize_label(NodeId owner, const std::vector<Word>& words) {
 
 namespace {
 
-// Dissemination messages, reorder-tolerant (links may be asynchronous and
-// non-FIFO): <kChunk, seq, w0, w1> carries words [2*seq, 2*seq+2) of the
-// stream, zero-padded; <kEnd, total_words> announces the stream length.
-constexpr Word kChunk = 1;
-constexpr Word kEnd = 2;
-constexpr std::size_t kPayloadWords = 2;  // fits max_message_words = 4
-
-/// Streams each net node's serialized label down its Voronoi tree.
+/// Streams each net node's serialized label down its Voronoi tree as one
+/// word stream (congest/word_stream); every other node relays the stream
+/// to its children and reassembles it.
 class LabelDisseminationProtocol : public Protocol {
  public:
   LabelDisseminationProtocol(const SuperSourceBfResult& voronoi,
                              const std::vector<std::vector<Word>>& payloads)
-      : voronoi_(voronoi), payloads_(payloads) {
-    nodes_.resize(voronoi.dist.size());
-  }
+      : voronoi_(voronoi), payloads_(payloads), streams_(voronoi.dist.size()) {}
 
   void on_start(NodeCtx& ctx) override {
     const NodeId u = ctx.node();
     if (voronoi_.owner[u] != u) return;  // only net nodes originate
-    nodes_[u].done = true;               // own label, no stream needed
-    const std::vector<Word>& words = payloads_[u];
     for (const std::uint32_t e : voronoi_.child_edges[u]) {
-      push_stream(ctx, e, words);
+      send_word_stream(ctx, e, payloads_[u]);
     }
   }
 
   void on_round(NodeCtx& ctx) override {
     const NodeId u = ctx.node();
-    NodeState& s = nodes_[u];
     for (const Inbound& in : ctx.inbox()) {
       // Everything arrives on the Voronoi parent edge; relay downstream.
       for (const std::uint32_t e : voronoi_.child_edges[u]) {
         ctx.send(e, in.msg);
       }
-      if (in.msg.at(0) == kChunk) {
-        const auto seq = static_cast<std::size_t>(in.msg.at(1));
-        if (s.chunks.emplace(seq, std::pair<Word, Word>{in.msg.at(2),
-                                                        in.msg.at(3)})
-                .second) {
-          // counted once even if a duplicate relay ever appeared
-        }
-      } else {
-        DS_CHECK(in.msg.at(0) == kEnd);
-        s.total_words = static_cast<std::size_t>(in.msg.at(1));
-        s.have_total = true;
-      }
-      if (s.have_total &&
-          s.chunks.size() == (s.total_words + kPayloadWords - 1) /
-                                 kPayloadWords) {
-        s.done = true;
-      }
+      streams_[u].absorb(in.msg);
     }
   }
 
-  /// Reassembled label words received by node u (empty for net nodes).
-  std::vector<Word> received(NodeId u) const {
-    const NodeState& s = nodes_[u];
-    std::vector<Word> words(s.total_words, 0);
-    for (const auto& [seq, pair] : s.chunks) {
-      const std::size_t base = seq * kPayloadWords;
-      DS_CHECK(base < s.total_words);
-      words[base] = pair.first;
-      if (base + 1 < s.total_words) words[base + 1] = pair.second;
-    }
-    return words;
-  }
+  /// Reassembled label words received by node u (not a net node).
+  std::vector<Word> received(NodeId u) const { return streams_[u].words(); }
+  /// True when every node holds its owner's label: net nodes their own,
+  /// every other node a complete stream.
   bool complete() const {
-    for (const auto& s : nodes_) {
-      if (!s.done) return false;
+    for (NodeId u = 0; u < streams_.size(); ++u) {
+      if (voronoi_.owner[u] != u && !streams_[u].complete()) return false;
     }
     return true;
   }
 
  private:
-  struct NodeState {
-    std::unordered_map<std::size_t, std::pair<Word, Word>> chunks;
-    std::size_t total_words = 0;
-    bool have_total = false;
-    bool done = false;
-  };
-
-  static void push_stream(NodeCtx& ctx, std::uint32_t edge,
-                          const std::vector<Word>& words) {
-    for (std::size_t i = 0; i < words.size(); i += kPayloadWords) {
-      Message m{kChunk, static_cast<Word>(i / kPayloadWords)};
-      m.push(words[i]);
-      m.push(i + 1 < words.size() ? words[i + 1] : 0);
-      ctx.send(edge, std::move(m));
-    }
-    ctx.send(edge, Message{kEnd, words.size()});
-  }
-
   const SuperSourceBfResult& voronoi_;
   const std::vector<std::vector<Word>>& payloads_;
-  std::vector<NodeState> nodes_;
+  std::vector<WordStreamAssembler> streams_;
 };
 
 }  // namespace

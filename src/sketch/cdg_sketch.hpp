@@ -10,9 +10,9 @@
 //      those level sets, giving every net node its TZ label over the net
 //      metric (Lemma 4.5);
 //   4. label dissemination: each net node streams its serialized label down
-//      its Voronoi tree, 3 payload words per message, pipelined — the step
-//      the paper leaves implicit; we build and charge it (E5 reports its
-//      share of the cost).
+//      its Voronoi tree as a word stream (congest/word_stream), 2 label
+//      words per message, pipelined — the step the paper leaves implicit;
+//      we build and charge it (E5 reports its share of the cost).
 //
 // The sketch of u is (u', d(u,u'), L(u')); the estimate for (u,v) is
 //   d(u,u') + tz_query(L(u'), L(v')) + d(v',v)
@@ -109,9 +109,9 @@ struct CdgBuildResult {
 CdgBuildResult build_cdg_sketches(const Graph& g, const CdgConfig& config,
                                   SimConfig sim_cfg = {});
 
-/// Label wire format used by the dissemination step (exposed for tests):
-/// [levels, bunch_count, (pivot id, pivot dist) x levels,
-///  (node, level, dist) x bunch_count].
+/// Label wire format used by the dissemination step and the query-time
+/// exchange: [levels, bunch_count, (pivot id, pivot dist) x levels,
+/// (node, dist) x bunch_count] — 2 + label.size_words() words.
 std::vector<Word> serialize_label(const LabelView& label);
 TzLabelBuilder deserialize_label(NodeId owner, const std::vector<Word>& words);
 

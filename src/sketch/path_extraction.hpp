@@ -7,7 +7,7 @@
 // its bunch, with the exact distance. So x's next hop toward w is a
 // neighbour y with weight(x, y) + d(y, w) == d(x, w), and both distances
 // are in the labels: no per-node forwarding table is stored. Any label set
-// of g works — centralized, in-network, or loaded or mapped from a v4 file.
+// of g works — centralized, in-network, or loaded or mapped from a store file.
 //
 // The distance query (Lemma 3.2) identifies a *witness* w = p_{i*} with
 // w in B(u) and w in B(v) (a pivot is in its own node's bunch). Walking

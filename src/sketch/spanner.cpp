@@ -15,12 +15,9 @@ std::vector<Edge> extract_spanner(const Graph& g, const LabelArena& labels) {
   std::vector<Edge> spanner;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const LabelView lu = labels.view(u);
-    NodeId prev = kInvalidNode;
     for (std::uint32_t j = 0; j < lu.count; ++j) {
       const NodeId w = lu.entry(j).node;
-      // Entries are node-sorted; a node at several levels is one target.
-      if (w == u || w == prev) continue;
-      prev = w;
+      if (w == u) continue;
       const std::optional<std::uint32_t> e = next_hop(g, labels, u, w);
       if (!e) continue;
       const HalfEdge& he = g.neighbors(u)[*e];

@@ -88,7 +88,7 @@ LabelArena build_tz_centralized(const Graph& g, const Hierarchy& hierarchy,
   const obs::Span merge_span("tz_bunch_merge");
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     for (const auto& [x, d] : grown[j]) {
-      labels[x].add_bunch_entry(BunchEntry{jobs[j].source, jobs[j].level, d});
+      labels[x].add_bunch_entry(BunchEntry{jobs[j].source, d});
     }
   }
   tp.for_each_dynamic(n, [&](std::size_t, std::size_t u) {

@@ -371,7 +371,7 @@ class TzProtocol : public Protocol {
     // pivot is the minimum key.
     DistKey best = s.pivot[p + 1];
     s.sources.for_each([&](NodeId v, const SourceState& st) {
-      s.bunch.push_back(BunchEntry{v, p, st.dist});
+      s.bunch.push_back(BunchEntry{v, st.dist});
       const DistKey key{st.dist, v};
       if (key < best) best = key;
     });

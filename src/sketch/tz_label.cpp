@@ -9,15 +9,6 @@
 
 namespace dsketch {
 
-namespace {
-
-bool bunch_order(const BunchEntry& a, const BunchEntry& b) {
-  if (a.node != b.node) return a.node < b.node;
-  return a.level < b.level;
-}
-
-}  // namespace
-
 bool LabelView::valid(const std::uint8_t* rec, std::size_t size) {
   if (size < kTzHeaderBytes) return false;
   const TzRecordLayout l = TzRecordLayout::read(rec);
@@ -28,11 +19,11 @@ bool LabelView::valid(const std::uint8_t* rec, std::size_t size) {
       l.id_base + read_narrow(v.ids_, std::uint64_t{v.count - 1} * l.id_w,
                               low_mask(l.id_w));
   if (top > kInvalidNode) return false;  // ids must fit a u32
-  BunchEntry prev = v.entry(0);
+  NodeId prev = v.entry(0).node;
   for (std::uint32_t i = 1; i < v.count; ++i) {
-    const BunchEntry e = v.entry(i);
-    if (bunch_order(e, prev)) return false;
-    prev = e;
+    const NodeId id = v.entry(i).node;
+    if (id <= prev) return false;
+    prev = id;
   }
   return true;
 }
@@ -51,45 +42,43 @@ bool operator==(const LabelView& a, const LabelView& b) {
 }
 
 TzLabelBuilder::TzLabelBuilder(NodeId owner, std::uint32_t k)
-    : owner_(owner), pivots_(k) {
-  for (std::uint32_t i = 0; i < k; ++i) {
-    pivots_[i] = BunchEntry{kInvalidNode, i, kInfDist};
-  }
-}
+    : owner_(owner), pivots_(k) {}
 
 void TzLabelBuilder::sort_bunch() {
-  if (!sorted_) {
-    std::sort(bunch_.begin(), bunch_.end(), bunch_order);
-    sorted_ = true;
-    packed_.clear();
-  }
+  if (sorted_) return;
+  std::sort(bunch_.begin(), bunch_.end(),
+            [](const BunchEntry& a, const BunchEntry& b) {
+              return a.node < b.node;
+            });
+  DS_CHECK_MSG(std::adjacent_find(bunch_.begin(), bunch_.end(),
+                                  [](const BunchEntry& a, const BunchEntry& b) {
+                                    return a.node == b.node;
+                                  }) == bunch_.end(),
+               "a bunch holds each node at most once");
+  sorted_ = true;
+  packed_.clear();
 }
 
 namespace {
 
 /// The layout this builder's cells pack into: widths from the data.
-TzRecordLayout layout_of(const std::vector<BunchEntry>& pivots,
+TzRecordLayout layout_of(const std::vector<DistKey>& pivots,
                          const std::vector<BunchEntry>& bunch) {
   DS_CHECK_MSG(pivots.size() <= 0xff, "a packed label holds <= 255 levels");
   TzRecordLayout l;
   l.levels = static_cast<std::uint32_t>(pivots.size());
   l.count = static_cast<std::uint32_t>(bunch.size());
   Dist max_dist = 0;
-  for (const BunchEntry& p : pivots) {
-    if (p.node != kInvalidNode) max_dist = std::max(max_dist, p.dist);
+  for (const DistKey& p : pivots) {
+    if (p.id != kInvalidNode) max_dist = std::max(max_dist, p.dist);
   }
-  std::uint32_t max_level = 0;
-  for (const BunchEntry& e : bunch) {
-    max_dist = std::max(max_dist, e.dist);
-    max_level = std::max(max_level, e.level);
-  }
+  for (const BunchEntry& e : bunch) max_dist = std::max(max_dist, e.dist);
   if (!bunch.empty()) {
     l.id_base = bunch.front().node;
     l.id_w = static_cast<unsigned>(
         std::bit_width(std::uint32_t{bunch.back().node - l.id_base}));
   }
   l.dist_w = static_cast<unsigned>(std::bit_width(max_dist));
-  l.level_w = static_cast<unsigned>(std::bit_width(max_level));
   l.place();
   return l;
 }
@@ -106,25 +95,22 @@ void TzLabelBuilder::pack(std::uint8_t* out) const {
   out[0] = static_cast<std::uint8_t>(l.levels);
   out[1] = static_cast<std::uint8_t>(l.id_w);
   out[2] = static_cast<std::uint8_t>(l.dist_w);
-  out[3] = static_cast<std::uint8_t>(l.level_w);
-  store_le32(out + 4, l.count);
-  store_le32(out + 8, l.id_base);
+  store_le32(out + 3, l.count);
+  store_le32(out + 7, l.id_base);
   std::uint8_t* p = out + kTzHeaderBytes;
-  for (const BunchEntry& pv : pivots_) {
-    store_le32(p, pv.node);
+  for (const DistKey& pv : pivots_) {
+    store_le32(p, pv.id);
     p += 4;
   }
   BitWriter pivot_dists(p);
-  for (const BunchEntry& pv : pivots_) {
-    pivot_dists.put(pv.node == kInvalidNode ? 0 : pv.dist, l.dist_w);
+  for (const DistKey& pv : pivots_) {
+    pivot_dists.put(pv.id == kInvalidNode ? 0 : pv.dist, l.dist_w);
   }
   BitWriter ids(pivot_dists.finish());
   for (const BunchEntry& e : bunch_) ids.put(e.node - l.id_base, l.id_w);
   BitWriter dists(ids.finish());
   for (const BunchEntry& e : bunch_) dists.put(e.dist, l.dist_w);
-  BitWriter entry_levels(dists.finish());
-  for (const BunchEntry& e : bunch_) entry_levels.put(e.level, l.level_w);
-  DS_CHECK(entry_levels.finish() == out + l.size);
+  DS_CHECK(dists.finish() == out + l.size);
 }
 
 LabelView TzLabelBuilder::view() const {
@@ -215,19 +201,10 @@ Dist tz_query_exhaustive(const LabelView& lu, const LabelView& lv) {
     } else if (eb.node < ea.node) {
       ++b;
     } else {
-      // Common member. Duplicate runs (one node at several levels) carry
-      // one distance per side; take the run minimum of each.
-      const NodeId w = ea.node;
-      Dist du = ea.dist;
-      for (++a; a < lu.count && lu.entry(a).node == w; ++a) {
-        du = std::min(du, lu.entry(a).dist);
-      }
-      Dist dv = eb.dist;
-      for (++b; b < lv.count && lv.entry(b).node == w; ++b) {
-        dv = std::min(dv, lv.entry(b).dist);
-      }
-      const Dist sum = du + dv;
+      const Dist sum = ea.dist + eb.dist;
       best = sum < best ? sum : best;
+      ++a;
+      ++b;
     }
   }
   return best;

@@ -3,34 +3,36 @@
 //
 // A label L(u) stores, for each level i in [0, k):
 //   - the pivot p_i(u): the node of A_i nearest to u, with its distance;
-//   - the bunch slice B_i(u) = { w in A_i : key(u,w) < key(u, A_{i+1}) },
-//     with exact distances.
+//   - the bunch slice B_i(u) = { w in A_i \ A_{i+1} : key(u,w) <
+//     key(u, A_{i+1}) }, with exact distances.
 // "Nearest" everywhere means minimal *key* (distance, node id) — the paper's
 // "breaking ties consistently through processor IDs" made concrete. Using
 // keys makes the label set a deterministic function of the hierarchy, so the
 // distributed and centralized constructions must agree exactly (tested).
+// A node w sits only in the slice of its own top level, so the bunch B(u)
+// is a set of (w, d(u,w)) pairs: each id at most once, its level fixed by
+// the hierarchy and never stored.
 //
 // A label's frozen form is one bit-packed record (sketch/record_slab):
 //
-//   12-byte header   u8 levels, u8 id width, u8 distance width,
-//                    u8 level width, u32 bunch count, u32 id base
-//   then five columns, each starting on a byte boundary:
+//   11-byte header   u8 levels, u8 id width, u8 distance width,
+//                    u32 bunch count, u32 id base
+//   then four columns, each starting on a byte boundary:
 //     pivot ids        levels x u32 (kInvalidNode = no pivot; its
 //                      distance reads kInfDist)
 //     pivot distances  levels x distance width
 //     bunch ids        count x id width, stored as id - id base
 //     bunch distances  count x distance width
-//     bunch levels     count x level width
 //
 // Widths come from the record's own data (the id base is the smallest
-// bunch id), never from a setting; a field may be up to 64 bits wide. The
-// bunch is sorted by (node id, level), so membership is a binary search
-// over the id column where it lies.
+// bunch id), never from a setting; a field may be up to 64 bits wide. Bunch
+// ids are strictly increasing, so membership is a binary search over the
+// id column where it lies.
 //
 // Representation is split by mutability:
 //   - TzLabelBuilder: the only mutable form. Constructions accumulate pivots
-//     and bunch entries here as 16-byte cells, then pack them into an
-//     arena. sort_bunch() canonicalizes entries by (node id, level).
+//     and bunch entries here, then pack them into an arena. sort_bunch()
+//     orders the bunch by node id and refuses a repeated id.
 //   - LabelView: one packed record, read in place. Queries, equality and
 //     serialization all walk views. A view never owns.
 //   - LabelArena: every label of one build, one record per node in a
@@ -70,19 +72,18 @@ struct DistKey {
   }
 };
 
-/// One bunch entry: node w (member of A_level) at exact distance dist.
+/// One bunch entry: node w at exact distance dist.
 struct BunchEntry {
   NodeId node;
-  std::uint32_t level;
   Dist dist;
 
   friend bool operator==(const BunchEntry& a, const BunchEntry& b) {
-    return a.node == b.node && a.level == b.level && a.dist == b.dist;
+    return a.node == b.node && a.dist == b.dist;
   }
 };
 
 /// Bytes of a packed label record's header.
-constexpr std::size_t kTzHeaderBytes = 12;
+constexpr std::size_t kTzHeaderBytes = 11;
 
 /// Where a packed label record's columns start, from its header fields.
 struct TzRecordLayout {
@@ -91,12 +92,10 @@ struct TzRecordLayout {
   std::uint32_t id_base = 0;
   unsigned id_w = 0;
   unsigned dist_w = 0;
-  unsigned level_w = 0;
   // Byte offsets of the bit-packed columns, and the record size.
   std::uint64_t pivot_dists = 0;
   std::uint64_t ids = 0;
   std::uint64_t dists = 0;
-  std::uint64_t entry_levels = 0;
   std::uint64_t size = 0;
 
   /// Fills the offsets from the counts and widths.
@@ -104,10 +103,9 @@ struct TzRecordLayout {
     pivot_dists = kTzHeaderBytes + 4 * std::uint64_t{levels};
     ids = pivot_dists + packed_bytes(levels, dist_w);
     dists = ids + packed_bytes(count, id_w);
-    entry_levels = dists + packed_bytes(count, dist_w);
-    size = entry_levels + packed_bytes(count, level_w);
+    size = dists + packed_bytes(count, dist_w);
   }
-  bool widths_ok() const { return id_w <= 32 && dist_w <= 64 && level_w <= 32; }
+  bool widths_ok() const { return id_w <= 32 && dist_w <= 64; }
 
   /// The layout the header at `rec` declares.
   static TzRecordLayout read(const std::uint8_t* rec) {
@@ -116,9 +114,8 @@ struct TzRecordLayout {
     l.levels = head & 0xff;
     l.id_w = (head >> 8) & 0xff;
     l.dist_w = (head >> 16) & 0xff;
-    l.level_w = (head >> 24) & 0xff;
-    l.count = static_cast<std::uint32_t>(head >> 32);
-    l.id_base = load_le32(rec + 8);
+    l.count = static_cast<std::uint32_t>(head >> 24);
+    l.id_base = load_le32(rec + 7);
     l.place();
     return l;
   }
@@ -170,11 +167,9 @@ class LabelView {
     pivot_dists_ = rec + l.pivot_dists;
     ids_ = rec + l.ids;
     dists_ = rec + l.dists;
-    entry_levels_ = rec + l.entry_levels;
     id_base_ = l.id_base;
     id_w_ = static_cast<std::uint8_t>(l.id_w);
     dist_w_ = static_cast<std::uint8_t>(l.dist_w);
-    level_w_ = static_cast<std::uint8_t>(l.level_w);
     id_mask_ = low_mask(l.id_w);
     dist_mask_ = low_mask(l.dist_w);
     id_div_ = kWidthDivisors[l.id_w];
@@ -183,8 +178,8 @@ class LabelView {
   }
 
   /// True when the record is exactly `size` bytes of well-formed label:
-  /// in-range widths and a bunch sorted by (node id, level). What a
-  /// checked load requires of every record.
+  /// in-range widths and strictly increasing bunch ids. What a checked
+  /// load requires of every record.
   static bool valid(const std::uint8_t* rec, std::size_t size);
 
   DistKey pivot(std::uint32_t level) const {
@@ -194,19 +189,16 @@ class LabelView {
                              dist_w_, dist_mask_),
                    id};
   }
-  /// Bunch entry i in (node id, level) order.
+  /// Bunch entry i in node id order.
   BunchEntry entry(std::uint32_t i) const {
     return BunchEntry{
         static_cast<NodeId>(
             id_base_ + read_narrow(ids_, std::uint64_t{i} * id_w_, id_mask_)),
-        static_cast<std::uint32_t>(read_narrow(
-            entry_levels_, std::uint64_t{i} * level_w_, low_mask(level_w_))),
         read_bits(dists_, std::uint64_t{i} * dist_w_, dist_w_, dist_mask_)};
   }
 
-  /// Distance to w if w is in the bunch, kInfDist otherwise. Binary search
-  /// over the id column; duplicates (one node at several levels) resolve
-  /// to the lowest level, which carries the same distance.
+  /// Distance to w if w is in the bunch, kInfDist otherwise: a binary
+  /// search over the strictly increasing id column.
   Dist bunch_dist(NodeId w) const {
     // Branchless lower bound with power-of-two steps: the step halves by
     // a shift, the loop count depends only on the bunch size, and the
@@ -243,8 +235,8 @@ class LabelView {
   bool bunch_contains(NodeId w) const { return bunch_dist(w) != kInfDist; }
 
   /// Size in words as stored at a node: per level one (pivot id, distance)
-  /// pair, per bunch entry one (id, distance) pair. Level indices are
-  /// derivable and not charged, matching the paper's accounting.
+  /// pair, per bunch entry one (id, distance) pair — the paper's
+  /// accounting, and exactly what the record and the wire carry.
   std::size_t size_words() const {
     return 2 * static_cast<std::size_t>(levels) +
            2 * static_cast<std::size_t>(count);
@@ -267,7 +259,6 @@ class LabelView {
   const std::uint8_t* pivot_dists_ = kEmptyRecord;
   const std::uint8_t* ids_ = kEmptyRecord;
   const std::uint8_t* dists_ = kEmptyRecord;
-  const std::uint8_t* entry_levels_ = kEmptyRecord;
   std::uint32_t id_base_ = 0;
   // Search constants: the field masks, count * id width, the largest
   // power of two <= count times the id width, and division by the width.
@@ -278,12 +269,11 @@ class LabelView {
   WidthDivisor id_div_;
   std::uint8_t id_w_ = 0;
   std::uint8_t dist_w_ = 0;
-  std::uint8_t level_w_ = 0;
 };
 
-/// Mutable label under construction: plain vectors of 16-byte cells.
-/// Finalize with sort_bunch() before taking a view() or packing it into a
-/// LabelArena.
+/// Mutable label under construction: plain vectors of pivot keys and
+/// bunch entries. Finalize with sort_bunch() before taking a view() or
+/// packing it into a LabelArena.
 class TzLabelBuilder {
  public:
   TzLabelBuilder() = default;
@@ -296,28 +286,21 @@ class TzLabelBuilder {
   }
 
   void set_pivot(std::uint32_t level, DistKey pivot) {
-    pivots_[level] = BunchEntry{pivot.id, level, pivot.dist};
+    pivots_[level] = pivot;
     packed_.clear();
   }
-  DistKey pivot(std::uint32_t level) const {
-    return DistKey{pivots_[level].dist, pivots_[level].node};
-  }
+  DistKey pivot(std::uint32_t level) const { return pivots_[level]; }
 
   void add_bunch_entry(BunchEntry e) {
-    if (!bunch_.empty()) {
-      const BunchEntry& last = bunch_.back();
-      if (e.node < last.node ||
-          (e.node == last.node && e.level < last.level)) {
-        sorted_ = false;
-      }
-    }
+    if (!bunch_.empty() && e.node <= bunch_.back().node) sorted_ = false;
     bunch_.push_back(e);
     packed_.clear();
   }
   const std::vector<BunchEntry>& bunch() const { return bunch_; }
 
-  /// Canonicalize entry order: sorted by (node id, level). Required
-  /// before view() / arena packing; idempotent.
+  /// Canonicalize entry order: strictly increasing node ids (a repeated
+  /// id fails a DS_CHECK). Required before view() / arena packing;
+  /// idempotent.
   void sort_bunch();
   bool sorted() const { return sorted_; }
 
@@ -341,7 +324,7 @@ class TzLabelBuilder {
   void pack(std::uint8_t* out) const;
 
   NodeId owner_ = kInvalidNode;
-  std::vector<BunchEntry> pivots_;
+  std::vector<DistKey> pivots_;
   std::vector<BunchEntry> bunch_;
   bool sorted_ = true;
   mutable std::vector<std::uint8_t> packed_;  ///< view()'s record, if packed
@@ -407,7 +390,7 @@ Dist tz_query(const LabelView& lu, const LabelView& lv);
 
 /// Exhaustive query variant: minimum of d(u,w) + d(w,v) over every node w
 /// present in both bunches, computed as one sorted-merge intersection of
-/// the two node-ordered entry columns. Same one-sided guarantee (each term
+/// the two id-ordered entry columns. Same one-sided guarantee (each term
 /// is a real distance), never worse than tz_query — the witness pivot of
 /// the standard query is itself a common bunch member — at cost
 /// O(|B(u)| + |B(v)|). The E1 bench reports the practical stretch gain.

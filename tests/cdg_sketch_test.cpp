@@ -15,8 +15,8 @@ TEST(CdgLabelWire, SerializeRoundTrip) {
   l.set_pivot(0, {0, 9});
   l.set_pivot(1, {4, 2});
   l.set_pivot(2, {11, 5});
-  l.add_bunch_entry({2, 1, 4});
-  l.add_bunch_entry({5, 2, 11});
+  l.add_bunch_entry({2, 4});
+  l.add_bunch_entry({5, 11});
   l.sort_bunch();
   const auto words = serialize_label(l.view());
   const TzLabelBuilder back = deserialize_label(9, words);

@@ -94,6 +94,26 @@ TEST(SketchExchange, LargePayloadPipelines) {
   EXPECT_LE(r.stats.rounds, 19u + 19u + 210u);
 }
 
+TEST(SketchExchange, CountsAreStableForAFixedPayload) {
+  // The reply is one word stream (congest/word_stream): for a fixed
+  // graph and payload the messages, words and rounds are the recorded
+  // ones, whatever code frames and reassembles the stream.
+  const Graph g = erdos_renyi(100, 0.05, {1, 9}, 3);
+  struct Pinned {
+    std::size_t payload_words;
+    std::uint64_t rounds, messages, words;
+  };
+  for (const Pinned& p : {Pinned{0, 7, 670, 2007}, Pinned{1, 8, 673, 2019},
+                          Pinned{37, 26, 727, 2235},
+                          Pinned{400, 207, 1270, 4407}}) {
+    const auto r = exchange_sketch(g, 5, 80, test_payload(p.payload_words));
+    ASSERT_TRUE(r.complete) << p.payload_words << " words";
+    EXPECT_EQ(r.stats.rounds, p.rounds) << p.payload_words << " words";
+    EXPECT_EQ(r.stats.messages, p.messages) << p.payload_words << " words";
+    EXPECT_EQ(r.stats.words, p.words) << p.payload_words << " words";
+  }
+}
+
 TEST(SketchExchange, EndToEndWithRealLabel) {
   // Fetch a real TZ label across the network and verify the peer can run
   // the distance query with it.

@@ -1,4 +1,4 @@
-// The v4 store format — the label plane's packed records behind
+// The v5 store format — the label plane's packed records behind
 // page-aligned offset tables — and its two ways of serving a file: one
 // heap buffer (SketchStore::read) and one mapping (SketchStore::open),
 // both answering through the same query kernel over the same bytes. The
@@ -30,19 +30,17 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // the packed record: a synthetic tz label with the wrinkles the packer
-// must survive — invalid pivots, duplicate bunch nodes, non-monotone pivot
-// distances (the post-repair shape), a distance past 32 bits.
+// must survive — invalid pivots, non-monotone pivot distances (the
+// post-repair shape), a distance past 32 bits.
 
 TzLabelBuilder synthetic_label() {
   TzLabelBuilder label(0, 3);
   label.set_pivot(0, DistKey{0, 7});
   // pivot 1 stays invalid
   label.set_pivot(2, DistKey{5, 2});  // distance *smaller* than p0's
-  // bunch sorted by (node, level); node 9 duplicated across levels.
-  label.add_bunch_entry({4, 0, 11});
-  label.add_bunch_entry({9, 0, 3});
-  label.add_bunch_entry({9, 2, 3});
-  label.add_bunch_entry({12, 1, (Dist{1} << 33) + 5});
+  label.add_bunch_entry({4, 11});
+  label.add_bunch_entry({9, 3});
+  label.add_bunch_entry({12, (Dist{1} << 33) + 5});
   return label;
 }
 
@@ -76,14 +74,19 @@ TEST(RecordCodec, TzRoundTripsBitExactly) {
   EXPECT_EQ(v.bunch_dist(12), (Dist{1} << 33) + 5);
   EXPECT_TRUE(LabelView::valid(v.bytes().data(), v.bytes().size()));
   // The packing must actually compress vs the builder's 16-byte cells.
-  EXPECT_LT(v.bytes().size(), (3 + 4) * sizeof(BunchEntry));
+  EXPECT_LT(v.bytes().size(), (3 + 3) * sizeof(BunchEntry));
+  // A bunch holds each node once: the label with node 9 repeated is
+  // refused before it can be packed.
+  TzLabelBuilder repeated = synthetic_label();
+  repeated.add_bunch_entry({9, 3});
+  EXPECT_DEATH(repeated.sort_bunch(), "DS_CHECK");
 
   // Fields up to 64 bits wide round-trip too.
   TzLabelBuilder wide(3, 2);
   wide.set_pivot(0, DistKey{kInfDist - 1, 3});
   wide.set_pivot(1, DistKey{kInfDist, 0xfffffffe});
-  wide.add_bunch_entry({0, 0, Dist{1} << 63});
-  wide.add_bunch_entry({0xfffffffe, 1, kInfDist - 1});
+  wide.add_bunch_entry({0, Dist{1} << 63});
+  wide.add_bunch_entry({0xfffffffe, kInfDist - 1});
   arena.append(wide.view());
   expect_same_cells(arena.view(1), wide);
   EXPECT_EQ(arena.view(1).bunch_dist(0xfffffffe), kInfDist - 1);
@@ -116,19 +119,46 @@ TEST(RecordCodec, DecodeRejectsEveryTruncation) {
 
 TEST(RecordCodec, DecodeRejectsUnsortedBunch) {
   // A label view binary-searches its bunch; a record whose entries are
-  // out of (node, level) order must not pass the checked load.
+  // out of id order must not pass the checked load.
   TzLabelBuilder label(0, 0);
-  label.add_bunch_entry({3, 0, 1});
-  label.add_bunch_entry({5, 0, 1});
+  label.add_bunch_entry({3, 1});
+  label.add_bunch_entry({5, 1});
   std::vector<std::uint8_t> bytes = packed(label);
   const std::size_t size = bytes.size() - 8;
   ASSERT_TRUE(LabelView::valid(bytes.data(), size));
-  // The id column starts right after the 12-byte header (no pivots):
-  // entries store id - 3 at 2 bits each. Swap them to (5, 3).
-  write_bits(bytes.data() + 12, 0, 2, 2);
-  write_bits(bytes.data() + 12, 2, 2, 0);
+  // The id column starts right after the header (no pivots): entries
+  // store id - 3 at 2 bits each. Swap them to (5, 3).
+  write_bits(bytes.data() + kTzHeaderBytes, 0, 2, 2);
+  write_bits(bytes.data() + kTzHeaderBytes, 2, 2, 0);
   EXPECT_EQ(LabelView(0, bytes.data(), size).entry(0).node, 5u);
   EXPECT_FALSE(LabelView::valid(bytes.data(), size));
+}
+
+TEST(RecordCodec, DecodeRejectsRepeatedId) {
+  // Bunch ids are strictly increasing: a record that repeats one fails
+  // the record check, and a file holding it fails the checked load.
+  TzLabelBuilder label(0, 0);
+  label.add_bunch_entry({3, 1});
+  label.add_bunch_entry({5, 1});
+  std::vector<std::uint8_t> bytes = packed(label);
+  const std::size_t size = bytes.size() - 8;
+  ASSERT_TRUE(LabelView::valid(bytes.data(), size));
+  // Entries store id - 3 at 2 bits each: make the second id 3 as well.
+  write_bits(bytes.data() + kTzHeaderBytes, 2, 2, 0);
+  const LabelView repeated(0, bytes.data(), size);
+  EXPECT_EQ(repeated.entry(1).node, 3u);
+  EXPECT_FALSE(LabelView::valid(bytes.data(), size));
+
+  LabelArena arena;
+  arena.append(repeated);
+  std::stringstream ss;
+  SketchStore::from_oracle(TzLabelOracle(arena, 0)).write(ss);
+  try {
+    SketchStore::read(ss);
+    FAIL() << "a record with a repeated bunch id must not load";
+  } catch (const StoreCorruptionError& e) {
+    EXPECT_EQ(e.kind(), StoreError::kStructure);
+  }
 }
 
 TEST(RecordCodec, DecodeSurvivesRandomBytes) {
@@ -146,13 +176,12 @@ TEST(RecordCodec, DecodeSurvivesRandomBytes) {
     // Exactly size bytes plus the 8-byte tail a slab guarantees.
     std::vector<std::uint8_t> bytes(trial % 53 + 8);
     for (auto& b : bytes) b = next();
-    if (trial % 3 == 0 && bytes.size() > 12) {
-      bytes[0] %= 4;  // small level and width fields reach deeper code
-      bytes[1] %= 8;
+    if (trial % 3 == 0 && bytes.size() > kTzHeaderBytes) {
+      bytes[0] %= 4;  // small level, width and count fields reach deeper
+      bytes[1] %= 8;  // code
       bytes[2] %= 20;
-      bytes[3] %= 3;
-      bytes[4] %= 8;
-      bytes[5] = bytes[6] = bytes[7] = 0;
+      bytes[3] %= 8;
+      bytes[4] = bytes[5] = bytes[6] = 0;
     }
     const std::size_t size = bytes.size() - 8;
     (void)LabelView::valid(bytes.data(), size);
@@ -269,18 +298,29 @@ TEST_P(StoreV3Schemes, MmapAnswersMatchHeapByteForByte) {
   }
 }
 
-/// This store's file with the magic of an older format version.
+/// This store's file under the header of an older format version: its
+/// magic ("DSKSTOR1" .. "DSKSTOR4") and version word, with the header
+/// checksum an old writer would have stored.
 std::string legacy_file(const SketchStore& store, char version) {
   std::stringstream ss;
   store.write(ss);
   std::string bytes = ss.str();
-  bytes[7] = version;  // "DSKSTOR1" .. "DSKSTOR3"
+  bytes[7] = version;
+  bytes[8] = static_cast<char>(version - '0');
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (std::size_t i = 8; i < 56; ++i) {
+    hash ^= static_cast<std::uint8_t>(bytes[i]);
+    hash *= 1099511628211ULL;
+  }
+  for (int i = 0; i < 8; ++i) {
+    bytes[56 + i] = static_cast<char>((hash >> (8 * i)) & 0xff);
+  }
   return bytes;
 }
 
 TEST_P(StoreV3Schemes, MmapRejectsLegacyFormats) {
   const TempPath path = unique_temp_path("legacy.bin");
-  for (const char version : {'1', '2', '3'}) {
+  for (const char version : {'1', '2', '3', '4'}) {
     std::ofstream(path, std::ios::binary) << legacy_file(store_, version);
     try {
       SketchStore::open(path);
@@ -292,19 +332,25 @@ TEST_P(StoreV3Schemes, MmapRejectsLegacyFormats) {
 }
 
 TEST_P(StoreV3Schemes, HeapLoadersRejectLegacyFormats) {
-  // Stores are rebuildable artifacts: v1/v2/v3 files are refused with a
-  // typed error by the strict loader and by recovery alike.
+  // Stores are rebuildable artifacts: v1-v4 files are refused with a
+  // typed error by the stream and file loaders and by recovery alike. A
+  // v4 record carries a level column the v5 reader would misread.
   const TempPath path = unique_temp_path("legacy.bin");
-  for (const char version : {'1', '2', '3'}) {
-    std::ofstream(path, std::ios::binary) << legacy_file(store_, version);
-    for (const bool recover : {false, true}) {
+  for (const char version : {'1', '2', '3', '4'}) {
+    const std::string bytes = legacy_file(store_, version);
+    std::ofstream(path, std::ios::binary) << bytes;
+    for (const int loader : {0, 1, 2}) {
       try {
-        if (recover) {
-          SketchStore::recover_file(path);
-        } else {
+        if (loader == 0) {
+          std::stringstream in(bytes);
+          SketchStore::read(in);
+        } else if (loader == 1) {
           SketchStore::load_file(path);
+        } else {
+          SketchStore::recover_file(path);
         }
-        FAIL() << "v" << version << " file must not load";
+        FAIL() << "v" << version << " file must not load (loader "
+               << loader << ")";
       } catch (const StoreCorruptionError& e) {
         EXPECT_EQ(e.kind(), StoreError::kUnsupportedVersion);
       }
@@ -588,7 +634,7 @@ TEST(StoreSegments, TwoSegmentTzFileIsRejectedEverywhere) {
 }
 
 // ---------------------------------------------------------------------------
-// pinned bytes: FNV-1a 64 of the whole v4 file for a fixed seeded build
+// pinned bytes: FNV-1a 64 of the whole v5 file for a fixed seeded build
 // of each scheme. A change here changes the on-disk format and every
 // store size the benchmarks report.
 
@@ -604,13 +650,13 @@ std::uint64_t file_fnv(const SketchStore& store) {
   return hash;
 }
 
-TEST(StorePinnedBytes, V4FilesMatchTheRecordedEncoding) {
+TEST(StorePinnedBytes, V5FilesMatchTheRecordedEncoding) {
   const Graph g = erdos_renyi(80, 0.08, {1, 9}, 17);
   const std::pair<Scheme, std::uint64_t> pinned[] = {
-      {Scheme::kThorupZwick, 0x1b03903bad853738ULL},
-      {Scheme::kSlack, 0x7c99be091a9edf60ULL},
-      {Scheme::kCdg, 0x54d3be15d90afc03ULL},
-      {Scheme::kGraceful, 0x27f4859ccfa675a2ULL},
+      {Scheme::kThorupZwick, 0x15f21e5f9a7c7199ULL},
+      {Scheme::kSlack, 0x765803565d0866c4ULL},
+      {Scheme::kCdg, 0x07f05023911e5af1ULL},
+      {Scheme::kGraceful, 0x6c1746abe14849d1ULL},
   };
   for (const auto& [scheme, fnv] : pinned) {
     EXPECT_EQ(file_fnv(SketchStore(g, config_for(scheme))), fnv)
@@ -620,7 +666,7 @@ TEST(StorePinnedBytes, V4FilesMatchTheRecordedEncoding) {
   const std::uint32_t k = 3;
   const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 42);
   const TzLabelOracle labels(build_tz_centralized(g, h), k);
-  EXPECT_EQ(file_fnv(SketchStore::from_oracle(labels)), 0xdbf9de83dedda5dfULL);
+  EXPECT_EQ(file_fnv(SketchStore::from_oracle(labels)), 0x6f67efff1e5ca9aaULL);
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ LabelArena brute_force_labels(const Graph& g, const Hierarchy& h) {
         if (h.level_of(w) != i + 1) continue;  // w in A_i \ A_{i+1}
         const DistKey key{oracle.query(u, w), w};
         if (key < gates[i + 1]) {
-          labels[u].add_bunch_entry({w, i, oracle.query(u, w)});
+          labels[u].add_bunch_entry({w, oracle.query(u, w)});
         }
       }
     }

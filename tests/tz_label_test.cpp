@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -24,8 +25,8 @@ TEST(TzLabelBuilder, StoresPivotsAndBunch) {
   TzLabelBuilder l(3, 2);
   l.set_pivot(0, {0, 3});
   l.set_pivot(1, {7, 9});
-  l.add_bunch_entry({9, 1, 7});
-  l.add_bunch_entry({4, 0, 2});
+  l.add_bunch_entry({9, 7});
+  l.add_bunch_entry({4, 2});
   l.sort_bunch();
   const LabelView v = l.view();
   EXPECT_EQ(l.owner(), 3u);
@@ -40,16 +41,16 @@ TEST(TzLabelBuilder, StoresPivotsAndBunch) {
 TEST(TzLabelBuilder, SizeWordsAccounting) {
   TzLabelBuilder l(0, 3);
   EXPECT_EQ(l.size_words(), 6u);  // 3 pivots x 2 words
-  l.add_bunch_entry({1, 0, 5});
+  l.add_bunch_entry({1, 5});
   EXPECT_EQ(l.size_words(), 8u);
 }
 
 TEST(TzLabelBuilder, SortBunchCanonicalizes) {
   TzLabelBuilder a(0, 2), b(0, 2);
-  a.add_bunch_entry({5, 0, 9});
-  a.add_bunch_entry({2, 1, 3});
-  b.add_bunch_entry({2, 1, 3});
-  b.add_bunch_entry({5, 0, 9});
+  a.add_bunch_entry({5, 9});
+  a.add_bunch_entry({2, 3});
+  b.add_bunch_entry({2, 3});
+  b.add_bunch_entry({5, 9});
   EXPECT_FALSE(a.sorted());
   a.sort_bunch();
   b.sort_bunch();
@@ -59,21 +60,25 @@ TEST(TzLabelBuilder, SortBunchCanonicalizes) {
 
 TEST(TzLabelBuilder, InOrderInsertionStaysSorted) {
   TzLabelBuilder l(0, 2);
-  l.add_bunch_entry({2, 0, 3});
-  l.add_bunch_entry({2, 1, 3});  // same node, higher level: still in order
-  l.add_bunch_entry({5, 0, 9});
+  l.add_bunch_entry({2, 3});
+  l.add_bunch_entry({5, 9});
   EXPECT_TRUE(l.sorted());
+  // A bunch holds each node once: a repeated id breaks the order and the
+  // builder refuses to canonicalize it.
+  l.add_bunch_entry({5, 9});
+  EXPECT_FALSE(l.sorted());
+  EXPECT_DEATH(l.sort_bunch(), "DS_CHECK");
 }
 
 TEST(LabelView, BunchDistMatchesALinearScan) {
   // The branchless search against the definition: the distance of the
-  // lowest-level entry for w, kInfDist when w is absent — every bunch
-  // size up to a few cache lines, every probe in and around the ids.
+  // entry for w, kInfDist when w is absent — every bunch size up to a few
+  // cache lines, every probe in and around the ids.
   for (std::uint32_t count = 0; count <= 40; ++count) {
     TzLabelBuilder l(0, 1);
     for (std::uint32_t i = 0; i < count; ++i) {
-      const NodeId node = 2 * (i / 2) + 1;  // odd ids, each at 2 levels
-      l.add_bunch_entry({node, i % 2, 100 * node + i % 2});
+      const NodeId node = 2 * i + 1;  // odd ids
+      l.add_bunch_entry({node, 100 * node + i % 3});
     }
     const LabelView v = l.view();
     for (NodeId w = 0; w <= 2 * count + 2; ++w) {
@@ -83,6 +88,16 @@ TEST(LabelView, BunchDistMatchesALinearScan) {
       }
       EXPECT_EQ(v.bunch_dist(w), expect) << "count " << count << " w " << w;
     }
+    if (count < 2) continue;
+    // The search needs strictly increasing ids: the same record with its
+    // second id overwritten by the first is rejected.
+    const std::span<const std::uint8_t> rec = v.bytes();
+    std::vector<std::uint8_t> bytes(rec.begin(), rec.end());
+    bytes.resize(rec.size() + kRecordTail, 0);
+    const TzRecordLayout layout = TzRecordLayout::read(bytes.data());
+    write_bits(bytes.data() + layout.ids, layout.id_w, layout.id_w, 0);
+    EXPECT_FALSE(LabelView::valid(bytes.data(), rec.size()))
+        << "count " << count;
   }
 }
 
@@ -93,8 +108,8 @@ TEST(LabelArena, AppendKeepsEachRecordContiguous) {
   TzLabelBuilder a(0, 2);
   a.set_pivot(0, {0, 0});
   a.set_pivot(1, {4, 3});
-  a.add_bunch_entry({0, 0, 0});
-  a.add_bunch_entry({2, 1, 6});
+  a.add_bunch_entry({0, 0});
+  a.add_bunch_entry({2, 6});
   LabelArena arena;
   arena.append(a.view());
   arena.append(TzLabelBuilder(1, 0).view());
@@ -115,8 +130,8 @@ TEST(LabelArena, FromBuildersPreservesLabels) {
   for (NodeId u = 0; u < 3; ++u) {
     TzLabelBuilder b(u, 2);
     b.set_pivot(0, {0, u});
-    b.add_bunch_entry({u, 0, 0});
-    if (u == 1) b.add_bunch_entry({0, 1, 4});
+    b.add_bunch_entry({u, 0});
+    if (u == 1) b.add_bunch_entry({0, 4});
     builders.push_back(std::move(b));
   }
   std::vector<TzLabelBuilder> expect = builders;  // keep copies to compare
@@ -134,7 +149,7 @@ TEST(LabelArena, TightenHooksBumpGenerationAndKeepViewsValid) {
   std::vector<TzLabelBuilder> builders;
   TzLabelBuilder b(0, 1);
   b.set_pivot(0, {5, 0});
-  b.add_bunch_entry({2, 0, 9});
+  b.add_bunch_entry({2, 9});
   builders.push_back(std::move(b));
   LabelArena arena = LabelArena::from_builders(std::move(builders));
   const LabelView before = arena.view(0);
@@ -155,8 +170,8 @@ TEST(TzQuery, Level0PivotHit) {
   TzLabelBuilder lu(0, 2), lv(1, 2);
   lu.set_pivot(0, {0, 0});
   lv.set_pivot(0, {0, 1});
-  lv.add_bunch_entry({0, 0, 5});
-  lu.add_bunch_entry({0, 0, 0});
+  lv.add_bunch_entry({0, 5});
+  lu.add_bunch_entry({0, 0});
   const Dist est = tz_query(lu.view(), lv.view());
   EXPECT_EQ(est, 5u);  // d(u,p0(u)) + d(v,p0(u)) = 0 + 5
 }
@@ -168,8 +183,8 @@ TEST(TzQuery, FallsThroughToHigherLevel) {
   lv.set_pivot(0, {0, 1});
   lu.set_pivot(1, {4, 9});
   lv.set_pivot(1, {6, 9});
-  lu.add_bunch_entry({9, 1, 4});
-  lv.add_bunch_entry({9, 1, 6});
+  lu.add_bunch_entry({9, 4});
+  lv.add_bunch_entry({9, 6});
   const TzQueryTrace t = tz_query_trace(lu.view(), lv.view());
   EXPECT_EQ(t.estimate, 10u);
   EXPECT_EQ(t.level, 1u);
@@ -180,8 +195,8 @@ TEST(TzQuery, SymmetricCheckUsed) {
   TzLabelBuilder lu(0, 1), lv(1, 1);
   lu.set_pivot(0, {0, 0});
   lv.set_pivot(0, {0, 1});
-  lu.add_bunch_entry({1, 0, 8});  // v itself in u's bunch
-  lu.add_bunch_entry({0, 0, 0});
+  lu.add_bunch_entry({1, 8});  // v itself in u's bunch
+  lu.add_bunch_entry({0, 0});
   lu.sort_bunch();
   const TzQueryTrace t = tz_query_trace(lu.view(), lv.view());
   EXPECT_EQ(t.estimate, 8u);
@@ -201,10 +216,10 @@ TEST(TzQueryExhaustive, PicksBestCommonMember) {
   lv.set_pivot(1, {10, 9});
   // Standard query settles on the level-1 pivot 9 (cost 10+10 = 20),
   // but both bunches also share node 7 at cost 4+5 = 9.
-  lu.add_bunch_entry({9, 1, 10});
-  lv.add_bunch_entry({9, 1, 10});
-  lu.add_bunch_entry({7, 0, 4});
-  lv.add_bunch_entry({7, 0, 5});
+  lu.add_bunch_entry({9, 10});
+  lv.add_bunch_entry({9, 10});
+  lu.add_bunch_entry({7, 4});
+  lv.add_bunch_entry({7, 5});
   lu.sort_bunch();
   lv.sort_bunch();
   EXPECT_EQ(tz_query(lu.view(), lv.view()), 20u);
@@ -218,21 +233,9 @@ TEST(TzQueryExhaustive, SameOwnerIsZero) {
 
 TEST(TzQueryExhaustive, DisjointBunchesInf) {
   TzLabelBuilder lu(0, 1), lv(1, 1);
-  lu.add_bunch_entry({2, 0, 3});
-  lv.add_bunch_entry({3, 0, 4});
+  lu.add_bunch_entry({2, 3});
+  lv.add_bunch_entry({3, 4});
   EXPECT_EQ(tz_query_exhaustive(lu.view(), lv.view()), kInfDist);
-}
-
-TEST(TzQueryExhaustive, DuplicateNodesAcrossLevelsIntersectOnce) {
-  // Node 7 appears at two levels in both bunches with the same distance;
-  // the sorted-merge must still find the best common member.
-  TzLabelBuilder lu(0, 2), lv(1, 2);
-  lu.add_bunch_entry({7, 0, 4});
-  lu.add_bunch_entry({7, 1, 4});
-  lv.add_bunch_entry({7, 1, 5});
-  lu.sort_bunch();
-  lv.sort_bunch();
-  EXPECT_EQ(tz_query_exhaustive(lu.view(), lv.view()), 9u);
 }
 
 }  // namespace

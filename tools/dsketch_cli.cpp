@@ -83,7 +83,7 @@ int usage() {
                "[--epsilon E] [--echo|--known-s] [--async DMAX] "
                "[--sim-threads T] [--seed S] "
                "[--landmarks L] [--save FILE] [--round-log FILE]   "
-               "(sketch schemes save the v4 store, baselines a text "
+               "(sketch schemes save a binary store, baselines a text "
                "envelope)\n"
                "  query --graph FILE --scheme NAME --pairs u:v,u:v [--exact] "
                "[--load FILE]\n"
