@@ -84,8 +84,8 @@ RunResult run_config(const SketchStore& store, const std::string& workload,
       .add("wall_seconds", stats.wall_seconds)
       .add("qps", stats.qps)
       .add("hit_rate", stats.hit_rate)
-      .add("p50_shard_batch_us", stats.p50_shard_batch_us)
-      .add("p99_shard_batch_us", stats.p99_shard_batch_us)
+      .add("p50_shard_batch_us", stats.slice_latency_us.p50)
+      .add("p99_shard_batch_us", stats.slice_latency_us.p99)
       .emit(out);
   return RunResult{stats.qps, stats.hit_rate};
 }

@@ -10,6 +10,10 @@
 // through the scheme-agnostic DistanceOracle path, so every E1 stretch
 // row — sketch or baseline — comes from the identical evaluator.
 //
+// Exits 1 when a stretch_vs_k row breaks Theorem 1.1 (max stretch above
+// 2k-1, or any underestimate), or a query_variant_ablation row has either
+// query's max above 2k-1 or an exhaustive mean above the pivot mean.
+//
 // Flags: --n (1024) scales every topology, --kmax (5), --sources (16)
 // ground-truth rows, --pops (24) ISP core size, --baselines NAME,....
 #include <cmath>
@@ -51,6 +55,7 @@ int run_e1(const FlagSet& flags, std::ostream& out) {
       static_cast<std::size_t>(flags.get("sources", std::int64_t{16}));
   const auto pops = static_cast<NodeId>(flags.get("pops", std::int64_t{24}));
 
+  int violations = 0;
   for (const auto& topo : make_topologies(n, pops)) {
     const SampledGroundTruth gt(topo.graph, sources, 7);
 
@@ -86,6 +91,9 @@ int run_e1(const FlagSet& flags, std::ostream& out) {
       const auto report =
           eval(topo.graph, gt,
                [&](NodeId u, NodeId v) { return sketches.query(u, v); });
+      if (report.all.max() > 2 * k - 1 || report.underestimates > 0) {
+        ++violations;
+      }
       row("e1", "stretch_vs_k")
           .add("topology", topo.name)
           .add("n", static_cast<std::uint64_t>(topo.graph.num_nodes()))
@@ -116,6 +124,11 @@ int run_e1(const FlagSet& flags, std::ostream& out) {
       const auto full_report = eval(g, gt, [&](NodeId u, NodeId v) {
         return tz_query_exhaustive(r.labels.view(u), r.labels.view(v));
       });
+      if (pivot_report.all.max() > 2 * k - 1 ||
+          full_report.all.max() > 2 * k - 1 ||
+          full_report.all.mean() > pivot_report.all.mean()) {
+        ++violations;
+      }
       row("e1", "query_variant_ablation")
           .add("n", static_cast<std::uint64_t>(g.num_nodes()))
           .add("k", k)
@@ -127,10 +140,13 @@ int run_e1(const FlagSet& flags, std::ostream& out) {
     }
   }
   note(out, "e1",
-       "Expected shape: max <= bound for every row; mean well below bound; "
-       "sketch words shrink as k grows; the exhaustive query strictly "
-       "dominates the pivot query at equal sketch size.");
-  return 0;
+       "Expected shape: max <= bound and no underestimates for every "
+       "row; mean well below bound; sketch words shrink as k grows; the "
+       "exhaustive query dominates the pivot query at equal sketch size "
+       "(checked: the run exits 1 when a stretch_vs_k row breaks the "
+       "bound or underestimates, or an ablation row has either max above "
+       "2k-1 or an exhaustive mean above the pivot mean).");
+  return violations == 0 ? 0 : 1;
 }
 
 }  // namespace dsketch::bench

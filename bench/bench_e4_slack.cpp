@@ -5,6 +5,10 @@
 // violations (E10), then sketch size, construction rounds, and stretch
 // split into ε-far pairs (guarantee: <= 3) vs near pairs (no guarantee).
 //
+// Exits 1 when a density_nets row breaks Lemma 4.2 (a coverage violation,
+// or |N| above 10 ln n/ε) or a slack_sketches row breaks Theorem 4.3 (far
+// max stretch above 3, or any underestimate).
+//
 // Flags: --n (1024) / --p / --graph FILE select the instance, --sources
 // (16) ground-truth rows.
 #include <cmath>
@@ -23,17 +27,20 @@ int run_e4(const FlagSet& flags, std::ostream& out) {
       static_cast<std::size_t>(flags.get("sources", std::int64_t{16}));
   const SampledGroundTruth gt(g, sources, 3);
 
+  int violations = 0;
   for (const double eps : {0.02, 0.05, 0.1, 0.2, 0.4}) {
     const auto net = sample_density_net(n, eps, 5);
     const double bound = 10.0 * std::log(static_cast<double>(n)) / eps;
+    const NodeId uncovered = count_density_net_violations(g, net, eps);
+    if (uncovered > 0 || static_cast<double>(net.size()) > bound) {
+      ++violations;
+    }
     row("e4", "density_nets")
         .add("n", static_cast<std::uint64_t>(n))
         .add("epsilon", eps)
         .add("net_size", static_cast<std::uint64_t>(net.size()))
         .add("bound_10_ln_n_over_eps", bound)
-        .add("coverage_violations",
-             static_cast<std::uint64_t>(
-                 count_density_net_violations(g, net, eps)))
+        .add("coverage_violations", static_cast<std::uint64_t>(uncovered))
         .emit(out);
   }
 
@@ -51,6 +58,9 @@ int run_e4(const FlagSet& flags, std::ostream& out) {
     const auto report = eval(
         g, gt, [&](NodeId u, NodeId v) { return r.sketches.query(u, v); },
         eps);
+    if (report.far_only.max() > 3 || report.underestimates > 0) {
+      ++violations;
+    }
     row("e4", "slack_sketches")
         .add("n", static_cast<std::uint64_t>(n))
         .add("epsilon", eps)
@@ -68,9 +78,10 @@ int run_e4(const FlagSet& flags, std::ostream& out) {
   }
   note(out, "e4",
        "Expected shape: |N| under its bound with zero violations; far max "
-       "<= 3 for every eps; near pairs may exceed 3 (that is the slack); "
-       "size and rounds shrink as eps grows.");
-  return 0;
+       "<= 3 and no underestimates for every eps (checked: the run exits 1 "
+       "otherwise); near pairs may exceed 3 (that is the slack); size and "
+       "rounds shrink as eps grows.");
+  return violations == 0 ? 0 : 1;
 }
 
 }  // namespace dsketch::bench

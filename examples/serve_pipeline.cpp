@@ -90,7 +90,7 @@ int main() {
               "p99 shard slice %.1f us\n",
               static_cast<unsigned long long>(stats.queries),
               stats.wall_seconds * 1e3, stats.qps / 1e6,
-              stats.hit_rate * 100, stats.p99_shard_batch_us);
+              stats.hit_rate * 100, stats.slice_latency_us.p99);
   std::printf("example answer: d(1, 900) <= %llu\n",
               static_cast<unsigned long long>(service.query(1, 900)));
   return 0;

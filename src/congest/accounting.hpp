@@ -1,29 +1,17 @@
 // Round/message/word accounting for simulator runs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace dsketch {
 
-/// One labeled constituent of a merged SimStats. Kept when stats are
-/// summed so composite builds (BFS tree + main run, Voronoi + TZ +
-/// dissemination, ...) can still report which phase cost what — and,
-/// critically, which phase hit the round limit.
-struct SimPhase {
-  std::string label;
-  std::uint64_t rounds = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t words = 0;
-  std::uint64_t node_steps = 0;
-  std::uint64_t max_outbox = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t duplicated = 0;
-  bool hit_round_limit = false;
-};
-
-struct SimStats {
+/// The counters of one simulator run, or of one phase of a merged run.
+/// This is the one list: SimPhase and SimStats share it and its one fold,
+/// so a new counter is one edit here.
+struct SimCounters {
   std::uint64_t rounds = 0;        ///< synchronous rounds elapsed
   std::uint64_t messages = 0;      ///< messages transmitted over edges
   std::uint64_t words = 0;         ///< total words across those messages
@@ -33,6 +21,31 @@ struct SimStats {
   std::uint64_t duplicated = 0;    ///< extra copies delivered by faults
   bool hit_round_limit = false;    ///< run stopped by max_rounds, not quiescence
 
+  /// Merges another run: counts add, the peak is the larger one, and the
+  /// round limit is hit when either hit it.
+  void fold(const SimCounters& o) {
+    rounds += o.rounds;
+    messages += o.messages;
+    words += o.words;
+    node_steps += o.node_steps;
+    if (o.max_outbox > max_outbox) max_outbox = o.max_outbox;
+    dropped += o.dropped;
+    duplicated += o.duplicated;
+    hit_round_limit = hit_round_limit || o.hit_round_limit;
+  }
+
+  bool operator==(const SimCounters&) const = default;
+};
+
+/// One labeled constituent of a merged SimStats. Kept when stats are
+/// summed so composite builds (BFS tree + main run, Voronoi + TZ +
+/// dissemination, ...) can still report which phase cost what — and,
+/// critically, which phase hit the round limit.
+struct SimPhase : SimCounters {
+  std::string label;
+};
+
+struct SimStats : SimCounters {
   /// Wall time spent in each phase of the simulator's executed rounds
   /// (step, splice, deliver). Host-dependent: not part of SimPhase and not
   /// compared by any determinism check.
@@ -49,15 +62,7 @@ struct SimStats {
   /// This stats object's own aggregate counters as one phase entry
   /// (ignores any nested phases).
   SimPhase as_phase() const {
-    return SimPhase{label.empty() ? "unlabeled" : label,
-                    rounds,
-                    messages,
-                    words,
-                    node_steps,
-                    max_outbox,
-                    dropped,
-                    duplicated,
-                    hit_round_limit};
+    return SimPhase{{*this}, label.empty() ? "unlabeled" : label};
   }
 
   /// Uniform per-phase view: the recorded breakdown, or this run as a
@@ -82,7 +87,7 @@ struct SimStats {
   /// True when nothing ran: merging such a stats object must not leave
   /// an all-zero "unlabeled" entry in the phase breakdown.
   bool empty() const {
-    return rounds == 0 && messages == 0 && words == 0 && node_steps == 0 &&
+    return static_cast<const SimCounters&>(*this) == SimCounters{} &&
            phases.empty();
   }
 
@@ -99,37 +104,16 @@ struct SimStats {
     // instead of accumulating duplicates. First appearance fixes a
     // label's position; later contributions fold into it.
     for (const SimPhase& p : add) {
-      SimPhase* existing = nullptr;
-      for (SimPhase& mine : phases) {
-        if (mine.label == p.label) {
-          existing = &mine;
-          break;
-        }
-      }
-      if (existing == nullptr) {
+      const auto mine = std::find_if(
+          phases.begin(), phases.end(),
+          [&p](const SimPhase& q) { return q.label == p.label; });
+      if (mine == phases.end()) {
         phases.push_back(p);
-        continue;
+      } else {
+        mine->fold(p);
       }
-      existing->rounds += p.rounds;
-      existing->messages += p.messages;
-      existing->words += p.words;
-      existing->node_steps += p.node_steps;
-      existing->dropped += p.dropped;
-      existing->duplicated += p.duplicated;
-      if (p.max_outbox > existing->max_outbox) {
-        existing->max_outbox = p.max_outbox;
-      }
-      existing->hit_round_limit = existing->hit_round_limit ||
-                                  p.hit_round_limit;
     }
-    rounds += o.rounds;
-    messages += o.messages;
-    words += o.words;
-    node_steps += o.node_steps;
-    dropped += o.dropped;
-    duplicated += o.duplicated;
-    if (o.max_outbox > max_outbox) max_outbox = o.max_outbox;
-    hit_round_limit = hit_round_limit || o.hit_round_limit;
+    fold(o);
     step_seconds += o.step_seconds;
     splice_seconds += o.splice_seconds;
     deliver_seconds += o.deliver_seconds;

@@ -2,32 +2,9 @@
 
 #include <algorithm>
 
-#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace dsketch {
-namespace {
-
-/// Half-edge index of (v, slot such that adj[slot].to == u), matching the
-/// simulator's twin resolution: adjacencies are sorted by (to, weight), so
-/// the i-th slot of u's run of parallel (u,v) edges pairs with the i-th
-/// slot of v's run.
-std::size_t twin_half_edge(const Graph& g, NodeId u, std::uint32_t local) {
-  const auto adj = g.neighbors(u);
-  const NodeId v = adj[local].to;
-  std::uint32_t run_start = local;
-  while (run_start > 0 && adj[run_start - 1].to == v) --run_start;
-  const auto vadj = g.neighbors(v);
-  const auto it = std::lower_bound(
-      vadj.begin(), vadj.end(), u,
-      [](const HalfEdge& he, NodeId target) { return he.to < target; });
-  const auto base = static_cast<std::uint32_t>(it - vadj.begin());
-  const std::uint32_t slot = base + (local - run_start);
-  DS_CHECK(slot < vadj.size() && vadj[slot].to == u);
-  return g.half_edge_index(v, slot);
-}
-
-}  // namespace
 
 FaultPlan::FaultPlan(const Graph& g, FaultConfig cfg) : cfg_(cfg) {
   Rng rng(cfg_.seed * 0x9e3779b97f4a7c15ULL + 0xfa17);
@@ -72,7 +49,7 @@ FaultPlan::FaultPlan(const Graph& g, FaultConfig cfg) : cfg_(cfg) {
       const std::uint64_t from = 1 + link_rng.below(horizon - 1);
       const DownInterval window{from, from + cfg_.link_down_rounds};
       link_down_[g.half_edge_index(u, local)] = window;
-      link_down_[twin_half_edge(g, u, local)] = window;
+      link_down_[g.twin(u, local)] = window;
     }
   }
 

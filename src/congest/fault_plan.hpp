@@ -4,20 +4,22 @@
 // real deployments drop, duplicate, and reorder messages, links flap, and
 // nodes crash and come back. A FaultPlan is a pure function of its seed and
 // config: every fault decision is either precomputed at construction (crash
-// and link-down schedules) or derived by hashing stable identifiers (the
-// half-edge index and that edge's per-message transmission sequence number),
-// never by consuming a shared RNG stream. That makes a faulty run exactly
-// replayable from its seed AND byte-identical across SimConfig::threads —
-// the delivery phase may pull receivers in parallel, but each half-edge is
-// drained by exactly one receiver, so (edge, seq) pairs are stable no
-// matter which lane does the pull.
+// and link-down schedules) or a keyed_hash (util/rng.hpp) of stable
+// identifiers, never a draw from a shared RNG stream. Per-transmission
+// decisions share the simulator's one key — (seed, half-edge, that edge's
+// transmission count) — with its async delays. That makes a faulty run
+// exactly replayable from its seed AND byte-identical across
+// SimConfig::threads: the delivery phase pulls receivers in parallel, but
+// each half-edge is drained by exactly one receiver, so (edge, seq) pairs
+// are stable no matter which lane does the pull.
 //
 // Fault model:
 //   - message drop        iid per transmission with probability drop_rate;
 //   - message duplication iid per transmission with probability
 //                         duplicate_rate — the extra copy arrives one round
-//                         late (so the one-message-per-edge-per-round
-//                         capacity of the fault-free schedule still holds);
+//                         after the original (so the one-message-per-edge-
+//                         per-round capacity of the fault-free schedule
+//                         still holds);
 //   - inbox reorder       per (node, round) with probability reorder_rate,
 //                         a seeded shuffle of that round's inbox (per-link
 //                         FIFO is preserved in synchronous mode because a
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "util/rng.hpp"
 
 namespace dsketch {
 
@@ -87,7 +90,8 @@ class FaultPlan {
   bool drop_transmission(std::size_t half_edge, std::uint64_t seq,
                          std::uint64_t round) const {
     if (cfg_.drop_rate > 0 &&
-        hash_uniform(kDropSalt, half_edge, seq) < cfg_.drop_rate) {
+        keyed_uniform(cfg_.seed, kDropSalt, half_edge, seq) <
+            cfg_.drop_rate) {
       return true;
     }
     return link_down(half_edge, round);
@@ -97,16 +101,18 @@ class FaultPlan {
   /// copy arrives one round after the original).
   bool duplicate_transmission(std::size_t half_edge, std::uint64_t seq) const {
     return cfg_.duplicate_rate > 0 &&
-           hash_uniform(kDupSalt, half_edge, seq) < cfg_.duplicate_rate;
+           keyed_uniform(cfg_.seed, kDupSalt, half_edge, seq) <
+               cfg_.duplicate_rate;
   }
 
   /// Whether node u's inbox is shuffled this round (and with what seed).
   bool reorder_inbox(NodeId u, std::uint64_t round) const {
     return cfg_.reorder_rate > 0 &&
-           hash_uniform(kReorderSalt, u, round) < cfg_.reorder_rate;
+           keyed_uniform(cfg_.seed, kReorderSalt, u, round) <
+               cfg_.reorder_rate;
   }
   std::uint64_t reorder_seed(NodeId u, std::uint64_t round) const {
-    return mix(kReorderSalt ^ cfg_.seed, u, round);
+    return keyed_hash(cfg_.seed, kReorderSalt ^ cfg_.seed, u, round);
   }
 
   /// Whether the undirected link carrying half-edge h is down at `round`.
@@ -127,20 +133,6 @@ class FaultPlan {
   static constexpr std::uint64_t kDropSalt = 0xd509;
   static constexpr std::uint64_t kDupSalt = 0xd0b1e;
   static constexpr std::uint64_t kReorderSalt = 0x5087;
-
-  std::uint64_t mix(std::uint64_t salt, std::uint64_t a,
-                    std::uint64_t b) const {
-    std::uint64_t z = cfg_.seed ^ (salt * 0x9e3779b97f4a7c15ULL);
-    z ^= a * 0xbf58476d1ce4e5b9ULL;
-    z ^= b * 0x94d049bb133111ebULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  double hash_uniform(std::uint64_t salt, std::uint64_t a,
-                      std::uint64_t b) const {
-    return static_cast<double>(mix(salt, a, b) >> 11) * 0x1.0p-53;
-  }
 
   struct DownInterval {
     std::uint64_t from;

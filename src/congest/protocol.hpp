@@ -39,7 +39,10 @@ class NodeCtx {
   NodeId neighbor(std::uint32_t local_edge) const;
   Weight edge_weight(std::uint32_t local_edge) const;
 
-  /// Messages that arrived this round, sorted by local edge index.
+  /// Messages that arrived this round. First the ones transmitted last
+  /// round, in local-edge order (FIFO per edge); then the ones that waited
+  /// in the simulator's wheel (async delays, fault duplicates), in its
+  /// deterministic fold order. An asynchronous link is non-FIFO.
   std::span<const Inbound> inbox() const;
 
   /// Enqueues `m` on the outbox of `local_edge`; the simulator transmits one

@@ -5,6 +5,7 @@
 
 #include "congest/fault_plan.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dsketch {
@@ -31,14 +32,21 @@ std::size_t NodeCtx::outbox_depth(std::uint32_t local_edge) const {
 }
 
 Simulator::Simulator(const Graph& graph, Protocol& protocol, SimConfig cfg)
-    : graph_(graph), protocol_(protocol), cfg_(cfg),
-      delay_rng_(cfg.async_seed) {
+    : graph_(graph), protocol_(protocol), cfg_(cfg) {
   DS_CHECK(cfg_.max_message_words <= kMaxMessageCapacity);
   const NodeId n = graph_.num_nodes();
   const std::size_t half_edges = 2 * graph_.num_edges();
   outbox_.resize(half_edges);
   head_.resize(half_edges);
-  head_local_.resize(half_edges);
+  twin_.resize(half_edges);
+  for (NodeId u = 0; u < n; ++u) {
+    const auto adj = graph_.neighbors(u);
+    for (std::size_t local = 0; local < adj.size(); ++local) {
+      const std::size_t h = graph_.half_edge_index(u, local);
+      head_[h] = adj[local].to;
+      twin_[h] = graph_.twin(u, local);
+    }
+  }
   inbox_.resize(n);
   wake_flag_.assign(n, 0);
   wake_at_scratch_.resize(n);
@@ -51,11 +59,13 @@ Simulator::Simulator(const Graph& graph, Protocol& protocol, SimConfig cfg)
   stats_.label = cfg_.phase;
   if (cfg_.round_log != nullptr) cfg_.round_log->begin_phase(cfg_.phase);
   faults_ = cfg_.faults;
+  if (faults_ != nullptr || cfg_.async_max_delay > 1) {
+    send_seq_.assign(half_edges, 0);
+  }
   if (faults_ != nullptr) {
     down_.assign(n, 0);
     restart_pending_.assign(n, 0);
     restart_round_.assign(n, 0);
-    send_seq_.assign(half_edges, 0);
     for (const CrashEvent& c : faults_->crashes()) {
       fault_events_.push_back(FaultEvent{c.at, c.node, false, c.restart});
       fault_events_.push_back(FaultEvent{c.restart, c.node, true, 0});
@@ -67,7 +77,6 @@ Simulator::Simulator(const Graph& graph, Protocol& protocol, SimConfig cfg)
                 return a.node < b.node;
               });
   }
-  resolve_twins();
   activate_all();
 }
 
@@ -81,44 +90,28 @@ ThreadPool* Simulator::pool() {
   return own_pool_.get();
 }
 
-void Simulator::resolve_twins() {
-  // Twin resolution: half-edge (u, s) with neighbor v maps to the matching
-  // slot of u in v's adjacency. Adjacencies are sorted by (to, weight), so
-  // parallel (u,v) edges form contiguous runs on both sides and the i-th
-  // slot of u's run pairs with the i-th slot of v's run — no hashing needed.
-  const NodeId n = graph_.num_nodes();
-  for (NodeId u = 0; u < n; ++u) {
-    const auto adj = graph_.neighbors(u);
-    std::uint32_t s = 0;
-    while (s < adj.size()) {
-      const NodeId v = adj[s].to;
-      const std::uint32_t run_start = s;
-      while (s < adj.size() && adj[s].to == v) ++s;
-      const auto vadj = graph_.neighbors(v);
-      const auto it = std::lower_bound(
-          vadj.begin(), vadj.end(), u,
-          [](const HalfEdge& he, NodeId target) { return he.to < target; });
-      const std::uint32_t base =
-          static_cast<std::uint32_t>(it - vadj.begin());
-      for (std::uint32_t i = run_start; i < s; ++i) {
-        const std::uint32_t slot = base + (i - run_start);
-        DS_CHECK(slot < vadj.size() && vadj[slot].to == u);
-        const std::size_t h = graph_.half_edge_index(u, i);
-        head_[h] = v;
-        head_local_[h] = slot;
-      }
-    }
+void Simulator::fan_out(std::size_t count,
+                        const std::function<void(std::size_t)>& body) {
+  // Small batches run inline: waking the pool costs more than they do.
+  if (cfg_.threads == 1 || count < 64) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+  } else {
+    pool()->parallel_for(count, body);
   }
+}
+
+bool Simulator::activate_node(NodeId u) {
+  if (in_active_list_[u]) return false;
+  in_active_list_[u] = 1;
+  active_.push_back(u);
+  return true;
 }
 
 void Simulator::activate_all() {
   const NodeId n = graph_.num_nodes();
   for (NodeId u = 0; u < n; ++u) {
     start_pending_[u] = 1;
-    if (!in_active_list_[u]) {
-      in_active_list_[u] = 1;
-      active_.push_back(u);
-    }
+    activate_node(u);
   }
   std::sort(active_.begin(), active_.end());
 }
@@ -127,10 +120,7 @@ void Simulator::activate(const std::vector<NodeId>& nodes) {
   for (NodeId u : nodes) {
     DS_CHECK(u < graph_.num_nodes());
     start_pending_[u] = 1;
-    if (!in_active_list_[u]) {
-      in_active_list_[u] = 1;
-      active_.push_back(u);
-    }
+    activate_node(u);
   }
   std::sort(active_.begin(), active_.end());
 }
@@ -160,18 +150,15 @@ void Simulator::enqueue_all(NodeId u, const Message& m) {
 SimStats Simulator::run() {
   for (;;) {
     if (faults_ != nullptr) apply_fault_events();
-    flush_future();
+    land_due();
     if (active_.empty() && busy_edges_.empty()) {
       const bool pending_faults =
           faults_ != nullptr && next_fault_event_ < fault_events_.size();
-      if (!future_.empty() || !wake_schedule_.empty() || pending_faults) {
-        // Nothing happens until the next scheduled arrival, timer, or
-        // fault event; fast-forward the round counter to it.
+      if (!wheel_.empty() || pending_faults) {
+        // Nothing happens until the next landing, timer, or fault event;
+        // fast-forward the round counter to it.
         std::uint64_t next = static_cast<std::uint64_t>(-1);
-        if (!future_.empty()) next = future_.begin()->first;
-        if (!wake_schedule_.empty()) {
-          next = std::min(next, wake_schedule_.begin()->first);
-        }
+        if (!wheel_.empty()) next = wheel_.begin()->first;
         if (pending_faults) {
           next = std::min(next, fault_events_[next_fault_event_].round);
         }
@@ -180,10 +167,7 @@ SimStats Simulator::run() {
         continue;
       }
       if (!protocol_.on_quiescent(*this)) break;
-      if (active_.empty() && busy_edges_.empty() && future_.empty() &&
-          wake_schedule_.empty()) {
-        break;
-      }
+      if (active_.empty() && busy_edges_.empty() && wheel_.empty()) break;
       continue;  // the oracle check itself consumes no rounds
     }
     if (round_ >= cfg_.max_rounds) {
@@ -235,11 +219,7 @@ void Simulator::apply_fault_events() {
       if (!down_[u]) continue;
       down_[u] = 0;
       restart_pending_[u] = 1;
-      if (!in_active_list_[u]) {
-        in_active_list_[u] = 1;
-        active_.push_back(u);
-        touched = true;
-      }
+      touched |= activate_node(u);
     } else {
       restart_round_[u] = ev.restart_at;
       crash_node(u);
@@ -265,71 +245,32 @@ void Simulator::crash_node(NodeId u) {
       emptied = true;
     }
   }
-  if (emptied) {
-    // Keep the nonempty invariant of busy_edges_ intact.
-    std::vector<std::size_t> still_busy;
-    still_busy.reserve(busy_edges_.size());
-    for (const std::size_t h : busy_edges_) {
-      if (!outbox_[h].empty()) {
-        still_busy.push_back(h);
-      } else {
-        edge_busy_flag_[h] = 0;
-      }
-    }
-    busy_edges_.swap(still_busy);
-  }
+  if (emptied) retire_drained_edges();
 }
 
-void Simulator::flush_future() {
+void Simulator::land_due() {
+  const auto it = wheel_.find(round_);
+  if (it == wheel_.end()) return;
+  // Move out first: deferring a down node's timer inserts into the wheel.
+  const std::vector<Landing> due = std::move(it->second);
+  wheel_.erase(it);
   bool touched = false;
-  const auto wit = wake_schedule_.find(round_);
-  if (wit != wake_schedule_.end()) {
-    // Move out first: deferring a wake for a down node inserts into the
-    // map we are erasing from.
-    const std::vector<NodeId> woken = std::move(wit->second);
-    wake_schedule_.erase(wit);
-    for (const NodeId u : woken) {
-      if (faults_ != nullptr && down_[u]) {
+  for (const Landing& l : due) {
+    if (faults_ != nullptr && down_[l.to]) {
+      if (l.to_local == kTimer) {
         // The node sleeps through its timer; fire it at restart instead.
-        wake_schedule_[restart_round_[u]].push_back(u);
-        continue;
-      }
-      if (!in_active_list_[u]) {
-        in_active_list_[u] = 1;
-        active_.push_back(u);
-        touched = true;
-      }
-    }
-  }
-  const auto it = future_.find(round_);
-  if (it != future_.end()) {
-    for (PendingDelivery& d : it->second) {
-      if (faults_ != nullptr && down_[d.to]) {
+        wheel_[restart_round_[l.to]].push_back(l);
+      } else {
         ++stats_.dropped;  // delivered into a crashed node
-        continue;
       }
-      if (!in_active_list_[d.to]) {
-        in_active_list_[d.to] = 1;
-        active_.push_back(d.to);
-      }
-      inbox_[d.to].push_back(Inbound{d.to_local, d.msg});
-      touched = true;
+      continue;
     }
-    future_.erase(it);
+    touched |= activate_node(l.to);
+    if (l.to_local != kTimer) {
+      inbox_[l.to].push_back(Inbound{l.to_local, l.msg});
+    }
   }
   if (touched) std::sort(active_.begin(), active_.end());
-  if (cfg_.async_max_delay > 1) {
-    // Canonical per-round inbox order: by arrival edge (stable so queued
-    // order on an edge is preserved). Asynchronous delivery appends in
-    // transmission order; synchronous receiver-pull delivery builds
-    // inboxes already canonical, so this pass is skipped then.
-    for (const NodeId u : active_) {
-      std::stable_sort(inbox_[u].begin(), inbox_[u].end(),
-                       [](const Inbound& a, const Inbound& b) {
-                         return a.local_edge < b.local_edge;
-                       });
-    }
-  }
 }
 
 void Simulator::step_active_nodes() {
@@ -346,7 +287,7 @@ void Simulator::step_active_nodes() {
     }
   }
   stats_.node_steps += stepped;
-  auto step_one = [this](std::size_t idx) {
+  fan_out(active_.size(), [this](std::size_t idx) {
     const NodeId u = active_[idx];
     if (faults_ != nullptr) {
       if (down_[u]) return;
@@ -370,20 +311,13 @@ void Simulator::step_active_nodes() {
       protocol_.on_round(ctx);
     }
     inbox_[u].clear();
-  };
-  if (cfg_.threads == 1 || active_.size() < 64) {
-    for (std::size_t i = 0; i < active_.size(); ++i) step_one(i);
-  } else {
-    pool()->for_each_dynamic(
-        active_.size(),
-        [&step_one](std::size_t /*lane*/, std::size_t i) { step_one(i); });
-  }
+  });
 }
 
 void Simulator::splice_new_work() {
   // Fold node-owned scratch produced by the (possibly parallel) step into
   // the shared schedules, in sorted active-node order so busy_edges_ and
-  // wake_schedule_ contents are independent of thread count.
+  // the wheel's contents are independent of thread count.
   for (const NodeId u : active_) {
     for (const std::uint32_t local : dirty_local_[u]) {
       const std::size_t h = graph_.half_edge_index(u, local);
@@ -393,100 +327,43 @@ void Simulator::splice_new_work() {
       }
     }
     dirty_local_[u].clear();
-    if (!wake_at_scratch_[u].empty()) {
-      for (const std::uint64_t at : wake_at_scratch_[u]) {
-        wake_schedule_[at].push_back(u);
-      }
-      wake_at_scratch_[u].clear();
+    for (const std::uint64_t at : wake_at_scratch_[u]) {
+      wheel_[at].push_back(Landing{u, kTimer, Message{}});
     }
+    wake_at_scratch_[u].clear();
   }
+}
+
+std::uint64_t Simulator::transit(std::size_t half_edge,
+                                 std::uint64_t seq) const {
+  constexpr std::uint64_t kDelaySalt = 0xde1a7;
+  if (cfg_.async_max_delay <= 1) return 1;
+  return 1 + keyed_hash(cfg_.async_seed, kDelaySalt, half_edge, seq) %
+                 cfg_.async_max_delay;
 }
 
 void Simulator::deliver() {
-  std::vector<NodeId> next_active;
-  // Wakes requested by nodes stepped this round.
-  for (const NodeId u : active_) {
+  // Next round's active set starts with the stepped nodes that asked for
+  // a wake; the pull adds every receiver it put something in front of.
+  stepped_.swap(active_);
+  active_.clear();
+  for (const NodeId u : stepped_) {
+    in_active_list_[u] = 0;
     if (wake_flag_[u]) {
       wake_flag_[u] = 0;
-      next_active.push_back(u);
+      activate_node(u);
     }
   }
-  if (cfg_.async_max_delay > 1) {
-    deliver_serial(next_active);
-  } else {
-    deliver_parallel(next_active);
-  }
 
-  // De-duplicate and order the next active set.
-  std::sort(next_active.begin(), next_active.end());
-  next_active.erase(std::unique(next_active.begin(), next_active.end()),
-                    next_active.end());
-  for (const NodeId u : active_) in_active_list_[u] = 0;
-  for (const NodeId u : next_active) in_active_list_[u] = 1;
-  active_.swap(next_active);
-}
-
-void Simulator::deliver_serial(std::vector<NodeId>& next_active) {
-  // Asynchronous-mode delivery: one message per busy half-edge (or the
-  // whole queue when the capacity ablation is on), each with an arrival
-  // round drawn uniformly from [round+1, round+async_max_delay]. Serial so
-  // the delay RNG consumes draws in transmission order; inboxes are
-  // canonicalized by the sort in flush_future.
-  std::vector<std::size_t> still_busy;
-  still_busy.reserve(busy_edges_.size());
-  for (const std::size_t h : busy_edges_) {
-    auto& box = outbox_[h];
-    DS_CHECK(!box.empty());
-    if (box.size() > stats_.max_outbox) stats_.max_outbox = box.size();
-    const NodeId to = head_[h];
-    const std::uint32_t to_local = head_local_[h];
-    std::size_t ship = cfg_.enforce_capacity ? 1 : box.size();
-    while (ship-- > 0) {
-      const Message m = box.front();
-      box.pop();
-      stats_.messages += 1;
-      stats_.words += m.size_words();
-      // Draw the delay before any fault decision so the RNG stream stays
-      // aligned with transmission order regardless of the fault plan.
-      const std::uint64_t arrival =
-          round_ + 1 + delay_rng_.below(cfg_.async_max_delay);
-      if (faults_ != nullptr) {
-        const std::uint64_t seq = send_seq_[h]++;
-        if (faults_->drop_transmission(h, seq, round_)) {
-          ++stats_.dropped;
-          continue;
-        }
-        if (faults_->duplicate_transmission(h, seq)) {
-          ++stats_.duplicated;
-          future_[arrival + 1].push_back(PendingDelivery{to, to_local, m});
-        }
-      }
-      if (arrival == round_ + 1) {
-        if (inbox_[to].empty()) next_active.push_back(to);
-        inbox_[to].push_back(Inbound{to_local, m});
-      } else {
-        future_[arrival].push_back(PendingDelivery{to, to_local, m});
-      }
-    }
-    if (!box.empty()) {
-      still_busy.push_back(h);
-    } else {
-      edge_busy_flag_[h] = 0;
-    }
-  }
-  busy_edges_.swap(still_busy);
-}
-
-void Simulator::deliver_parallel(std::vector<NodeId>& next_active) {
-  // Synchronous receiver-pull delivery. Each busy half-edge is marked at
-  // its receiver-side slot (v, l); each receiver then drains its marked
-  // slots in local-edge order. Every half-edge has exactly one receiver, so
-  // the pulls are data-race-free and parallelize over receivers, and each
-  // inbox comes out already in canonical (local_edge, FIFO) order.
+  // Receiver pull. Each busy half-edge is marked at its receiver-side slot
+  // (v, l); each receiver then drains its marked slots in local-edge
+  // order. Every half-edge has exactly one receiver, so the pulls are
+  // data-race-free and parallelize over receivers, and the arrivals due
+  // next round reach each inbox in (local_edge, FIFO) order.
   ready_.clear();
   for (const std::size_t h : busy_edges_) {
     const NodeId to = head_[h];
-    inbound_busy_[graph_.half_edge_index(to, head_local_[h])] = 1;
+    inbound_busy_[twin_[h]] = 1;
     if (!ready_flag_[to]) {
       ready_flag_[to] = 1;
       ready_.push_back(to);
@@ -494,90 +371,83 @@ void Simulator::deliver_parallel(std::vector<NodeId>& next_active) {
   }
   std::sort(ready_.begin(), ready_.end());
 
-  deltas_.assign(ready_.size(), ReceiverDelta{});
-  auto pull_one = [this](std::size_t i) {
+  if (deltas_.size() < ready_.size()) deltas_.resize(ready_.size());
+  fan_out(ready_.size(), [this](std::size_t i) {
     const NodeId to = ready_[i];
     const std::size_t base = graph_.half_edge_index(to, 0);
     const auto deg = static_cast<std::uint32_t>(graph_.degree(to));
-    ReceiverDelta& delta = deltas_[i];
+    SimCounters& counts = deltas_[i].counts;
+    auto& later = deltas_[i].later;
     auto& in = inbox_[to];
     for (std::uint32_t to_local = 0; to_local < deg; ++to_local) {
       const std::size_t r = base + to_local;
       if (!inbound_busy_[r]) continue;
       inbound_busy_[r] = 0;
-      // The twin of the receiver-side slot is the sending half-edge.
-      const std::size_t h = graph_.half_edge_index(head_[r], head_local_[r]);
+      const std::size_t h = twin_[r];  // the sending half-edge
       auto& box = outbox_[h];
-      if (box.size() > delta.max_depth) delta.max_depth = box.size();
+      if (box.size() > counts.max_outbox) counts.max_outbox = box.size();
       std::size_t ship = cfg_.enforce_capacity ? 1 : box.size();
-      delta.messages += ship;
-      while (ship-- > 0) {
+      counts.messages += ship;
+      for (; ship > 0; --ship, box.pop()) {
         const Message& m = box.front();
-        delta.words += m.size_words();
-        if (faults_ != nullptr) {
-          // (edge, seq) keys every fault decision: each half-edge is
-          // pulled by exactly one lane, so the counters are race-free
-          // and the outcome is independent of lane scheduling.
+        counts.words += m.size_words();
+        if (!send_seq_.empty()) {
+          // (seed, half-edge, that edge's transmission count) keys every
+          // decision: the counter is advanced by the one lane that pulls
+          // h, so each outcome is independent of lane scheduling.
           const std::uint64_t seq = send_seq_[h]++;
-          if (faults_->drop_transmission(h, seq, round_)) {
-            ++delta.dropped;
-            box.pop();
+          const std::uint64_t arrival = round_ + transit(h, seq);
+          if (faults_ != nullptr) {
+            if (faults_->drop_transmission(h, seq, round_)) {
+              ++counts.dropped;
+              continue;
+            }
+            if (faults_->duplicate_transmission(h, seq)) {
+              ++counts.duplicated;
+              later.emplace_back(arrival + 1, Landing{to, to_local, m});
+            }
+          }
+          if (arrival > round_ + 1) {
+            later.emplace_back(arrival, Landing{to, to_local, m});
             continue;
           }
-          if (faults_->duplicate_transmission(h, seq)) {
-            ++delta.duplicated;
-            delta.dups.push_back(PendingDelivery{to, to_local, m});
-          }
         }
-        ++delta.delivered;
         in.push_back(Inbound{to_local, m});
-        box.pop();
       }
     }
-  };
-  if (cfg_.threads == 1 || ready_.size() < 64) {
-    for (std::size_t i = 0; i < ready_.size(); ++i) pull_one(i);
-  } else {
-    pool()->for_each_dynamic(
-        ready_.size(),
-        [&pull_one](std::size_t /*lane*/, std::size_t i) { pull_one(i); });
-  }
+  });
 
-  // Serial reduction in receiver order. Without faults every receiver got
-  // >= 1 message; with faults a receiver whose entire pull was dropped is
-  // not woken (a lost message never arrives). Duplicate copies are folded
-  // into the future wheel here, in receiver order, so their arrival order
-  // is thread-count independent.
+  // Serial fold in receiver order, so the stats and the wheel's entry
+  // order are independent of lane count. The one wake rule: a receiver is
+  // stepped next round if and only if something reached its inbox (not
+  // when everything it was sent was dropped or delayed).
   for (std::size_t i = 0; i < ready_.size(); ++i) {
     ReceiverDelta& delta = deltas_[i];
-    stats_.messages += delta.messages;
-    stats_.words += delta.words;
-    stats_.dropped += delta.dropped;
-    stats_.duplicated += delta.duplicated;
-    if (delta.max_depth > stats_.max_outbox) {
-      stats_.max_outbox = delta.max_depth;
+    stats_.fold(delta.counts);
+    delta.counts = {};
+    for (const auto& [at, landing] : delta.later) {
+      wheel_[at].push_back(landing);
     }
-    if (!delta.dups.empty()) {
-      auto& slot = future_[round_ + 2];
-      for (PendingDelivery& d : delta.dups) slot.push_back(std::move(d));
-    }
-    if (delta.delivered > 0 || faults_ == nullptr) {
-      next_active.push_back(ready_[i]);
-    }
-    ready_flag_[ready_[i]] = 0;
+    delta.later.clear();
+    const NodeId to = ready_[i];
+    if (!inbox_[to].empty()) activate_node(to);
+    ready_flag_[to] = 0;
   }
+  retire_drained_edges();
+  std::sort(active_.begin(), active_.end());
+}
 
-  // Retire drained edges, keeping the busy list in its previous order.
-  std::vector<std::size_t> still_busy;
-  still_busy.reserve(busy_edges_.size());
+void Simulator::retire_drained_edges() {
+  // Compacts in place, keeping the busy list in its previous order.
+  std::size_t kept = 0;
   for (const std::size_t h : busy_edges_) {
     if (!outbox_[h].empty()) {
-      still_busy.push_back(h);
+      busy_edges_[kept++] = h;
     } else {
       edge_busy_flag_[h] = 0;
     }
   }
-  busy_edges_.swap(still_busy);
+  busy_edges_.resize(kept);
 }
 
 }  // namespace dsketch

@@ -20,15 +20,22 @@
 //                ThreadPool::for_each_dynamic when cfg.threads != 1.
 //   2. splice  — half-edges that became busy are appended to the busy list
 //                in (active-node, send) order; node-owned wake-at requests
-//                are folded into the shared timer wheel. Serial, O(new work).
+//                are folded into the round-keyed wheel. Serial, O(new work).
 //   3. deliver — one message per busy half-edge ships (the CONGEST capacity;
-//                all of them under the E3 ablation). Synchronous delivery is
-//                receiver-pull: each busy half-edge is marked at its
-//                receiver-side slot, and each receiving node drains its
-//                marked slots in local-edge order, so delivery parallelizes
-//                over receivers and inbox order is canonical by construction.
-//                Asynchronous runs (async_max_delay > 1) deliver serially so
-//                the delay RNG consumes draws in transmission order.
+//                all of them under the E3 ablation) by a receiver pull: each
+//                busy half-edge is marked at its receiver-side slot, and
+//                each receiving node drains its marked slots in local-edge
+//                order, so delivery parallelizes over receivers. Every
+//                per-transmission decision (async delay, fault drop and
+//                duplicate) is a stateless hash of (seed, half-edge, that
+//                edge's transmission count), taken inside the pull, so it
+//                needs no serial order. A transmission due next round goes
+//                straight to the inbox; one that lands later (an async
+//                delay, a fault duplicate) waits in the one round-keyed
+//                wheel, which also holds wake_at timers, and the serial
+//                reduction folds it there in receiver order.
+// A node is stepped in a round if and only if it was activated, asked for a
+// wake or a timer, or something reached its inbox.
 // The wall time of each phase is summed into SimStats (step/splice/
 // deliver_seconds) and reported per round to the round log.
 //
@@ -36,18 +43,20 @@
 // `threads`), execution is byte-identical across thread counts and reruns —
 // message order, round counts, stats, and round-log samples all match.
 // Upheld by: sorted activation sets, sender-ordered busy-edge splice,
-// receiver-local-edge inbox order, and fixed-order stat reduction.
+// local-edge pull order, keyed per-transmission decisions, and a
+// receiver-ordered fold of stats and wheel entries.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/round_log.hpp"
 #include "util/fifo.hpp"
-#include "util/rng.hpp"
 
 #include "congest/accounting.hpp"
 #include "congest/message.hpp"
@@ -72,11 +81,13 @@ struct SimConfig {
                                       ///< all queued messages ship each round
 
   /// Asynchrony extension (the paper's §5 future work): each transmitted
-  /// message takes a uniform delay in [1, async_max_delay] rounds instead
-  /// of exactly 1. Links may reorder (non-FIFO). 1 = synchronous CONGEST.
-  /// Deterministic for a fixed seed and protocol.
+  /// message takes a delay in [1, async_max_delay] rounds instead of
+  /// exactly 1, uniform over a keyed hash of (async_seed, half-edge, that
+  /// edge's transmission count). Links may reorder (non-FIFO). The
+  /// schedule is a function of the seed and the protocol alone, the same
+  /// on any number of lanes. 1 = synchronous CONGEST.
   std::uint32_t async_max_delay = 1;
-  std::uint64_t async_seed = 0x5eedULL;
+  std::uint64_t async_seed = 0x5eedULL;  ///< keys the async delays
 
   /// Observability: labels this run in SimStats (phase breakdowns,
   /// round-limit warnings) and in per-round telemetry. Builders set a
@@ -148,14 +159,25 @@ class Simulator {
  private:
   using Outbox = Fifo<Message>;
 
+  // A delivery due in a later round (an async delay or a fault duplicate),
+  // or a wake_at timer (to_local == kTimer): one entry of the wheel.
+  struct Landing {
+    NodeId to;
+    std::uint32_t to_local;
+    Message msg;
+  };
+  static constexpr std::uint32_t kTimer = static_cast<std::uint32_t>(-1);
+
   ThreadPool* pool();
-  void resolve_twins();
+  void fan_out(std::size_t count,
+               const std::function<void(std::size_t)>& body);
+  bool activate_node(NodeId u);
+  void land_due();
   void step_active_nodes();
   void splice_new_work();
   void deliver();
-  void deliver_serial(std::vector<NodeId>& next_active);
-  void deliver_parallel(std::vector<NodeId>& next_active);
-  void flush_future();
+  void retire_drained_edges();
+  std::uint64_t transit(std::size_t half_edge, std::uint64_t seq) const;
   void apply_fault_events();
   void crash_node(NodeId u);
 
@@ -166,23 +188,16 @@ class Simulator {
   std::uint64_t round_ = 0;
   SimStats stats_;
 
-  // Per half-edge h = (u, local): FIFO of queued messages, plus the twin
-  // half-edge's (receiver, receiver-local) coordinates. The twin relation
-  // is symmetric: the twin's head_/head_local_ name (u, local) again.
+  // Per half-edge h = (u, local): FIFO of queued messages, its receiver
+  // node, and its twin — the receiver-side half-edge (Graph::twin). The
+  // twin relation is symmetric.
   std::vector<Outbox> outbox_;
-  std::vector<NodeId> head_;                  // receiver node of half-edge
-  std::vector<std::uint32_t> head_local_;     // receiver's local edge index
+  std::vector<NodeId> head_;
+  std::vector<std::size_t> twin_;
 
   std::vector<std::vector<Inbound>> inbox_;   // per node, current round
-  // Deliveries scheduled for future rounds (async_max_delay > 1).
-  struct PendingDelivery {
-    NodeId to;
-    std::uint32_t to_local;
-    Message msg;
-  };
-  std::map<std::uint64_t, std::vector<PendingDelivery>> future_;
-  std::map<std::uint64_t, std::vector<NodeId>> wake_schedule_;
-  Rng delay_rng_{0};
+  // Deliveries and timers keyed by the round they land in.
+  std::map<std::uint64_t, std::vector<Landing>> wheel_;
   std::vector<char> wake_flag_;               // set via NodeCtx::wake
   // Node-owned scratch filled during the parallel step, folded serially.
   std::vector<std::vector<std::uint64_t>> wake_at_scratch_;
@@ -190,6 +205,7 @@ class Simulator {
   std::vector<char> start_pending_;           // on_start owed to node
   std::vector<char> in_active_list_;
   std::vector<NodeId> active_;                // nodes to step this round
+  std::vector<NodeId> stepped_;               // last round's, in deliver
   std::vector<std::size_t> busy_edges_;       // half-edges with queued msgs
   std::vector<char> edge_busy_flag_;
 
@@ -199,26 +215,27 @@ class Simulator {
   // Per receiver-side half-edge (v, l): its twin has a message to ship
   // this round. Set serially, cleared by v's pull.
   std::vector<char> inbound_busy_;
+  // One ready receiver's pull: its share of the round's counters, and
+  // the (landing round, entry) pairs the reduction folds into the wheel.
+  // The reduction empties it; buffers are kept across rounds.
   struct ReceiverDelta {
-    std::uint64_t messages = 0;
-    std::uint64_t words = 0;
-    std::uint64_t max_depth = 0;
-    std::uint64_t delivered = 0;   // messages that actually reached the inbox
-    std::uint64_t dropped = 0;
-    std::uint64_t duplicated = 0;
-    std::vector<PendingDelivery> dups;  // fault copies, folded serially
+    SimCounters counts;
+    std::vector<std::pair<std::uint64_t, Landing>> later;
   };
   std::vector<ReceiverDelta> deltas_;
 
-  // Fault-injection state (only allocated when cfg.faults != nullptr).
-  // All mutations happen in serial phases (apply_fault_events, flush,
-  // reductions) except send_seq_, which is advanced inside delivery —
+  // Transmissions so far per half-edge: the count in every
+  // per-transmission key. Allocated only when a run makes such decisions
+  // (async delays or a fault plan); advanced inside the pull, which is
   // safe because each half-edge is drained by exactly one lane.
+  std::vector<std::uint64_t> send_seq_;
+
+  // Fault-injection state (only allocated when cfg.faults != nullptr),
+  // mutated in serial phases only.
   const FaultPlan* faults_ = nullptr;
   std::vector<char> down_;                    // node currently crashed
   std::vector<char> restart_pending_;         // on_restart owed to node
   std::vector<std::uint64_t> restart_round_;  // valid while down_[u]
-  std::vector<std::uint64_t> send_seq_;       // transmissions per half-edge
   struct FaultEvent {
     std::uint64_t round;
     NodeId node;

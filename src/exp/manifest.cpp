@@ -145,17 +145,6 @@ const std::set<std::string>& cell_keys() {
   return keys;
 }
 
-/// Quotes a value for to_toml unless it is a bare number/bool literal.
-std::string render_value(const std::string& v) {
-  if (is_number(v) || is_bool(v)) return v;
-  std::string out = "\"";
-  for (const char c : v) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
 }  // namespace
 
 std::uint64_t fnv1a64(std::string_view data) {
@@ -335,37 +324,6 @@ Manifest load_manifest_file(const std::string& path) {
   return parse_manifest(buf.str());
 }
 
-std::string to_toml(const Manifest& m) {
-  std::ostringstream out;
-  out << "name = " << render_value(m.name) << "\n";
-  out << "seed = " << m.base_seed << "\n";
-  for (const GraphSpec& spec : m.corpus) {
-    out << "\n[corpus." << spec.name << "]\n";
-    for (const auto& [k, v] : spec.params) {
-      out << k << " = " << render_value(v) << "\n";
-    }
-  }
-  for (const CellSpec& cell : m.cells) {
-    out << "\n[[cell]]\n";
-    out << "experiment = " << render_value(cell.experiment) << "\n";
-    for (const auto& [k, values] : cell.params) {
-      out << k << " = ";
-      if (values.size() == 1) {
-        out << render_value(values[0]);
-      } else {
-        out << "[";
-        for (std::size_t i = 0; i < values.size(); ++i) {
-          if (i) out << ", ";
-          out << render_value(values[i]);
-        }
-        out << "]";
-      }
-      out << "\n";
-    }
-  }
-  return out.str();
-}
-
 std::string Cell::id() const {
   std::string canonical = experiment;
   canonical += '\x1e';
@@ -408,75 +366,6 @@ std::vector<Cell> expand_cells(const Manifest& m) {
     }
   }
   return out;
-}
-
-const std::string& default_quick_manifest() {
-  static const std::string manifest = R"(# Quick reproduction grid: >= 4 distinct experiments in under a minute.
-# Mirrors bench/manifests/quick.toml (manifest_test keeps them in sync).
-name = "quick"
-seed = 7
-
-[corpus.er512]
-topology = "er"
-n = 512
-p = 0.015
-wmin = 1
-wmax = 12
-seed = 42
-
-[[cell]]
-experiment = "e2"
-nmax = 512
-kmax = 3
-
-[[cell]]
-experiment = "e4"
-graph = "er512"
-sources = 8
-
-[[cell]]
-experiment = "e7"
-graph = "er512"
-queries = 20000
-
-[[cell]]
-experiment = "e10"
-
-[[cell]]
-experiment = "e11"
-graph = "er512"
-sources = 8
-
-[[cell]]
-experiment = "e12"
-graph = "er512"
-queries = 30000
-threads = "1,2"
-batch = "1024,4096"
-
-[[cell]]
-experiment = "e13"
-graph = "er512"
-sources = 8
-threads = "1,0"
-
-[[cell]]
-experiment = "e14"
-graph = "er512"
-rounds = 3
-updates = 6
-budget = 12
-unrepaired-budget = 4
-sources = 4
-
-[[cell]]
-experiment = "e15"
-graph = "er512"
-k = 3
-sim-threads = 0
-queries = 2000
-)";
-  return manifest;
 }
 
 }  // namespace dsketch::exp

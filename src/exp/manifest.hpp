@@ -77,10 +77,6 @@ Manifest parse_manifest(const std::string& text);
 /// Reads and parses a manifest file.
 Manifest load_manifest_file(const std::string& path);
 
-/// Serializes back to manifest TOML. Round-trips: parse(to_toml(m))
-/// yields an equivalent manifest (same corpus, cells, and expansion).
-std::string to_toml(const Manifest& m);
-
 /// A fully resolved cell: one experiment invocation with scalar params.
 struct Cell {
   std::string experiment;  ///< registry id, e.g. "e7"
@@ -94,10 +90,5 @@ struct Cell {
 /// Expands every cell template's sweep axes into concrete cells (cross
 /// product, last axis fastest), preserving manifest order.
 std::vector<Cell> expand_cells(const Manifest& m);
-
-/// The built-in quick manifest used by `dsketch repro --quick`; kept in
-/// sync with bench/manifests/quick.toml (manifest_test checks the copy
-/// parses and expands).
-const std::string& default_quick_manifest();
 
 }  // namespace dsketch::exp

@@ -83,6 +83,21 @@ Graph Graph::from_adjacency(NodeId n, std::vector<std::size_t> offsets,
   return g;
 }
 
+std::size_t Graph::twin(NodeId u, std::size_t local) const {
+  const auto adj = neighbors(u);
+  const NodeId v = adj[local].to;
+  std::size_t run_start = local;
+  while (run_start > 0 && adj[run_start - 1].to == v) --run_start;
+  const auto vadj = neighbors(v);
+  const auto it = std::lower_bound(
+      vadj.begin(), vadj.end(), u,
+      [](const HalfEdge& he, NodeId target) { return he.to < target; });
+  const std::size_t slot =
+      static_cast<std::size_t>(it - vadj.begin()) + (local - run_start);
+  DS_CHECK(slot < vadj.size() && vadj[slot].to == u);
+  return half_edge_index(v, slot);
+}
+
 Dist Graph::total_weight() const {
   Dist total = 0;
   for (const Edge& e : edges_) total += e.weight;

@@ -73,6 +73,12 @@ class Graph {
     return offsets_[u] + local;
   }
 
+  /// Global index of the reverse direction of half-edge (u, local): u's
+  /// slot in its neighbor's adjacency. Rows are sorted by (to, weight), so
+  /// parallel (u, v) edges form runs on both sides, and the i-th slot of
+  /// u's run pairs with the i-th slot of v's run.
+  std::size_t twin(NodeId u, std::size_t local) const;
+
   /// Sum of all edge weights (useful for upper bounds on distances).
   Dist total_weight() const;
 

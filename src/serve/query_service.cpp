@@ -246,8 +246,6 @@ QueryServiceStats QueryService::stats() const {
                          static_cast<double>(s.queries)
                    : 0;
   s.slice_latency_us = latencies.summary();
-  s.p50_shard_batch_us = s.slice_latency_us.p50;
-  s.p99_shard_batch_us = s.slice_latency_us.p99;
   return s;
 }
 

@@ -113,11 +113,7 @@ struct QueryServiceStats {
   double wall_seconds = 0;    ///< total query_batch wall time
   double qps = 0;             ///< queries / wall_seconds
   double hit_rate = 0;        ///< cache_hits / queries
-  double p50_shard_batch_us = 0;  ///< per-shard slice latency percentiles
-  double p99_shard_batch_us = 0;
-  /// Full roll-up of the per-shard slice latency histograms (the p50/p99
-  /// fields above are copies of its percentiles, kept for schema
-  /// stability).
+  /// Roll-up of the per-shard slice latency histograms.
   Summary slice_latency_us;
   std::vector<std::uint64_t> shard_queries;  ///< load balance view
 

@@ -21,6 +21,26 @@ inline std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// Stateless hash of (seed, salt, a, b) through the SplitMix64 finalizer.
+/// It keys a per-event decision by stable identifiers (a half-edge and its
+/// transmission count, a node and a round) instead of a draw from a shared
+/// stream, so the decision needs no evaluation order: any lane may take it.
+inline std::uint64_t keyed_hash(std::uint64_t seed, std::uint64_t salt,
+                                std::uint64_t a, std::uint64_t b) {
+  std::uint64_t z = seed ^ (salt * 0x9e3779b97f4a7c15ULL);
+  z ^= a * 0xbf58476d1ce4e5b9ULL;
+  z ^= b * 0x94d049bb133111ebULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// keyed_hash as a uniform double in [0, 1).
+inline double keyed_uniform(std::uint64_t seed, std::uint64_t salt,
+                            std::uint64_t a, std::uint64_t b) {
+  return static_cast<double>(keyed_hash(seed, salt, a, b) >> 11) * 0x1.0p-53;
+}
+
 /// xoshiro256** generator. Satisfies UniformRandomBitGenerator.
 class Rng {
  public:

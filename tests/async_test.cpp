@@ -5,7 +5,9 @@
 // so every algorithm must produce *identical labels* under asynchrony.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "congest/bellman_ford.hpp"
 #include "graph/generators.hpp"
@@ -116,6 +118,39 @@ TEST(Async, DifferentDelaySeedsSameLabels) {
       build_tz_distributed(g, h, TerminationMode::kEcho, async_cfg(4, 2));
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_TRUE(a.labels.view(u) == b.labels.view(u)) << "node " << u;
+  }
+}
+
+TEST(Async, TzEchoIdenticalAcrossSimulatorLanes) {
+  // n = 400 at average degree 8: the build's busy rounds have hundreds of
+  // receivers, past the 64 at which the receiver pull fans out to the
+  // pool, so delays, arrivals and counters come from the parallel pull.
+  const Graph g = erdos_renyi(400, 0.02, {1, 12}, 31);
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 3, 17);
+  const auto central = build_tz_centralized(g, h);
+  const auto run = [&](unsigned lanes) {
+    SimConfig cfg = async_cfg(4);
+    cfg.threads = lanes;
+    return build_tz_distributed(g, h, TerminationMode::kEcho, cfg);
+  };
+  const auto counts = [](const SimStats& s) {
+    return std::vector<std::uint64_t>{s.rounds,     s.messages,
+                                      s.words,      s.node_steps,
+                                      s.max_outbox, s.dropped,
+                                      s.duplicated};
+  };
+  const auto one = run(1);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    ASSERT_TRUE(central.view(u) == one.labels.view(u)) << "node " << u;
+  }
+  for (const unsigned lanes : {2u, 8u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    const auto many = run(lanes);
+    EXPECT_EQ(counts(many.stats), counts(one.stats));
+    EXPECT_EQ(counts(many.tree_stats), counts(one.tree_stats));
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      ASSERT_TRUE(one.labels.view(u) == many.labels.view(u)) << "node " << u;
+    }
   }
 }
 

@@ -81,31 +81,11 @@ nmax = [256, 256]
   EXPECT_EQ(expand_cells(m).size(), 1u);
 }
 
-TEST(Manifest, RoundTripsThroughToToml) {
-  const Manifest m = parse_manifest(kGood);
-  const Manifest again = parse_manifest(to_toml(m));
-  EXPECT_EQ(again.name, m.name);
-  EXPECT_EQ(again.base_seed, m.base_seed);
-  ASSERT_EQ(again.corpus.size(), m.corpus.size());
-  for (std::size_t i = 0; i < m.corpus.size(); ++i) {
-    EXPECT_EQ(again.corpus[i].name, m.corpus[i].name);
-    EXPECT_EQ(again.corpus[i].params, m.corpus[i].params);
-    EXPECT_EQ(again.corpus[i].canonical(), m.corpus[i].canonical());
-  }
-  const std::vector<Cell> a = expand_cells(m);
-  const std::vector<Cell> b = expand_cells(again);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id(), b[i].id());
-  }
-}
-
 TEST(Manifest, QuotedStringsUnescapeAndRoundTrip) {
   const Manifest m = parse_manifest(
       "name = \"with \\\"quotes\\\" and \\\\slash\"\n"
       "[[cell]]\nexperiment = \"e1\"\n");
   EXPECT_EQ(m.name, "with \"quotes\" and \\slash");
-  EXPECT_EQ(parse_manifest(to_toml(m)).name, m.name);
 }
 
 TEST(Manifest, RejectsBadInput) {
@@ -187,30 +167,18 @@ TEST(Manifest, Fnv1a64MatchesReferenceVectors) {
   EXPECT_EQ(hash_hex(0xdeadbeefULL << 32, 8), "deadbeef");
 }
 
-TEST(Manifest, DefaultQuickManifestIsHealthy) {
-  const Manifest m = parse_manifest(default_quick_manifest());
+#ifdef DSKETCH_SOURCE_DIR
+TEST(Manifest, QuickTomlFileIsHealthy) {
+  const Manifest m = load_manifest_file(std::string(DSKETCH_SOURCE_DIR) +
+                                        "/bench/manifests/quick.toml");
   EXPECT_EQ(m.name, "quick");
-  const std::vector<Cell> cells = expand_cells(m);
   std::set<std::string> experiments;
-  for (const Cell& cell : cells) experiments.insert(cell.experiment);
-  // The acceptance bar for `dsketch repro --quick`: at least four
+  for (const Cell& cell : expand_cells(m)) {
+    experiments.insert(cell.experiment);
+  }
+  // The acceptance bar for the quick grid CI runs: at least four
   // distinct experiments in one invocation.
   EXPECT_GE(experiments.size(), 4u);
-}
-
-#ifdef DSKETCH_SOURCE_DIR
-TEST(Manifest, QuickTomlFileMatchesTheBuiltin) {
-  const Manifest file = load_manifest_file(
-      std::string(DSKETCH_SOURCE_DIR) + "/bench/manifests/quick.toml");
-  const Manifest builtin = parse_manifest(default_quick_manifest());
-  EXPECT_EQ(file.name, builtin.name);
-  EXPECT_EQ(file.base_seed, builtin.base_seed);
-  const std::vector<Cell> a = expand_cells(file);
-  const std::vector<Cell> b = expand_cells(builtin);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id(), b[i].id());
-  }
 }
 
 TEST(Manifest, FullTomlFileParses) {

@@ -3,11 +3,13 @@
 // outboxes drain one message per edge per round through a compacting
 // queue. These tests pin the observable contract of that machinery —
 // activation accounting, timer precision, FIFO through compaction,
-// canonical inbox order, async and threaded determinism.
+// canonical inbox order, async delays and the wake rule, async and
+// threaded determinism.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -303,8 +305,11 @@ TEST(SimEvent, AsyncDeliveryDeterministicForFixedSeed) {
 }
 
 TEST(SimEvent, AsyncRunsIdenticalAcrossWorkerThreads) {
-  // Async delivery itself is serial; parallel node stepping must not
-  // perturb the delay draws or the aggregate counters.
+  // Async delivery runs on the parallel receiver pull (every node is a
+  // receiver in the first rounds, past the pool's cut of 64). Each delay
+  // is keyed by (seed, half-edge, transmission count), so neither the
+  // parallel step nor the parallel pull may perturb the schedule or the
+  // aggregate counters.
   const Graph g = erdos_renyi(200, 0.03, {1, 5}, 19);
   auto run_stats = [&](unsigned threads) {
     Flood p(g.num_nodes());
@@ -320,6 +325,69 @@ TEST(SimEvent, AsyncRunsIdenticalAcrossWorkerThreads) {
   };
   const auto reference = run_stats(1);
   EXPECT_EQ(reference, run_stats(4));
+  EXPECT_EQ(reference, run_stats(8));
+}
+
+TEST(SimEvent, AsyncDelaysCoverTheRange) {
+  // Message i of a burst ships in round i. Under async_max_delay 4 its
+  // keyed delay lands it 1 to 4 rounds later, and a long burst sees every
+  // offset in that range.
+  constexpr std::size_t kBurst = 200;
+  const Graph g = path(2, {1, 1}, 0);
+  Burst p(kBurst);
+  SimConfig cfg;
+  cfg.async_max_delay = 4;
+  Simulator sim(g, p, cfg);
+  const SimStats stats = sim.run();
+  EXPECT_EQ(stats.messages, kBurst);
+  ASSERT_EQ(p.received_.size(), kBurst);
+  std::set<std::uint64_t> offsets;
+  for (std::size_t j = 0; j < kBurst; ++j) {
+    const std::uint64_t sent = p.received_[j];
+    ASSERT_GT(p.receive_rounds_[j], sent);
+    offsets.insert(p.receive_rounds_[j] - sent);
+  }
+  EXPECT_EQ(offsets, (std::set<std::uint64_t>{1, 2, 3, 4}));
+}
+
+TEST(SimEvent, DelayedOnlyReceiverIsNotStepped) {
+  // The one wake rule: a node is stepped if and only if something reached
+  // its inbox. Node 0 sends one message to node 1 in round 0. When the
+  // keyed delay holds it back, node 1 gets no on_round in round 1, only
+  // one in the round the message lands.
+  class OneShot : public Protocol {
+   public:
+    struct Step {
+      NodeId node;
+      std::uint64_t round;
+      std::size_t inbox;
+    };
+    void on_start(NodeCtx& ctx) override {
+      if (ctx.node() == 0) ctx.send(0, Message{1});
+    }
+    void on_round(NodeCtx& ctx) override {
+      steps_.push_back(Step{ctx.node(), ctx.round(), ctx.inbox().size()});
+    }
+    std::vector<Step> steps_;
+  };
+  const Graph g = path(2, {1, 1}, 0);
+  std::size_t delayed = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    OneShot p;
+    SimConfig cfg;
+    cfg.async_max_delay = 4;
+    cfg.async_seed = seed;
+    Simulator sim(g, p, cfg);
+    sim.run();
+    ASSERT_EQ(p.steps_.size(), 1u);
+    EXPECT_EQ(p.steps_[0].node, 1u);
+    EXPECT_EQ(p.steps_[0].inbox, 1u);
+    EXPECT_GE(p.steps_[0].round, 1u);
+    EXPECT_LE(p.steps_[0].round, 4u);
+    if (p.steps_[0].round > 1) ++delayed;
+  }
+  EXPECT_GT(delayed, 0u) << "no seed delayed the message: the test is vacuous";
 }
 
 TEST(SimEvent, PhaseLabelFlowsIntoStats) {

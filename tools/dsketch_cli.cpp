@@ -114,7 +114,7 @@ int usage() {
                "[--seed S] [--recover]   "
                "(corrupt a binary store; --recover runs the quarantine "
                "loader on the result)\n"
-               "  repro (--manifest FILE | --quick) [--out-dir DIR] "
+               "  repro --manifest FILE [--out-dir DIR] "
                "[--corpus-dir DIR] [--threads N] [--force] [--list] "
                "[--no-report] [--report FILE]\n");
   return 2;
@@ -471,8 +471,8 @@ int cmd_serve_bench(const FlagSet& flags) {
           .add("wall_seconds", stats.wall_seconds)
           .add("qps", stats.qps)
           .add("hit_rate", stats.hit_rate)
-          .add("p50_shard_batch_us", stats.p50_shard_batch_us)
-          .add("p99_shard_batch_us", stats.p99_shard_batch_us)
+          .add("p50_shard_batch_us", stats.slice_latency_us.p50)
+          .add("p99_shard_batch_us", stats.slice_latency_us.p99)
           .add("mismatches", static_cast<std::uint64_t>(mismatches))
           .emit();
       if (mismatches > 0) {
@@ -754,15 +754,8 @@ int cmd_faults(const FlagSet& flags) {
 /// validate are skipped, so an interrupted grid picks up where it left
 /// off; --force reruns everything.
 int cmd_repro(const FlagSet& flags) {
-  const exp::Manifest manifest = [&] {
-    if (flags.has("manifest")) {
-      return exp::load_manifest_file(flags.get("manifest", std::string{}));
-    }
-    if (flags.get_bool("quick")) {
-      return exp::parse_manifest(exp::default_quick_manifest());
-    }
-    throw std::runtime_error("repro needs --manifest FILE or --quick");
-  }();
+  const exp::Manifest manifest =
+      exp::load_manifest_file(flags.require("manifest"));
 
   const std::vector<exp::Cell> cells = exp::expand_cells(manifest);
   if (flags.get_bool("list")) {
