@@ -376,12 +376,13 @@ int run_e14(const FlagSet& flags, std::ostream& out) {
   double stale_rate = -1;
   double best_managed_rate = -1;
   // The whole policy sweep runs under a trace session: the resulting
-  // Chrome trace holds serve_batch / shard_slice / oracle_query spans on
-  // the serving thread interleaved with sketch_rebuild / oracle_swap on
-  // the controller — the hot-swap concurrency, visible. The trace is
-  // then re-parsed and span nesting verified per thread: an overlapping
-  // (non-nested) pair of spans on one thread would mean broken RAII
-  // scopes or a torn timestamp, and fails the run like a torn answer.
+  // Chrome trace holds serve_batch / shard_slice spans and sampled
+  // oracle_query spans (one query in 64 per shard) on the serving thread,
+  // interleaved with sketch_rebuild / oracle_swap on the controller — the
+  // hot-swap concurrency, visible. The trace is then re-parsed and span
+  // nesting verified per thread: an overlapping (non-nested) pair of
+  // spans on one thread would mean broken RAII scopes or a torn
+  // timestamp, and fails the run like a torn answer.
   const std::shared_ptr<obs::TraceSession> trace =
       obs::TraceSession::start(std::size_t{1} << 19);
   for (const std::string& policy : parse_name_list(flags.get(
@@ -445,7 +446,10 @@ int run_e14(const FlagSet& flags, std::ostream& out) {
        "(the hot-swap invariant); the serve-stale violation rate climbs "
        "with churn while rebuild/repair policies pull it back after each "
        "refresh; swap latency stays in microseconds, and QPS during a "
-       "background rebuild stays within the same order as steady-state.");
+       "background rebuild stays within the same order as steady-state. "
+       "obs_overhead is E7's measurement on this oracle; CI gates E7's row "
+       "(metrics at most 5%, tracing at most 10%), and quick-grid runs "
+       "read tracing 0-7% here.");
   return torn == 0 && unwritten == 0 && nesting_ok ? 0 : 1;
 }
 

@@ -106,7 +106,7 @@ void ReliableChannel::maintain(NodeCtx& ctx) {
         // behind CONGEST capacity — just push the deadline out.
         transmit(ctx, edge, e.unacked.front(), e.send_base);
         ++retransmits_;
-        e.rto = std::min(e.rto * 2, cfg_.max_rto);
+        e.rto = std::min(e.rto * 2, kMaxRto);
       }
       e.retry_at = now + e.rto;
     }

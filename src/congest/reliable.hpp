@@ -16,7 +16,7 @@
 //     on reverse traffic and cost a dedicated message only on silent edges;
 //   - the receiver delivers in order, buffering out-of-sequence frames and
 //     discarding duplicates/stale retransmissions;
-//   - on timeout (exponential backoff, rto ... max_rto) the sender
+//   - on timeout (exponential backoff, rto ... kMaxRto) the sender
 //     retransmits the base (oldest unacked) frame; the cumulative ack then
 //     re-synchronizes the window. Timeouts use NodeCtx::wake_at, so an idle
 //     network fast-forwards straight to the retry round.
@@ -41,9 +41,11 @@
 
 namespace dsketch {
 
+/// Exponential backoff ceiling for the retransmit timeout, in rounds.
+inline constexpr std::uint64_t kMaxRto = 1024;
+
 struct ReliableConfig {
   std::uint64_t rto = 16;       ///< initial retransmit timeout, in rounds
-  std::uint64_t max_rto = 1024; ///< exponential backoff ceiling
 };
 
 /// Per-node reliable transport over all incident edges. Usage, inside the

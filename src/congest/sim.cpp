@@ -85,7 +85,7 @@ Simulator::~Simulator() = default;
 ThreadPool* Simulator::pool() {
   if (cfg_.threads == 0) return &global_pool();
   if (own_pool_ == nullptr) {
-    own_pool_ = std::make_unique<ThreadPool>(cfg_.threads - 1);
+    own_pool_ = std::make_unique<ThreadPool>(cfg_.threads);
   }
   return own_pool_.get();
 }

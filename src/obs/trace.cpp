@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <ostream>
 #include <string>
 
@@ -16,23 +17,23 @@ std::uint64_t steady_ns() {
           .count());
 }
 
-// The installed session, behind a plain mutex. A mutex (rather than
-// std::atomic<shared_ptr>) because libstdc++'s atomic shared_ptr guards
-// its pointer with an embedded spinlock TSan cannot see through, so the
-// sanitizer job would flag every start()/active() pair; the lock is only
-// taken when tracing is enabled (the disabled fast path never gets
-// here), and enabled spans already serialize on the event-buffer mutex.
-// Function-local static so instrumented code in other translation units
-// is safe during static init/teardown.
-struct ActiveSlot {
-  std::mutex mu;
-  std::shared_ptr<TraceSession> session;
-};
-
-ActiveSlot& active_slot() {
-  static ActiveSlot slot;
-  return slot;
+// Stable small id for the calling thread, assigned on first use
+// process-wide (not per session, so long-lived pool threads keep theirs).
+std::uint32_t thread_id() {
+  static std::atomic<std::uint32_t> next{1};
+  thread_local std::uint32_t id =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return id;
 }
+
+// The process-wide recorder. Constant-initialized, so instrumented code
+// in other translation units may record during static initialization.
+struct Recorder {
+  std::mutex mu;
+  std::shared_ptr<TraceSession> open;  // guarded by mu
+  std::uint64_t last_number = 0;       // guarded by mu
+};
+constinit Recorder recorder;
 
 std::string json_escape(const char* s) {
   std::string out;
@@ -45,7 +46,7 @@ std::string json_escape(const char* s) {
 
 }  // namespace
 
-std::atomic<bool> TraceSession::enabled_flag_{false};
+std::atomic<std::uint64_t> TraceSession::open_session_{0};
 
 TraceSession::TraceSession(std::size_t max_events)
     : max_events_(max_events), epoch_ns_(steady_ns()) {
@@ -54,68 +55,30 @@ TraceSession::TraceSession(std::size_t max_events)
 
 std::shared_ptr<TraceSession> TraceSession::start(std::size_t max_events) {
   auto session = std::make_shared<TraceSession>(max_events);
-  ActiveSlot& slot = active_slot();
-  {
-    std::lock_guard<std::mutex> lock(slot.mu);
-    slot.session = session;
-  }
-  enabled_flag_.store(true, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(recorder.mu);
+  recorder.open = session;
+  open_session_.store(++recorder.last_number, std::memory_order_relaxed);
   return session;
 }
 
 std::shared_ptr<TraceSession> TraceSession::stop() {
-  enabled_flag_.store(false, std::memory_order_relaxed);
-  ActiveSlot& slot = active_slot();
-  std::lock_guard<std::mutex> lock(slot.mu);
-  return std::move(slot.session);
-}
-
-std::shared_ptr<TraceSession> TraceSession::active() {
-  if (!enabled()) return nullptr;
-  ActiveSlot& slot = active_slot();
-  std::lock_guard<std::mutex> lock(slot.mu);
-  return slot.session;
-}
-
-std::uint64_t TraceSession::now_ns() const {
-  const std::uint64_t now = steady_ns();
-  return now > epoch_ns_ ? now - epoch_ns_ : 0;
-}
-
-std::uint32_t TraceSession::thread_id() {
-  static std::atomic<std::uint32_t> next{1};
-  thread_local std::uint32_t id =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
-void TraceSession::add_event(const Event& ev) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (events_.size() >= max_events_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  events_.push_back(ev);
-}
-
-void TraceSession::add_complete(const char* name, std::uint64_t start_ns,
-                                std::uint64_t dur_ns, std::uint64_t value,
-                                bool has_value) {
-  add_event(Event{name, start_ns, dur_ns, value, thread_id(), 'X',
-                  has_value});
-}
-
-void TraceSession::add_counter(const char* name, std::uint64_t value) {
-  add_event(Event{name, now_ns(), 0, value, thread_id(), 'C', true});
+  std::lock_guard<std::mutex> lock(recorder.mu);
+  open_session_.store(0, std::memory_order_relaxed);
+  return std::move(recorder.open);
 }
 
 std::size_t TraceSession::event_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(recorder.mu);
   return events_.size();
 }
 
+std::uint64_t TraceSession::dropped() const {
+  std::lock_guard<std::mutex> lock(recorder.mu);
+  return dropped_;
+}
+
 void TraceSession::write_chrome_trace(std::ostream& out) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(recorder.mu);
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   char buf[64];
   bool first = true;
@@ -123,47 +86,43 @@ void TraceSession::write_chrome_trace(std::ostream& out) const {
     if (!first) out << ",";
     first = false;
     out << "{\"name\":\"" << json_escape(ev.name)
-        << "\",\"cat\":\"dsketch\",\"ph\":\"" << ev.phase
-        << "\",\"pid\":1,\"tid\":" << ev.tid;
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(ev.start_ns) / 1000.0);
-    out << ",\"ts\":" << buf;
-    if (ev.phase == 'X') {
-      std::snprintf(buf, sizeof(buf), "%.3f",
-                    static_cast<double>(ev.dur_ns) / 1000.0);
-      out << ",\"dur\":" << buf;
-    }
-    if (ev.phase == 'C') {
-      out << ",\"args\":{\"value\":" << ev.value << "}";
-    } else if (ev.has_value) {
-      out << ",\"args\":{\"v\":" << ev.value << "}";
-    }
+        << "\",\"cat\":\"dsketch\",\"ph\":\"X\",\"pid\":1,\"tid\":" << ev.tid;
+    std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f",
+                  static_cast<double>(ev.start_ns) / 1000.0,
+                  static_cast<double>(ev.dur_ns) / 1000.0);
+    out << buf;
+    if (ev.has_value) out << ",\"args\":{\"v\":" << ev.value << "}";
     out << "}";
   }
   out << "]}\n";
 }
 
-void Span::open(const char* name, std::uint64_t value, bool has_value) {
-  session_ = TraceSession::active();
-  if (!session_) return;
-  name_ = name;
-  value_ = value;
-  has_value_ = has_value;
-  start_ns_ = session_->now_ns();
+void Span::open() {
+  if (name_ == nullptr) {
+    session_ = 0;  // a sampled call site skipped this one
+    return;
+  }
+  start_ns_ = steady_ns();
 }
 
 void Span::close() {
-  const std::uint64_t end = session_->now_ns();
-  session_->add_complete(name_, start_ns_,
-                         end > start_ns_ ? end - start_ns_ : 0, value_,
-                         has_value_);
-  session_.reset();
-}
-
-void trace_counter(const char* name, std::uint64_t value) {
-  if (!TraceSession::enabled()) return;
-  const std::shared_ptr<TraceSession> s = TraceSession::active();
-  if (s) s->add_counter(name, value);
+  const std::uint64_t end = steady_ns();
+  const std::uint32_t tid = thread_id();
+  std::lock_guard<std::mutex> lock(recorder.mu);
+  if (TraceSession::open_session_.load(std::memory_order_relaxed) !=
+      session_) {
+    return;  // the session this span opened under is closed
+  }
+  TraceSession& s = *recorder.open;
+  if (s.events_.size() >= s.max_events_) {
+    ++s.dropped_;
+    return;
+  }
+  const std::uint64_t start =
+      start_ns_ > s.epoch_ns_ ? start_ns_ - s.epoch_ns_ : 0;
+  s.events_.push_back(TraceSession::Event{
+      name_, start, end > start_ns_ ? end - start_ns_ : 0, value_, tid,
+      has_value_});
 }
 
 }  // namespace dsketch::obs

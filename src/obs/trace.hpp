@@ -1,18 +1,16 @@
-// Chrome trace-event tracing: RAII spans + counter events, loadable in
-// Perfetto / chrome://tracing.
+// Chrome trace-event tracing: RAII spans, loadable in Perfetto /
+// chrome://tracing.
 //
-// Enablement model: a single process-wide session installed via
-// TraceSession::start(). The disabled fast path is one relaxed atomic
-// bool load per probe — no allocation, no shared_ptr traffic — so
-// instrumentation can live on hot-ish paths (per-shard slices, per-miss
-// oracle queries) without measurable cost when tracing is off; the
-// `obs_overhead` bench rows track that claim.
-//
-// Lifetime: Span holds a shared_ptr to its session, so a session
-// stopped (or replaced) while spans are still open on other threads
-// stays alive until the last span closes. Events recorded after stop()
-// land in the detached session's buffer and still serialize if the
-// caller kept the pointer.
+// One process-wide recorder holds at most one open session, opened by
+// TraceSession::start() and closed by stop(). Sessions are numbered. A
+// Span keeps the number of the session open when it opened (0 = none: a
+// disabled probe is one relaxed atomic load, with no allocation and no
+// refcount, so instrumentation can live on the serve path). On close it
+// appends one complete ('X') event under the recorder's single mutex, and
+// only if that same session is still open: a span that outlives its
+// session, across stop() or a later start(), is discarded. A session
+// therefore holds only spans that opened and closed inside it, and its
+// handle stays readable after stop().
 #pragma once
 
 #include <atomic>
@@ -20,104 +18,87 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace dsketch::obs {
 
 class TraceSession {
  public:
-  /// One trace event. `name` must be a string with static storage
-  /// duration (instrumentation passes literals); events are fixed-size
-  /// PODs so the buffer is a flat vector.
-  struct Event {
-    const char* name;
-    std::uint64_t start_ns;  ///< relative to session start
-    std::uint64_t dur_ns;    ///< complete events only
-    std::uint64_t value;     ///< span arg or counter value
-    std::uint32_t tid;       ///< per-session sequential thread id
-    char phase;              ///< 'X' complete span, 'C' counter
-    bool has_value;
-  };
+  explicit TraceSession(std::size_t max_events);
 
-  explicit TraceSession(std::size_t max_events = 1 << 18);
-
-  /// Creates a session and installs it as the process-wide active one
-  /// (replacing any previous session, which stays valid for readers).
+  /// Opens a new session, closing any open one, and returns its handle.
+  /// Events past `max_events` are dropped and counted.
   static std::shared_ptr<TraceSession> start(std::size_t max_events = 1 << 18);
 
-  /// Uninstalls and returns the active session (nullptr if none).
+  /// Closes the open session and returns its handle (nullptr if none).
   static std::shared_ptr<TraceSession> stop();
 
-  /// The active session, or nullptr. One relaxed load when disabled.
-  static std::shared_ptr<TraceSession> active();
   static bool enabled() {
-    return enabled_flag_.load(std::memory_order_relaxed);
+    return open_session_.load(std::memory_order_relaxed) != 0;
   }
 
-  /// Nanoseconds since session start (steady clock).
-  std::uint64_t now_ns() const;
-
-  void add_complete(const char* name, std::uint64_t start_ns,
-                    std::uint64_t dur_ns, std::uint64_t value,
-                    bool has_value);
-  void add_counter(const char* name, std::uint64_t value);
-
   /// {"traceEvents":[...]} — the subset of the Chrome trace-event JSON
-  /// format Perfetto ingests. Timestamps are microseconds (fractional).
+  /// format Perfetto ingests. Timestamps are microseconds (fractional)
+  /// since the session started.
   void write_chrome_trace(std::ostream& out) const;
 
   std::size_t event_count() const;
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
-  /// Stable small id for the calling thread, assigned on first use
-  /// process-wide (not per session: ids must not collide when sessions
-  /// overlap with long-lived pool threads).
-  static std::uint32_t thread_id();
+  std::uint64_t dropped() const;
 
  private:
-  void add_event(const Event& ev);
+  friend class Span;
 
-  static std::atomic<bool> enabled_flag_;
+  /// One complete span. `name` has static storage duration
+  /// (instrumentation passes literals), so events are fixed-size PODs.
+  struct Event {
+    const char* name;
+    std::uint64_t start_ns;  ///< relative to session start
+    std::uint64_t dur_ns;
+    std::uint64_t value;     ///< span arg, when has_value
+    std::uint32_t tid;       ///< small process-wide thread id
+    bool has_value;
+  };
+
+  /// Number of the open session, 0 when none; written under the
+  /// recorder's mutex.
+  static std::atomic<std::uint64_t> open_session_;
 
   const std::size_t max_events_;
-  std::uint64_t epoch_ns_;  // steady_clock origin for this session
-  mutable std::mutex mu_;
-  std::vector<Event> events_;
-  std::atomic<std::uint64_t> dropped_{0};
+  const std::uint64_t epoch_ns_;  // steady_clock origin for this session
+  std::vector<Event> events_;     // guarded by the recorder's mutex
+  std::uint64_t dropped_ = 0;     // likewise
 };
 
-/// RAII scope producing one complete ('X') event on destruction.
-/// Constructing with tracing disabled costs one relaxed load.
+/// RAII scope producing one complete ('X') event on destruction, if the
+/// session it opened under is still open then. With tracing disabled,
+/// constructing one costs one relaxed load. A null `name` records
+/// nothing: a sampled call site passes one for the calls it skips.
 class Span {
  public:
-  explicit Span(const char* name) {
-    if (TraceSession::enabled()) open(name, 0, false);
-  }
-  Span(const char* name, std::uint64_t value) {
-    if (TraceSession::enabled()) open(name, value, true);
-  }
+  explicit Span(const char* name) : Span(name, 0, false) {}
+  Span(const char* name, std::uint64_t value) : Span(name, value, true) {}
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   ~Span() {
-    if (session_) close();
+    if (session_ != 0) close();
   }
 
  private:
-  void open(const char* name, std::uint64_t value, bool has_value);
+  Span(const char* name, std::uint64_t value, bool has_value)
+      : session_(TraceSession::open_session_.load(std::memory_order_relaxed)),
+        name_(name),
+        value_(value),
+        has_value_(has_value) {
+    if (session_ != 0) open();
+  }
+  void open();
   void close();
 
-  std::shared_ptr<TraceSession> session_{};
-  const char* name_ = nullptr;
+  std::uint64_t session_;
+  const char* name_;
+  std::uint64_t value_;
+  bool has_value_;
   std::uint64_t start_ns_ = 0;
-  std::uint64_t value_ = 0;
-  bool has_value_ = false;
 };
-
-/// Emits a 'C' counter sample into the active session (no-op when
-/// tracing is disabled).
-void trace_counter(const char* name, std::uint64_t value);
 
 }  // namespace dsketch::obs

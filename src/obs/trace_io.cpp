@@ -231,11 +231,8 @@ std::vector<ParsedEvent> parse_chrome_trace(const std::string& text) {
       ev.has_dur = true;
     }
     if (const JsonValue* args = e.find("args")) {
-      if (const JsonValue* v = args->find("value")) {
+      if (const JsonValue* v = args->find("v")) {
         ev.arg_value = v->num;
-        ev.has_arg_value = true;
-      } else if (const JsonValue* v2 = args->find("v")) {
-        ev.arg_value = v2->num;
         ev.has_arg_value = true;
       }
     }

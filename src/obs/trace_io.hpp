@@ -3,7 +3,7 @@
 //
 // Not a general JSON library: it parses the full JSON grammar but only
 // retains the event fields the tests and bench verifiers need
-// (name/ph/tid/ts/dur/args.value). Used by obs_trace_test to round-trip
+// (name/ph/tid/ts/dur/args.v). Used by obs_trace_test to round-trip
 // TraceSession output and by bench_e14_dynamic to assert that spans
 // recorded across hot-swaps nest properly per thread.
 #pragma once

@@ -132,7 +132,14 @@ void QueryService::run_shard(Shard& shard, const BatchCtx& ctx,
       out[i] = *hit;
       continue;
     }
-    const obs::Span query_span("oracle_query");
+    // Per-query spans are sampled, as in Dapper (Sigelman et al., 2010):
+    // a miss opens one only when the shard's query count is a multiple of
+    // 64. A span per miss costs about as much as the label merge it
+    // times, so tracing every miss more than doubles the serve path;
+    // 1 in 64 keeps query shapes in the trace for a few percent.
+    // shard_slice and serve_batch spans stay exhaustive.
+    const obs::Span query_span((shard.queries & 63) == 0 ? "oracle_query"
+                                                         : nullptr);
     Dist d = kInfDist;
     if (query_primary(shard, snap, u, v, d)) {
       shard.cache.put(key, d);

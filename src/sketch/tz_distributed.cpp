@@ -46,7 +46,7 @@ class TzProtocol : public Protocol {
     }
     global_phase_ = static_cast<int>(k) - 1;
     if (reliable_) {
-      const ReliableConfig rc{ft.rto, ft.max_rto};
+      const ReliableConfig rc{ft.rto};
       rel_.reserve(n);
       for (NodeId u = 0; u < n; ++u) {
         rel_.emplace_back(static_cast<std::uint32_t>(g.degree(u)), rc);

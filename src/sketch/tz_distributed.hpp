@@ -61,7 +61,6 @@ enum class TerminationMode { kOracle, kEcho, kKnownS };
 struct TzFaultTolerance {
   bool enabled = false;
   std::uint64_t rto = 16;        ///< initial retransmit timeout (rounds)
-  std::uint64_t max_rto = 1024;  ///< exponential backoff ceiling
 };
 
 struct TzDistributedResult {

@@ -16,6 +16,8 @@
 #include "baselines/exact_oracle.hpp"
 #include "baselines/landmark.hpp"
 #include "graph/generators.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_io.hpp"
 #include "serve/sketch_store.hpp"
 #include "serve/workload.hpp"
 #include "util/lru_cache.hpp"
@@ -266,6 +268,37 @@ TEST(QueryService, ZipfWorkloadSkewsTowardHotPairs) {
   for (const auto& [key, c] : counts) max_count = std::max(max_count, c);
   // Rank-1 mass for s=1.2 over 64 ranks is ~23%; uniform would be ~1.6%.
   EXPECT_GT(max_count, draws / 10);
+}
+
+TEST(QueryService, TracesOneQueryIn64AndEverySlice) {
+  // One shard, no cache: every query is a miss, and the shard's query
+  // count runs 1..1000 across ten batches, so the 1-in-64 rule opens an
+  // oracle_query span at counts 64, 128, ..., 960.
+  const SketchStore store = make_store(Scheme::kThorupZwick);
+  QueryService service(store, {.shards = 1, .threads = 1});
+  std::vector<QueryService::Pair> pairs;
+  for (NodeId i = 0; i < 1000; ++i) pairs.emplace_back(i % 90, (i * 7) % 90);
+  const std::shared_ptr<obs::TraceSession> session =
+      obs::TraceSession::start();
+  std::vector<Dist> answers(100, 0);
+  for (std::size_t b = 0; b < 10; ++b) {
+    service.query_batch(std::span(pairs).subspan(b * 100, 100), answers);
+  }
+  obs::TraceSession::stop();
+  EXPECT_EQ(service.stats().cache_hits, 0u);
+
+  std::ostringstream json;
+  session->write_chrome_trace(json);
+  std::size_t query_spans = 0, slice_spans = 0, batch_spans = 0;
+  for (const obs::ParsedEvent& e : obs::parse_chrome_trace(json.str())) {
+    query_spans += e.name == "oracle_query";
+    slice_spans += e.name == "shard_slice";
+    batch_spans += e.name == "serve_batch";
+  }
+  EXPECT_EQ(query_spans, 1000u / 64u);
+  EXPECT_EQ(slice_spans, 10u);
+  EXPECT_EQ(batch_spans, 10u);
+  EXPECT_EQ(session->dropped(), 0u);
 }
 
 TEST(LruCache, EvictsLeastRecentlyUsed) {

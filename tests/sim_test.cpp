@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "congest/sim.hpp"
@@ -265,6 +269,59 @@ TEST(Simulator, DeterministicAcrossThreadCounts) {
   };
   EXPECT_EQ(run_flood(1), run_flood(4));
   EXPECT_EQ(run_flood(1), run_flood(0));  // 0 = hardware concurrency
+}
+
+/// Every node floods once and records the OS thread that stepped it. A
+/// step waits, within one shared budget of about a second, until
+/// `lanes` distinct threads have stepped nodes, so the run shows how many
+/// lanes the simulator's pool really has.
+class LaneProbeProtocol : public Protocol {
+ public:
+  explicit LaneProbeProtocol(std::size_t lanes)
+      : lanes_(lanes),
+        deadline_(std::chrono::steady_clock::now() + std::chrono::seconds(1)) {}
+
+  void on_start(NodeCtx& ctx) override {
+    note();
+    ctx.broadcast(Message{1});
+  }
+  void on_round(NodeCtx&) override { note(); }
+
+  std::size_t threads_seen() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return threads_.size();
+  }
+
+ private:
+  void note() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      threads_.insert(std::this_thread::get_id());
+    }
+    while (threads_seen() < lanes_ &&
+           std::chrono::steady_clock::now() < deadline_) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+
+  const std::size_t lanes_;
+  const std::chrono::steady_clock::time_point deadline_;
+  std::mutex mu_;
+  std::set<std::thread::id> threads_;  // guarded by mu_
+};
+
+TEST(Simulator, ThreadsSetsTheNumberOfSteppingLanes) {
+  // 128 nodes are active in each of the two rounds: the step fans out to
+  // the pool only from 64 active nodes up.
+  const Graph g = ring(128, {1, 1}, 0);
+  for (const unsigned threads : {2u, 3u, 4u}) {
+    LaneProbeProtocol p(threads);
+    SimConfig cfg;
+    cfg.threads = threads;
+    Simulator sim(g, p, cfg);
+    sim.run();
+    EXPECT_EQ(p.threads_seen(), threads) << "threads = " << threads;
+  }
 }
 
 TEST(Simulator, MessageSizeCapEnforced) {
