@@ -246,7 +246,8 @@ int run_e12(const FlagSet& flags, std::ostream& out) {
        "scales with threads on multi-core hosts; zipf hit rate rises with "
        "cache size and skew. obs_overhead is E7's measurement on this "
        "store; CI gates E7's row (metrics at most 5%, tracing at most "
-       "10%), and quick-grid runs read tracing 1-8% here.");
+       "10%); in quick grids, where this cell runs alone, tracing read "
+       "-5-7% here.");
   return 0;
 }
 

@@ -175,10 +175,10 @@ int run_e7(const FlagSet& flags, std::ostream& out) {
        "store and warm mmap columns differ only by noise; mmap_mismatches "
        "is exactly 0 (the cell fails otherwise), and the cold pass adds "
        "the page fault-in of the records it touches. obs_overhead (medians "
-       "of 15 interleaved off/metrics/trace passes, oracle_query spans "
-       "sampled 1 in 64): CI fails the build when this row reads metrics "
-       "above 5% or tracing above 10% at n=512, where runs read metrics "
-       "0-2% and tracing 3-5%.");
+       "of 15 interleaved off/metrics/trace passes; a slice's misses make "
+       "one oracle_batch span): CI fails the build when this row reads "
+       "metrics above 5% or tracing above 10% at n=512, where runs read "
+       "metrics -1-2% and tracing 1-4%.");
   // The crisp predicate: a mapped store answers exactly like the heap
   // store loaded from the same file.
   return mmap_mismatches == 0 ? 0 : 1;

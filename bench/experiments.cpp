@@ -23,7 +23,7 @@ const std::vector<Experiment>& experiment_registry() {
       {"e7", "query",
        "Per-query latency of every scheme, built vs loaded vs mmap store "
        "(Lemma 3.2)",
-       run_e7},
+       run_e7, /*alone=*/true},
       {"e8", "online",
        "Online query cost: no-preprocessing Omega(S) vs sketch exchange "
        "(section 2.1)",
@@ -38,24 +38,24 @@ const std::vector<Experiment>& experiment_registry() {
        "Stale sketches under edge failures, and rebuild cost", run_e11},
       {"e12", "serving",
        "Serving-tier throughput: store round trip + sharded query service",
-       run_e12},
+       run_e12, /*alone=*/true},
       {"e13", "kernel",
        "Shortest-path kernel: bucket vs heap engines, serial vs parallel "
        "TZ construction",
-       run_e13},
+       run_e13, /*alone=*/true},
       {"e14", "dynamic",
        "Live sketch refresh: serving through churn with incremental "
        "repair, rebuild policies, and zero-downtime hot-swap",
-       run_e14},
+       run_e14, /*alone=*/true},
       {"e15", "congest",
        "End-to-end CONGEST pipeline at scale: in-network build, Theorem "
        "1.1 round/message bound ratios, pack + serve verified against "
        "the centralized construction",
-       run_e15},
+       run_e15, /*alone=*/true},
       {"e16", "faults",
        "Fault injection and recovery: loss x crash sweep over seeded "
-       "FaultPlans, label identity under retransmission, degraded-mode "
-       "serving through the circuit breaker",
+       "FaultPlans, label identity under retransmission, and failover "
+       "to the previous generation when the serving oracle throws",
        run_e16},
   };
   return registry;

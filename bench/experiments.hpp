@@ -1,6 +1,7 @@
 // The experiment library: every paper experiment E1–E12 as a callable,
-// plus the systems experiments E13 (shortest-path kernel) and E14 (live
-// sketch refresh under churn).
+// plus the systems experiments E13 (shortest-path kernel), E14 (live
+// sketch refresh under churn), E15 (the CONGEST pipeline at scale) and E16
+// (fault injection and recovery).
 //
 // Each `run_eN` reproduces one experiment grid from the paper (see
 // docs/BENCHMARKS.md for what each measures and its flags), reads scale
@@ -10,7 +11,7 @@
 //   - the standalone bench binaries (bench_main.cpp shim, one per
 //     experiment, streaming to stdout),
 //   - `dsketch repro` (src/exp/runner.cpp, one output file per manifest
-//     cell, cells running in parallel), and
+//     cell, cells running in parallel except those marked `alone`), and
 //   - ad-hoc tooling that wants an experiment in-process.
 //
 // Functions are thread-safe with respect to each other: all state is
@@ -33,13 +34,16 @@ using ExperimentFn = int (*)(const FlagSet& flags, std::ostream& out);
 
 /// Registry entry describing one experiment.
 struct Experiment {
-  std::string id;     ///< short id: "e1" .. "e12" (manifest key)
+  std::string id;     ///< short id: "e1" .. "e16" (manifest key)
   std::string name;   ///< slug used in binary names, e.g. "tz_stretch"
   std::string title;  ///< one-line description for reports and --help
   ExperimentFn run;   ///< the entry point
+  /// The experiment times itself (latency, overhead or scaling rows), so
+  /// `dsketch repro` runs its cells after the others, one at a time.
+  bool alone = false;
 };
 
-/// All experiments, ordered e1..e14.
+/// All experiments, ordered e1..e16.
 const std::vector<Experiment>& experiment_registry();
 
 /// Looks an experiment up by id ("e7") or name ("query"); nullptr if

@@ -78,9 +78,9 @@ class DistanceOracle {
 
   /// Batched queries: out[i] = query(pairs[i]). out.size() must equal
   /// pairs.size(). The default implementation is a plain loop over
-  /// query() — already the right thing for packed, allocation-free
-  /// representations; oracles with per-query setup can override to hoist
-  /// it out of the loop.
+  /// query(); an oracle overrides it to hoist per-query setup out of the
+  /// loop or, as SketchStore does, to prefetch the records of later
+  /// pairs while earlier ones are answered.
   virtual void query_batch(std::span<const QueryPair> pairs,
                            std::span<Dist> out) const;
 

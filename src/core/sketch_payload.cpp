@@ -4,6 +4,7 @@
 
 #include "obs/trace.hpp"
 #include "sketch/hierarchy.hpp"
+#include "util/assert.hpp"
 
 namespace dsketch {
 
@@ -19,6 +20,48 @@ Dist SketchPayload::query(NodeId u, NodeId v) const {
       return graceful.query(u, v);
   }
   return kInfDist;
+}
+
+void SketchPayload::query_batch(std::span<const QueryPair> pairs,
+                                std::span<Dist> out) const {
+  DS_CHECK(pairs.size() == out.size());
+  // Group prefetching (Chen, Ailamaki, Gibbons & Mowry, ICDE 2004): while
+  // pair i merges, the first two cache lines of both records of pair i+8
+  // and the offset-table entries of pair i+16 are already on their way,
+  // so the record misses of a batch overlap instead of each stalling its
+  // own merge. A record's address is read from its offset entry, so the
+  // entries run another 8 pairs ahead. On a 100k-node TZ store, 8 pairs
+  // ahead beat 16; where the store fits in cache the hints cost nothing
+  // measurable.
+  constexpr std::size_t kRecordAhead = 8;
+  constexpr std::size_t kOffsetAhead = 16;
+  const std::size_t segments = num_segments();
+  const NodeId n = segments == 0 ? 0 : segment(0).num_records();
+  // Only ids that pass the check below are looked up ahead of it: an
+  // out-of-range id has no offset entry to read.
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (i + kOffsetAhead < pairs.size()) {
+      const auto [u, v] = pairs[i + kOffsetAhead];
+      if (u < n && v < n) {
+        for (std::size_t s = 0; s < segments; ++s) {
+          segment(s).prefetch_offset(u);
+          segment(s).prefetch_offset(v);
+        }
+      }
+    }
+    if (i + kRecordAhead < pairs.size()) {
+      const auto [u, v] = pairs[i + kRecordAhead];
+      if (u < n && v < n) {
+        for (std::size_t s = 0; s < segments; ++s) {
+          segment(s).prefetch_record(u);
+          segment(s).prefetch_record(v);
+        }
+      }
+    }
+    const auto [u, v] = pairs[i];
+    DS_CHECK(u < n && v < n);
+    out[i] = query(u, v);
+  }
 }
 
 std::size_t SketchPayload::size_words(NodeId u) const {

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,12 @@ struct SketchPayload {
 
   /// Distance estimate from the two nodes' sketches only.
   Dist query(NodeId u, NodeId v) const;
+
+  /// out[i] = query(pairs[i]) for every i, with the records of later
+  /// pairs prefetched while earlier ones merge. DS_CHECKs that every id
+  /// is a node of the payload and that out.size() == pairs.size().
+  void query_batch(std::span<const QueryPair> pairs,
+                   std::span<Dist> out) const;
 
   /// Words stored at node u, in the paper's accounting (2 words per
   /// pivot, bunch entry, net distance, and CDG net link).

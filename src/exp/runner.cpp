@@ -58,7 +58,8 @@ std::uint64_t derive_seed(std::uint64_t base_seed, const std::string& id) {
   return (base_seed + 1) * 0x9e3779b97f4a7c15ULL ^ fnv1a64(id);
 }
 
-void run_job(const Job& job, CellResult& result) {
+void run_job(const Job& job, const Timer& run_clock, CellResult& result) {
+  result.started = run_clock.seconds();
   Timer timer;
   fs::create_directories(job.tmp_dir);
 
@@ -178,9 +179,12 @@ RunSummary run_manifest(const Manifest& manifest, const RunOptions& options) {
 
     const bench::Experiment* exp = bench::find_experiment(cell.experiment);
     if (exp == nullptr) {
+      const std::vector<bench::Experiment>& known =
+          bench::experiment_registry();
       throw std::runtime_error("manifest cell " + cell.id() +
                                ": unknown experiment `" + cell.experiment +
-                               "` (known: e1..e14)");
+                               "` (known: " + known.front().id + ".." +
+                               known.back().id + ")");
     }
     if (!options.force && cell_output_valid(result.out_path, cell.id())) {
       result.status = CellResult::Status::kSkipped;
@@ -215,28 +219,37 @@ RunSummary run_manifest(const Manifest& manifest, const RunOptions& options) {
     jobs.push_back(std::move(job));
   }
 
+  // Cells of experiments marked `alone` (the timing-sensitive ones) run
+  // last, one at a time: a parallel neighbour would take their CPU, and
+  // its trace session would close theirs (there is one per process).
+  const auto parallel_jobs = static_cast<std::size_t>(
+      std::stable_partition(
+          jobs.begin(), jobs.end(),
+          [](const Job& job) { return !job.experiment->alone; }) -
+      jobs.begin());
+
   // Dynamic work queue on plain std::thread workers, each pulling the next
-  // pending job until the queue drains. Cells do not run as ThreadPool
-  // tasks: inside a pool task every nested parallel loop runs serially
-  // (tl_inside_pool), which would serialize the cells' own parallel
-  // builds and E12's service lanes.
+  // pending job below `end` until the queue drains. Cells do not run as
+  // ThreadPool tasks: inside a pool task every nested parallel loop runs
+  // serially (tl_inside_pool), which would serialize the cells' own
+  // parallel builds and E12's service lanes.
   std::map<std::string, CellResult*> result_by_id;
   for (CellResult& r : summary.cells) result_by_id[r.id] = &r;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   const std::size_t workers = std::max<std::size_t>(
       1, std::min<std::size_t>(
-             jobs.size(),
+             parallel_jobs,
              options.threads != 0 ? options.threads
                                   : std::thread::hardware_concurrency()));
-  auto worker = [&] {
+  auto worker = [&](std::size_t end) {
     for (;;) {
       const std::size_t i = next.fetch_add(1);
-      if (i >= jobs.size()) return;
+      if (i >= end) return;
       const Job& job = jobs[i];
       CellResult& result = *result_by_id.at(job.cell.id());
       try {
-        run_job(job, result);
+        run_job(job, total, result);
       } catch (const std::exception& e) {
         // run_job already contains the experiment's own try/catch; what
         // lands here is artifact I/O (disk full, out_dir removed). An
@@ -259,15 +272,19 @@ RunSummary run_manifest(const Manifest& manifest, const RunOptions& options) {
       }
     }
   };
-  if (jobs.size() <= 1 || workers == 1) {
-    worker();
+  if (parallel_jobs <= 1 || workers == 1) {
+    worker(parallel_jobs);
   } else {
     std::vector<std::thread> pool;
     pool.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(worker);
-    worker();
+    for (std::size_t w = 1; w < workers; ++w) {
+      pool.emplace_back(worker, parallel_jobs);
+    }
+    worker(parallel_jobs);
     for (auto& t : pool) t.join();
   }
+  next = parallel_jobs;
+  worker(jobs.size());
 
   for (const CellResult& r : summary.cells) {
     switch (r.status) {

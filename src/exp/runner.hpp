@@ -5,9 +5,12 @@
 /// the graph corpus once (exp/corpus_cache.hpp), then executes each cell's
 /// experiment in-process, writing one JSON-lines artifact per cell under
 /// `<out_dir>/cells/`. Independent cells run in parallel on a dynamic
-/// worker queue; determinism comes from the experiments themselves (all
-/// randomness is seeded) plus per-cell derived seeds, so thread count and
-/// scheduling never change results.
+/// worker queue; then the cells of experiments the registry marks
+/// `alone` (those that time themselves) run one at a time, so no
+/// neighbour shares their CPU or the process-wide trace session.
+/// Determinism comes from the experiments themselves (all randomness is
+/// seeded) plus per-cell derived seeds, so thread count and scheduling
+/// never change results.
 ///
 /// Resume semantics: a cell's artifact is written to a temp file and
 /// renamed only after the experiment succeeds, with a final
@@ -47,7 +50,8 @@ struct CellResult {
   std::string experiment;  ///< registry id, e.g. "e7"
   std::string out_path;    ///< artifact path (cells/<id>.jsonl)
   Status status = Status::kRan;  ///< how the cell ended
-  double seconds = 0;            ///< cell wall time (0 when skipped)
+  double started = 0;  ///< seconds from the run's start (0 when skipped)
+  double seconds = 0;  ///< cell wall time (0 when skipped)
   std::string error;             ///< set when status == kFailed
 };
 

@@ -1,8 +1,7 @@
 #include "serve/query_service.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
+#include <optional>
 
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -26,80 +25,44 @@ QueryService::QueryService(std::shared_ptr<const DistanceOracle> oracle,
   shards_.reserve(cfg.shards);
   for (std::size_t s = 0; s < cfg.shards; ++s) {
     shards_.emplace_back();
-    shards_.back().cache = LruCache<std::uint64_t, Dist>(cfg.cache_capacity);
+    shards_.back().cache = AnswerCache(cfg.cache_capacity);
   }
 }
 
-Dist QueryService::query_degraded(Shard& shard, const BatchCtx& ctx,
-                                  NodeId u, NodeId v) {
+void QueryService::answer_degraded(Shard& shard,
+                                   const PinnedSnapshots& pinned,
+                                   std::span<const Pair> pairs,
+                                   std::span<Dist> out) {
   // Failover chain: the previous published generation is the closest
   // approximation of current truth; an exact fallback recomputes from the
   // graph; with neither, kInfDist is a safe one-sided "don't know". Every
-  // branch may itself misbehave, so each is guarded — a throwing failover
+  // branch may itself throw, so each is guarded — a throwing failover
   // degrades further down the chain instead of killing the batch.
-  if (ctx.previous.oracle != nullptr) {
+  shard.failures += pairs.size();
+  const auto answered_by = [&](const DistanceOracle* oracle,
+                               std::uint64_t& counter) {
+    if (oracle == nullptr) return false;
     try {
-      const Dist d = ctx.previous.oracle->query(u, v);
-      ++shard.stale_answers;
-      return d;
+      oracle->query_batch(pairs, out);
     } catch (...) {
+      return false;
     }
+    counter += pairs.size();
+    return true;
+  };
+  if (answered_by(pinned.previous.oracle.get(), shard.stale_answers) ||
+      answered_by(cfg_.fallback.get(), shard.fallback_answers)) {
+    return;
   }
-  if (cfg_.fallback != nullptr) {
-    try {
-      const Dist d = cfg_.fallback->query(u, v);
-      ++shard.fallback_answers;
-      return d;
-    } catch (...) {
-    }
-  }
-  ++shard.shed_answers;
-  return kInfDist;
+  std::fill(out.begin(), out.end(), kInfDist);
+  shard.shed_answers += pairs.size();
 }
 
-bool QueryService::query_primary(Shard& shard, const OracleSnapshot& snap,
-                                 NodeId u, NodeId v, Dist& answer) {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      answer = snap.oracle->query(u, v);
-      return true;
-    } catch (...) {
-      if (attempt >= cfg_.max_retries) {
-        ++shard.failures;
-        return false;
-      }
-      ++shard.retries;
-      if (cfg_.retry_backoff_us > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(cfg_.retry_backoff_us << attempt));
-      }
-    }
-  }
-}
-
-void QueryService::run_shard(Shard& shard, const BatchCtx& ctx,
+void QueryService::run_shard(Shard& shard, const PinnedSnapshots& pinned,
                              std::span<const Pair> pairs,
                              std::span<Dist> out) {
   if (shard.slice.empty()) return;
-  const OracleSnapshot& snap = ctx.snap;
-  // Breaker gate: an open shard serves entirely from the failover chain
-  // until its cooldown elapses, then half-opens for one probe slice.
-  bool use_primary = true;
-  if (shard.breaker == Breaker::kOpen) {
-    if (ctx.batch >= shard.probe_batch) {
-      shard.breaker = Breaker::kHalfOpen;
-      ++shard.breaker_probes;
-    } else {
-      use_primary = false;
-    }
-  }
-  if (!use_primary) {
-    for (const std::uint32_t i : shard.slice) {
-      ++shard.queries;
-      out[i] = query_degraded(shard, ctx, pairs[i].first, pairs[i].second);
-    }
-    return;
-  }
+  const OracleSnapshot& snap = pinned.current;
   if (shard.cache_generation != snap.generation) {
     // The cache holds answers of an older oracle; generation tagging
     // makes the drop a per-shard O(entries) clear on first use instead
@@ -112,68 +75,69 @@ void QueryService::run_shard(Shard& shard, const BatchCtx& ctx,
   }
   const obs::Span slice_span("shard_slice",
                              static_cast<std::uint64_t>(shard.slice.size()));
-  const bool deadline_on = cfg_.shard_deadline_us > 0;
-  bool slice_failed = false;
-  bool over_deadline = false;
-  Timer timer;
+  std::optional<Timer> timer;
+  if (cfg_.collect_metrics) timer.emplace();
+
+  // Probe the cache for the whole slice and gather the misses.
+  shard.queries += shard.slice.size();
+  shard.misses.clear();
   for (const std::uint32_t i : shard.slice) {
     const auto [u, v] = pairs[i];
-    ++shard.queries;
-    if (over_deadline) {
-      // Budget exhausted: the slice's tail is served degraded so the batch
-      // still completes in bounded time.
-      out[i] = query_degraded(shard, ctx, u, v);
-      continue;
-    }
     const std::uint64_t key = snap.symmetric ? canonical_pair_key(u, v)
                                              : ordered_pair_key(u, v);
     if (const Dist* hit = shard.cache.get(key)) {
       ++shard.cache_hits;
       out[i] = *hit;
-      continue;
-    }
-    // Per-query spans are sampled, as in Dapper (Sigelman et al., 2010):
-    // a miss opens one only when the shard's query count is a multiple of
-    // 64. A span per miss costs about as much as the label merge it
-    // times, so tracing every miss more than doubles the serve path;
-    // 1 in 64 keeps query shapes in the trace for a few percent.
-    // shard_slice and serve_batch spans stay exhaustive.
-    const obs::Span query_span((shard.queries & 63) == 0 ? "oracle_query"
-                                                         : nullptr);
-    Dist d = kInfDist;
-    if (query_primary(shard, snap, u, v, d)) {
-      shard.cache.put(key, d);
-      out[i] = d;
     } else {
-      slice_failed = true;
-      out[i] = query_degraded(shard, ctx, u, v);
+      shard.misses.emplace_back(key, i);
     }
-    if (deadline_on &&
-        timer.seconds() * 1e6 > static_cast<double>(cfg_.shard_deadline_us)) {
-      over_deadline = true;
-      ++shard.deadline_violations;
-    }
-  }
-  if (cfg_.collect_metrics) {
-    shard.slice_latency_us.record(timer.seconds() * 1e6);
   }
 
-  // Breaker bookkeeping: one strike per failing slice, reset on a clean one.
-  if (slice_failed || over_deadline) {
-    ++shard.strikes;
-    const bool trip =
-        shard.breaker == Breaker::kHalfOpen ||
-        (cfg_.breaker_threshold > 0 && shard.strikes >= cfg_.breaker_threshold);
-    if (trip) {
-      if (shard.breaker != Breaker::kOpen) ++shard.breaker_opens;
-      shard.breaker = Breaker::kOpen;
-      shard.probe_batch = ctx.batch + 1 + cfg_.breaker_cooldown_batches;
-      shard.strikes = 0;
+  // With the cache on, a key repeated within the slice is merged once and
+  // its repeats are hits, as if the first answer had been cached at once:
+  // sorting by (key, index) puts each key's first occurrence first.
+  const bool merge_repeats = shard.cache.capacity() > 0;
+  if (merge_repeats) std::sort(shard.misses.begin(), shard.misses.end());
+  const auto repeat = [&](std::size_t j) {
+    return merge_repeats && j > 0 &&
+           shard.misses[j].first == shard.misses[j - 1].first;
+  };
+  shard.miss_pairs.clear();
+  for (std::size_t j = 0; j < shard.misses.size(); ++j) {
+    if (repeat(j)) {
+      ++shard.cache_hits;
+    } else {
+      shard.miss_pairs.push_back(pairs[shard.misses[j].second]);
     }
-  } else {
-    shard.strikes = 0;
-    shard.breaker = Breaker::kClosed;
   }
+
+  // One batch call answers the distinct misses.
+  shard.miss_answers.resize(shard.miss_pairs.size());
+  bool answered = true;
+  if (!shard.miss_pairs.empty()) {
+    const obs::Span batch_span(
+        "oracle_batch", static_cast<std::uint64_t>(shard.miss_pairs.size()));
+    try {
+      snap.oracle->query_batch(shard.miss_pairs, shard.miss_answers);
+    } catch (...) {
+      answered = false;
+    }
+  }
+  if (!answered) {
+    answer_degraded(shard, pinned, shard.miss_pairs, shard.miss_answers);
+  }
+
+  // Scatter the answers and fill the cache with the primary's.
+  std::size_t d = 0;  // the distinct miss that answers misses[j]
+  for (std::size_t j = 0; j < shard.misses.size(); ++j) {
+    const auto [key, i] = shard.misses[j];
+    if (!repeat(j)) {
+      if (j > 0) ++d;
+      if (answered) shard.cache.put(key, shard.miss_answers[d]);
+    }
+    out[i] = shard.miss_answers[d];
+  }
+  if (timer) shard.slice_latency_us.record(timer->seconds() * 1e6);
 }
 
 std::uint64_t QueryService::query_batch(std::span<const Pair> pairs,
@@ -185,11 +149,7 @@ std::uint64_t QueryService::query_batch(std::span<const Pair> pairs,
   // Pin one snapshot (and its failover predecessor) for the whole batch:
   // every pair is answered by the same oracle generation even if swap()
   // lands mid-batch. One lock takes both, so they are a consistent pair.
-  BatchCtx ctx;
-  auto [current, previous] = slot_.pin();
-  ctx.snap = std::move(current);
-  ctx.previous = std::move(previous);
-  ctx.batch = batches_;
+  const PinnedSnapshots pinned = slot_.pin();
   // Scatter pair indices to their owning shards (single pass, reused
   // buffers), then execute each shard's slice on the pool. out[] is
   // indexed by the original position, so answers are order-stable and
@@ -201,11 +161,11 @@ std::uint64_t QueryService::query_batch(std::span<const Pair> pairs,
     shards_[s].slice.push_back(static_cast<std::uint32_t>(i));
   }
   pool_.parallel_for(shards_.size(), [&](std::size_t s) {
-    run_shard(shards_[s], ctx, pairs, out);
+    run_shard(shards_[s], pinned, pairs, out);
   });
   ++batches_;
   wall_seconds_ += timer.seconds();
-  return ctx.snap.generation;
+  return pinned.current.generation;
 }
 
 Dist QueryService::query(NodeId u, NodeId v) {
@@ -233,14 +193,9 @@ QueryServiceStats QueryService::stats() const {
     s.shard_queries.push_back(shard.queries);
     latencies.merge(shard.slice_latency_us);
     s.query_failures += shard.failures;
-    s.query_retries += shard.retries;
-    s.deadline_violations += shard.deadline_violations;
-    s.breaker_opens += shard.breaker_opens;
-    s.breaker_probes += shard.breaker_probes;
     s.stale_answers += shard.stale_answers;
     s.fallback_answers += shard.fallback_answers;
     s.shed_answers += shard.shed_answers;
-    if (shard.breaker != Breaker::kClosed) ++s.breakers_open;
   }
   s.batches = batches_;
   s.swaps = swaps_.load(std::memory_order_relaxed);
@@ -263,10 +218,6 @@ void QueryService::reset_stats() {
     shard.invalidations = 0;
     shard.slice_latency_us.reset();
     shard.failures = 0;
-    shard.retries = 0;
-    shard.deadline_violations = 0;
-    shard.breaker_opens = 0;
-    shard.breaker_probes = 0;
     shard.stale_answers = 0;
     shard.fallback_answers = 0;
     shard.shed_answers = 0;
@@ -289,15 +240,9 @@ void QueryService::export_metrics(obs::MetricsRegistry& registry) const {
   registry.gauge("serve_qps").set(s.qps);
   registry.gauge("serve_hit_rate").set(s.hit_rate);
   registry.counter("serve_query_failures_total").set(s.query_failures);
-  registry.counter("serve_query_retries_total").set(s.query_retries);
-  registry.counter("serve_deadline_violations_total")
-      .set(s.deadline_violations);
-  registry.counter("serve_breaker_opens_total").set(s.breaker_opens);
-  registry.counter("serve_breaker_probes_total").set(s.breaker_probes);
   registry.counter("serve_stale_answers_total").set(s.stale_answers);
   registry.counter("serve_fallback_answers_total").set(s.fallback_answers);
   registry.counter("serve_shed_answers_total").set(s.shed_answers);
-  registry.gauge("serve_breakers_open").set(static_cast<double>(s.breakers_open));
   obs::LatencyHistogram& h = registry.histogram("serve_shard_slice_us");
   h.reset();
   for (const Shard& shard : shards_) h.merge(shard.slice_latency_us);

@@ -20,6 +20,21 @@
 /// valid) estimates and the service must reproduce the oracle's answer
 /// for the orientation actually asked.
 ///
+/// A shard serves its slice of a batch in three steps. It probes its
+/// answer cache (serve/answer_cache.hpp: 4-way sets of one cache line,
+/// LRU within a set) for every pair of the slice and gathers the misses;
+/// it answers the misses with one DistanceOracle::query_batch call, so a
+/// SketchStore can prefetch the records of later pairs while it merges
+/// earlier ones; then it fills the cache. A key repeated within one slice
+/// is merged once, and its repeats count as cache hits, as if the first
+/// answer had been cached at once.
+///
+/// Failover has one rule: a slice whose batch call throws is answered by
+/// the previous generation's oracle, else by QueryServiceConfig::fallback,
+/// else with kInfDist ("don't know", never a wrong finite distance). Those
+/// answers are never cached, and the next batch tries the primary again,
+/// so a primary that stops throwing serves at once.
+///
 /// The oracle lives behind a generation-tagged snapshot slot
 /// (serve/snapshot.hpp). swap() publishes a replacement under the slot's
 /// mutex: in-flight batches finish against the snapshot they pinned,
@@ -51,8 +66,8 @@
 
 #include "core/oracle.hpp"
 #include "obs/metrics.hpp"
+#include "serve/answer_cache.hpp"
 #include "serve/snapshot.hpp"
-#include "util/lru_cache.hpp"
 #include "util/pair_key.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -67,45 +82,26 @@ struct QueryServiceConfig {
   /// slices balanced — the auto default does.
   std::size_t shards = 0;
   std::size_t threads = 0;         ///< pool lanes; 0 = hardware concurrency
-  std::size_t cache_capacity = 0;  ///< per-shard LRU entries; 0 disables
+  /// Per-shard answer-cache entries (serve/answer_cache.hpp: 4-way sets,
+  /// LRU within a set), rounded up to whole sets; 0 disables the cache.
+  std::size_t cache_capacity = 0;
   /// When false, shard slices skip latency recording entirely (no timer
   /// read, no histogram update). The counters (queries/hits) still run —
   /// they are integral to cache behavior, not observability. This is the
   /// measured "observability off" mode of the obs_overhead bench rows.
   bool collect_metrics = true;
-
-  // ---- degraded-mode serving (all off by default) --------------------------
-  // A query that throws is retried with exponential backoff; a slice that
-  // still fails (or overruns its deadline) counts one strike against the
-  // shard's circuit breaker. After `breaker_threshold` consecutive strikes
-  // the breaker opens: the shard stops touching the primary oracle and
-  // serves from the previous OracleSlot generation if one exists, else from
-  // `fallback` (e.g. an ExactOracle recomputing BFS answers), else answers
-  // kInfDist ("don't know" — never a wrong finite distance). After
-  // `breaker_cooldown_batches` batches the breaker half-opens: one probe
-  // slice runs against the primary; success closes it, failure re-opens.
-  // Degraded answers bypass the shard cache (they belong to a different
-  // oracle identity), so a recovered shard never serves a stale mixture.
-
-  /// Wall-clock budget for one shard's slice of a batch, in microseconds.
-  /// Once exceeded, the rest of the slice is served degraded and the
-  /// overrun counts as a breaker strike. 0 disables deadlines.
-  std::uint64_t shard_deadline_us = 0;
-  std::uint32_t max_retries = 2;        ///< per-query retries on a throw
-  std::uint64_t retry_backoff_us = 50;  ///< first backoff; doubles per retry
-  /// Consecutive failing slices that open a shard's breaker; 0 disables
-  /// the breaker (failures still retry and fail over per query).
-  std::uint64_t breaker_threshold = 3;
-  std::uint64_t breaker_cooldown_batches = 4;  ///< open -> half-open probe
-  /// Last-line fallback oracle for broken shards when no previous
-  /// generation exists (typically baselines' ExactOracle over the graph).
+  /// Last-line failover oracle for a slice whose batch call throws when no
+  /// previous generation exists (typically baselines' ExactOracle over the
+  /// graph). See the file comment for the failover rule.
   std::shared_ptr<const DistanceOracle> fallback;
 };
 
 /// Service-wide roll-up of per-shard counters (see QueryService::stats).
 struct QueryServiceStats {
   std::uint64_t queries = 0;     ///< total pairs answered
-  std::uint64_t cache_hits = 0;  ///< answered from a shard LRU
+  /// Pairs answered without a merge: from a shard's cache, or as a repeat
+  /// of a pair missed earlier in the same slice.
+  std::uint64_t cache_hits = 0;
   std::uint64_t batches = 0;     ///< query_batch calls
   std::uint64_t swaps = 0;       ///< oracles hot-swapped in
   std::uint64_t generation = 0;  ///< current snapshot generation
@@ -117,17 +113,13 @@ struct QueryServiceStats {
   Summary slice_latency_us;
   std::vector<std::uint64_t> shard_queries;  ///< load balance view
 
-  // Degraded-mode decision counters (see QueryServiceConfig). Every
-  // degradation decision increments exactly one of these.
-  std::uint64_t query_failures = 0;    ///< primary queries failed post-retry
-  std::uint64_t query_retries = 0;     ///< individual retry attempts
-  std::uint64_t deadline_violations = 0;  ///< shard slices over budget
-  std::uint64_t breaker_opens = 0;     ///< closed/half-open -> open edges
-  std::uint64_t breaker_probes = 0;    ///< half-open probe slices run
+  // Failover counters (see the file comment). Every pair a throwing batch
+  // call left unanswered counts once in query_failures and once in exactly
+  // one of the three answer counters.
+  std::uint64_t query_failures = 0;    ///< pairs whose batch call threw
   std::uint64_t stale_answers = 0;     ///< served from previous generation
   std::uint64_t fallback_answers = 0;  ///< served from the fallback oracle
   std::uint64_t shed_answers = 0;      ///< kInfDist, no failover available
-  std::uint64_t breakers_open = 0;     ///< shards currently open/half-open
 };
 
 /// The sharded batch query engine (see the file comment for the model).
@@ -185,12 +177,8 @@ class QueryService {
   std::size_t num_threads() const { return pool_.size() + 1; }
 
  private:
-  /// Per-shard circuit breaker state (see QueryServiceConfig's degraded-
-  /// mode comment for the transition rules).
-  enum class Breaker { kClosed, kOpen, kHalfOpen };
-
   struct Shard {
-    LruCache<std::uint64_t, Dist> cache;
+    AnswerCache cache;
     /// Generation whose answers the cache holds; a batch under a newer
     /// snapshot clears the cache before serving from it.
     std::uint64_t cache_generation = 0;
@@ -201,16 +189,15 @@ class QueryService {
     /// histogram (~0.8% relative error): bounded under sustained load,
     /// merged across shards at stats() time without a copy+sort.
     obs::LatencyHistogram slice_latency_us;
-    std::vector<std::uint32_t> slice;  ///< scratch: pair indices this batch
+    // Scratch reused across batches: the pair indices of this batch's
+    // slice, its cache misses as (key, pair index), and the distinct
+    // missed pairs with their answers (the batch call's input and output).
+    std::vector<std::uint32_t> slice;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> misses;
+    std::vector<Pair> miss_pairs;
+    std::vector<Dist> miss_answers;
 
-    Breaker breaker = Breaker::kClosed;
-    std::uint64_t strikes = 0;       ///< consecutive failing slices
-    std::uint64_t probe_batch = 0;   ///< batch at which open -> half-open
     std::uint64_t failures = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t deadline_violations = 0;
-    std::uint64_t breaker_opens = 0;
-    std::uint64_t breaker_probes = 0;
     std::uint64_t stale_answers = 0;
     std::uint64_t fallback_answers = 0;
     std::uint64_t shed_answers = 0;
@@ -226,22 +213,13 @@ class QueryService {
     return static_cast<std::size_t>((z ^ (z >> 31)) % shards_.size());
   }
 
-  /// Everything one batch hands every shard: the pinned primary snapshot
-  /// plus the degraded-mode failover targets, resolved once per batch.
-  struct BatchCtx {
-    OracleSnapshot snap;      ///< pinned primary
-    OracleSnapshot previous;  ///< pinned with snap; oracle null before swap 1
-    std::uint64_t batch = 0;  ///< batch sequence number (breaker clock)
-  };
-
-  void run_shard(Shard& shard, const BatchCtx& ctx,
+  void run_shard(Shard& shard, const PinnedSnapshots& pinned,
                  std::span<const Pair> pairs, std::span<Dist> out);
-  /// Answers one pair from the failover chain (previous generation, then
-  /// fallback, then kInfDist), bumping the matching decision counter.
-  Dist query_degraded(Shard& shard, const BatchCtx& ctx, NodeId u, NodeId v);
-  /// Primary query with retry/backoff; false once retries are exhausted.
-  bool query_primary(Shard& shard, const OracleSnapshot& snap, NodeId u,
-                     NodeId v, Dist& answer);
+  /// Answers a slice's missed pairs from the failover chain (previous
+  /// generation, then fallback, then kInfDist) after the primary's batch
+  /// call threw, bumping the matching counters.
+  void answer_degraded(Shard& shard, const PinnedSnapshots& pinned,
+                       std::span<const Pair> pairs, std::span<Dist> out);
 
   OracleSlot slot_;
   QueryServiceConfig cfg_;

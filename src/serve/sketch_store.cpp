@@ -75,6 +75,11 @@ Dist SketchStore::query(NodeId u, NodeId v) const {
   return payload_.query(u, v);
 }
 
+void SketchStore::query_batch(std::span<const QueryPair> pairs,
+                              std::span<Dist> out) const {
+  payload_.query_batch(pairs, out);
+}
+
 std::size_t SketchStore::size_words(NodeId u) const {
   DS_CHECK(u < n_);
   return payload_.size_words(u);

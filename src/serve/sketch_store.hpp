@@ -59,6 +59,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -110,8 +111,7 @@ enum class StoreFormat { kV3 = 3 };
 /// DistanceOracle — what the registry's "tz", "slack", "cdg" and
 /// "graceful" entries build and load — so anything that takes an oracle
 /// (the query service, evaluate_stretch, the benches) serves straight
-/// from its label plane; the inherited query_batch is the zero-alloc
-/// query path.
+/// from its label plane.
 class SketchStore final : public DistanceOracle {
  public:
   /// An empty store (no nodes); fill via the build constructor,
@@ -174,6 +174,11 @@ class SketchStore final : public DistanceOracle {
   /// Distance estimate from the two nodes' sketches only; allocation-free
   /// and safe to call concurrently from any number of threads.
   Dist query(NodeId u, NodeId v) const override;
+  /// out[i] = query(pairs[i]) through SketchPayload::query_batch, which
+  /// prefetches the records of later pairs while earlier ones merge: the
+  /// query service's path for a shard slice's cache misses.
+  void query_batch(std::span<const QueryPair> pairs,
+                   std::span<Dist> out) const override;
 
   /// Words stored at node u in the paper's accounting — the same number
   /// the build-side oracle reports.

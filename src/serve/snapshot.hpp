@@ -37,7 +37,7 @@ struct OracleSnapshot {
 };
 
 /// What a batch pins: the current snapshot and the one it displaced (the
-/// degraded-mode failover target of the query service's circuit breaker;
+/// query service's failover target for a slice whose batch call throws;
 /// its oracle is null until the first store()).
 struct PinnedSnapshots {
   OracleSnapshot current;   ///< what answers the batch

@@ -4,12 +4,12 @@
 /// Two shapes cover the serving-tier cases of interest: `uniform` draws
 /// independent random pairs (worst case for any cache), and `zipf` draws
 /// from a fixed universe of hot pairs with Zipf(s) popularity — the
-/// heavy-traffic pattern that per-shard LRUs are built for (a small head
-/// of pairs dominates the stream). The zipf universe holds *distinct*
-/// non-self pairs: duplicate draws and u == u pairs are rejected during
-/// sampling, so every rank maps to its own pair and the realized
-/// popularity distribution is the configured Zipf (aliased ranks used to
-/// silently merge their mass onto one pair).
+/// heavy-traffic pattern that per-shard answer caches are built for (a
+/// small head of pairs dominates the stream). The zipf universe holds
+/// *distinct* non-self pairs: duplicate draws and u == u pairs are
+/// rejected during sampling, so every rank maps to its own pair and the
+/// realized popularity distribution is the configured Zipf (aliased ranks
+/// used to silently merge their mass onto one pair).
 #pragma once
 
 #include <algorithm>

@@ -139,6 +139,61 @@ TEST(Runner, RunsResumesAndForces) {
   EXPECT_EQ(fourth.ran, 2u);
 }
 
+TEST(Runner, AloneCellsRunAfterTheRestOneAtATime) {
+  // e7 and e12 time themselves and are marked alone; e2 and e10 are not.
+  // On four workers every cell could start at once, yet no alone cell may
+  // overlap another cell in time.
+  const TempPath scratch_dir = scratch("runner_alone");
+  const Manifest manifest = parse_manifest(R"(
+name = "alone"
+seed = 3
+
+[corpus.ring64]
+topology = "ring"
+n = 64
+
+[[cell]]
+experiment = "e2"
+nmax = 256
+kmax = 2
+
+[[cell]]
+experiment = "e7"
+graph = "ring64"
+queries = 200
+
+[[cell]]
+experiment = "e10"
+
+[[cell]]
+experiment = "e12"
+graph = "ring64"
+queries = 2000
+threads = "1"
+batch = "256"
+)");
+  RunOptions opts;
+  opts.out_dir = scratch_dir.str();
+  opts.threads = 4;
+  const RunSummary summary = run_manifest(manifest, opts);
+  ASSERT_TRUE(summary.ok());
+  ASSERT_EQ(summary.ran, 4u);
+  const auto overlap = [](const CellResult& a, const CellResult& b) {
+    return a.started < b.started + b.seconds &&
+           b.started < a.started + a.seconds;
+  };
+  for (const CellResult& a : summary.cells) {
+    if (a.experiment != "e7" && a.experiment != "e12") continue;
+    for (const CellResult& b : summary.cells) {
+      if (&a == &b) continue;
+      EXPECT_FALSE(overlap(a, b))
+          << a.experiment << " [" << a.started << ", "
+          << a.started + a.seconds << ") overlaps " << b.experiment << " ["
+          << b.started << ", " << b.started + b.seconds << ")";
+    }
+  }
+}
+
 TEST(Runner, UnknownExperimentFailsFast) {
   const TempPath scratch_dir = scratch("runner_bad");
   const fs::path dir = scratch_dir.str();

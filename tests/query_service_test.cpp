@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -18,9 +16,9 @@
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_io.hpp"
+#include "serve/answer_cache.hpp"
 #include "serve/sketch_store.hpp"
 #include "serve/workload.hpp"
-#include "util/lru_cache.hpp"
 
 namespace dsketch {
 namespace {
@@ -50,6 +48,43 @@ std::vector<QueryService::Pair> all_pairs_sample(NodeId n) {
   }
   return pairs;
 }
+
+/// Wraps an oracle, counts the queries it answers, and throws on query
+/// while `sick` — the failure injector for the failover path. Thread-safe:
+/// shards query concurrently.
+class FlakyOracle final : public DistanceOracle {
+ public:
+  explicit FlakyOracle(const DistanceOracle& inner) : inner_(inner) {}
+
+  Dist query(NodeId u, NodeId v) const override {
+    if (sick_.load(std::memory_order_relaxed)) {
+      throw std::runtime_error("flaky oracle is sick");
+    }
+    merges_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.query(u, v);
+  }
+  NodeId num_nodes() const override { return inner_.num_nodes(); }
+  std::size_t size_words(NodeId u) const override {
+    return inner_.size_words(u);
+  }
+  std::string scheme() const override { return inner_.scheme(); }
+  std::string guarantee() const override { return inner_.guarantee(); }
+  Capabilities capabilities() const override {
+    return inner_.capabilities();
+  }
+  void save(std::ostream& out) const override { inner_.save(out); }
+
+  void set_sick(bool sick) { sick_.store(sick, std::memory_order_relaxed); }
+  /// Queries answered (not thrown).
+  std::uint64_t merges() const {
+    return merges_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  const DistanceOracle& inner_;
+  std::atomic<bool> sick_{false};
+  mutable std::atomic<std::uint64_t> merges_{0};
+};
 
 TEST(QueryService, BatchAnswersMatchStoreForEveryScheme) {
   for (const Scheme scheme : {Scheme::kThorupZwick, Scheme::kSlack,
@@ -270,131 +305,165 @@ TEST(QueryService, ZipfWorkloadSkewsTowardHotPairs) {
   EXPECT_GT(max_count, draws / 10);
 }
 
-TEST(QueryService, TracesOneQueryIn64AndEverySlice) {
-  // One shard, no cache: every query is a miss, and the shard's query
-  // count runs 1..1000 across ten batches, so the 1-in-64 rule opens an
-  // oracle_query span at counts 64, 128, ..., 960.
+/// Counts each kind of span in `session`'s trace, and sums the arguments
+/// of the oracle_batch spans.
+struct SpanCounts {
+  std::size_t batch = 0, slice = 0, oracle_batch = 0, oracle_query = 0;
+  double oracle_batch_pairs = 0;
+};
+SpanCounts count_spans(const obs::TraceSession& session) {
+  std::ostringstream json;
+  session.write_chrome_trace(json);
+  SpanCounts c;
+  for (const obs::ParsedEvent& e : obs::parse_chrome_trace(json.str())) {
+    c.batch += e.name == "serve_batch";
+    c.slice += e.name == "shard_slice";
+    c.oracle_query += e.name == "oracle_query";
+    if (e.name == "oracle_batch") {
+      ++c.oracle_batch;
+      c.oracle_batch_pairs += e.arg_value;
+    }
+  }
+  return c;
+}
+
+TEST(QueryService, TracesEverySliceAndItsBatchCall) {
+  // One shard, no cache: every query is a miss, so each of the ten
+  // batches runs one slice whose 100 misses go to one oracle_batch call.
   const SketchStore store = make_store(Scheme::kThorupZwick);
   QueryService service(store, {.shards = 1, .threads = 1});
   std::vector<QueryService::Pair> pairs;
   for (NodeId i = 0; i < 1000; ++i) pairs.emplace_back(i % 90, (i * 7) % 90);
-  const std::shared_ptr<obs::TraceSession> session =
-      obs::TraceSession::start();
+  std::shared_ptr<obs::TraceSession> session = obs::TraceSession::start();
   std::vector<Dist> answers(100, 0);
   for (std::size_t b = 0; b < 10; ++b) {
     service.query_batch(std::span(pairs).subspan(b * 100, 100), answers);
   }
   obs::TraceSession::stop();
   EXPECT_EQ(service.stats().cache_hits, 0u);
-
-  std::ostringstream json;
-  session->write_chrome_trace(json);
-  std::size_t query_spans = 0, slice_spans = 0, batch_spans = 0;
-  for (const obs::ParsedEvent& e : obs::parse_chrome_trace(json.str())) {
-    query_spans += e.name == "oracle_query";
-    slice_spans += e.name == "shard_slice";
-    batch_spans += e.name == "serve_batch";
-  }
-  EXPECT_EQ(query_spans, 1000u / 64u);
-  EXPECT_EQ(slice_spans, 10u);
-  EXPECT_EQ(batch_spans, 10u);
+  SpanCounts c = count_spans(*session);
+  EXPECT_EQ(c.batch, 10u);
+  EXPECT_EQ(c.slice, 10u);
+  EXPECT_EQ(c.oracle_batch, 10u);
+  EXPECT_EQ(c.oracle_batch_pairs, 1000.0);  // the span's argument: misses
+  EXPECT_EQ(c.oracle_query, 0u);
   EXPECT_EQ(session->dropped(), 0u);
+
+  // With a warm cache a slice has no misses and makes no batch call.
+  QueryService cached(store,
+                      {.shards = 1, .threads = 1, .cache_capacity = 4096});
+  const auto first = std::span(pairs).first(100);
+  cached.query_batch(first, answers);
+  session = obs::TraceSession::start();
+  cached.query_batch(first, answers);
+  obs::TraceSession::stop();
+  c = count_spans(*session);
+  EXPECT_EQ(c.slice, 1u);
+  EXPECT_EQ(c.oracle_batch, 0u);
 }
 
-TEST(LruCache, EvictsLeastRecentlyUsed) {
-  LruCache<int, int> cache(2);
-  cache.put(1, 10);
-  cache.put(2, 20);
-  ASSERT_NE(cache.get(1), nullptr);  // touch 1; 2 becomes LRU
-  cache.put(3, 30);                  // evicts 2
-  EXPECT_EQ(cache.get(2), nullptr);
-  ASSERT_NE(cache.get(1), nullptr);
-  EXPECT_EQ(*cache.get(1), 10);
-  ASSERT_NE(cache.get(3), nullptr);
-  EXPECT_EQ(*cache.get(3), 30);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-// ---- degraded-mode serving -------------------------------------------------
-
-/// Wraps an oracle and throws on query while `sick` — the failure injector
-/// for the deadline/retry/circuit-breaker path. `fail_first` makes each
-/// distinct (u, v) call fail that many times before succeeding (retry
-/// coverage). Thread-safe: shards query concurrently.
-class FlakyOracle final : public DistanceOracle {
- public:
-  explicit FlakyOracle(const DistanceOracle& inner, int fail_first = 0)
-      : inner_(inner), fail_first_(fail_first) {}
-
-  Dist query(NodeId u, NodeId v) const override {
-    if (sick_.load(std::memory_order_relaxed)) {
-      throw std::runtime_error("flaky oracle is sick");
-    }
-    if (fail_first_ > 0) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(u) << 32) | static_cast<std::uint64_t>(v);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (attempts_[key]++ < fail_first_) {
-        throw std::runtime_error("flaky oracle transient failure");
-      }
-    }
-    return inner_.query(u, v);
-  }
-  NodeId num_nodes() const override { return inner_.num_nodes(); }
-  std::size_t size_words(NodeId u) const override {
-    return inner_.size_words(u);
-  }
-  std::string scheme() const override { return inner_.scheme(); }
-  std::string guarantee() const override { return inner_.guarantee(); }
-  Capabilities capabilities() const override {
-    return inner_.capabilities();
-  }
-  void save(std::ostream& out) const override { inner_.save(out); }
-
-  void set_sick(bool sick) { sick_.store(sick, std::memory_order_relaxed); }
-
- private:
-  const DistanceOracle& inner_;
-  int fail_first_;
-  std::atomic<bool> sick_{false};
-  mutable std::mutex mu_;
-  mutable std::unordered_map<std::uint64_t, int> attempts_;
-};
-
-QueryServiceConfig degraded_config() {
-  QueryServiceConfig cfg;
-  cfg.shards = 4;
-  cfg.threads = 2;
-  cfg.max_retries = 1;
-  cfg.retry_backoff_us = 0;  // keep the test fast
-  cfg.breaker_threshold = 2;
-  cfg.breaker_cooldown_batches = 3;
-  return cfg;
-}
-
-TEST(QueryServiceDegraded, TransientFailuresRetryToTheRightAnswer) {
+TEST(QueryService, RepeatedKeyInASliceIsMergedOnce) {
+  // One shard, one batch, a cold cache: pair (3, 40) appears 1 + 5 times
+  // among 20 distinct pairs. Its repeats are answered from the first
+  // occurrence's merge and counted as hits, as if it had been cached at
+  // once.
   const SketchStore store = make_store(Scheme::kThorupZwick);
-  FlakyOracle flaky(store, /*fail_first=*/1);
-  QueryServiceConfig cfg = degraded_config();
-  cfg.cache_capacity = 0;
-  QueryService service(flaky, cfg);
-  const auto pairs = all_pairs_sample(store.num_nodes());
+  FlakyOracle counting(store);
+  QueryService service(counting,
+                       {.shards = 1, .threads = 1, .cache_capacity = 64});
+  std::vector<QueryService::Pair> pairs;
+  for (NodeId u = 0; u < 20; ++u) pairs.emplace_back(u, 60 - u);
+  const QueryService::Pair repeated{3, 40};
+  for (const std::size_t at : {0, 4, 9, 10, 17, 23}) {
+    pairs.insert(pairs.begin() + static_cast<std::ptrdiff_t>(at), repeated);
+  }
   std::vector<Dist> answers(pairs.size(), 0);
   service.query_batch(pairs, answers);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(answers[i], store.query(pairs[i].first, pairs[i].second));
   }
-  const QueryServiceStats s = service.stats();
-  EXPECT_GT(s.query_retries, 0u);
-  EXPECT_EQ(s.query_failures, 0u);
-  EXPECT_EQ(s.breaker_opens, 0u);
+  EXPECT_EQ(counting.merges(), 21u);  // 20 distinct pairs + (3, 40) once
+  EXPECT_EQ(service.stats().cache_hits, 5u);
+  EXPECT_EQ(service.stats().queries, pairs.size());
+}
+
+TEST(AnswerCache, EvictsLeastRecentlyUsedWithinASet) {
+  AnswerCache cache(4);  // one set: every key shares it
+  for (std::uint64_t k = 1; k <= 4; ++k) cache.put(k, 10 * k);
+  ASSERT_NE(cache.get(1), nullptr);  // touch 1; 2 becomes least recent
+  cache.put(5, 50);                  // evicts 2
+  EXPECT_EQ(cache.get(2), nullptr);
+  for (const std::uint64_t k : {1, 3, 4, 5}) {
+    const Dist* hit = cache.get(k);
+    ASSERT_NE(hit, nullptr) << k;
+    EXPECT_EQ(*hit, 10 * k);
+  }
+  EXPECT_EQ(cache.size(), 4u);
+  // Recency now runs 5, 4, 3, 1 (most recent first): 1 goes next.
+  cache.put(6, 60);
+  EXPECT_EQ(cache.get(1), nullptr);
+  EXPECT_NE(cache.get(3), nullptr);
+}
+
+TEST(AnswerCache, PutOverwritesExistingKey) {
+  AnswerCache cache(4);
+  cache.put(1, 10);
+  cache.put(1, 11);
+  ASSERT_NE(cache.get(1), nullptr);
+  EXPECT_EQ(*cache.get(1), 11u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(AnswerCache, ZeroCapacityDisables) {
+  AnswerCache cache(0);
+  cache.put(1, 10);
+  EXPECT_EQ(cache.get(1), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.capacity(), 0u);
+}
+
+TEST(AnswerCache, ClearEmptiesAndKeepsWorking) {
+  AnswerCache cache(64);
+  for (std::uint64_t k = 0; k < 40; ++k) cache.put(k, k);
+  EXPECT_GT(cache.size(), 0u);
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  for (std::uint64_t k = 0; k < 40; ++k) EXPECT_EQ(cache.get(k), nullptr);
+  cache.put(7, 70);
+  ASSERT_NE(cache.get(7), nullptr);
+  EXPECT_EQ(*cache.get(7), 70u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(AnswerCache, RoundsCapacityUpToWholeSets) {
+  EXPECT_EQ(AnswerCache(1).capacity(), 4u);
+  EXPECT_EQ(AnswerCache(4).capacity(), 4u);
+  EXPECT_EQ(AnswerCache(5).capacity(), 8u);
+  EXPECT_EQ(AnswerCache(4095).capacity(), 4096u);
+  // A one-entry request still gets a whole set: four keys fit.
+  AnswerCache one(1);
+  for (std::uint64_t k = 0; k < 4; ++k) one.put(ordered_pair_key(k, 9), k);
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    EXPECT_NE(one.get(ordered_pair_key(k, 9)), nullptr) << k;
+  }
+  EXPECT_EQ(one.size(), 4u);
+}
+
+// ---- failover ----------------------------------------------------------------
+
+QueryServiceConfig degraded_config() {
+  QueryServiceConfig cfg;
+  cfg.shards = 4;
+  cfg.threads = 2;
+  cfg.cache_capacity = 4096;
+  return cfg;
 }
 
 TEST(QueryServiceDegraded, BreakerFailsOverToPreviousGenerationExactly) {
-  // gen 1 = healthy store, gen 2 = sick oracle. Once shards trip their
-  // breakers, every answer must equal the previous generation's oracle
-  // bit-for-bit: zero incorrect answers while circuit-broken (the PR's
-  // acceptance bar), visible in the stale-answer counter.
+  // gen 1 = healthy store, gen 2 = sick oracle. Every slice whose batch
+  // call throws is answered by the previous generation's oracle
+  // bit-for-bit — zero incorrect answers — and none of those answers is
+  // cached: the pairs repeat across batches, so a cached one would hit.
   const auto store =
       std::make_shared<SketchStore>(make_store(Scheme::kThorupZwick));
   auto sick = std::make_shared<FlakyOracle>(*store);
@@ -405,7 +474,8 @@ TEST(QueryServiceDegraded, BreakerFailsOverToPreviousGenerationExactly) {
   service.swap(sick);   // gen 2: current oracle is sick
   const auto pairs = all_pairs_sample(store->num_nodes());
   std::vector<Dist> answers(pairs.size(), 0);
-  for (int batch = 0; batch < 6; ++batch) {
+  constexpr int kBatches = 3;
+  for (int batch = 0; batch < kBatches; ++batch) {
     service.query_batch(pairs, answers);
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       EXPECT_EQ(answers[i], store->query(pairs[i].first, pairs[i].second))
@@ -413,14 +483,18 @@ TEST(QueryServiceDegraded, BreakerFailsOverToPreviousGenerationExactly) {
     }
   }
   const QueryServiceStats s = service.stats();
-  EXPECT_GT(s.query_failures, 0u);
-  EXPECT_GT(s.breaker_opens, 0u);
-  EXPECT_GT(s.breakers_open, 0u);
-  EXPECT_GT(s.stale_answers, 0u);
+  EXPECT_EQ(s.cache_hits, 0u);
+  EXPECT_EQ(s.query_failures, kBatches * pairs.size());
+  EXPECT_EQ(s.stale_answers, s.query_failures);
+  EXPECT_EQ(s.fallback_answers, 0u);
   EXPECT_EQ(s.shed_answers, 0u);
 }
 
 TEST(QueryServiceDegraded, BreakerClosesAgainAfterRecovery) {
+  // While the primary throws, the previous generation answers. Once it
+  // stops, the very next batch is served by the primary: the failover's
+  // answers were never cached, so every pair reaches it — and its own
+  // answers are cached for the batch after.
   const auto store =
       std::make_shared<SketchStore>(make_store(Scheme::kThorupZwick));
   auto flaky = std::make_shared<FlakyOracle>(*store);
@@ -430,18 +504,20 @@ TEST(QueryServiceDegraded, BreakerClosesAgainAfterRecovery) {
   flaky->set_sick(true);
   const auto pairs = all_pairs_sample(store->num_nodes());
   std::vector<Dist> answers(pairs.size(), 0);
-  for (int batch = 0; batch < 4; ++batch) service.query_batch(pairs, answers);
-  ASSERT_GT(service.stats().breakers_open, 0u);
-  // Oracle heals; after the cooldown the half-open probes succeed and all
-  // breakers close again.
+  service.query_batch(pairs, answers);
+  ASSERT_EQ(service.stats().stale_answers, pairs.size());
+
   flaky->set_sick(false);
-  for (int batch = 0; batch < 8; ++batch) service.query_batch(pairs, answers);
-  const QueryServiceStats s = service.stats();
-  EXPECT_EQ(s.breakers_open, 0u);
-  EXPECT_GT(s.breaker_probes, 0u);
+  service.query_batch(pairs, answers);
+  EXPECT_EQ(flaky->merges(), pairs.size());
+  EXPECT_EQ(service.stats().stale_answers, pairs.size());  // no new ones
+  EXPECT_EQ(service.stats().cache_hits, 0u);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(answers[i], store->query(pairs[i].first, pairs[i].second));
   }
+  service.query_batch(pairs, answers);
+  EXPECT_EQ(flaky->merges(), pairs.size());
+  EXPECT_EQ(service.stats().cache_hits, pairs.size());
 }
 
 TEST(QueryServiceDegraded, FallbackOracleServesWhenNoPreviousGeneration) {
@@ -486,45 +562,6 @@ TEST(QueryServiceDegraded, NoFailoverShedsWithInfDist) {
   EXPECT_GT(service.stats().shed_answers, 0u);
 }
 
-TEST(QueryServiceDegraded, DeadlineOverrunsAreCountedAndServedDegraded) {
-  // An oracle that dawdles: with a microscopic slice deadline the tail of
-  // each slice is served by the fallback; answers stay correct because
-  // the fallback is the same store.
-  const SketchStore store = make_store(Scheme::kThorupZwick, 60);
-  class SlowOracle final : public DistanceOracle {
-   public:
-    explicit SlowOracle(const SketchStore& s) : s_(s) {}
-    Dist query(NodeId u, NodeId v) const override {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      return s_.query(u, v);
-    }
-    NodeId num_nodes() const override { return s_.num_nodes(); }
-    std::size_t size_words(NodeId u) const override {
-      return s_.size_words(u);
-    }
-    std::string scheme() const override { return s_.scheme(); }
-    std::string guarantee() const override { return s_.guarantee(); }
-    Capabilities capabilities() const override { return s_.capabilities(); }
-    void save(std::ostream& out) const override { s_.save(out); }
-
-   private:
-    const SketchStore& s_;
-  } slow(store);
-  QueryServiceConfig cfg = degraded_config();
-  cfg.shard_deadline_us = 50;
-  cfg.fallback = borrow_oracle(store);
-  QueryService service(slow, cfg);
-  const auto pairs = all_pairs_sample(store.num_nodes());
-  std::vector<Dist> answers(pairs.size(), 0);
-  service.query_batch(pairs, answers);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(answers[i], store.query(pairs[i].first, pairs[i].second));
-  }
-  const QueryServiceStats s = service.stats();
-  EXPECT_GT(s.deadline_violations, 0u);
-  EXPECT_GT(s.fallback_answers, 0u);
-}
-
 TEST(QueryServiceDegraded, MetricsExportEveryDegradationDecision) {
   const SketchStore store = make_store(Scheme::kThorupZwick, 40);
   FlakyOracle sick(store);
@@ -539,40 +576,10 @@ TEST(QueryServiceDegraded, MetricsExportEveryDegradationDecision) {
   registry.write_prometheus(out);
   const std::string text = out.str();
   for (const char* name :
-       {"serve_query_failures_total", "serve_query_retries_total",
-        "serve_deadline_violations_total", "serve_breaker_opens_total",
-        "serve_breaker_probes_total", "serve_stale_answers_total",
-        "serve_fallback_answers_total", "serve_shed_answers_total",
-        "serve_breakers_open"}) {
+       {"serve_query_failures_total", "serve_stale_answers_total",
+        "serve_fallback_answers_total", "serve_shed_answers_total"}) {
     EXPECT_NE(text.find(name), std::string::npos) << name;
   }
-}
-
-TEST(LruCache, PutOverwritesExistingKey) {
-  LruCache<int, int> cache(2);
-  cache.put(1, 10);
-  cache.put(1, 11);
-  ASSERT_NE(cache.get(1), nullptr);
-  EXPECT_EQ(*cache.get(1), 11);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(LruCache, ZeroCapacityDisables) {
-  LruCache<int, int> cache(0);
-  cache.put(1, 10);
-  EXPECT_EQ(cache.get(1), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(LruCache, ClearEmptiesAndKeepsWorking) {
-  LruCache<int, int> cache(3);
-  for (int i = 0; i < 5; ++i) cache.put(i, i);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.get(4), nullptr);
-  cache.put(7, 70);
-  ASSERT_NE(cache.get(7), nullptr);
-  EXPECT_EQ(*cache.get(7), 70);
 }
 
 }  // namespace

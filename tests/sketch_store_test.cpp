@@ -408,6 +408,66 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, StoreRecoverySchemes,
                                            Scheme::kSlack, Scheme::kCdg,
                                            Scheme::kGraceful));
 
+// The prefetching batch path answers exactly like the per-pair path for
+// every scheme and every way a store comes to be, at batch sizes on both
+// sides of its prefetch distances (8 and 16 pairs ahead).
+TEST(SketchStore, QueryBatchEqualsQuery) {
+  const Graph g = erdos_renyi(60, 0.1, {1, 7}, 29);
+  const NodeId n = g.num_nodes();
+  const NodeId victim = 7;
+  Rng rng(5);
+  std::vector<QueryPair> pairs;
+  for (int i = 0; i < 1000; ++i) {
+    pairs.emplace_back(static_cast<NodeId>(rng.below(n)),
+                       static_cast<NodeId>(rng.below(n)));
+  }
+  pairs[3] = {victim, 11};
+  pairs[12] = {12, victim};
+  for (const Scheme scheme : {Scheme::kThorupZwick, Scheme::kSlack,
+                              Scheme::kCdg, Scheme::kGraceful}) {
+    const SketchStore built(g, config_for(scheme));
+    const TempPath path = unique_temp_path("batch.bin");
+    built.save_file(path);
+    const SketchStore loaded = SketchStore::load_file(path);
+    const std::unique_ptr<SketchStore> mapped = SketchStore::open(path);
+    // Recovered: the victim's record stomped in every segment.
+    std::string bytes;
+    {
+      std::ifstream in(path.str(), std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    const V3Map map(bytes, n, built.num_segments());
+    std::string broken = bytes;
+    for (std::size_t s = 0; s < built.num_segments(); ++s) {
+      for (std::size_t i = map.record(bytes, s, victim);
+           i < map.record(bytes, s, victim + 1); ++i) {
+        broken[i] = static_cast<char>(0xff);
+      }
+    }
+    write_bytes(path, broken);
+    const SketchStore::Recovery recovered = SketchStore::recover_file(path);
+    ASSERT_EQ(recovered.quarantined, std::vector<NodeId>{victim});
+    ASSERT_EQ(recovered.store.query(victim, 11), kInfDist);
+
+    const SketchStore* const stores[] = {&built, &loaded, mapped.get(),
+                                         &recovered.store};
+    for (const SketchStore* store : stores) {
+      for (const std::size_t size : {0, 1, 7, 8, 9, 16, 17, 1000}) {
+        const std::span<const QueryPair> batch =
+            std::span(pairs).first(size);
+        std::vector<Dist> out(size, 12345);
+        store->query_batch(batch, out);
+        for (std::size_t i = 0; i < size; ++i) {
+          EXPECT_EQ(out[i], store->query(batch[i].first, batch[i].second))
+              << scheme_name(scheme) << " batch of " << size << " pair "
+              << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(SketchStoreRecoveryGraceful, TailTruncationKeepsEarlierLevels) {
   // Graceful stores hold one segment per epsilon level; each level alone
   // is a complete (coarser) oracle. Cutting the file inside the last
