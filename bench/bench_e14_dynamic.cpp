@@ -35,7 +35,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -45,7 +44,6 @@
 #include "dynamics/incremental.hpp"
 #include "dynamics/update_stream.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_io.hpp"
 #include "obs_overhead.hpp"
 #include "serve/query_service.hpp"
 #include "serve/workload.hpp"
@@ -379,9 +377,9 @@ int run_e14(const FlagSet& flags, std::ostream& out) {
   // Chrome trace holds serve_batch / shard_slice / oracle_batch spans (one
   // batch call per slice with cache misses) on the serving thread,
   // interleaved with sketch_rebuild / oracle_swap on the controller — the
-  // hot-swap concurrency, visible. The trace is then re-parsed and span
-  // nesting verified per thread: an overlapping (non-nested) pair of
-  // spans on one thread would mean broken RAII scopes or a torn
+  // hot-swap concurrency, visible. The session's spans are then checked
+  // for nesting per thread, in memory: an overlapping (non-nested) pair
+  // of spans on one thread would mean broken RAII scopes or a torn
   // timestamp, and fails the run like a torn answer.
   const std::shared_ptr<obs::TraceSession> trace =
       obs::TraceSession::start(std::size_t{1} << 19);
@@ -400,32 +398,17 @@ int run_e14(const FlagSet& flags, std::ostream& out) {
   }
 
   obs::TraceSession::stop();
-  bool nesting_ok = false;
-  std::string trace_error;
-  std::size_t trace_events = 0;
-  {
-    std::ostringstream trace_json;
-    trace->write_chrome_trace(trace_json);
-    if (flags.has("trace-out")) {
-      const std::string path = flags.get("trace-out", std::string{});
-      std::ofstream f(path);
-      if (!f) throw std::runtime_error("cannot open --trace-out: " + path);
-      f << trace_json.str();
-    }
-    try {
-      const std::vector<obs::ParsedEvent> events =
-          obs::parse_chrome_trace(trace_json.str());
-      trace_events = events.size();
-      trace_error = obs::check_span_nesting(events);
-      nesting_ok = trace_error.empty();
-    } catch (const std::exception& e) {
-      trace_error = e.what();
-    }
+  if (flags.has("trace-out")) {
+    const std::string path = flags.get("trace-out", std::string{});
+    std::ofstream f(path);
+    if (!f) throw std::runtime_error("cannot open --trace-out: " + path);
+    trace->write_chrome_trace(f);
   }
+  const std::string trace_error = trace->check_nesting();
   row("e14", "trace_check")
-      .add("events", static_cast<std::uint64_t>(trace_events))
+      .add("events", static_cast<std::uint64_t>(trace->event_count()))
       .add("dropped", trace->dropped())
-      .add("nesting_ok", nesting_ok)
+      .add("nesting_ok", trace_error.empty())
       .add("error", trace_error)
       .emit(out);
 
@@ -450,7 +433,7 @@ int run_e14(const FlagSet& flags, std::ostream& out) {
        "obs_overhead is E7's measurement on this oracle; CI gates E7's row "
        "(metrics at most 5%, tracing at most 10%); in quick grids, where "
        "this cell runs alone, tracing read 3-4% here.");
-  return torn == 0 && unwritten == 0 && nesting_ok ? 0 : 1;
+  return torn == 0 && unwritten == 0 && trace_error.empty() ? 0 : 1;
 }
 
 }  // namespace dsketch::bench

@@ -3,7 +3,7 @@
 // Lemma 3.1: E[|L(u)|] = O(k n^{1/k}) words. Lemma 3.6: per-level bunches
 // exceed 3 n^{1/k} ln n with probability <= 1/n^3. We sweep n and k, report
 // mean and max label sizes normalized by k*n^{1/k}, and count nodes whose
-// label exceeds the whp bound (expected: 0).
+// label exceeds the whp bound. Exits 1 when any row counts one.
 //
 // The paper's word model (size_words) bills 4 bytes per u32 word; the
 // store's bit-packed record (sketch/tz_label.hpp) spends far less per
@@ -26,6 +26,7 @@ int run_e2(const FlagSet& flags, std::ostream& out) {
   const auto kmax =
       static_cast<std::uint32_t>(flags.get("kmax", std::int64_t{4}));
 
+  std::size_t rows_over = 0;
   for (const NodeId n : {256u, 512u, 1024u, 2048u}) {
     if (n > nmax) continue;
     const Graph g = erdos_renyi(n, 8.0 / n, {1, 12}, 9);
@@ -48,6 +49,7 @@ int run_e2(const FlagSet& flags, std::ostream& out) {
         encoded.add(static_cast<double>(store.encoded_record_bytes(u)));
         if (w > whp_bound) ++over;
       }
+      if (over > 0) ++rows_over;
       row("e2", "label_words")
           .add("n", static_cast<std::uint64_t>(n))
           .add("k", k)
@@ -64,10 +66,12 @@ int run_e2(const FlagSet& flags, std::ostream& out) {
     }
   }
   note(out, "e2",
-       "Expected shape: mean/(k n^{1/k}) stays O(1) (roughly flat in n); "
-       "no node exceeds the whp bound; encoded_compression >= 2x (the "
-       "bit-packed record vs the 4-bytes-per-word model).");
-  return 0;
+       "Expected shape: no node exceeds the whp bound (checked: the run "
+       "exits 1 when any label_words row has nodes_over_bound above 0). "
+       "Not checked, read at default flags: mean/(k n^{1/k}) 1.76-2.47 "
+       "with no trend in n, max_words at most a fifth of the bound, and "
+       "encoded_compression 2.62-4.08.");
+  return rows_over == 0 ? 0 : 1;
 }
 
 }  // namespace dsketch::bench

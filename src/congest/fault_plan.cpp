@@ -52,15 +52,6 @@ FaultPlan::FaultPlan(const Graph& g, FaultConfig cfg) : cfg_(cfg) {
       link_down_[g.twin(u, local)] = window;
     }
   }
-
-  for (const CrashEvent& c : crashes_) {
-    event_rounds_.push_back(c.at);
-    event_rounds_.push_back(c.restart);
-  }
-  std::sort(event_rounds_.begin(), event_rounds_.end());
-  event_rounds_.erase(
-      std::unique(event_rounds_.begin(), event_rounds_.end()),
-      event_rounds_.end());
 }
 
 }  // namespace dsketch

@@ -123,12 +123,6 @@ class FaultPlan {
     return round >= it->second.from && round < it->second.until;
   }
 
-  /// Rounds at which the simulator must act even if the network is idle
-  /// (crash and restart rounds), sorted ascending.
-  const std::vector<std::uint64_t>& event_rounds() const {
-    return event_rounds_;
-  }
-
  private:
   static constexpr std::uint64_t kDropSalt = 0xd509;
   static constexpr std::uint64_t kDupSalt = 0xd0b1e;
@@ -144,7 +138,6 @@ class FaultPlan {
   // Down interval per affected half-edge (both directions of a sampled
   // undirected link map to the same interval).
   std::unordered_map<std::size_t, DownInterval> link_down_;
-  std::vector<std::uint64_t> event_rounds_;
 };
 
 }  // namespace dsketch

@@ -33,8 +33,8 @@ void DistanceOracle::save(std::ostream& out) const {
     throw std::runtime_error("oracle scheme '" + scheme() +
                              "' does not support save");
   }
-  write_envelope_header(out, scheme(), num_nodes(), envelope_k(),
-                        envelope_epsilon());
+  // No saved baseline has an epsilon; the header records 0.
+  write_envelope_header(out, scheme(), num_nodes(), envelope_k(), 0.0);
   save_payload(out);
 }
 

@@ -122,9 +122,8 @@ class DistanceOracle {
   /// unsupported".
   virtual void save_payload(std::ostream& out) const;
 
-  /// Envelope header fields; schemes without the parameter write 0.
+  /// Envelope header k; schemes without the parameter write 0.
   virtual std::uint32_t envelope_k() const { return 0; }
-  virtual double envelope_epsilon() const { return 0.0; }
 };
 
 }  // namespace dsketch

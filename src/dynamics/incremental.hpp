@@ -112,8 +112,6 @@ class TzDynamicSketch {
   /// Distance-increasing updates absorbed since the last rebuild — the
   /// count of latent guarantee violations repair could not prevent.
   std::size_t unrepaired_since_rebuild() const { return unrepaired_; }
-  /// The current re-exploration bound (largest stored label distance).
-  Dist exploration_bound() const { return bound_; }
   /// The live labels (test hook: repair exactness is checked entry by
   /// entry against fresh ground truth).
   const LabelArena& labels() const { return labels_; }

@@ -226,16 +226,4 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
   }
 }
 
-void MetricsRegistry::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 }  // namespace dsketch::obs

@@ -140,8 +140,8 @@ class LatencyHistogram {
 };
 
 /// Named metric directory. counter()/gauge()/histogram() return stable
-/// references (the registry never erases; clear() is test-only and must
-/// not race with holders). Exporters walk the directory in name order.
+/// references (the registry never erases). Exporters walk the directory
+/// in name order.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
@@ -155,12 +155,6 @@ class MetricsRegistry {
   /// Prometheus text exposition: counters/gauges as single samples,
   /// histograms as summaries with quantile labels.
   void write_prometheus(std::ostream& out) const;
-
-  /// Drops every metric. Test-only: invalidates outstanding references.
-  void clear();
-
-  /// Process-wide registry for code without an explicit sink.
-  static MetricsRegistry& global();
 
  private:
   mutable std::mutex mu_;

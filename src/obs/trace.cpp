@@ -1,10 +1,12 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <tuple>
 
 namespace dsketch::obs {
 
@@ -75,6 +77,41 @@ std::size_t TraceSession::event_count() const {
 std::uint64_t TraceSession::dropped() const {
   std::lock_guard<std::mutex> lock(recorder.mu);
   return dropped_;
+}
+
+std::vector<TraceSession::Event> TraceSession::events() const {
+  std::lock_guard<std::mutex> lock(recorder.mu);
+  return events_;
+}
+
+std::string TraceSession::check_nesting() const {
+  std::vector<Event> spans = events();
+  // By thread, then by start; at a start tie the longer span is the
+  // parent and comes first.
+  std::sort(spans.begin(), spans.end(), [](const Event& a, const Event& b) {
+    return std::tie(a.tid, a.start_ns, b.dur_ns) <
+           std::tie(b.tid, b.start_ns, a.dur_ns);
+  });
+  const auto end_ns = [](const Event& e) { return e.start_ns + e.dur_ns; };
+  const auto describe = [&](const Event& e) {
+    return "\"" + std::string(e.name) + "\" [" + std::to_string(e.start_ns) +
+           ", " + std::to_string(end_ns(e)) + ") ns";
+  };
+  std::vector<const Event*> enclosing;  // innermost last
+  for (const Event& s : spans) {
+    if (!enclosing.empty() && enclosing.back()->tid != s.tid) {
+      enclosing.clear();
+    }
+    while (!enclosing.empty() && end_ns(*enclosing.back()) <= s.start_ns) {
+      enclosing.pop_back();
+    }
+    if (!enclosing.empty() && end_ns(s) > end_ns(*enclosing.back())) {
+      return "tid " + std::to_string(s.tid) + ": span " + describe(s) +
+             " crosses span " + describe(*enclosing.back());
+    }
+    enclosing.push_back(&s);
+  }
+  return "";
 }
 
 void TraceSession::write_chrome_trace(std::ostream& out) const {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace dsketch::obs {
@@ -45,9 +46,6 @@ class TraceSession {
   std::size_t event_count() const;
   std::uint64_t dropped() const;
 
- private:
-  friend class Span;
-
   /// One complete span. `name` has static storage duration
   /// (instrumentation passes literals), so events are fixed-size PODs.
   struct Event {
@@ -58,6 +56,17 @@ class TraceSession {
     std::uint32_t tid;       ///< small process-wide thread id
     bool has_value;
   };
+
+  /// A copy of the session's spans, in the order they closed.
+  std::vector<Event> events() const;
+
+  /// "" when the spans form a forest on every thread, else a one-line
+  /// description of the first two spans on one thread that overlap
+  /// without one containing the other. Compares exact nanoseconds.
+  std::string check_nesting() const;
+
+ private:
+  friend class Span;
 
   /// Number of the open session, 0 when none; written under the
   /// recorder's mutex.

@@ -15,8 +15,6 @@
 #include <ostream>
 #include <string>
 
-#include "util/stats.hpp"
-
 namespace dsketch::bench {
 
 class JsonLine {
@@ -43,16 +41,6 @@ class JsonLine {
   }
   JsonLine& add(const std::string& key, bool value) {
     return raw(key, value ? "true" : "false");
-  }
-
-  /// Emits `<prefix>_mean/p50/p95/p99/max` from a Summary — the shared
-  /// shape for any latency/size/stretch distribution in harness output.
-  JsonLine& add_summary(const std::string& prefix, const Summary& s) {
-    add(prefix + "_mean", s.mean);
-    add(prefix + "_p50", s.p50);
-    add(prefix + "_p95", s.p95);
-    add(prefix + "_p99", s.p99);
-    return add(prefix + "_max", s.max);
   }
 
   /// The serialized object, `{...}` (no trailing newline).

@@ -110,11 +110,4 @@ class SampleSet {
   Accumulator acc_;
 };
 
-/// One-shot summary of a raw sample vector.
-inline Summary summarize(const std::vector<double>& xs) {
-  SampleSet set;
-  for (const double x : xs) set.add(x);
-  return set.summary();
-}
-
 }  // namespace dsketch

@@ -233,17 +233,6 @@ TEST(MetricsRegistry, StableRefsAndExporters) {
   EXPECT_NE(p.find("# TYPE latency_us summary"), std::string::npos);
   EXPECT_NE(p.find("latency_us{quantile=\"0.5\"}"), std::string::npos);
   EXPECT_NE(p.find("latency_us_count 2"), std::string::npos);
-
-  reg.clear();
-  std::ostringstream empty;
-  reg.write_json(empty);
-  EXPECT_TRUE(empty.str().empty());
-}
-
-TEST(MetricsRegistry, GlobalIsASingleton) {
-  MetricsRegistry& a = MetricsRegistry::global();
-  MetricsRegistry& b = MetricsRegistry::global();
-  EXPECT_EQ(&a, &b);
 }
 
 }  // namespace

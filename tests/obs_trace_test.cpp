@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -9,7 +11,6 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "obs/trace_io.hpp"
 
 namespace dsketch::obs {
 namespace {
@@ -27,7 +28,7 @@ TEST(Trace, DisabledIsANoOp) {
   EXPECT_EQ(TraceSession::stop(), nullptr);
 }
 
-TEST(Trace, SpansRoundTripThroughTheParser) {
+TEST(Trace, SpansKeepNamesArgsDurationsAndNesting) {
   SessionGuard guard;
   const std::shared_ptr<TraceSession> session = TraceSession::start();
   EXPECT_TRUE(TraceSession::enabled());
@@ -43,57 +44,79 @@ TEST(Trace, SpansRoundTripThroughTheParser) {
   EXPECT_FALSE(TraceSession::enabled());
   EXPECT_EQ(session->event_count(), 2u);
 
-  std::ostringstream json;
-  session->write_chrome_trace(json);
-  const std::vector<ParsedEvent> events = parse_chrome_trace(json.str());
+  // Spans are kept in the order they closed.
+  const std::vector<TraceSession::Event> events = session->events();
   ASSERT_EQ(events.size(), 2u);
-
-  const auto find = [&](const std::string& name) -> const ParsedEvent& {
-    for (const ParsedEvent& e : events) {
-      if (e.name == name) return e;
-    }
-    ADD_FAILURE() << "missing event " << name;
-    return events.front();
-  };
-  const ParsedEvent& outer = find("outer");
-  EXPECT_EQ(outer.ph, 'X');
-  EXPECT_TRUE(outer.has_dur);
-  EXPECT_TRUE(outer.has_arg_value);
-  EXPECT_EQ(outer.arg_value, 7.0);
-  const ParsedEvent& inner = find("inner");
-  EXPECT_EQ(inner.ph, 'X');
-  EXPECT_GE(inner.dur_us, 150.0);  // slept 200us inside
+  const TraceSession::Event& inner = events[0];
+  const TraceSession::Event& outer = events[1];
+  EXPECT_STREQ(outer.name, "outer");
+  EXPECT_TRUE(outer.has_value);
+  EXPECT_EQ(outer.value, 7u);
+  EXPECT_STREQ(inner.name, "inner");
+  EXPECT_FALSE(inner.has_value);
+  EXPECT_GE(inner.dur_ns, 150'000u);  // slept 200us inside
   // inner nests inside outer on the same thread.
   EXPECT_EQ(inner.tid, outer.tid);
-  EXPECT_GE(inner.ts_us, outer.ts_us);
-  EXPECT_LE(inner.ts_us + inner.dur_us, outer.ts_us + outer.dur_us + 0.002);
-  EXPECT_FALSE(inner.has_arg_value);
+  EXPECT_GE(inner.start_ns, outer.start_ns);
+  EXPECT_LE(inner.start_ns + inner.dur_ns, outer.start_ns + outer.dur_ns);
+  EXPECT_EQ(session->check_nesting(), "");
 
-  EXPECT_EQ(check_span_nesting(events), "");
+  // The Chrome trace has one complete event per span, and the argument.
+  std::ostringstream out;
+  session->write_chrome_trace(out);
+  const std::string json = out.str();
+  std::size_t complete = 0;
+  for (std::size_t at = json.find("\"ph\":\"X\""); at != std::string::npos;
+       at = json.find("\"ph\":\"X\"", at + 1)) {
+    ++complete;
+  }
+  EXPECT_EQ(complete, events.size());
+  EXPECT_NE(json.find("\"args\":{\"v\":7}"), std::string::npos) << json;
 }
 
 TEST(Trace, NestingCheckerFlagsOverlap) {
-  // Hand-built malformed trace: two spans on one tid that overlap
-  // without containment. The checker must name the violation.
-  std::vector<ParsedEvent> events(2);
-  events[0] = {"a", 'X', 1, 0.0, 10.0, true, 0, false};
-  events[1] = {"b", 'X', 1, 5.0, 10.0, true, 0, false};
-  EXPECT_NE(check_span_nesting(events), "");
-  // Same two spans on different threads: fine.
-  events[1].tid = 2;
-  EXPECT_EQ(check_span_nesting(events), "");
-  // Proper containment on one tid: fine.
-  events[1] = {"b", 'X', 1, 2.0, 3.0, true, 0, false};
-  EXPECT_EQ(check_span_nesting(events), "");
-}
+  // Two real spans on one thread, closed in the order they opened, cross;
+  // the check must name both. The sleeps keep every timestamp distinct.
+  SessionGuard guard;
+  std::shared_ptr<TraceSession> session = TraceSession::start();
+  const auto pause = [] {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  };
+  auto first = std::make_unique<Span>("first");
+  pause();
+  auto second = std::make_unique<Span>("second");
+  pause();
+  first.reset();
+  pause();
+  second.reset();
+  TraceSession::stop();
+  ASSERT_EQ(session->event_count(), 2u);
+  const std::string crossing = session->check_nesting();
+  EXPECT_NE(crossing.find("\"first\""), std::string::npos) << crossing;
+  EXPECT_NE(crossing.find("\"second\""), std::string::npos) << crossing;
 
-TEST(Trace, ParserRejectsMalformedInput) {
-  EXPECT_THROW(parse_chrome_trace(std::string("not json")),
-               std::runtime_error);
-  EXPECT_THROW(parse_chrome_trace(std::string("{\"noTraceEvents\":1}")),
-               std::runtime_error);
-  EXPECT_THROW(parse_chrome_trace(std::string("{\"traceEvents\":{}}")),
-               std::runtime_error);
+  // The same pattern with each span on its own thread is well nested.
+  session = TraceSession::start();
+  std::latch first_open(1), second_open(1), first_closed(1);
+  std::thread a([&] {
+    {
+      const Span span("first");
+      first_open.count_down();
+      second_open.wait();
+    }
+    first_closed.count_down();
+  });
+  std::thread b([&] {
+    first_open.wait();
+    const Span span("second");
+    second_open.count_down();
+    first_closed.wait();
+  });
+  a.join();
+  b.join();
+  TraceSession::stop();
+  ASSERT_EQ(session->event_count(), 2u);
+  EXPECT_EQ(session->check_nesting(), "");
 }
 
 TEST(Trace, BufferCapDropsInsteadOfGrowing) {
@@ -117,12 +140,9 @@ TEST(Trace, SessionOutlivesStopWhileSpansAreOpen) {
   TraceSession::stop();
   EXPECT_FALSE(TraceSession::enabled());
   span.reset();  // closes after the session was closed
-  EXPECT_EQ(session->event_count(), 1u);
-  std::ostringstream json;
-  session->write_chrome_trace(json);
-  const std::vector<ParsedEvent> events = parse_chrome_trace(json.str());
+  const std::vector<TraceSession::Event> events = session->events();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "inside");
+  EXPECT_STREQ(events[0].name, "inside");
 }
 
 TEST(Trace, SpanNeverLandsInALaterSession) {
@@ -134,11 +154,9 @@ TEST(Trace, SpanNeverLandsInALaterSession) {
   span.reset();  // its session was closed by the second start()
   TraceSession::stop();
   EXPECT_EQ(first->event_count(), 0u);
-  std::ostringstream json;
-  second->write_chrome_trace(json);
-  const std::vector<ParsedEvent> events = parse_chrome_trace(json.str());
+  const std::vector<TraceSession::Event> events = second->events();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "opened_in_second");
+  EXPECT_STREQ(events[0].name, "opened_in_second");
 }
 
 TEST(Trace, MultiThreadedSpansKeepPerThreadNesting) {
@@ -156,14 +174,10 @@ TEST(Trace, MultiThreadedSpansKeepPerThreadNesting) {
   for (std::thread& th : threads) th.join();
   TraceSession::stop();
   EXPECT_EQ(session->event_count(), 4u * 50u * 2u);
-
-  std::ostringstream json;
-  session->write_chrome_trace(json);
-  const std::vector<ParsedEvent> events = parse_chrome_trace(json.str());
-  EXPECT_EQ(check_span_nesting(events), "");
+  EXPECT_EQ(session->check_nesting(), "");
   // All four worker threads got distinct ids.
   std::vector<std::uint32_t> tids;
-  for (const ParsedEvent& e : events) {
+  for (const TraceSession::Event& e : session->events()) {
     if (std::find(tids.begin(), tids.end(), e.tid) == tids.end()) {
       tids.push_back(e.tid);
     }

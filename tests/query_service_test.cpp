@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "baselines/landmark.hpp"
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_io.hpp"
 #include "serve/answer_cache.hpp"
 #include "serve/sketch_store.hpp"
 #include "serve/workload.hpp"
@@ -309,19 +309,18 @@ TEST(QueryService, ZipfWorkloadSkewsTowardHotPairs) {
 /// of the oracle_batch spans.
 struct SpanCounts {
   std::size_t batch = 0, slice = 0, oracle_batch = 0, oracle_query = 0;
-  double oracle_batch_pairs = 0;
+  std::uint64_t oracle_batch_pairs = 0;
 };
 SpanCounts count_spans(const obs::TraceSession& session) {
-  std::ostringstream json;
-  session.write_chrome_trace(json);
   SpanCounts c;
-  for (const obs::ParsedEvent& e : obs::parse_chrome_trace(json.str())) {
-    c.batch += e.name == "serve_batch";
-    c.slice += e.name == "shard_slice";
-    c.oracle_query += e.name == "oracle_query";
-    if (e.name == "oracle_batch") {
+  for (const obs::TraceSession::Event& e : session.events()) {
+    const std::string_view name = e.name;
+    c.batch += name == "serve_batch";
+    c.slice += name == "shard_slice";
+    c.oracle_query += name == "oracle_query";
+    if (name == "oracle_batch") {
       ++c.oracle_batch;
-      c.oracle_batch_pairs += e.arg_value;
+      c.oracle_batch_pairs += e.value;
     }
   }
   return c;
@@ -345,7 +344,7 @@ TEST(QueryService, TracesEverySliceAndItsBatchCall) {
   EXPECT_EQ(c.batch, 10u);
   EXPECT_EQ(c.slice, 10u);
   EXPECT_EQ(c.oracle_batch, 10u);
-  EXPECT_EQ(c.oracle_batch_pairs, 1000.0);  // the span's argument: misses
+  EXPECT_EQ(c.oracle_batch_pairs, 1000u);  // the span's argument: misses
   EXPECT_EQ(c.oracle_query, 0u);
   EXPECT_EQ(session->dropped(), 0u);
 
