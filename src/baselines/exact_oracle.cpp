@@ -23,16 +23,12 @@ ExactOracle::ExactOracle(const Graph& g) {
 }
 
 Capabilities ExactOracle::static_capabilities() {
-  Capabilities caps;
-  caps.exact = true;
-  caps.stretch_bound = 1.0;
-  caps.supports_paths = true;
-  caps.symmetric = true;  // undirected distances
-  caps.supports_save = true;
-  return caps;
+  // Undirected distances: symmetric.
+  return {.supports_paths = true, .symmetric = true};
 }
 
-void ExactOracle::save_payload(std::ostream& out) const {
+void ExactOracle::save(std::ostream& out) const {
+  write_envelope_header(out, scheme(), num_nodes(), 0, 0.0);
   // One row per node; kInfDist round-trips as its literal u64 value.
   for (const std::vector<Dist>& row : dist_) write_payload_row(out, row);
 }

@@ -37,11 +37,10 @@ class ExactOracle final : public DistanceOracle {
   static Capabilities static_capabilities();
   Capabilities capabilities() const override { return static_capabilities(); }
 
+  /// The text envelope: header line, then one row of distances per node.
+  void save(std::ostream& out) const override;
   static std::unique_ptr<ExactOracle> load_payload(
       std::istream& in, const OracleEnvelope& envelope);
-
- protected:
-  void save_payload(std::ostream& out) const override;
 
  private:
   ExactOracle() = default;  // used by load_payload()

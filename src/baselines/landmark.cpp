@@ -53,14 +53,14 @@ std::string LandmarkSketchSet::guarantee() const {
 }
 
 Capabilities LandmarkSketchSet::static_capabilities() {
-  Capabilities caps;
-  caps.supports_paths = true;  // estimates are real u->l->v path lengths
-  caps.symmetric = true;       // min over landmarks of d(u,l) + d(l,v)
-  caps.supports_save = true;
-  return caps;
+  // Estimates are real u->l->v path lengths, min over landmarks of
+  // d(u,l) + d(l,v): witnessed and symmetric.
+  return {.supports_paths = true, .symmetric = true};
 }
 
-void LandmarkSketchSet::save_payload(std::ostream& out) const {
+void LandmarkSketchSet::save(std::ostream& out) const {
+  write_envelope_header(out, scheme(), n_,
+                        static_cast<std::uint32_t>(landmarks_.size()), 0.0);
   out << landmarks_.size() << "\n";
   write_payload_row(out, landmarks_);
   for (const std::vector<Dist>& row : dist_) write_payload_row(out, row);

@@ -41,17 +41,12 @@ class LandmarkSketchSet final : public DistanceOracle {
 
   const std::vector<NodeId>& landmarks() const { return landmarks_; }
 
+  /// The text envelope, whose k slot records the landmark count (the
+  /// scheme's size parameter), so --load validation can catch a
+  /// contradicting --landmarks flag.
+  void save(std::ostream& out) const override;
   static std::unique_ptr<LandmarkSketchSet> load_payload(
       std::istream& in, const OracleEnvelope& envelope);
-
- protected:
-  void save_payload(std::ostream& out) const override;
-  /// The envelope's k slot records the landmark count (the scheme's size
-  /// parameter), so --load validation can catch a contradicting
-  /// --landmarks flag.
-  std::uint32_t envelope_k() const override {
-    return static_cast<std::uint32_t>(landmarks_.size());
-  }
 
  private:
   LandmarkSketchSet() = default;  // used by load_payload()

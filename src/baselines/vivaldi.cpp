@@ -100,16 +100,14 @@ std::string VivaldiCoordinates::guarantee() const {
 }
 
 Capabilities VivaldiCoordinates::static_capabilities() {
-  Capabilities caps;
   // Estimates come from an embedding, not witnessed paths: they can
-  // undercut the true distance and never report unreachability.
-  caps.supports_paths = false;
-  caps.symmetric = true;  // norm of the coordinate difference
-  caps.supports_save = true;
-  return caps;
+  // undercut the true distance and never report unreachability. The norm
+  // of the coordinate difference is symmetric.
+  return {.supports_paths = false, .symmetric = true};
 }
 
-void VivaldiCoordinates::save_payload(std::ostream& out) const {
+void VivaldiCoordinates::save(std::ostream& out) const {
+  write_envelope_header(out, scheme(), num_nodes(), dim_, 0.0);
   out << dim_ << "\n";
   std::vector<std::uint64_t> bits_row(dim_);
   for (const std::vector<double>& c : coords_) {

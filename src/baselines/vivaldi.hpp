@@ -60,16 +60,13 @@ class VivaldiCoordinates final : public DistanceOracle {
 
   const std::vector<double>& coordinate(NodeId u) const { return coords_[u]; }
 
+  /// The text envelope, whose k slot records the embedding dimension, so
+  /// --load validation can catch a contradicting --dim flag. Coordinates
+  /// are written as bit-cast u64s so reloaded embeddings answer
+  /// byte-identical queries (decimal text would round).
+  void save(std::ostream& out) const override;
   static std::unique_ptr<VivaldiCoordinates> load_payload(
       std::istream& in, const OracleEnvelope& envelope);
-
- protected:
-  /// Coordinates are written as bit-cast u64s so reloaded embeddings
-  /// answer byte-identical queries (decimal text would round).
-  void save_payload(std::ostream& out) const override;
-  /// The envelope's k slot records the embedding dimension, so --load
-  /// validation can catch a contradicting --dim flag.
-  std::uint32_t envelope_k() const override { return dim_; }
 
  private:
   VivaldiCoordinates() = default;  // used by load_payload()

@@ -12,7 +12,6 @@ void ReliableChannel::send(NodeCtx& ctx, std::uint32_t edge,
   const std::uint64_t seq = e.send_next++;
   DS_CHECK_MSG(e.send_next <= kSeqMask, "reliable seq space exhausted");
   e.unacked.push_back(payload);
-  ++in_flight_;
   transmit(ctx, edge, payload, seq);
   if (e.rto == 0) e.rto = cfg_.rto;
   if (e.retry_at == 0) e.retry_at = ctx.round() + e.rto;
@@ -33,7 +32,6 @@ void ReliableChannel::consume_ack(std::uint32_t edge, std::uint64_t ack) {
   while (!e.unacked.empty() && e.send_base < ack) {
     e.unacked.pop_front();
     ++e.send_base;
-    --in_flight_;
     progressed = true;
   }
   if (progressed) {

@@ -79,9 +79,6 @@ class ReliableChannel {
   /// Protocol::on_restart before resuming normal rounds.
   void restart(NodeCtx& ctx);
 
-  /// True when every frame ever sent has been acknowledged.
-  bool idle() const { return in_flight_ == 0; }
-
   std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t redundant_discards() const { return redundant_; }
 
@@ -112,7 +109,6 @@ class ReliableChannel {
   ReliableConfig cfg_;
   std::vector<EdgeState> edges_;
   std::vector<Inbound> delivered_;   // reused scratch returned by receive
-  std::uint64_t in_flight_ = 0;      // total unacked frames across edges
   std::uint64_t retransmits_ = 0;
   std::uint64_t redundant_ = 0;
 };

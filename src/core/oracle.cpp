@@ -1,9 +1,7 @@
 #include "core/oracle.hpp"
 
-#include <ostream>
 #include <stdexcept>
 
-#include "core/oracle_registry.hpp"
 #include "util/assert.hpp"
 
 namespace dsketch {
@@ -26,19 +24,7 @@ double DistanceOracle::mean_size_words() const {
   return total / static_cast<double>(n);
 }
 
-void DistanceOracle::save(std::ostream& out) const {
-  // Refuse before touching the stream: writing the header first would
-  // leave a corrupt one-line file behind when save is unsupported.
-  if (!capabilities().supports_save) {
-    throw std::runtime_error("oracle scheme '" + scheme() +
-                             "' does not support save");
-  }
-  // No saved baseline has an epsilon; the header records 0.
-  write_envelope_header(out, scheme(), num_nodes(), envelope_k(), 0.0);
-  save_payload(out);
-}
-
-void DistanceOracle::save_payload(std::ostream&) const {
+void DistanceOracle::save(std::ostream&) const {
   throw std::runtime_error("oracle scheme '" + scheme() +
                            "' does not support save");
 }

@@ -34,18 +34,11 @@ struct SimStats;
 /// answers are valid under the same guarantee.
 using QueryPair = std::pair<NodeId, NodeId>;
 
-/// What a concrete oracle can promise and do; drives scheme-agnostic
-/// consumers (the CLI listing, eval's unreachable handling, the query
-/// service's cache keys) without switching on concrete types.
+/// What a concrete oracle can promise beyond guarantee(), which alone
+/// states its stretch; drives scheme-agnostic consumers (the CLI listing,
+/// eval's unreachable handling, the query service's cache keys) without
+/// switching on concrete types.
 struct Capabilities {
-  /// Answers are true distances (stretch exactly 1).
-  bool exact = false;
-  /// Worst-case multiplicative stretch bound; 0 when none exists (the
-  /// landmark and coordinate baselines) or when it is not a constant
-  /// (graceful's O(log n)) — guarantee() always has the precise story.
-  double stretch_bound = 0.0;
-  /// The stretch bound only covers ε-far pairs (the §4 slack schemes).
-  bool slack_only = false;
   /// Estimates are witnessed by real paths: never below the true
   /// distance, and kInfDist reliably means "no path found". False for
   /// embeddings (Vivaldi) which can under- or over-estimate arbitrarily.
@@ -58,11 +51,6 @@ struct Capabilities {
   /// valid) estimates. The query service keys its cache canonically
   /// only when this is set.
   bool symmetric = false;
-  /// save() round-trips through OracleRegistry::load.
-  bool supports_save = false;
-  /// build_cost() reports the CONGEST construction cost (the distributed
-  /// sketch schemes; centralized baselines have no simulated cost).
-  bool build_cost_available = false;
 };
 
 /// Abstract pairwise distance estimator. Implementations must make
@@ -91,7 +79,7 @@ class DistanceOracle {
   virtual std::size_t size_words(NodeId u) const = 0;
 
   /// Mean per-node storage in words.
-  virtual double mean_size_words() const;
+  double mean_size_words() const;
 
   /// Registry name of the scheme that built this oracle ("tz",
   /// "landmark", ...). Matches the scheme save() records.
@@ -101,29 +89,19 @@ class DistanceOracle {
   /// ("stretch 5 (all pairs)", "exact (stretch 1)", ...).
   virtual std::string guarantee() const = 0;
 
-  /// What this instance promises; parameter-dependent fields (TZ's 2k-1)
-  /// are resolved with the build values.
+  /// What this instance promises beyond guarantee().
   virtual Capabilities capabilities() const = 0;
 
-  /// CONGEST construction cost, or nullptr when
-  /// !capabilities().build_cost_available.
+  /// CONGEST construction cost, or nullptr when no simulated build is
+  /// behind this instance (baselines, loaded and packed stores).
   virtual const SimStats* build_cost() const { return nullptr; }
 
   /// Persists the oracle so that OracleRegistry::load reconstructs it and
-  /// the reloaded oracle answers byte-identical queries. The default
-  /// writes a scheme-tagged text envelope (header line + save_payload),
-  /// which the baselines use; SketchStore overrides it to write its store
-  /// file. Throws when !capabilities().supports_save.
+  /// the reloaded oracle answers byte-identical queries: SketchStore
+  /// writes its store file, each baseline a scheme-tagged text envelope
+  /// (header line + payload). The default throws before writing a byte,
+  /// for oracles with no saved form (TzLabelOracle).
   virtual void save(std::ostream& out) const;
-
- protected:
-  /// Serialization hook of the text envelope: writes the scheme payload
-  /// that the registered loader reads back. Default throws "save
-  /// unsupported".
-  virtual void save_payload(std::ostream& out) const;
-
-  /// Envelope header k; schemes without the parameter write 0.
-  virtual std::uint32_t envelope_k() const { return 0; }
 };
 
 }  // namespace dsketch

@@ -62,8 +62,7 @@ void check_envelope_flags(const FlagSet& flags, const OracleEnvelope& envelope,
   }
   // Schemes without an epsilon parameter record a meaningless 0; a
   // harmless --epsilon must not be rejected against it.
-  if (scheme_entry.uses_epsilon && flags.has("epsilon") &&
-      envelope.epsilon_recorded) {
+  if (scheme_entry.uses_epsilon && flags.has("epsilon")) {
     const double eps = flags.get("epsilon", 0.0);
     if (eps != envelope.epsilon) {
       fail("epsilon", std::to_string(envelope.epsilon),
@@ -94,11 +93,6 @@ OracleRegistry& OracleRegistry::instance() {
 void OracleRegistry::add(OracleScheme scheme) {
   if (scheme.name.empty() || !scheme.build) {
     throw std::runtime_error("oracle scheme needs a name and a build factory");
-  }
-  if (scheme.caps.supports_save != static_cast<bool>(scheme.load)) {
-    throw std::runtime_error("oracle scheme '" + scheme.name +
-                             "': supports_save and a load factory must come "
-                             "together");
   }
   std::string name = scheme.name;  // keep valid across the move
   const auto [it, inserted] =

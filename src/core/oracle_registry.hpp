@@ -17,12 +17,13 @@
 //     (serve/sketch_store.hpp, magic "DSKSTOR5"); load() sends every
 //     stream that does not open with a text header to the store reader
 //     there, which fills the envelope from the binary header.
-//   - The baselines save a text envelope, one header line + payload:
+//   - Each baseline's save() override writes a text envelope, one
+//     header line (write_envelope_header) + payload:
 //
 //       scheme <name> <n> <k> <epsilon>\n<payload...>
 //
-//     Loading resolves <name> through the registry, so every baseline
-//     round-trips through the same two functions.
+//     Loading resolves <name> through the registry to the scheme's
+//     loader.
 #pragma once
 
 #include <cstdint>
@@ -45,12 +46,7 @@ struct OracleEnvelope {
   std::string scheme;
   NodeId n = 0;
   std::uint32_t k = 0;       ///< scheme-defined; 0 when not meaningful
-  double epsilon = 0.0;      ///< valid only when epsilon_recorded
-  /// False when the file records no build epsilon — a store packed
-  /// from a bare TZ label set (SketchStore::epsilon_known) — so flag
-  /// validation must not check --epsilon against it. Text envelopes
-  /// always record epsilon.
-  bool epsilon_recorded = true;
+  double epsilon = 0.0;      ///< 0 for schemes without the parameter
 };
 
 /// Reads and consumes the text envelope header line, throwing on
@@ -61,8 +57,8 @@ OracleEnvelope read_envelope_header(std::istream& in);
 /// (--scheme, the scheme's k flag, --epsilon): a loaded oracle answers
 /// with the configuration it was built with, and silently ignoring them
 /// would report estimates under the wrong guarantee. Flags the scheme
-/// does not use, and --epsilon against a file that records no epsilon,
-/// are not checked. `path` names the file in the error message.
+/// does not use are not checked. `path` names the file in the error
+/// message.
 void check_envelope_flags(const FlagSet& flags, const OracleEnvelope& envelope,
                           const std::string& path);
 
@@ -93,8 +89,7 @@ struct OracleScheme {
   std::string guarantee;  ///< scheme-level bound with parameters symbolic
                           ///< ("stretch 2k-1 (all pairs)")
   std::string summary;    ///< one-line description for --list-schemes
-  /// Scheme-level capabilities; parameter-dependent stretch bounds are 0
-  /// here (instance capabilities() has them resolved).
+  /// Capabilities, the same for every instance of the scheme.
   Capabilities caps;
   /// Name of the build flag whose value the envelope's k field records
   /// ("k" for tz/slack/cdg/graceful, "landmarks" for landmark, "dim" for
@@ -109,7 +104,8 @@ struct OracleScheme {
   /// Builds the oracle from a graph plus scheme flags (--k, --epsilon,
   /// --landmarks, ...); each factory reads its own flags with defaults.
   BuildFn build;
-  /// Reconstructs from an envelope payload; null iff !caps.supports_save.
+  /// Reconstructs from an envelope payload; null when the scheme has no
+  /// saved form.
   LoadFn load;
 };
 
@@ -139,9 +135,6 @@ class OracleRegistry {
   /// All registered schemes, sorted by name (the --list-schemes source).
   std::vector<const OracleScheme*> schemes() const;
 
-  /// Sorted registered names, comma-joined (for error messages / usage).
-  std::string names_csv() const;
-
   /// Builds by name: at(name).build(g, flags).
   std::unique_ptr<DistanceOracle> build(const std::string& name,
                                         const Graph& g,
@@ -151,11 +144,13 @@ class OracleRegistry {
   /// text header's 's' goes to the named scheme's loader; any other goes
   /// to the sketch-file reader (load_sketch_file in
   /// serve/sketch_store). Throws for unknown schemes, schemes without
-  /// save support, and text files naming a sketch scheme.
+  /// a loader, and text files naming a sketch scheme.
   LoadedOracle load(std::istream& in) const;
 
  private:
   OracleRegistry() = default;
+  /// Sorted registered names, comma-joined (for error messages).
+  std::string names_csv() const;
   std::map<std::string, OracleScheme> schemes_;
 };
 

@@ -248,30 +248,10 @@ std::string sketch_guarantee(Scheme scheme, std::uint32_t k,
   return "";
 }
 
-Capabilities sketch_capabilities(Scheme scheme, std::uint32_t k) {
-  Capabilities caps;
-  caps.supports_paths = true;
-  caps.supports_save = true;
-  caps.build_cost_available = true;
-  switch (scheme) {
-    case Scheme::kThorupZwick:
-      caps.stretch_bound = k > 0 ? static_cast<double>(2 * k - 1) : 0.0;
-      break;
-    case Scheme::kSlack:
-      caps.stretch_bound = 3.0;
-      caps.slack_only = true;
-      // min over net nodes of d(u,w) + d(w,v): orientation-free.
-      caps.symmetric = true;
-      break;
-    case Scheme::kCdg:
-      caps.stretch_bound = k > 0 ? static_cast<double>(8 * k - 1) : 0.0;
-      caps.slack_only = true;
-      break;
-    case Scheme::kGraceful:
-      // O(log n): no constant bound; guarantee() carries the story.
-      break;
-  }
-  return caps;
+Capabilities sketch_capabilities(Scheme scheme) {
+  // Every family's estimate is a witnessed path; only slack's, a min over
+  // net nodes of d(u,w) + d(w,v), is orientation-free.
+  return {.supports_paths = true, .symmetric = scheme == Scheme::kSlack};
 }
 
 }  // namespace dsketch

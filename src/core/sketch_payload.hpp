@@ -90,8 +90,8 @@ BuildConfig sketch_build_config(Scheme scheme, const FlagSet& flags);
 /// filled in.
 std::string sketch_guarantee(Scheme scheme, std::uint32_t k, double epsilon);
 
-/// Capabilities of a sketch family with the stretch bound resolved from
-/// k (scheme-level entries pass k = 0).
-Capabilities sketch_capabilities(Scheme scheme, std::uint32_t k);
+/// Capabilities of a sketch family (sketch_guarantee() states its
+/// stretch).
+Capabilities sketch_capabilities(Scheme scheme);
 
 }  // namespace dsketch

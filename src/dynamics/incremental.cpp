@@ -11,6 +11,13 @@
 #include "util/assert.hpp"
 
 namespace dsketch {
+namespace {
+
+/// Base seed of the underestimate-rate probe's sampled sources; probe i
+/// draws with kProbeSeed + i.
+constexpr std::uint64_t kProbeSeed = 5;
+
+}  // namespace
 
 TzLabelOracle::TzLabelOracle(LabelArena labels, std::uint32_t k)
     : labels_(std::move(labels)), k_(k) {}
@@ -31,11 +38,7 @@ std::string TzLabelOracle::guarantee() const {
 }
 
 Capabilities TzLabelOracle::capabilities() const {
-  Capabilities caps = sketch_capabilities(Scheme::kThorupZwick, k_);
-  caps.stretch_bound = 0.0;  // void once repairs diverge from the build
-  caps.supports_save = false;         // transient serving artifact
-  caps.build_cost_available = false;  // no CONGEST run behind it
-  return caps;
+  return sketch_capabilities(Scheme::kThorupZwick);
 }
 
 TzDynamicSketch::TzDynamicSketch(const Graph& g, std::uint32_t k,
@@ -114,27 +117,56 @@ bool TzDynamicSketch::apply(const Graph& updated, const EdgeUpdate& update) {
     return best;
   };
 
-  for (NodeId x = 0; x < updated.num_nodes(); ++x) {
-    if (dist_a_[x] == kInfDist && dist_b_[x] == kInfDist) continue;
-    const LabelView label = labels_.view(x);
+  // The distance x stores to y after the update: d, or a shorter detour
+  // through the updated edge. A pivot without a distance stays as it is.
+  const auto tightened = [&](NodeId x, NodeId y, Dist d) {
+    return d == kInfDist ? d : std::min(d, via_edge(x, y));
+  };
+  // Whether a distance of x's label tightens; outside both searches none
+  // can.
+  const auto tightens = [&](NodeId x, const LabelView& label) {
+    if (dist_a_[x] == kInfDist && dist_b_[x] == kInfDist) return false;
     for (std::uint32_t i = 0; i < label.levels; ++i) {
       const DistKey p = label.pivot(i);
-      if (p.id == kInvalidNode || p.dist == kInfDist) continue;
-      const Dist cand = via_edge(x, p.id);
-      if (cand < p.dist) {
-        labels_.tighten_pivot(x, i, cand);
-        ++stats_.entries_improved;
-      }
+      if (tightened(x, p.id, p.dist) < p.dist) return true;
     }
     for (std::uint32_t j = 0; j < label.count; ++j) {
       const BunchEntry e = label.entry(j);
-      const Dist cand = via_edge(x, e.node);
-      if (cand < e.dist) {
-        labels_.tighten_bunch_dist(x, j, cand);
-        ++stats_.entries_improved;
-      }
+      if (tightened(x, e.node, e.dist) < e.dist) return true;
     }
+    return false;
+  };
+
+  // Records are write-once: every label goes to a fresh arena, re-packed
+  // from a builder where a distance tightened and copied otherwise.
+  LabelArena repaired;
+  bool improved = false;
+  for (NodeId x = 0; x < updated.num_nodes(); ++x) {
+    const LabelView label = labels_.view(x);
+    if (!tightens(x, label)) {
+      repaired.append(label);
+      continue;
+    }
+    improved = true;
+    TzLabelBuilder builder(x, label.levels);
+    for (std::uint32_t i = 0; i < label.levels; ++i) {
+      DistKey p = label.pivot(i);
+      const Dist d = tightened(x, p.id, p.dist);
+      stats_.entries_improved += d < p.dist;
+      p.dist = d;
+      builder.set_pivot(i, p);
+    }
+    for (std::uint32_t j = 0; j < label.count; ++j) {
+      BunchEntry e = label.entry(j);
+      const Dist d = tightened(x, e.node, e.dist);
+      stats_.entries_improved += d < e.dist;
+      e.dist = d;
+      builder.add_bunch_entry(e);
+    }
+    repaired.append(builder.view());
   }
+  // As in rebuild(), the arena is replaced whole, and only when it changed.
+  if (improved) labels_ = std::move(repaired);
   ++stats_.repaired;
   return true;
 }
@@ -166,7 +198,7 @@ bool RebuildPolicy::note_update(const Graph& current,
     last_rate_ =
         evaluate_stretch(current,
                          SampledGroundTruth(current, cfg_.probe_sources,
-                                            cfg_.probe_seed + probes_),
+                                            kProbeSeed + probes_),
                          serving, {})
             .underestimate_rate();
     if (last_rate_ > cfg_.max_underestimate_rate) return true;

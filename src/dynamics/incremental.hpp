@@ -7,7 +7,7 @@
 // *usable* while the graph moves:
 //
 //   - Distance-decreasing updates (edge inserts, weight decreases) are
-//     repaired in place: every label distance (pivot and bunch entries)
+//     repaired: every label distance (pivot and bunch entries)
 //     stores an exact point-to-point distance, and after inserting
 //     (a, b, w) the new distance is
 //         d'(x, y) = min(d(x, y), Da(x) + w + Db(y), Db(x) + w + Da(y))
@@ -16,9 +16,11 @@
 //     sp_kernel workspaces: expansion stops beyond the largest distance
 //     any label stores, because a longer path can never improve a stored
 //     entry (shortest paths have monotone prefixes, so every entry with
-//     true distance inside the bound is still computed exactly). Repair
-//     preserves the one-sided guarantee (estimates never drop below the
-//     new true distance) and tightens estimates toward it.
+//     true distance inside the bound is still computed exactly). Records
+//     are write-once, so a label with a tightened distance is re-packed
+//     into a fresh arena that replaces the old one. Repair preserves the
+//     one-sided guarantee (estimates never drop below the new true
+//     distance) and tightens estimates toward it.
 //
 //   - Distance-increasing updates (deletes, weight increases) cannot be
 //     repaired from the endpoints alone — stale entries may now
@@ -48,7 +50,8 @@ namespace dsketch {
 /// serving tier. A frozen label arena with the Lemma 3.2 query; unlike a
 /// built SketchStore it carries no build cost and no save path (a
 /// repaired sketch is a transient serving artifact, not a persisted one;
-/// SketchStore::from_oracle packs it when it must be shipped).
+/// SketchStore::from_oracle packs it when it must be shipped, recording
+/// epsilon 0).
 class TzLabelOracle final : public DistanceOracle {
  public:
   TzLabelOracle(LabelArena labels, std::uint32_t k);
@@ -73,7 +76,7 @@ class TzLabelOracle final : public DistanceOracle {
 /// Counters across the lifetime of one TzDynamicSketch.
 struct RepairStats {
   std::uint64_t updates_seen = 0;     ///< apply() calls
-  std::uint64_t repaired = 0;         ///< repaired in place
+  std::uint64_t repaired = 0;         ///< repaired by re-packing
   std::uint64_t unrepairable = 0;     ///< needed a rebuild to fix
   std::uint64_t nodes_explored = 0;   ///< bounded-search reach, summed
   std::uint64_t entries_improved = 0; ///< label distances tightened
@@ -93,8 +96,8 @@ class TzDynamicSketch {
 
   /// Applies one update that has already happened to `updated` (the
   /// graph AFTER the change). Returns true when the sketch was repaired
-  /// in place — inserts and weight decreases; the estimates then stay
-  /// >= the new true distances. Returns false for deletes and weight
+  /// (inserts and weight decreases); the estimates then stay >= the new
+  /// true distances. Returns false for deletes and weight
   /// increases: the sketch is left stale (it may underestimate) and
   /// unrepaired_since_rebuild() grows until rebuild() resets it.
   bool apply(const Graph& updated, const EdgeUpdate& update);
@@ -113,7 +116,8 @@ class TzDynamicSketch {
   /// count of latent guarantee violations repair could not prevent.
   std::size_t unrepaired_since_rebuild() const { return unrepaired_; }
   /// The live labels (test hook: repair exactness is checked entry by
-  /// entry against fresh ground truth).
+  /// entry against fresh ground truth). A view into them dies at the next
+  /// apply() or rebuild(), which replace the arena.
   const LabelArena& labels() const { return labels_; }
 
  private:
@@ -148,7 +152,6 @@ struct RebuildPolicyConfig {
   /// (0 = never probe). Each probe costs `probe_sources` exact SSSPs.
   std::size_t probe_every = 0;
   std::size_t probe_sources = 2;
-  std::uint64_t probe_seed = 5;
 };
 
 /// Tracks churn against the budgets above. Drive it with one
@@ -158,7 +161,7 @@ class RebuildPolicy {
  public:
   explicit RebuildPolicy(const RebuildPolicyConfig& cfg) : cfg_(cfg) {}
 
-  /// Records one applied update (`repaired` = fixed in place) and
+  /// Records one applied update (`repaired` = repaired by apply()) and
   /// returns true when any budget is now exceeded. `current` and
   /// `serving` feed the optional underestimate-rate probe — `serving`
   /// is the oracle traffic is actually answered from.

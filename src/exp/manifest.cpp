@@ -147,15 +147,6 @@ const std::set<std::string>& cell_keys() {
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 std::string hash_hex(std::uint64_t hash, std::size_t digits) {
   static const char* kHex = "0123456789abcdef";
   std::string out;

@@ -26,16 +26,13 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "util/rng.hpp"  // fnv1a64: cell ids and corpus cache names
+
 /// The repro harness: manifests, corpus cache, runner, report.
 namespace dsketch::exp {
-
-/// FNV-1a 64-bit hash; the content-addressing primitive shared by cell
-/// ids and the corpus cache.
-std::uint64_t fnv1a64(std::string_view data);
 
 /// Hex rendering of a hash (16 lowercase digits, or fewer when truncated).
 std::string hash_hex(std::uint64_t hash, std::size_t digits = 16);

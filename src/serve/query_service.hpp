@@ -69,6 +69,7 @@
 #include "serve/answer_cache.hpp"
 #include "serve/snapshot.hpp"
 #include "util/pair_key.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -206,11 +207,8 @@ class QueryService {
   // Cache identity: ordered_pair_key for orientation-dependent oracles,
   // canonical_pair_key (also the routing identity) for symmetric ones.
   std::size_t shard_of(std::uint64_t key) const {
-    // splitmix64 finalizer: spreads sequential ids across shards.
-    std::uint64_t z = key + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>((z ^ (z >> 31)) % shards_.size());
+    // One splitmix64 step spreads sequential ids across shards.
+    return static_cast<std::size_t>(splitmix64(key) % shards_.size());
   }
 
   void run_shard(Shard& shard, const PinnedSnapshots& pinned,

@@ -53,7 +53,7 @@ SketchStore SketchStore::from_oracle(const DistanceOracle& oracle) {
     return copy;
   }
   // A bare TZ label arena (distributed build, dynamic-sketch snapshot)
-  // is a tz payload; it carries no recorded epsilon.
+  // is a tz payload; it records epsilon 0, which tz never reads.
   const auto* tz = dynamic_cast<const TzLabelOracle*>(&oracle);
   if (tz == nullptr) {
     throw std::runtime_error("oracle scheme '" + oracle.scheme() +
@@ -62,7 +62,6 @@ SketchStore SketchStore::from_oracle(const DistanceOracle& oracle) {
   SketchStore store;
   store.scheme_ = Scheme::kThorupZwick;
   store.k_ = tz->k();
-  store.epsilon_known_ = false;
   store.n_ = tz->num_nodes();
   store.payload_.tz = tz->labels();
   return store;
@@ -111,9 +110,7 @@ std::string SketchStore::guarantee() const {
 }
 
 Capabilities SketchStore::capabilities() const {
-  Capabilities caps = sketch_capabilities(scheme_, k_);
-  caps.build_cost_available = has_cost_;
-  return caps;
+  return sketch_capabilities(scheme_);
 }
 
 // ---- binary round trip ------------------------------------------------------
@@ -158,7 +155,7 @@ void SketchStore::write(std::ostream& out, StoreFormat /*format*/) const {
   std::uint64_t checksum = 14695981039346656037ULL;
   for_each_payload_run([&](const std::uint8_t* data, std::size_t size) {
     payload_bytes += size;
-    checksum = sf::fnv1a64(data, size, checksum);
+    checksum = fnv1a64(data, size, checksum);
   });
   std::vector<std::uint8_t> h(sf::kHeaderBytes);
   store_le32(h.data(), sf::kVersion);
@@ -166,7 +163,7 @@ void SketchStore::write(std::ostream& out, StoreFormat /*format*/) const {
   store_le32(h.data() + 8, n_);
   store_le32(h.data() + 12, k_);
   store_le32(h.data() + 16, static_cast<std::uint32_t>(num_segments()));
-  store_le32(h.data() + 20, epsilon_known_ ? sf::kFlagEpsilonKnown : 0);
+  store_le32(h.data() + 20, sf::kFlagEpsilonKnown);
   std::memcpy(h.data() + 24, &epsilon_, sizeof(epsilon_));
   store_le64(h.data() + 32, payload_bytes);
   store_le64(h.data() + 40, checksum);
@@ -174,7 +171,7 @@ void SketchStore::write(std::ostream& out, StoreFormat /*format*/) const {
   // and a bit flip in n/k/epsilon/payload_size must not go unnoticed.
   h.resize(sf::kHeaderBytes + 8);
   store_le64(h.data() + sf::kHeaderBytes,
-             sf::fnv1a64(h.data(), sf::kHeaderBytes));
+             fnv1a64(h.data(), sf::kHeaderBytes));
   out.write(sf::kMagic, 8);
   out.write(reinterpret_cast<const char*>(h.data()),
             static_cast<std::streamsize>(h.size()));
@@ -193,7 +190,6 @@ SketchStore SketchStore::from_file(const sf::File& file,
   store.n_ = hdr.n;
   store.k_ = hdr.k;
   store.epsilon_ = hdr.epsilon;
-  store.epsilon_known_ = hdr.epsilon_known;
   store.payload_ = SketchPayload::from_segments(
       store.scheme_, hdr.k, slack_net(file.segments[0]), std::move(slabs));
   return store;
@@ -364,7 +360,6 @@ LoadedOracle load_sketch_file(std::istream& in) {
   loaded.envelope.n = store->num_nodes();
   loaded.envelope.k = store->k();
   loaded.envelope.epsilon = store->epsilon();
-  loaded.envelope.epsilon_recorded = store->epsilon_known();
   loaded.oracle = std::move(store);
   return loaded;
 }
@@ -380,9 +375,7 @@ void register_sketch_oracles(OracleRegistry& reg) {
     s.name = name;
     s.guarantee = guarantee;
     s.summary = summary;
-    // Scheme-level capabilities (k = 0: parameter-dependent bounds stay
-    // unresolved); instances resolve them with the build values.
-    s.caps = sketch_capabilities(scheme, 0);
+    s.caps = sketch_capabilities(scheme);
     s.k_flag = k_flag;
     s.uses_epsilon = uses_epsilon;
     s.build = [scheme](const Graph& g, const FlagSet& flags) {

@@ -23,7 +23,7 @@
 /// On-disk layout (little-endian):
 ///   bytes 0..7   magic "DSKSTOR5"
 ///   u32 version (5), u32 scheme, u32 n, u32 k, u32 segments, u32 flags
-///   f64 epsilon                       (flags bit 0: epsilon was recorded)
+///   f64 epsilon                       (flags: bit 0 always set, never read)
 ///   u64 payload_bytes, u64 checksum (FNV-1a 64 over the payload)
 ///   u64 header_checksum             (FNV-1a 64 over the 48 header bytes
 ///                                    after the magic)
@@ -123,7 +123,7 @@ class SketchStore final : public DistanceOracle {
   SketchStore(const Graph& g, const BuildConfig& config);
 
   /// Packs another sketch set: a copy of a SketchStore, or the label
-  /// arena of a TzLabelOracle (which records no epsilon). The result
+  /// arena of a TzLabelOracle (recorded with epsilon 0). The result
   /// carries no build cost. Throws std::runtime_error for oracles without
   /// a label plane (the baselines).
   static SketchStore from_oracle(const DistanceOracle& oracle);
@@ -187,8 +187,7 @@ class SketchStore final : public DistanceOracle {
   std::string scheme() const override { return scheme_name(scheme_); }
   /// Worst-case guarantee with the recorded k/epsilon filled in.
   std::string guarantee() const override;
-  /// Capabilities of the stored family; build_cost_available only for a
-  /// fresh build.
+  /// Capabilities of the stored family.
   Capabilities capabilities() const override;
   /// The CONGEST construction cost; nullptr unless this store was built
   /// by the build constructor (the cost is not persisted).
@@ -199,19 +198,13 @@ class SketchStore final : public DistanceOracle {
   /// writes, so OracleRegistry::load reads it back.
   void save(std::ostream& out) const override { write(out); }
 
-  /// The sketch family the store holds.
-  Scheme store_scheme() const { return scheme_; }
   /// Nodes covered (valid query ids are [0, n)).
   NodeId num_nodes() const override { return n_; }
   /// The TZ/CDG hierarchy depth recorded at build time.
   std::uint32_t k() const { return k_; }
-  /// The slack/CDG epsilon recorded at build time (see epsilon_known()).
+  /// The epsilon recorded at build time (0 for a store packed from a
+  /// TzLabelOracle); only slack and cdg read it.
   double epsilon() const { return epsilon_; }
-  /// False when the store was packed from a bare TZ label set
-  /// (TzLabelOracle), which records no epsilon: epsilon() is then 0, not
-  /// a build value. The file header's flag carries this through
-  /// save/load.
-  bool epsilon_known() const { return epsilon_known_; }
   /// Store segments (1 for tz/slack/cdg; one per level for graceful).
   std::size_t num_segments() const { return payload_.num_segments(); }
   /// The label plane the store answers from.
@@ -241,7 +234,6 @@ class SketchStore final : public DistanceOracle {
   NodeId n_ = 0;
   std::uint32_t k_ = 0;
   double epsilon_ = 0.0;
-  bool epsilon_known_ = true;
   bool has_cost_ = false;  ///< see build_cost()
   SimStats cost_;
   SketchPayload payload_;
@@ -264,7 +256,7 @@ struct LoadedOracle;
 void register_sketch_oracles(OracleRegistry& reg);
 
 /// Reads a v5 sketch file into a SketchStore and fills the envelope from
-/// its header (scheme, n, k, epsilon, the epsilon-known flag): where
+/// its header (scheme, n, k, epsilon): where
 /// OracleRegistry::load sends every stream without a text envelope
 /// header. Throws StoreCorruptionError like read().
 LoadedOracle load_sketch_file(std::istream& in);

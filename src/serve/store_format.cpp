@@ -126,7 +126,6 @@ StoreHeader parse_header(const std::uint8_t* data, std::size_t size) {
          "segment count " + std::to_string(out.segment_count) +
              " does not fit the scheme");
   }
-  out.epsilon_known = (load_le32(h + 20) & kFlagEpsilonKnown) != 0;
   const std::uint64_t eps_bits = load_le64(h + 24);
   std::memcpy(&out.epsilon, &eps_bits, sizeof(out.epsilon));
   out.payload_size = load_le64(h + 32);

@@ -15,6 +15,7 @@
 #include "graph/graph.hpp"
 #include "serve/sketch_store.hpp"
 #include "sketch/record_slab.hpp"
+#include "util/rng.hpp"
 
 namespace dsketch {
 namespace store_format {
@@ -24,7 +25,9 @@ namespace store_format {
 
 constexpr char kMagic[8] = {'D', 'S', 'K', 'S', 'T', 'O', 'R', '5'};
 constexpr std::uint32_t kVersion = 5;
-constexpr std::uint32_t kFlagEpsilonKnown = 1;  // header flags word, bit 0
+/// The header flags word: bit 0 ("epsilon recorded") is set in every
+/// store, so the parser never reads it.
+constexpr std::uint32_t kFlagEpsilonKnown = 1;
 constexpr std::size_t kHeaderBytes = 48;  // after the magic, pre-checksum
 /// The payload starts here: 8 magic + 48 header + 8 header checksum.
 constexpr std::size_t kPayloadStart = 64;
@@ -36,16 +39,6 @@ constexpr std::size_t kPageBytes = 4096;
 inline std::size_t page_pad(std::size_t payload_pos) {
   return (kPageBytes - (kPayloadStart + payload_pos) % kPageBytes) %
          kPageBytes;
-}
-
-/// FNV-1a 64, continued from `hash` (streaming: hash pieces in order).
-inline std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size,
-                             std::uint64_t hash = 14695981039346656037ULL) {
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
 }
 
 /// One store file's bytes: a heap buffer or a read-only mapping. Loaded
@@ -85,7 +78,6 @@ struct StoreHeader {
   std::uint32_t n = 0;
   std::uint32_t k = 0;
   std::uint32_t segment_count = 0;
-  bool epsilon_known = false;
   double epsilon = 0.0;
   std::uint64_t payload_size = 0;
   std::uint64_t checksum = 0;

@@ -82,12 +82,6 @@ inline std::uint64_t read_bits(const std::uint8_t* base, std::uint64_t pos,
   return x & mask;
 }
 
-/// Overwrites the field of `width` bits at bit `pos` of `base` with
-/// `value` (< 2^width), leaving every other bit as it was: the in-place
-/// rewrite repair uses.
-void write_bits(std::uint8_t* base, std::uint64_t pos, unsigned width,
-                std::uint64_t value);
-
 /// Sequential writer of one byte-aligned column of packed fields: fills
 /// a 64-bit word and stores it whole, so packing costs a store per word,
 /// not per bit.
@@ -120,9 +114,9 @@ class BitWriter {
 };
 
 /// n variable-size byte records behind an (n+1)-entry offset table; see
-/// the file comment. Appending and in-place rewrites are legal only on a
-/// slab that owns its bytes; copying deep-copies owned bytes and shares
-/// borrowed ones.
+/// the file comment. Records are write-once: appending is legal only on a
+/// slab that owns its bytes, and nothing rewrites a record. Copying
+/// deep-copies owned bytes and shares borrowed ones.
 class RecordSlab {
  public:
   /// An empty owned slab.
@@ -167,8 +161,6 @@ class RecordSlab {
   void append(std::span<const std::uint8_t> record);
   /// Capacity for `records` more records of `bytes` bytes in total.
   void reserve(std::size_t records, std::size_t bytes);
-  /// Record u, writable. Owned slabs only.
-  std::uint8_t* mutable_record(NodeId u);
 
   /// The offset table as a store segment holds it: 8(n+1) bytes.
   std::span<const std::uint8_t> offset_table() const {

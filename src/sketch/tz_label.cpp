@@ -160,22 +160,6 @@ std::size_t LabelArena::total_entries() const {
   return total;
 }
 
-void LabelArena::tighten_pivot(NodeId u, std::uint32_t level, Dist d) {
-  std::uint8_t* rec = slab_.mutable_record(u);
-  const LabelView v(u, rec, slab_.record_size(u));
-  DS_CHECK(level < v.levels && d <= v.pivot(level).dist);
-  write_bits(rec + (v.pivot_dists_ - rec), std::uint64_t{level} * v.dist_w_,
-             v.dist_w_, d);
-}
-
-void LabelArena::tighten_bunch_dist(NodeId u, std::uint32_t i, Dist d) {
-  std::uint8_t* rec = slab_.mutable_record(u);
-  const LabelView v(u, rec, slab_.record_size(u));
-  DS_CHECK(i < v.count && d <= v.entry(i).dist);
-  write_bits(rec + (v.dists_ - rec), std::uint64_t{i} * v.dist_w_, v.dist_w_,
-             d);
-}
-
 bool operator==(const LabelArena& a, const LabelArena& b) {
   if (a.num_nodes() != b.num_nodes()) return false;
   for (NodeId u = 0; u < a.num_nodes(); ++u) {

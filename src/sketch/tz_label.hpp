@@ -37,9 +37,9 @@
 //     serialization all walk views. A view never owns.
 //   - LabelArena: every label of one build, one record per node in a
 //     RecordSlab — the very bytes a store file holds, so a loaded or
-//     mapped store serves its labels without a decode. Repair tightens
-//     distances in place (a tighter distance never needs a wider field);
-//     only an arena that owns its bytes may be mutated.
+//     mapped store serves its labels without a decode. Records are
+//     write-once: repair re-packs a changed label from a builder into a
+//     fresh arena, so a view dies only with the arena it was taken from.
 //
 // The query (Lemma 3.2) walks levels i = 0, 1, ... and returns
 //   d(u, p_i(u)) + d(v, p_i(u))   for the first i with p_i(u) in B(v)
@@ -140,7 +140,7 @@ inline constexpr auto kWidthDivisors = [] {
 }();
 
 /// One packed label record, read in place (layout in the file comment).
-/// Valid while the bytes behind it are alive and unmutated.
+/// Valid while the bytes behind it are alive.
 class LabelView {
  public:
   NodeId owner = kInvalidNode;
@@ -232,7 +232,6 @@ class LabelView {
     const std::uint64_t idx = (pos >> id_div_.shift) * id_div_.inverse;
     return read_bits(dists_, idx * dist_w_, dist_w_, dist_mask_);
   }
-  bool bunch_contains(NodeId w) const { return bunch_dist(w) != kInfDist; }
 
   /// Size in words as stored at a node: per level one (pivot id, distance)
   /// pair, per bunch entry one (id, distance) pair — the paper's
@@ -249,7 +248,6 @@ class LabelView {
   friend bool operator==(const LabelView& a, const LabelView& b);
 
  private:
-  friend class LabelArena;
   /// The empty label's record (zero header), followed by its tail.
   static constexpr std::uint8_t kEmptyRecord[kTzHeaderBytes + kRecordTail] =
       {};
@@ -365,14 +363,6 @@ class LabelArena {
   double mean_size_words() const;
   /// Bunch entries across all labels (diagnostics / size accounting).
   std::size_t total_entries() const;
-
-  // ---- repair hooks (dynamics/incremental) ---------------------------------
-  // Both rewrite one field in place; the arena must own its bytes, and d
-  // must not exceed the stored distance.
-  /// Tightens pivot `level` of node u to distance d (id unchanged).
-  void tighten_pivot(NodeId u, std::uint32_t level, Dist d);
-  /// Tightens bunch entry `i` (record-local index) of node u to distance d.
-  void tighten_bunch_dist(NodeId u, std::uint32_t i, Dist d);
 
   /// Label-wise content equality.
   friend bool operator==(const LabelArena& a, const LabelArena& b);

@@ -5,11 +5,13 @@
 // streams via split(), so experiments are reproducible bit-for-bit across
 // platforms and thread counts. xoshiro256** is used for generation and
 // SplitMix64 for seeding, following the reference constructions by
-// Blackman & Vigna.
+// Blackman & Vigna. FNV-1a, the library's content hash, lives here too.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string_view>
 
 namespace dsketch {
 
@@ -19,6 +21,21 @@ inline std::uint64_t splitmix64(std::uint64_t& state) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+/// FNV-1a 64 over `size` bytes, continued from `hash` (streaming: hash
+/// pieces in order). Store checksums and repro cell ids both use it.
+inline std::uint64_t fnv1a64(const void* data, std::size_t size,
+                             std::uint64_t hash = 0xcbf29ce484222325ULL) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+inline std::uint64_t fnv1a64(std::string_view text) {
+  return fnv1a64(text.data(), text.size());
 }
 
 /// Stateless hash of (seed, salt, a, b) through the SplitMix64 finalizer.

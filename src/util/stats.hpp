@@ -103,7 +103,6 @@ class SampleSet {
     s.p99 = percentile_sorted(sorted, 99);
     return s;
   }
-  const std::vector<double>& samples() const { return samples_; }
 
  private:
   std::vector<double> samples_;

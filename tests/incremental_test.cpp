@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 
 #include "dynamics/update_stream.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
+#include "serve/sketch_store.hpp"
 #include "sketch/stretch_eval.hpp"
 #include "util/rng.hpp"
 
@@ -41,9 +44,12 @@ TEST(TzLabelOracle, MatchesTzQueryAndReportsCapabilities) {
   }
   const Capabilities caps = oracle->capabilities();
   EXPECT_TRUE(caps.supports_paths);
-  EXPECT_FALSE(caps.supports_save);
-  EXPECT_FALSE(caps.build_cost_available);
   EXPECT_FALSE(caps.symmetric);  // TZ pivot walk is orientation-dependent
+  EXPECT_EQ(oracle->build_cost(), nullptr);
+  // No saved form: save() throws before writing a byte.
+  std::stringstream out;
+  EXPECT_THROW(oracle->save(out), std::runtime_error);
+  EXPECT_TRUE(out.str().empty());
 }
 
 TEST(TzDynamicSketch, FreshBuildIsExactPerEntryAndNeverUnderestimates) {
@@ -136,6 +142,70 @@ TEST(TzDynamicSketch, RepairKeepsEntriesExactUnderInsertsAndDecreases) {
     }
   }
   expect_one_sided(current, *sketch.snapshot());
+}
+
+/// The update loop of RepairKeepsEntriesExactUnderInsertsAndDecreases:
+/// 40 draws from Rng(23) of an insert or a weight decrease on `g`, each
+/// applied to `sketch`.
+void apply_decrease_stream(TzDynamicSketch& sketch, const Graph& g) {
+  std::vector<Edge> edges = g.edges();
+  Rng rng(23);
+  for (int i = 0; i < 40; ++i) {
+    EdgeUpdate update;
+    if (rng.bernoulli(0.5)) {
+      const std::size_t start = rng.below(edges.size());
+      std::size_t j = start;
+      while (edges[j].weight <= 1) {
+        j = (j + 1) % edges.size();
+        if (j == start) break;
+      }
+      if (edges[j].weight <= 1) continue;
+      update.kind = UpdateKind::kReweight;
+      update.u = edges[j].u;
+      update.v = edges[j].v;
+      update.old_weight = edges[j].weight;
+      update.weight = static_cast<Weight>(
+          rng.range(1, static_cast<std::int64_t>(edges[j].weight) - 1));
+      edges[j].weight = update.weight;
+    } else {
+      const auto u = static_cast<NodeId>(rng.below(g.num_nodes()));
+      const auto v = static_cast<NodeId>(rng.below(g.num_nodes()));
+      if (u == v) continue;
+      bool exists = false;
+      for (const Edge& e : edges) {
+        exists = exists || (e.u == std::min(u, v) && e.v == std::max(u, v));
+      }
+      if (exists) continue;
+      update.kind = UpdateKind::kInsert;
+      update.u = std::min(u, v);
+      update.v = std::max(u, v);
+      update.weight = static_cast<Weight>(rng.range(1, 8));
+      edges.push_back({update.u, update.v, update.weight});
+    }
+    EXPECT_TRUE(
+        sketch.apply(Graph::from_edges(g.num_nodes(), edges), update));
+  }
+}
+
+TEST(TzDynamicSketch, RepairedSnapshotSurvivesTheCheckedLoad) {
+  // Repair re-packs a tightened label, which may narrow its widths. The
+  // packed snapshot must pass SketchStore::read, which runs
+  // LabelView::valid on every record, and answer as the snapshot does.
+  const Graph g = base_graph();
+  TzDynamicSketch sketch(g, 2, 7);
+  apply_decrease_stream(sketch, g);
+  ASSERT_GT(sketch.stats().entries_improved, 0u);
+  const std::shared_ptr<const DistanceOracle> snapshot = sketch.snapshot();
+  std::stringstream file;
+  SketchStore::from_oracle(*snapshot).write(file);
+  const SketchStore loaded = SketchStore::read(file);
+  EXPECT_TRUE(loaded.payload().tz == sketch.labels());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_EQ(loaded.query(u, v), snapshot->query(u, v))
+          << "pair " << u << "," << v;
+    }
+  }
 }
 
 TEST(TzDynamicSketch, RepairOnlyTightensEstimates) {

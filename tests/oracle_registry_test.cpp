@@ -9,8 +9,11 @@
 #include <cmath>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "baselines/exact_oracle.hpp"
 #include "dynamics/incremental.hpp"
@@ -80,11 +83,13 @@ TEST_P(OracleRegistrySchemes, BuildsAndAnswersSanely) {
   EXPECT_GT(oracle->mean_size_words(), 0.0);
   EXPECT_EQ(oracle->query(5, 5), 0u);
   const Capabilities caps = oracle->capabilities();
-  if (caps.build_cost_available) {
-    ASSERT_NE(oracle->build_cost(), nullptr);
+  // Only a freshly built sketch store has a simulated build behind it.
+  const bool sketch = dynamic_cast<const SketchStore*>(oracle.get());
+  ASSERT_EQ(oracle->build_cost() != nullptr, sketch);
+  if (sketch) {
     EXPECT_GT(oracle->build_cost()->rounds, 0u);
   }
-  if (caps.exact) {
+  if (oracle->guarantee() == "exact (stretch 1)") {
     const auto d = dijkstra(g, 3);
     for (NodeId v = 0; v < g.num_nodes(); v += 7) {
       EXPECT_EQ(oracle->query(3, v), d[v]);
@@ -119,14 +124,12 @@ TEST_P(OracleRegistrySchemes, EnvelopeRoundTripIsByteIdentical) {
   const Graph g = test_graph();
   const OracleScheme& scheme = OracleRegistry::instance().at(GetParam());
   const auto oracle = scheme.build(g, test_flags());
-  ASSERT_TRUE(oracle->capabilities().supports_save);
 
   std::stringstream ss;
   oracle->save(ss);
   const LoadedOracle loaded = OracleRegistry::instance().load(ss);
   EXPECT_EQ(loaded.envelope.scheme, GetParam());
   EXPECT_EQ(loaded.envelope.n, g.num_nodes());
-  EXPECT_TRUE(loaded.envelope.epsilon_recorded);
   ASSERT_NE(loaded.oracle, nullptr);
   EXPECT_EQ(loaded.oracle->num_nodes(), oracle->num_nodes());
   EXPECT_EQ(loaded.oracle->scheme(), oracle->scheme());
@@ -184,10 +187,10 @@ StoreError load_error(const std::string& bytes) {
 }
 
 TEST(OracleEnvelope, LegacyPreEpsilonHeaderStillLoads) {
-  // A v4 header whose epsilon-known flag is clear records no epsilon.
-  // Clear the flag of a slack save and re-seal the header checksum: the
-  // envelope must flag epsilon as unrecorded and the payload must still
-  // load to identical answers.
+  // Every store sets the header's flag bit, and the parser never reads
+  // it. Clear the flag of a slack save and re-seal the header checksum:
+  // the file still loads, with the header's epsilon and identical
+  // answers.
   const Graph g = test_graph();
   BuildConfig cfg;
   cfg.scheme = Scheme::kSlack;
@@ -202,16 +205,14 @@ TEST(OracleEnvelope, LegacyPreEpsilonHeaderStillLoads) {
   ASSERT_EQ(static_cast<std::uint8_t>(bytes[kFlags]),
             store_format::kFlagEpsilonKnown);
   bytes[kFlags] = 0;
-  std::uint64_t sum = store_format::fnv1a64(
-      reinterpret_cast<const std::uint8_t*>(bytes.data()) + 8,
-      store_format::kHeaderBytes);
+  std::uint64_t sum = fnv1a64(bytes.data() + 8, store_format::kHeaderBytes);
   for (std::size_t i = 0; i < 8; ++i, sum >>= 8) {
     bytes[8 + store_format::kHeaderBytes + i] = static_cast<char>(sum & 0xff);
   }
   std::stringstream legacy(bytes);
 
   const LoadedOracle loaded = OracleRegistry::instance().load(legacy);
-  EXPECT_FALSE(loaded.envelope.epsilon_recorded);
+  EXPECT_EQ(loaded.envelope.epsilon, 0.25);
   EXPECT_EQ(loaded.envelope.scheme, "slack");
   for (NodeId u = 0; u < g.num_nodes(); u += 5) {
     for (NodeId v = u + 1; v < g.num_nodes(); v += 6) {
@@ -221,13 +222,25 @@ TEST(OracleEnvelope, LegacyPreEpsilonHeaderStillLoads) {
 }
 
 TEST(OracleEnvelope, FreshSavesAlwaysRecordEpsilon) {
-  // Every fresh save records epsilon — including schemes that do not use
-  // it — so --load validation can trust the recorded value.
+  // Every store sets the header's epsilon flag and records an epsilon:
+  // the build's, or 0 for a store packed from a bare TZ label set.
   const Graph g = test_graph();
-  for (const char* name : {"tz", "graceful", "exact", "landmark"}) {
-    const auto oracle =
-        OracleRegistry::instance().build(name, g, test_flags());
-    EXPECT_TRUE(reload(*oracle).envelope.epsilon_recorded) << name;
+  const Hierarchy h = Hierarchy::sample(g.num_nodes(), 2, 42);
+  std::vector<std::pair<std::unique_ptr<DistanceOracle>, double>> stores;
+  stores.emplace_back(std::make_unique<SketchStore>(SketchStore::from_oracle(
+                          TzLabelOracle(build_tz_centralized(g, h), 2))),
+                      0.0);
+  for (const char* name : {"tz", "slack", "cdg", "graceful"}) {
+    stores.emplace_back(
+        OracleRegistry::instance().build(name, g, test_flags()), 0.25);
+  }
+  constexpr std::size_t kFlags = 8 + 5 * 4;  // as in the test above
+  for (const auto& [store, epsilon] : stores) {
+    std::stringstream ss;
+    store->save(ss);
+    EXPECT_EQ(static_cast<std::uint8_t>(ss.str()[kFlags]),
+              store_format::kFlagEpsilonKnown);
+    EXPECT_EQ(OracleRegistry::instance().load(ss).envelope.epsilon, epsilon);
   }
 }
 
@@ -366,7 +379,6 @@ TEST(Serialization, HeaderPersistsEpsilonForFlagValidation) {
   const LoadedOracle loaded = reload(SketchStore(g, cfg));
   EXPECT_EQ(loaded.envelope.scheme, "slack");
   EXPECT_EQ(loaded.envelope.epsilon, 0.375);
-  EXPECT_TRUE(loaded.envelope.epsilon_recorded);
   EXPECT_EQ(loaded.oracle->num_nodes(), g.num_nodes());
   using Flags = std::vector<std::pair<std::string, std::string>>;
   EXPECT_NO_THROW(check_envelope_flags(FlagSet(Flags{{"epsilon", "0.375"}}),
@@ -377,10 +389,9 @@ TEST(Serialization, HeaderPersistsEpsilonForFlagValidation) {
 }
 
 TEST(Serialization, LoadsHeadersWithoutEpsilonField) {
-  // A store packed from a bare TZ label set records no epsilon: its v4
-  // header's epsilon-known flag is clear. Save and load keep it clear,
-  // the envelope says so, and `query --load --epsilon` (its flag check)
-  // does not reject the file against the unrecorded value.
+  // A store packed from a bare TZ label set has no build epsilon and
+  // records 0. tz takes no --epsilon, so `query --load --epsilon` (its
+  // flag check) does not reject the file against that 0.
   const Graph g = test_graph();
   const std::uint32_t k = 3;
   const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 42);
@@ -388,9 +399,7 @@ TEST(Serialization, LoadsHeadersWithoutEpsilonField) {
   const LoadedOracle loaded = reload(SketchStore::from_oracle(labels));
   EXPECT_EQ(loaded.envelope.scheme, "tz");
   EXPECT_EQ(loaded.envelope.k, k);
-  EXPECT_FALSE(loaded.envelope.epsilon_recorded);
-  EXPECT_FALSE(
-      dynamic_cast<const SketchStore&>(*loaded.oracle).epsilon_known());
+  EXPECT_EQ(loaded.envelope.epsilon, 0.0);
   EXPECT_NO_THROW(check_envelope_flags(
       FlagSet({{"scheme", "tz"}, {"k", "3"}, {"epsilon", "0.3"}}),
       loaded.envelope, "labels.store"));

@@ -19,6 +19,7 @@
 #include "serve/answer_cache.hpp"
 #include "serve/sketch_store.hpp"
 #include "serve/workload.hpp"
+#include "util/rng.hpp"
 
 namespace dsketch {
 namespace {
@@ -282,6 +283,28 @@ TEST(QueryService, AutoShardCountScalesWithThreads) {
   QueryService wide(store, {.shards = 0, .threads = 6});
   // Auto-sharding keeps a few shards per lane so pulls stay balanced.
   EXPECT_GE(wide.num_shards(), 2 * wide.num_threads());
+}
+
+TEST(QueryService, ShardAssignmentIsPinned) {
+  // A pair's shard is splitmix64(canonical key) mod shards: pinned
+  // counts for a seeded batch catch any change to the routing hash.
+  const Graph g = erdos_renyi(90, 0.08, {1, 9}, 23);
+  const ExactOracle oracle(g);
+  QueryServiceConfig cfg;
+  cfg.shards = 16;
+  cfg.threads = 1;
+  QueryService service(oracle, cfg);
+  Rng rng(29);
+  std::vector<QueryService::Pair> pairs;
+  for (int i = 0; i < 1024; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(g.num_nodes()));
+    pairs.emplace_back(u, static_cast<NodeId>(rng.below(g.num_nodes())));
+  }
+  std::vector<Dist> out(pairs.size());
+  service.query_batch(pairs, out);
+  const std::vector<std::uint64_t> expect = {57, 53, 62, 61, 81, 85, 58, 63,
+                                             62, 66, 61, 63, 66, 61, 56, 69};
+  EXPECT_EQ(service.stats().shard_queries, expect);
 }
 
 TEST(QueryService, ZipfWorkloadSkewsTowardHotPairs) {

@@ -533,35 +533,30 @@ TEST(SketchStoreFiles, SaveAndLoadFile) {
   EXPECT_THROW(SketchStore::load_file(path.str() + ".missing"), std::runtime_error);
 }
 
-TEST(SketchStoreProvenance, UnknownEpsilonSurvivesConversion) {
-  // A store that records no epsilon (packed from a bare TZ label set)
-  // must not come out of a file round trip, a re-pack or a mapping with
-  // a fabricated epsilon claim; a built store keeps its recorded one.
+TEST(SketchStoreProvenance, RecordedEpsilonSurvivesConversion) {
+  // Every store records an epsilon — the build's, or 0 for one packed
+  // from a bare TZ label set — and a file round trip, a re-pack and a
+  // mapping all keep it.
   const Graph g = ring(24, {1, 3}, 6);
   const std::uint32_t k = 2;
   const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 7);
-  const SketchStore unknown = SketchStore::from_oracle(
+  const SketchStore labels = SketchStore::from_oracle(
       TzLabelOracle(build_tz_centralized(g, h), k));
   BuildConfig cfg;
   cfg.scheme = Scheme::kSlack;
   cfg.epsilon = 0.25;
-  const SketchStore recorded(g, cfg);
+  const SketchStore built(g, cfg);
 
-  for (const SketchStore* store : {&unknown, &recorded}) {
-    const bool known = store == &recorded;
+  for (const SketchStore* store : {&labels, &built}) {
+    const double epsilon = store == &built ? 0.25 : 0.0;
     const TempPath path = unique_temp_path("provenance.store");
     store->save_file(path);
     const SketchStore back = SketchStore::load_file(path);
     const SketchStore repacked = SketchStore::from_oracle(back);
     const auto mapped = SketchStore::open(path);
-    EXPECT_EQ(back.epsilon_known(), known);
-    EXPECT_EQ(repacked.epsilon_known(), known);
-    EXPECT_EQ(mapped->epsilon_known(), known);
-    if (known) {
-      EXPECT_DOUBLE_EQ(back.epsilon(), 0.25);
-      EXPECT_DOUBLE_EQ(repacked.epsilon(), 0.25);
-      EXPECT_DOUBLE_EQ(mapped->epsilon(), 0.25);
-    }
+    EXPECT_DOUBLE_EQ(back.epsilon(), epsilon);
+    EXPECT_DOUBLE_EQ(repacked.epsilon(), epsilon);
+    EXPECT_DOUBLE_EQ(mapped->epsilon(), epsilon);
   }
 }
 
@@ -575,11 +570,10 @@ TEST(SketchStorePacking, TzLabelOraclePacksAndAnswersIdentically) {
   const TzLabelOracle oracle(labels, k);
   const SketchStore store = SketchStore::from_oracle(oracle);
   EXPECT_EQ(store.scheme(), "tz");
-  EXPECT_EQ(store.store_scheme(), Scheme::kThorupZwick);
   EXPECT_EQ(store.k(), k);
   EXPECT_EQ(store.num_nodes(), g.num_nodes());
-  // A label set records no build epsilon; the store must not invent one.
-  EXPECT_FALSE(store.epsilon_known());
+  // A label set has no build epsilon; the store records 0.
+  EXPECT_EQ(store.epsilon(), 0.0);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_EQ(store.size_words(u), oracle.size_words(u)) << "node " << u;
     for (NodeId v = u; v < g.num_nodes(); v += 3) {
@@ -600,7 +594,7 @@ TEST(SketchStorePacking, TzLabelStoreSurvivesBinaryRoundTrip) {
   const SketchStore back = SketchStore::read(ss);
   EXPECT_EQ(back.scheme(), "tz");
   EXPECT_EQ(back.k(), k);
-  EXPECT_FALSE(back.epsilon_known());
+  EXPECT_EQ(back.epsilon(), 0.0);
   for (NodeId u = 0; u < g.num_nodes(); u += 2) {
     for (NodeId v = u + 1; v < g.num_nodes(); v += 3) {
       EXPECT_EQ(back.query(u, v), oracle.query(u, v));

@@ -24,6 +24,7 @@
 #include "sketch/hierarchy.hpp"
 #include "sketch/tz_centralized.hpp"
 #include "test_paths.hpp"
+#include "test_records.hpp"
 
 namespace dsketch {
 namespace {
@@ -662,11 +663,12 @@ TEST(StorePinnedBytes, V5FilesMatchTheRecordedEncoding) {
     EXPECT_EQ(file_fnv(SketchStore(g, config_for(scheme))), fnv)
         << scheme_name(scheme);
   }
-  // A bare label set (no recorded epsilon) packs into the same layout.
+  // A bare label set (recorded with epsilon 0) packs into the same
+  // layout, its header flags bit set like every store's.
   const std::uint32_t k = 3;
   const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 42);
   const TzLabelOracle labels(build_tz_centralized(g, h), k);
-  EXPECT_EQ(file_fnv(SketchStore::from_oracle(labels)), 0x6f67efff1e5ca9aaULL);
+  EXPECT_EQ(file_fnv(SketchStore::from_oracle(labels)), 0x8dd8a11a02225201ULL);
 }
 
 }  // namespace

@@ -577,23 +577,14 @@ int cmd_metrics_dump(const FlagSet& flags) {
 /// from the registry, so a newly registered scheme shows up with no CLI
 /// change.
 int cmd_list_schemes() {
-  std::printf("%-10s %-38s %-28s %s\n", "scheme", "guarantee",
+  std::printf("%-10s %-38s %-13s %s\n", "scheme", "guarantee",
               "capabilities", "summary");
   for (const OracleScheme* s : OracleRegistry::instance().schemes()) {
-    std::string caps;
-    const auto mark = [&caps](bool on, const char* name) {
-      if (!on) return;
-      if (!caps.empty()) caps += ",";
-      caps += name;
-    };
-    mark(s->caps.exact, "exact");
-    mark(s->caps.slack_only, "slack");
-    mark(s->caps.supports_paths, "paths");
-    mark(s->caps.symmetric, "sym");
-    mark(s->caps.supports_save, "save");
-    mark(s->caps.build_cost_available, "cost");
-    std::printf("%-10s %-38s %-28s %s\n", s->name.c_str(),
-                s->guarantee.c_str(), caps.c_str(), s->summary.c_str());
+    const bool paths = s->caps.supports_paths;
+    const char* caps = s->caps.symmetric ? (paths ? "paths,sym" : "sym")
+                                         : (paths ? "paths" : "");
+    std::printf("%-10s %-38s %-13s %s\n", s->name.c_str(),
+                s->guarantee.c_str(), caps, s->summary.c_str());
   }
   return 0;
 }
