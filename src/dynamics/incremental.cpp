@@ -74,7 +74,7 @@ std::size_t TzDynamicSketch::explore(const Graph& g, NodeId source,
                                      std::vector<Dist>& out) {
   out.assign(g.num_nodes(), kInfDist);
   const Dist bound = bound_;
-  // Expansion stops past the bound: prefixes of shortest paths are
+  // No node is queued past the bound: prefixes of shortest paths are
   // monotone, so every node whose true distance is <= bound still
   // settles exactly; values beyond it can never beat a stored entry.
   sp_pruned_dijkstra(g, source, ws_,

@@ -14,7 +14,6 @@ struct DistPolicy {
     ws.dist_ref(s) = 0;
     return true;
   }
-  bool visit(NodeId, Dist) const { return true; }
   bool relax(NodeId, NodeId v, Dist nd) {
     if (ws.fresh(v) && ws.dist_ref(v) <= nd) return false;
     ws.touch(v);
@@ -42,7 +41,6 @@ struct OwnerPolicy {
     }
     return false;
   }
-  bool visit(NodeId, Dist) const { return true; }
   bool relax(NodeId u, NodeId v, Dist nd) {
     if (!ws.fresh(v)) {
       ws.touch(v);
@@ -70,7 +68,6 @@ struct MinHopsPolicy {
     ws.hops_ref(s) = 0;
     return true;
   }
-  bool visit(NodeId, Dist) const { return true; }
   bool relax(NodeId u, NodeId v, Dist nd) {
     const std::uint32_t nh = ws.hops_ref(u) + 1;
     if (!ws.fresh(v)) {

@@ -150,7 +150,7 @@ SpWorkspace& thread_workspace();
 /// skipped by the drain loop's stale check. Because the drain always runs
 /// the frontier dry, buckets are empty again at the end of every search —
 /// no cross-search cleanup on the happy path; the destructor sweeps the
-/// slots only when an exception (a throwing visit gate, bad_alloc)
+/// slots only when an exception (a throwing admit predicate, bad_alloc)
 /// escapes mid-drain, so leftover entries can never leak into a later
 /// search on the same workspace.
 class BucketFrontier {
@@ -304,8 +304,6 @@ namespace sp_detail {
 
 // Policy requirements:
 //   bool seed(NodeId s)               — stamp s as a source; false to skip
-//   bool visit(NodeId u, Dist d)      — gate called once per settled node,
-//                                       in pop order; false prunes u
 //   bool relax(NodeId u, NodeId v, Dist nd)
 //                                     — try to improve v via u; true when
 //                                       v's key changed (v is then pushed)
@@ -315,7 +313,6 @@ inline void drain(const Graph& g, SpWorkspace& ws, Frontier& f, Policy& p) {
   while (!f.empty()) {
     const auto [u, d] = f.pop();
     if (d != ws.dist_ref(u)) continue;  // stale lazily-deleted entry
-    if (!p.visit(u, d)) continue;
     for (const HalfEdge& he : g.neighbors(u)) {
       const Dist nd = d + he.weight;
       if (p.relax(u, he.to, nd)) f.push(he.to, nd);
@@ -363,30 +360,42 @@ void sp_hop_bfs(const Graph& g, NodeId source, SpWorkspace& ws);
 void sp_dijkstra_min_hops(const Graph& g, NodeId source, SpWorkspace& ws,
                           SpEngine engine = SpEngine::kAuto);
 
-/// Pruned single-source Dijkstra — the TZ cluster-growth primitive.
-/// `visit(x, d)` is called once per settled node in pop order; returning
-/// false prunes the expansion at x (the gate predicate of §3.1 cluster
-/// growth).
-template <class Visit>
+/// Pruned single-source Dijkstra — the TZ cluster-growth primitive, gated
+/// at relaxation as TZ05's modified Dijkstra is: `admit(v, d)` is asked
+/// before v is first queued, at the distance d it would be queued at, and
+/// the source is asked too, at 0. A node it refuses is never queued,
+/// popped or stamped, and is asked again at its next candidate distance;
+/// a node it admits is reached and is not asked again, so the admitted
+/// nodes are exactly the reached ones. `admit` must be monotone in d
+/// (admitting d admits every smaller distance). Every reached node whose
+/// shortest paths from the source run through admitted nodes gets its
+/// exact distance: for a set closed under shortest-path prefixes (a
+/// ball, a TZ cluster C(w)) the search reaches that set exactly.
+template <class Admit>
 void sp_pruned_dijkstra(const Graph& g, NodeId source, SpWorkspace& ws,
-                        Visit&& visit, SpEngine engine = SpEngine::kAuto) {
+                        Admit&& admit, SpEngine engine = SpEngine::kAuto) {
   ws.prepare(g.num_nodes());
   struct Policy {
     SpWorkspace& ws;
-    Visit& gate;
+    Admit& admit;
     bool seed(NodeId s) {
+      if (!admit(s, Dist{0})) return false;
       ws.touch(s);
       ws.dist_ref(s) = 0;
       return true;
     }
-    bool visit(NodeId u, Dist d) { return gate(u, d); }
     bool relax(NodeId, NodeId v, Dist nd) {
-      if (ws.fresh(v) && ws.dist_ref(v) <= nd) return false;
+      if (ws.fresh(v)) {
+        // Admitted at its larger queued distance, so admitted at nd too.
+        if (ws.dist_ref(v) <= nd) return false;
+      } else if (!admit(v, nd)) {
+        return false;
+      }
       ws.touch(v);
       ws.dist_ref(v) = nd;
       return true;
     }
-  } policy{ws, visit};
+  } policy{ws, admit};
   const NodeId src[1] = {source};
   sp_detail::search(g, ws, src, policy, engine);
 }

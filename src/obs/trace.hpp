@@ -92,6 +92,12 @@ class Span {
     if (session_ != 0) close();
   }
 
+  /// Sets the span's arg, for a count known only when the span ends.
+  void set_value(std::uint64_t value) {
+    value_ = value;
+    has_value_ = true;
+  }
+
  private:
   Span(const char* name, std::uint64_t value, bool has_value)
       : session_(TraceSession::open_session_.load(std::memory_order_relaxed)),

@@ -114,13 +114,20 @@ class BitWriter {
 };
 
 /// n variable-size byte records behind an (n+1)-entry offset table; see
-/// the file comment. Records are write-once: appending is legal only on a
-/// slab that owns its bytes, and nothing rewrites a record. Copying
-/// deep-copies owned bytes and shares borrowed ones.
+/// the file comment. Records are write-once: an owned slab either grows
+/// one appended record at a time or takes a whole blob whose records were
+/// each written once into the place a prefix sum of their sizes gave them
+/// (a parallel pack); a borrowed slab is read-only, and nothing rewrites a
+/// record. Copying deep-copies owned bytes and shares borrowed ones.
 class RecordSlab {
  public:
   /// An empty owned slab.
   RecordSlab() = default;
+  /// Owns records laid out by their sizes: `offsets` holds n+1 byte
+  /// offsets from 0 (one prefix sum), `blob` every record in its place,
+  /// each written once, followed by kRecordTail zero bytes.
+  RecordSlab(std::vector<std::uint64_t> offsets,
+             std::vector<std::uint8_t> blob);
   /// Borrows a store segment's `n` records: `offsets` holds n+1
   /// little-endian u64s, `blob` the records followed by kRecordTail
   /// bytes. `keep` owns that memory; the slab shares it.
@@ -159,8 +166,6 @@ class RecordSlab {
   std::uint8_t* append(std::size_t bytes);
   /// Appends a copy of `record`.
   void append(std::span<const std::uint8_t> record);
-  /// Capacity for `records` more records of `bytes` bytes in total.
-  void reserve(std::size_t records, std::size_t bytes);
 
   /// The offset table as a store segment holds it: 8(n+1) bytes.
   std::span<const std::uint8_t> offset_table() const {

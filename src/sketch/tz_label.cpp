@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dsketch {
 
@@ -61,22 +62,22 @@ void TzLabelBuilder::sort_bunch() {
 
 namespace {
 
-/// The layout this builder's cells pack into: widths from the data.
-TzRecordLayout layout_of(const std::vector<DistKey>& pivots,
-                         const std::vector<BunchEntry>& bunch) {
-  DS_CHECK_MSG(pivots.size() <= 0xff, "a packed label holds <= 255 levels");
+/// The layout a label's cells pack into: widths from the data.
+TzRecordLayout layout_of(LabelParts label) {
+  DS_CHECK_MSG(label.pivots.size() <= 0xff,
+               "a packed label holds <= 255 levels");
   TzRecordLayout l;
-  l.levels = static_cast<std::uint32_t>(pivots.size());
-  l.count = static_cast<std::uint32_t>(bunch.size());
+  l.levels = static_cast<std::uint32_t>(label.pivots.size());
+  l.count = static_cast<std::uint32_t>(label.bunch.size());
   Dist max_dist = 0;
-  for (const DistKey& p : pivots) {
+  for (const DistKey& p : label.pivots) {
     if (p.id != kInvalidNode) max_dist = std::max(max_dist, p.dist);
   }
-  for (const BunchEntry& e : bunch) max_dist = std::max(max_dist, e.dist);
-  if (!bunch.empty()) {
-    l.id_base = bunch.front().node;
+  for (const BunchEntry& e : label.bunch) max_dist = std::max(max_dist, e.dist);
+  if (!label.bunch.empty()) {
+    l.id_base = label.bunch.front().node;
     l.id_w = static_cast<unsigned>(
-        std::bit_width(std::uint32_t{bunch.back().node - l.id_base}));
+        std::bit_width(std::uint32_t{label.bunch.back().node - l.id_base}));
   }
   l.dist_w = static_cast<unsigned>(std::bit_width(max_dist));
   l.place();
@@ -85,57 +86,76 @@ TzRecordLayout layout_of(const std::vector<DistKey>& pivots,
 
 }  // namespace
 
-std::size_t TzLabelBuilder::packed_size() const {
-  return static_cast<std::size_t>(layout_of(pivots_, bunch_).size);
+std::size_t packed_label_size(LabelParts label) {
+  return static_cast<std::size_t>(layout_of(label).size);
 }
 
-void TzLabelBuilder::pack(std::uint8_t* out) const {
-  DS_CHECK(sorted_);
-  const TzRecordLayout l = layout_of(pivots_, bunch_);
+void pack_label(LabelParts label, std::uint8_t* out) {
+  const TzRecordLayout l = layout_of(label);
   out[0] = static_cast<std::uint8_t>(l.levels);
   out[1] = static_cast<std::uint8_t>(l.id_w);
   out[2] = static_cast<std::uint8_t>(l.dist_w);
   store_le32(out + 3, l.count);
   store_le32(out + 7, l.id_base);
   std::uint8_t* p = out + kTzHeaderBytes;
-  for (const DistKey& pv : pivots_) {
+  for (const DistKey& pv : label.pivots) {
     store_le32(p, pv.id);
     p += 4;
   }
   BitWriter pivot_dists(p);
-  for (const DistKey& pv : pivots_) {
+  for (const DistKey& pv : label.pivots) {
     pivot_dists.put(pv.id == kInvalidNode ? 0 : pv.dist, l.dist_w);
   }
   BitWriter ids(pivot_dists.finish());
-  for (const BunchEntry& e : bunch_) ids.put(e.node - l.id_base, l.id_w);
+  for (const BunchEntry& e : label.bunch) ids.put(e.node - l.id_base, l.id_w);
   BitWriter dists(ids.finish());
-  for (const BunchEntry& e : bunch_) dists.put(e.dist, l.dist_w);
+  for (const BunchEntry& e : label.bunch) dists.put(e.dist, l.dist_w);
   DS_CHECK(dists.finish() == out + l.size);
 }
 
-LabelView TzLabelBuilder::view() const {
+LabelParts TzLabelBuilder::parts() const {
   DS_CHECK(sorted_);
+  return LabelParts{pivots_, bunch_};
+}
+
+LabelView TzLabelBuilder::view() const {
   if (packed_.empty()) {
-    packed_.assign(packed_size() + kRecordTail, 0);
-    pack(packed_.data());
+    const LabelParts label = parts();
+    packed_.assign(packed_label_size(label) + kRecordTail, 0);
+    pack_label(label, packed_.data());
   }
   return LabelView(owner_, packed_.data(), packed_.size() - kRecordTail);
 }
 
+LabelArena LabelArena::pack(NodeId n, std::uint32_t k,
+                            const std::function<LabelParts(NodeId)>& label,
+                            ThreadPool& pool) {
+  std::vector<std::uint64_t> offsets(std::size_t{n} + 1, 0);
+  pool.for_each_block(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t u = begin; u < end; ++u) {
+      offsets[u + 1] = packed_label_size(label(static_cast<NodeId>(u)));
+    }
+  });
+  for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
+  std::vector<std::uint8_t> blob(offsets[n] + kRecordTail, 0);
+  pool.for_each_block(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t u = begin; u < end; ++u) {
+      pack_label(label(static_cast<NodeId>(u)), blob.data() + offsets[u]);
+    }
+  });
+  return LabelArena(RecordSlab(std::move(offsets), std::move(blob)), k);
+}
+
 LabelArena LabelArena::from_builders(std::vector<TzLabelBuilder> builders) {
-  LabelArena arena;
-  std::size_t total = 0;
+  std::uint32_t k = 0;
   for (NodeId u = 0; u < builders.size(); ++u) {
     DS_CHECK(builders[u].owner() == u);
     builders[u].sort_bunch();
-    total += builders[u].packed_size();
+    k = std::max(k, builders[u].levels());
   }
-  arena.slab_.reserve(builders.size(), total);
-  for (const TzLabelBuilder& b : builders) {
-    b.pack(arena.slab_.append(b.packed_size()));
-    arena.k_ = std::max(arena.k_, b.levels());
-  }
-  return arena;
+  ThreadPool calling_thread(1);  // no worker threads
+  return pack(static_cast<NodeId>(builders.size()), k,
+              [&](NodeId u) { return builders[u].parts(); }, calling_thread);
 }
 
 void LabelArena::append(const LabelView& label) {

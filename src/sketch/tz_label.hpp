@@ -38,8 +38,12 @@
 //   - LabelArena: every label of one build, one record per node in a
 //     RecordSlab — the very bytes a store file holds, so a loaded or
 //     mapped store serves its labels without a decode. Records are
-//     write-once: repair re-packs a changed label from a builder into a
-//     fresh arena, so a view dies only with the arena it was taken from.
+//     write-once: a build packs each record once into the place a prefix
+//     sum of the record sizes gave it, and repair re-packs a changed label
+//     from a builder into a fresh arena, so a view dies only with the
+//     arena it was taken from.
+// Every record, whichever form it is packed from, is written by one
+// function, pack_label(), from a pivot span and a sorted bunch span.
 //
 // The query (Lemma 3.2) walks levels i = 0, 1, ... and returns
 //   d(u, p_i(u)) + d(v, p_i(u))   for the first i with p_i(u) in B(v)
@@ -49,6 +53,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -57,6 +62,8 @@
 #include "sketch/record_slab.hpp"
 
 namespace dsketch {
+
+class ThreadPool;
 
 /// (distance, id) lexicographic key; the library-wide tie-break rule.
 struct DistKey {
@@ -269,6 +276,19 @@ class LabelView {
   std::uint8_t dist_w_ = 0;
 };
 
+/// One label as the packer reads it: pivot keys by level, and the bunch
+/// in strictly increasing id order.
+struct LabelParts {
+  std::span<const DistKey> pivots;
+  std::span<const BunchEntry> bunch;
+};
+
+/// Bytes of `label`'s packed record.
+std::size_t packed_label_size(LabelParts label);
+/// Packs `label` into `out` (packed_label_size(label) bytes): the one
+/// packer every label record is written by.
+void pack_label(LabelParts label, std::uint8_t* out);
+
 /// Mutable label under construction: plain vectors of pivot keys and
 /// bunch entries. Finalize with sort_bunch() before taking a view() or
 /// packing it into a LabelArena.
@@ -310,17 +330,14 @@ class TzLabelBuilder {
     return 2 * pivots_.size() + 2 * bunch_.size();
   }
 
+  /// The pivots and bunch, as the packer reads them (must be sorted).
+  LabelParts parts() const;
+
   friend bool operator==(const TzLabelBuilder& a, const TzLabelBuilder& b) {
     return a.view() == b.view();
   }
 
  private:
-  friend class LabelArena;
-  /// Bytes of this label's packed record.
-  std::size_t packed_size() const;
-  /// Packs the record into `out` (packed_size() bytes, then the tail).
-  void pack(std::uint8_t* out) const;
-
   NodeId owner_ = kInvalidNode;
   std::vector<DistKey> pivots_;
   std::vector<BunchEntry> bunch_;
@@ -330,8 +347,9 @@ class TzLabelBuilder {
 
 /// Every label of one build: one packed record per node in a RecordSlab
 /// (see the file comment). Node order, no holes: the in-memory arena has
-/// exactly a store file's layout. Copying shares borrowed bytes and
-/// deep-copies owned ones.
+/// exactly a store file's layout. A build lays the slab out by record
+/// size and writes each record once, in parallel (pack()). Copying shares
+/// borrowed bytes and deep-copies owned ones.
 class LabelArena {
  public:
   LabelArena() = default;
@@ -340,8 +358,16 @@ class LabelArena {
   LabelArena(RecordSlab slab, std::uint32_t k)
       : slab_(std::move(slab)), k_(k) {}
 
-  /// Packs per-node builders (builders[u].owner() must be u). Unsorted
-  /// builders are finalized here.
+  /// Packs label(u) for every node u < n, each label of at most k
+  /// levels, in two passes over node blocks on `pool`'s lanes: record
+  /// sizes and one prefix sum, then every record written once into its
+  /// place. The bytes do not depend on the lane count.
+  static LabelArena pack(NodeId n, std::uint32_t k,
+                         const std::function<LabelParts(NodeId)>& label,
+                         ThreadPool& pool);
+
+  /// Packs per-node builders (builders[u].owner() must be u) on the
+  /// calling thread. Unsorted builders are finalized here.
   static LabelArena from_builders(std::vector<TzLabelBuilder> builders);
 
   /// Appends `label` as the record of node num_nodes(). The view's owner

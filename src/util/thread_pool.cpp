@@ -90,6 +90,16 @@ void ThreadPool::parallel_for(std::size_t count,
   for_each_dynamic(count, [&body](std::size_t, std::size_t i) { body(i); });
 }
 
+void ThreadPool::for_each_block(
+    std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  constexpr std::size_t kBlocksPerLane = 4;
+  const std::size_t blocks = std::min(count, lanes() * kBlocksPerLane);
+  parallel_for(blocks, [&](std::size_t b) {
+    body(count * b / blocks, count * (b + 1) / blocks);
+  });
+}
+
 void ThreadPool::pull(std::size_t lane, std::size_t count,
                       const Body& body) noexcept {
   try {

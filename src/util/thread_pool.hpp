@@ -11,9 +11,10 @@
 // shortest-path searches whose cluster sizes vary by orders of
 // magnitude) still spread evenly. The body also receives a lane id in
 // [0, lanes()) for per-lane accumulators; parallel_for is the same loop
-// for bodies that need no lane id.
+// for bodies that need no lane id, and for_each_block the same loop over
+// contiguous index blocks.
 //
-// Both entry points are safe to call from multiple threads at once (the
+// Every entry point is safe to call from multiple threads at once (the
 // repro runner executes manifest cells on its own threads, and cells call
 // into parallel builds): one caller drives the workers, concurrent callers
 // fall back to running their loop serially on their own thread, and
@@ -68,6 +69,13 @@ class ThreadPool {
   /// for_each_dynamic for a body that takes no lane id.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
+
+  /// Runs body(begin, end) over [0, count) cut into contiguous blocks, a
+  /// few per lane, pulled as for_each_dynamic pulls indices: for loops
+  /// whose per-index work is too small to pull one index at a time.
+  void for_each_block(
+      std::size_t count,
+      const std::function<void(std::size_t, std::size_t)>& body);
 
  private:
   using Body = std::function<void(std::size_t, std::size_t)>;

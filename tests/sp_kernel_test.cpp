@@ -135,46 +135,90 @@ TEST(SpKernel, WorkspaceSurvivesGraphSizeChanges) {
 }
 
 TEST(SpKernel, ThrowingVisitGateDoesNotPoisonTheWorkspace) {
-  // A visit gate that throws mid-drain must not leave frontier entries
-  // behind in the workspace's persistent bucket slots; the next search
-  // on the same workspace has to be exact.
+  // An admit predicate that throws mid-drain must not leave frontier
+  // entries behind in the workspace's persistent bucket slots; the next
+  // search on the same workspace, plain or pruned, has to be exact.
   const Graph g = awkward_graph(100, 300, 7, 31);
+  const std::vector<Dist> exact = ref_dijkstra(g, 9);
   SpWorkspace ws;
   for (const SpEngine engine : {SpEngine::kBucket, SpEngine::kHeap}) {
-    int visits = 0;
+    int asked = 0;
     EXPECT_THROW(
         sp_pruned_dijkstra(g, 0, ws,
                            [&](NodeId, Dist) -> bool {
-                             if (++visits == 5) throw std::runtime_error("x");
+                             if (++asked == 5) throw std::runtime_error("x");
                              return true;
                            },
                            engine),
         std::runtime_error);
     sp_dijkstra(g, 9, ws, engine);
-    EXPECT_EQ(ws.export_dist(), ref_dijkstra(g, 9));
+    EXPECT_EQ(ws.export_dist(), exact);
+    EXPECT_THROW(
+        sp_pruned_dijkstra(g, 0, ws,
+                           [&](NodeId, Dist) -> bool {
+                             if (++asked == 12) throw std::runtime_error("x");
+                             return true;
+                           },
+                           engine),
+        std::runtime_error);
+    sp_pruned_dijkstra(g, 9, ws, [](NodeId, Dist) { return true; }, engine);
+    EXPECT_EQ(ws.export_dist(), exact);
   }
 }
 
 TEST(SpKernel, PrunedSearchVisitsExactlyTheBall) {
-  // Gate: only expand nodes within distance 10 of the source. The visited
-  // set must be exactly {x : d(s,x) <= 10} and distances must be exact,
-  // because the ball is closed under shortest paths.
+  // Admit only distances <= 1 (the graph's distances from node 4 reach
+  // 6, with zero-weight ties at the radius). The ball {x : d(s,x) <= 1}
+  // is closed under shortest paths, so the search must reach exactly the
+  // ball, at exact distances, and the admitted nodes must be the reached
+  // ones. A node outside the ball is refused at every candidate distance,
+  // so it is never stamped: a gate asked only when a node settles would
+  // leave the ball's boundary reached.
   const Graph g = awkward_graph(150, 500, 5, 21);
   const std::vector<Dist> exact = ref_dijkstra(g, 4);
   for (const SpEngine engine : {SpEngine::kBucket, SpEngine::kHeap}) {
     SpWorkspace ws;
-    std::vector<std::pair<NodeId, Dist>> visited;
+    std::vector<NodeId> admitted;
     sp_pruned_dijkstra(g, 4, ws, [&](NodeId x, Dist d) {
-      if (d > 10) return false;
-      visited.emplace_back(x, d);
+      if (d > 1) return false;
+      admitted.push_back(x);
       return true;
     }, engine);
     std::size_t want_count = 0;
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (exact[u] <= 10) ++want_count;
+      const bool inside = exact[u] <= 1;
+      want_count += inside;
+      EXPECT_EQ(ws.reached(u), inside) << "node " << u;
+      if (inside) {
+        EXPECT_EQ(ws.dist(u), exact[u]) << "node " << u;
+      }
     }
-    ASSERT_EQ(visited.size(), want_count);
-    for (const auto& [x, d] : visited) EXPECT_EQ(d, exact[x]);
+    ASSERT_GT(want_count, 1u);
+    ASSERT_LT(want_count, g.num_nodes());
+    std::sort(admitted.begin(), admitted.end());
+    EXPECT_EQ(std::adjacent_find(admitted.begin(), admitted.end()),
+              admitted.end());
+    EXPECT_EQ(admitted.size(), want_count);
+  }
+}
+
+TEST(SpKernel, RefusedSourceSettlesNothing) {
+  // With zero-weight edges a TZ phase source can tie its own gate; the
+  // predicate is asked at the source too, and a refused source leaves the
+  // search empty, even when its neighbours would be admitted.
+  const Graph g = awkward_graph(120, 400, 0, 41);
+  for (const SpEngine engine : {SpEngine::kBucket, SpEngine::kHeap}) {
+    SpWorkspace ws;
+    sp_dijkstra(g, 0, ws, engine);  // stamps left by an earlier search
+    std::vector<NodeId> asked;
+    sp_pruned_dijkstra(g, 7, ws, [&](NodeId x, Dist) {
+      asked.push_back(x);
+      return x != 7;
+    }, engine);
+    EXPECT_EQ(asked, std::vector<NodeId>{7});
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      EXPECT_FALSE(ws.reached(u)) << "node " << u;
+    }
   }
 }
 

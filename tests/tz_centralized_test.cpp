@@ -4,6 +4,7 @@
 
 #include "baselines/exact_oracle.hpp"
 #include "graph/generators.hpp"
+#include "graph/sp_kernel.hpp"
 #include "sketch/cdg_sketch.hpp"  // serialize_label
 #include "sketch/tz_centralized.hpp"
 #include "util/thread_pool.hpp"
@@ -52,13 +53,27 @@ class TzCentralizedSweep
 
 TEST_P(TzCentralizedSweep, MatchesBruteForceDefinitions) {
   const auto [k, seed] = GetParam();
-  const Graph g = erdos_renyi(60, 0.08, {1, 12}, seed);
-  const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, seed * 31 + 1);
-  const auto built = build_tz_centralized(g, h);
-  const auto brute = brute_force_labels(g, h);
-  ASSERT_EQ(built.num_nodes(), brute.num_nodes());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_TRUE(built.view(u) == brute.view(u)) << "label mismatch at node " << u;
+  // The weight axis: corpus-like weights; weights {0, 3}, whose
+  // zero-weight edges make keys tie at the gates (a phase source can tie
+  // its own gate and must then stay out of its cluster); and weights
+  // above kBucketWeightLimit, so growth runs on the heap engine and its
+  // decrease-key path.
+  for (const WeightSpec weights :
+       {WeightSpec{1, 12}, WeightSpec{0, 3}, WeightSpec{1, 10000}}) {
+    SCOPED_TRACE(::testing::Message() << "weights " << weights.min_weight
+                                      << ".." << weights.max_weight);
+    const Graph g = erdos_renyi(60, 0.08, weights, seed);
+    ASSERT_EQ(select_engine(g), weights.max_weight > kBucketWeightLimit
+                                    ? SpEngine::kHeap
+                                    : SpEngine::kBucket);
+    const Hierarchy h = Hierarchy::sample(g.num_nodes(), k, seed * 31 + 1);
+    const auto built = build_tz_centralized(g, h);
+    const auto brute = brute_force_labels(g, h);
+    ASSERT_EQ(built.num_nodes(), brute.num_nodes());
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      EXPECT_TRUE(built.view(u) == brute.view(u))
+          << "label mismatch at node " << u;
+    }
   }
 }
 
