@@ -122,30 +122,20 @@ SketchPayload SketchPayload::from_segments(Scheme scheme, std::uint32_t k,
   return payload;
 }
 
-std::vector<std::uint8_t> SketchPayload::empty_record(Scheme scheme) {
-  RecordSlab one;
+void SketchPayload::append_empty_record(Scheme scheme,
+                                        RecordSlabWriter& records) {
   switch (scheme) {
-    case Scheme::kThorupZwick: {
-      LabelArena arena;
-      arena.append(LabelView());
-      one = arena.slab();
-      break;
-    }
-    case Scheme::kSlack: {
-      SlackSketchSet slack;  // an empty net: width 0, every distance kInfDist
-      slack.append_row(nullptr);
-      one = slack.rows();
-      break;
-    }
+    case Scheme::kThorupZwick:
+      records.append(LabelView().bytes());
+      return;
+    case Scheme::kSlack:  // an empty net: width 0, every distance kInfDist
+      SlackSketchSet::append_row(records, {});
+      return;
     case Scheme::kCdg:
-    case Scheme::kGraceful: {
-      CdgSketchSet cdg;
-      cdg.append(kInvalidNode, kInfDist, LabelView());
-      one = cdg.records();
-      break;
-    }
+    case Scheme::kGraceful:
+      CdgSketchSet::append(records, kInvalidNode, kInfDist, LabelView());
+      return;
   }
-  return {one.record(0), one.record(0) + one.record_size(0)};
 }
 
 bool SketchPayload::valid_record(Scheme scheme, const std::uint8_t* record,

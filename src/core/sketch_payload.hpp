@@ -3,11 +3,12 @@
 //
 // SketchPayload is the one layout of a build's sketches: one packed
 // record per node per store segment (sketch/record_slab), in memory and on
-// disk alike. The sketch set (serve/sketch_store) owns one whether it was
-// built, loaded or mapped; a loaded or mapped store's slabs borrow the
-// file's bytes. Every representation therefore answers through the same
-// per-scheme query functions over views of those records: tz_query,
-// slack_query and cdg_query.
+// disk alike. The sketch set (serve/sketch_store) holds one whether it was
+// built, loaded or mapped; a loaded or mapped store's slabs share the
+// file's bytes, and a copied payload shares its source's. Every
+// representation therefore answers through the same per-scheme query
+// functions over views of those records: tz_query, slack_query and
+// cdg_query.
 #pragma once
 
 #include <cstddef>
@@ -68,9 +69,10 @@ struct SketchPayload {
   /// every record. Slack rows hold `slack_net_size` distances.
   static bool valid_record(Scheme scheme, const std::uint8_t* record,
                            std::size_t size, std::size_t slack_net_size);
-  /// The record a quarantined node serves in `scheme`: every query
-  /// against it answers kInfDist ("don't know"), never a wrong distance.
-  static std::vector<std::uint8_t> empty_record(Scheme scheme);
+  /// Appends to `records` the record a quarantined node serves in
+  /// `scheme`: every query against it answers kInfDist ("don't know"),
+  /// never a wrong distance.
+  static void append_empty_record(Scheme scheme, RecordSlabWriter& records);
 };
 
 /// Runs the distributed construction for config.scheme on g and returns

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/sketch_payload.hpp"
+#include "graph/shortest_paths.hpp"
 #include "obs/trace.hpp"
 #include "sketch/hierarchy.hpp"
 #include "sketch/stretch_eval.hpp"
@@ -51,43 +52,6 @@ void TzDynamicSketch::build_labels(const Graph& g, std::uint64_t seed,
                                    ThreadPool* pool) {
   labels_ = build_tz_centralized(
       g, Hierarchy::sample(g.num_nodes(), k_, seed), pool);
-  recompute_bound();
-}
-
-void TzDynamicSketch::recompute_bound() {
-  bound_ = 0;
-  for (NodeId u = 0; u < labels_.num_nodes(); ++u) {
-    const LabelView label = labels_.view(u);
-    for (std::uint32_t i = 0; i < label.levels; ++i) {
-      const DistKey p = label.pivot(i);
-      if (p.id != kInvalidNode && p.dist != kInfDist) {
-        bound_ = std::max(bound_, p.dist);
-      }
-    }
-    for (std::uint32_t j = 0; j < label.count; ++j) {
-      bound_ = std::max(bound_, label.entry(j).dist);
-    }
-  }
-}
-
-std::size_t TzDynamicSketch::explore(const Graph& g, NodeId source,
-                                     std::vector<Dist>& out) {
-  out.assign(g.num_nodes(), kInfDist);
-  const Dist bound = bound_;
-  // No node is queued past the bound: prefixes of shortest paths are
-  // monotone, so every node whose true distance is <= bound still
-  // settles exactly; values beyond it can never beat a stored entry.
-  sp_pruned_dijkstra(g, source, ws_,
-                     [bound](NodeId, Dist d) { return d <= bound; });
-  std::size_t recorded = 0;
-  for (NodeId x = 0; x < g.num_nodes(); ++x) {
-    const Dist d = ws_.dist(x);
-    if (d <= bound) {
-      out[x] = d;
-      ++recorded;
-    }
-  }
-  return recorded;
 }
 
 bool TzDynamicSketch::apply(const Graph& updated, const EdgeUpdate& update) {
@@ -101,18 +65,18 @@ bool TzDynamicSketch::apply(const Graph& updated, const EdgeUpdate& update) {
   const obs::Span repair_span("incremental_repair");
   DS_CHECK(updated.num_nodes() == labels_.num_nodes());
   const Dist we = update.weight;
-  stats_.nodes_explored += explore(updated, update.u, dist_a_);
-  stats_.nodes_explored += explore(updated, update.v, dist_b_);
+  const std::vector<Dist> dist_a = dijkstra(updated, update.u);
+  const std::vector<Dist> dist_b = dijkstra(updated, update.v);
 
   // Tightest detour through the updated edge between x and y, kInfDist
-  // when neither orientation is inside the explored bound.
+  // when neither orientation is connected.
   const auto via_edge = [&](NodeId x, NodeId y) {
     Dist best = kInfDist;
-    if (dist_a_[x] != kInfDist && dist_b_[y] != kInfDist) {
-      best = dist_a_[x] + we + dist_b_[y];
+    if (dist_a[x] != kInfDist && dist_b[y] != kInfDist) {
+      best = dist_a[x] + we + dist_b[y];
     }
-    if (dist_b_[x] != kInfDist && dist_a_[y] != kInfDist) {
-      best = std::min(best, dist_b_[x] + we + dist_a_[y]);
+    if (dist_b[x] != kInfDist && dist_a[y] != kInfDist) {
+      best = std::min(best, dist_b[x] + we + dist_a[y]);
     }
     return best;
   };
@@ -122,10 +86,10 @@ bool TzDynamicSketch::apply(const Graph& updated, const EdgeUpdate& update) {
   const auto tightened = [&](NodeId x, NodeId y, Dist d) {
     return d == kInfDist ? d : std::min(d, via_edge(x, y));
   };
-  // Whether a distance of x's label tightens; outside both searches none
-  // can.
+  // Whether a distance of x's label tightens; where neither endpoint
+  // reaches x none can.
   const auto tightens = [&](NodeId x, const LabelView& label) {
-    if (dist_a_[x] == kInfDist && dist_b_[x] == kInfDist) return false;
+    if (dist_a[x] == kInfDist && dist_b[x] == kInfDist) return false;
     for (std::uint32_t i = 0; i < label.levels; ++i) {
       const DistKey p = label.pivot(i);
       if (tightened(x, p.id, p.dist) < p.dist) return true;
@@ -137,14 +101,14 @@ bool TzDynamicSketch::apply(const Graph& updated, const EdgeUpdate& update) {
     return false;
   };
 
-  // Records are write-once: every label goes to a fresh arena, re-packed
+  // Records are write-once: every label goes to a fresh slab, re-packed
   // from a builder where a distance tightened and copied otherwise.
-  LabelArena repaired;
+  RecordSlabWriter repaired;
   bool improved = false;
   for (NodeId x = 0; x < updated.num_nodes(); ++x) {
     const LabelView label = labels_.view(x);
     if (!tightens(x, label)) {
-      repaired.append(label);
+      repaired.append(label.bytes());
       continue;
     }
     improved = true;
@@ -163,10 +127,12 @@ bool TzDynamicSketch::apply(const Graph& updated, const EdgeUpdate& update) {
       e.dist = d;
       builder.add_bunch_entry(e);
     }
-    repaired.append(builder.view());
+    repaired.append(builder.view().bytes());
   }
   // As in rebuild(), the arena is replaced whole, and only when it changed.
-  if (improved) labels_ = std::move(repaired);
+  if (improved) {
+    labels_ = LabelArena(std::move(repaired).finish(), labels_.k());
+  }
   ++stats_.repaired;
   return true;
 }

@@ -11,15 +11,12 @@
 //     stores an exact point-to-point distance, and after inserting
 //     (a, b, w) the new distance is
 //         d'(x, y) = min(d(x, y), Da(x) + w + Db(y), Db(x) + w + Da(y))
-//     with Da/Db one SSSP each from the endpoints on the updated graph.
-//     Both searches are *bounded* re-explorations through the shared
-//     sp_kernel workspaces: expansion stops beyond the largest distance
-//     any label stores, because a longer path can never improve a stored
-//     entry (shortest paths have monotone prefixes, so every entry with
-//     true distance inside the bound is still computed exactly). Records
-//     are write-once, so a label with a tightened distance is re-packed
-//     into a fresh arena that replaces the old one. Repair preserves the
-//     one-sided guarantee (estimates never drop below the new true
+//     with Da/Db one full SSSP each from the endpoints on the updated
+//     graph, after which every label is scanned. Records are write-once,
+//     so every label is written into a fresh slab (a label with a
+//     tightened distance re-packed) that replaces the old arena; a
+//     snapshot taken earlier keeps the old bytes alive. Repair preserves
+//     the one-sided guarantee (estimates never drop below the new true
 //     distance) and tightens estimates toward it.
 //
 //   - Distance-increasing updates (deletes, weight increases) cannot be
@@ -35,12 +32,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/oracle.hpp"
 #include "dynamics/update_stream.hpp"
 #include "graph/graph.hpp"
-#include "graph/sp_kernel.hpp"
 #include "sketch/tz_label.hpp"
 #include "util/thread_pool.hpp"
 
@@ -50,8 +45,8 @@ namespace dsketch {
 /// serving tier. A frozen label arena with the Lemma 3.2 query; unlike a
 /// built SketchStore it carries no build cost and no save path (a
 /// repaired sketch is a transient serving artifact, not a persisted one;
-/// SketchStore::from_oracle packs it when it must be shipped, recording
-/// epsilon 0).
+/// SketchStore::from_oracle packs it when it must be shipped, sharing its
+/// bytes and recording epsilon 0).
 class TzLabelOracle final : public DistanceOracle {
  public:
   TzLabelOracle(LabelArena labels, std::uint32_t k);
@@ -78,7 +73,6 @@ struct RepairStats {
   std::uint64_t updates_seen = 0;     ///< apply() calls
   std::uint64_t repaired = 0;         ///< repaired by re-packing
   std::uint64_t unrepairable = 0;     ///< needed a rebuild to fix
-  std::uint64_t nodes_explored = 0;   ///< bounded-search reach, summed
   std::uint64_t entries_improved = 0; ///< label distances tightened
   std::uint64_t rebuilds = 0;         ///< full rebuilds performed
 };
@@ -107,7 +101,9 @@ class TzDynamicSketch {
   void rebuild(const Graph& g, std::uint64_t seed,
                ThreadPool* pool = nullptr);
 
-  /// An immutable copy of the current labels for the serving tier.
+  /// An immutable oracle over the current labels for the serving tier.
+  /// It shares the arena's bytes (no copy) and keeps them alive past the
+  /// next apply() or rebuild(), and past this sketch.
   std::shared_ptr<const DistanceOracle> snapshot() const;
 
   std::uint32_t k() const { return k_; }
@@ -122,20 +118,11 @@ class TzDynamicSketch {
 
  private:
   void build_labels(const Graph& g, std::uint64_t seed, ThreadPool* pool);
-  void recompute_bound();
-  /// Bounded SSSP from `source` on `g` into `out` (kInfDist beyond the
-  /// bound); returns the number of nodes recorded.
-  std::size_t explore(const Graph& g, NodeId source, std::vector<Dist>& out);
 
   std::uint32_t k_ = 0;
   LabelArena labels_;
-  Dist bound_ = 0;
   std::size_t unrepaired_ = 0;
   RepairStats stats_;
-  // Re-exploration scratch, reused across apply() calls.
-  SpWorkspace ws_;
-  std::vector<Dist> dist_a_;
-  std::vector<Dist> dist_b_;
 };
 
 /// When to stop repairing and rebuild. All triggers are budgets; a zero

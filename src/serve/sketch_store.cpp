@@ -316,12 +316,11 @@ SketchStore::Recovery SketchStore::recover_file(const std::string& path) {
       sf::parse(image->data(), image->size(), sf::Parse::kSalvage);
   const auto scheme = static_cast<Scheme>(file.header.scheme_raw);
   const NodeId n = file.header.n;
-  const std::vector<std::uint8_t> empty = SketchPayload::empty_record(scheme);
   std::vector<char> quarantined(n, 0);
   std::vector<RecordSlab> slabs;
   for (const sf::Segment& seg : file.segments) {
     const std::size_t net = scheme == Scheme::kSlack ? seg.meta[0] : 0;
-    RecordSlab& slab = slabs.emplace_back();
+    RecordSlabWriter slab;
     for (NodeId u = 0; u < n; ++u) {
       const std::uint64_t begin = seg.offset(u);
       const std::uint64_t end = seg.offset(u + 1);
@@ -334,9 +333,10 @@ SketchStore::Recovery SketchStore::recover_file(const std::string& path) {
         slab.append(rec);
       } else {
         quarantined[u] = 1;
-        slab.append(empty);
+        SketchPayload::append_empty_record(scheme, slab);
       }
     }
+    slabs.push_back(std::move(slab).finish());
   }
   Recovery rec;
   rec.store = from_file(file, std::move(slabs));

@@ -124,8 +124,9 @@ class SketchStore final : public DistanceOracle {
 
   /// Packs another sketch set: a copy of a SketchStore, or the label
   /// arena of a TzLabelOracle (recorded with epsilon 0). The result
-  /// carries no build cost. Throws std::runtime_error for oracles without
-  /// a label plane (the baselines).
+  /// shares the source's record bytes (no record is copied) and carries
+  /// no build cost. Throws std::runtime_error for oracles without a label
+  /// plane (the baselines).
   static SketchStore from_oracle(const DistanceOracle& oracle);
 
   /// Binary round trip. read()/load_file() read the file into one heap
@@ -237,7 +238,7 @@ class SketchStore final : public DistanceOracle {
   bool has_cost_ = false;  ///< see build_cost()
   SimStats cost_;
   SketchPayload payload_;
-  /// The file bytes the payload borrows (loaded or mapped stores).
+  /// The file bytes the payload's slabs share (loaded or mapped stores).
   std::shared_ptr<const store_format::Image> image_;
 };
 

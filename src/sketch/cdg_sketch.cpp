@@ -124,10 +124,10 @@ bool CdgRecord::valid(const std::uint8_t* rec, std::size_t size) {
          LabelView::valid(rec + kCdgPrefixBytes, size - kCdgPrefixBytes);
 }
 
-void CdgSketchSet::append(NodeId net_node, Dist net_dist,
-                          const LabelView& label) {
+void CdgSketchSet::append(RecordSlabWriter& records, NodeId net_node,
+                          Dist net_dist, const LabelView& label) {
   const std::span<const std::uint8_t> bytes = label.bytes();
-  std::uint8_t* rec = records_.append(kCdgPrefixBytes + bytes.size());
+  std::uint8_t* rec = records.append(kCdgPrefixBytes + bytes.size());
   store_le32(rec, net_node);
   store_le32(rec + 4, label.owner);
   store_le64(rec + 8, net_dist);
@@ -192,16 +192,18 @@ CdgBuildResult build_cdg_sketches(const Graph& g, const CdgConfig& config,
   DS_CHECK_MSG(dissemination.complete(),
                "every node must receive its owner's full label");
 
+  RecordSlabWriter records;
   for (NodeId u = 0; u < n; ++u) {
     const NodeId owner = voronoi.owner[u];
     if (owner == u) {
-      result.sketches.append(owner, voronoi.dist[u], tz.labels.view(u));
+      CdgSketchSet::append(records, owner, voronoi.dist[u], tz.labels.view(u));
     } else {
       const TzLabelBuilder label =
           deserialize_label(owner, dissemination.received(u));
-      result.sketches.append(owner, voronoi.dist[u], label.view());
+      CdgSketchSet::append(records, owner, voronoi.dist[u], label.view());
     }
   }
+  result.sketches = CdgSketchSet(std::move(records).finish());
   return result;
 }
 

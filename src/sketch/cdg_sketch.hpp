@@ -64,13 +64,14 @@ Dist cdg_query(const CdgRecord& u, const CdgRecord& v);
 class CdgSketchSet {
  public:
   CdgSketchSet() = default;
-  /// Serves the packed records of `records` (e.g. borrowed from a store
-  /// file).
+  /// Serves the packed records of `records` (from append, or a store
+  /// file's).
   explicit CdgSketchSet(RecordSlab records) : records_(std::move(records)) {}
 
-  /// Appends node num_nodes()'s sketch; label.owner is kept as the owner
-  /// of the label (u').
-  void append(NodeId net_node, Dist net_dist, const LabelView& label);
+  /// Packs one node's sketch as the next record of `records`;
+  /// label.owner is kept as the owner of the label (u').
+  static void append(RecordSlabWriter& records, NodeId net_node,
+                     Dist net_dist, const LabelView& label);
 
   Dist query(NodeId u, NodeId v) const {
     return u == v ? 0 : cdg_query(sketch(u), sketch(v));

@@ -6,10 +6,11 @@
 // offsets[u+1]). The blob always ends in kRecordTail zero bytes past the
 // last record, so a reader may load 8 bytes at any byte of any record
 // (read_bits does). Offset table and blob are exactly a store segment's
-// (serve/sketch_store.hpp), so a slab either owns its bytes (a build, a
-// repair, a recovered store) or borrows them from a loaded or mapped
-// store file, holding a shared reference that keeps them alive: a copied
-// slab never dangles, and serving a file needs no decode step.
+// (serve/sketch_store.hpp). A slab is immutable, and one shared owner
+// holds its bytes: a store file's image, or the two vectors a build or a
+// RecordSlabWriter handed over whole. Copying a slab shares that owner,
+// so a copy never dangles, costs no byte, and serving a file needs no
+// decode step.
 //
 // Fields inside a record are bit-packed little-endian at widths computed
 // from the record's own data — frame-of-reference packing (Lemire &
@@ -114,21 +115,20 @@ class BitWriter {
 };
 
 /// n variable-size byte records behind an (n+1)-entry offset table; see
-/// the file comment. Records are write-once: an owned slab either grows
-/// one appended record at a time or takes a whole blob whose records were
-/// each written once into the place a prefix sum of their sizes gave them
-/// (a parallel pack); a borrowed slab is read-only, and nothing rewrites a
-/// record. Copying deep-copies owned bytes and shares borrowed ones.
+/// the file comment. A slab never changes: its records were each written
+/// once, either into the place a prefix sum of their sizes gave them (a
+/// parallel pack) or one after another by a RecordSlabWriter. Copies
+/// share the bytes and keep them alive.
 class RecordSlab {
  public:
-  /// An empty owned slab.
+  /// No records.
   RecordSlab() = default;
-  /// Owns records laid out by their sizes: `offsets` holds n+1 byte
+  /// Takes records laid out by their sizes: `offsets` holds n+1 byte
   /// offsets from 0 (one prefix sum), `blob` every record in its place,
   /// each written once, followed by kRecordTail zero bytes.
   RecordSlab(std::vector<std::uint64_t> offsets,
              std::vector<std::uint8_t> blob);
-  /// Borrows a store segment's `n` records: `offsets` holds n+1
+  /// Serves a store segment's `n` records: `offsets` holds n+1
   /// little-endian u64s, `blob` the records followed by kRecordTail
   /// bytes. `keep` owns that memory; the slab shares it.
   RecordSlab(std::shared_ptr<const void> keep, const std::uint8_t* offsets,
@@ -136,22 +136,19 @@ class RecordSlab {
       : n_(n), keep_(std::move(keep)), offsets_(offsets), blob_(blob) {}
 
   NodeId num_records() const { return n_; }
-  bool owned() const { return keep_ == nullptr; }
 
   std::uint64_t offset(NodeId u) const {
-    return load_le64(offset_bytes() + 8 * static_cast<std::size_t>(u));
+    return load_le64(offsets_ + 8 * static_cast<std::size_t>(u));
   }
   /// Record u's first byte; 8 bytes past any of its bytes are readable.
-  const std::uint8_t* record(NodeId u) const {
-    return blob_bytes() + offset(u);
-  }
+  const std::uint8_t* record(NodeId u) const { return blob_ + offset(u); }
   std::size_t record_size(NodeId u) const {
     return static_cast<std::size_t>(offset(u + 1) - offset(u));
   }
 
   /// Hints record u's offset-table entry into the cache (u <= n).
   void prefetch_offset(NodeId u) const {
-    __builtin_prefetch(offset_bytes() + 8 * static_cast<std::size_t>(u));
+    __builtin_prefetch(offsets_ + 8 * static_cast<std::size_t>(u));
   }
   /// Hints the first two cache lines of record u into the cache; reads
   /// its offset, so u must be a record of this slab.
@@ -161,36 +158,42 @@ class RecordSlab {
     __builtin_prefetch(rec + 64);
   }
 
-  /// Appends a zeroed record of `bytes` bytes (followed by the tail) and
-  /// returns it for the caller to fill. Owned slabs only.
+  /// The offset table as a store segment holds it: 8(n+1) bytes.
+  std::span<const std::uint8_t> offset_table() const {
+    return {offsets_, 8 * (static_cast<std::size_t>(n_) + 1)};
+  }
+  /// The records and their tail.
+  std::span<const std::uint8_t> blob() const {
+    return {blob_, static_cast<std::size_t>(offset(n_)) + kRecordTail};
+  }
+
+ private:
+  /// The empty slab's offset table (one zero offset) and blob (the tail).
+  static constexpr std::uint8_t kNoRecords[kRecordTail] = {};
+
+  NodeId n_ = 0;
+  std::shared_ptr<const void> keep_;  ///< their owner; null for kNoRecords
+  const std::uint8_t* offsets_ = kNoRecords;
+  const std::uint8_t* blob_ = kNoRecords;
+};
+
+/// Lays records out one after another and seals them into a RecordSlab
+/// once: the way to write records whose sizes are known only one at a
+/// time (a repair, a recovered store, slack rows, CDG records).
+class RecordSlabWriter {
+ public:
+  /// Appends a zeroed record of `bytes` bytes and returns it for the
+  /// caller to fill, until the next append.
   std::uint8_t* append(std::size_t bytes);
   /// Appends a copy of `record`.
   void append(std::span<const std::uint8_t> record);
 
-  /// The offset table as a store segment holds it: 8(n+1) bytes.
-  std::span<const std::uint8_t> offset_table() const {
-    return {offset_bytes(), 8 * (static_cast<std::size_t>(n_) + 1)};
-  }
-  /// The records and their tail.
-  std::span<const std::uint8_t> blob() const {
-    return {blob_bytes(), static_cast<std::size_t>(offset(n_)) + kRecordTail};
-  }
+  /// The slab of every appended record, in order; the writer is spent.
+  RecordSlab finish() &&;
 
  private:
-  const std::uint8_t* offset_bytes() const {
-    return owned() ? reinterpret_cast<const std::uint8_t*>(own_offsets_.data())
-                   : offsets_;
-  }
-  const std::uint8_t* blob_bytes() const {
-    return owned() ? own_blob_.data() : blob_;
-  }
-
-  NodeId n_ = 0;
-  std::shared_ptr<const void> keep_;  ///< borrowed bytes' owner
-  const std::uint8_t* offsets_ = nullptr;  ///< borrowed offset table
-  const std::uint8_t* blob_ = nullptr;     ///< borrowed blob
-  std::vector<std::uint64_t> own_offsets_{0};
-  std::vector<std::uint8_t> own_blob_ = std::vector<std::uint8_t>(kRecordTail);
+  std::vector<std::uint64_t> offsets_{0};
+  std::vector<std::uint8_t> blob_ = std::vector<std::uint8_t>(kRecordTail);
 };
 
 }  // namespace dsketch

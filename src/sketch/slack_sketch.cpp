@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "congest/bellman_ford.hpp"
 #include "sketch/density_net.hpp"
@@ -44,19 +45,18 @@ Dist slack_query(const SlackRow& u, const SlackRow& v) {
   return best;
 }
 
-void SlackSketchSet::append_row(const Dist* row) {
+void SlackSketchSet::append_row(RecordSlabWriter& rows,
+                                std::span<const Dist> row) {
   // The width holds every finite distance plus the all-ones sentinel.
   Dist top = 0;
-  for (std::size_t i = 0; i < net_.size(); ++i) {
-    if (row[i] != kInfDist) top = std::max(top, row[i] + 1);
+  for (const Dist d : row) {
+    if (d != kInfDist) top = std::max(top, d + 1);
   }
   const auto width = static_cast<unsigned>(std::bit_width(top));
-  std::uint8_t* rec = rows_.append(1 + packed_bytes(net_.size(), width));
+  std::uint8_t* rec = rows.append(1 + packed_bytes(row.size(), width));
   rec[0] = static_cast<std::uint8_t>(width);
   BitWriter out(rec + 1);
-  for (std::size_t i = 0; i < net_.size(); ++i) {
-    out.put(row[i] == kInfDist ? low_mask(width) : row[i], width);
-  }
+  for (const Dist d : row) out.put(d == kInfDist ? low_mask(width) : d, width);
   out.finish();
 }
 
@@ -67,8 +67,7 @@ SlackSketchResult build_slack_sketches(const Graph& g, double epsilon,
   if (cfg.phase.empty()) cfg.phase = "slack_net_bf";
   MultiSourceBfResult bf = run_multi_source_bf(g, net, cfg);
 
-  SlackSketchResult result;
-  result.sketches = SlackSketchSet(net);
+  RecordSlabWriter rows;
   std::vector<Dist> row(net.size());
   for (NodeId u = 0; u < n; ++u) {
     for (std::size_t i = 0; i < net.size(); ++i) {
@@ -77,8 +76,10 @@ SlackSketchResult build_slack_sketches(const Graph& g, double epsilon,
                    "connected graph: every net distance must be learned");
       row[i] = it->second;
     }
-    result.sketches.append_row(row.data());
+    SlackSketchSet::append_row(rows, row);
   }
+  SlackSketchResult result;
+  result.sketches = SlackSketchSet(std::move(net), std::move(rows).finish());
   result.stats = bf.stats;
   return result;
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "congest/accounting.hpp"
@@ -58,16 +59,15 @@ Dist slack_query(const SlackRow& u, const SlackRow& v);
 class SlackSketchSet {
  public:
   SlackSketchSet() = default;
-  /// An empty table over `net`; rows are added with append_row.
-  explicit SlackSketchSet(std::vector<NodeId> net) : net_(std::move(net)) {}
-  /// Serves the packed rows of `rows` (e.g. borrowed from a store file).
+  /// Serves the packed rows of `rows` (from append_row, or a store file's).
   SlackSketchSet(std::vector<NodeId> net, RecordSlab rows)
       : net_(std::move(net)), rows_(std::move(rows)) {}
 
-  const std::vector<NodeId>& net() const { return net_; }
+  /// Packs `row`, one node's distances to every net node in net order,
+  /// as the next record of `rows`.
+  static void append_row(RecordSlabWriter& rows, std::span<const Dist> row);
 
-  /// Packs and appends node num_nodes()'s row of net().size() distances.
-  void append_row(const Dist* row);
+  const std::vector<NodeId>& net() const { return net_; }
 
   /// Nodes covered (rows of the distance table).
   std::size_t num_nodes() const { return rows_.num_records(); }

@@ -158,11 +158,6 @@ LabelArena LabelArena::from_builders(std::vector<TzLabelBuilder> builders) {
               [&](NodeId u) { return builders[u].parts(); }, calling_thread);
 }
 
-void LabelArena::append(const LabelView& label) {
-  slab_.append(label.bytes());
-  k_ = std::max(k_, label.levels);
-}
-
 double LabelArena::mean_size_words() const {
   if (empty()) return 0.0;
   std::size_t total = 0;

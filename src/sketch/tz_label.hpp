@@ -37,11 +37,11 @@
 //     serialization all walk views. A view never owns.
 //   - LabelArena: every label of one build, one record per node in a
 //     RecordSlab — the very bytes a store file holds, so a loaded or
-//     mapped store serves its labels without a decode. Records are
-//     write-once: a build packs each record once into the place a prefix
-//     sum of the record sizes gave it, and repair re-packs a changed label
-//     from a builder into a fresh arena, so a view dies only with the
-//     arena it was taken from.
+//     mapped store serves its labels without a decode. An arena never
+//     changes: a build packs each record once into the place a prefix sum
+//     of the record sizes gave it, and repair writes every label into a
+//     RecordSlabWriter and seals a fresh arena. Copies share the bytes, so
+//     a view dies only with the last arena that holds them.
 // Every record, whichever form it is packed from, is written by one
 // function, pack_label(), from a pivot span and a sorted bunch span.
 //
@@ -349,12 +349,12 @@ class TzLabelBuilder {
 /// (see the file comment). Node order, no holes: the in-memory arena has
 /// exactly a store file's layout. A build lays the slab out by record
 /// size and writes each record once, in parallel (pack()). Copying shares
-/// borrowed bytes and deep-copies owned ones.
+/// the slab's bytes.
 class LabelArena {
  public:
   LabelArena() = default;
-  /// Serves the records of `slab` (e.g. borrowed from a store file);
-  /// `k` is the largest level count among them.
+  /// Serves the records of `slab` (sealed by a RecordSlabWriter, or a
+  /// store file's); `k` is the largest level count among them.
   LabelArena(RecordSlab slab, std::uint32_t k)
       : slab_(std::move(slab)), k_(k) {}
 
@@ -369,10 +369,6 @@ class LabelArena {
   /// Packs per-node builders (builders[u].owner() must be u) on the
   /// calling thread. Unsorted builders are finalized here.
   static LabelArena from_builders(std::vector<TzLabelBuilder> builders);
-
-  /// Appends `label` as the record of node num_nodes(). The view's owner
-  /// is not stored: view(u).owner is always u.
-  void append(const LabelView& label);
 
   NodeId num_nodes() const { return slab_.num_records(); }
   bool empty() const { return num_nodes() == 0; }

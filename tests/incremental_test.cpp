@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "dynamics/update_stream.hpp"
 #include "graph/generators.hpp"
@@ -203,6 +204,31 @@ TEST(TzDynamicSketch, RepairedSnapshotSurvivesTheCheckedLoad) {
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       EXPECT_EQ(loaded.query(u, v), snapshot->query(u, v))
+          << "pair " << u << "," << v;
+    }
+  }
+}
+
+TEST(TzDynamicSketch, SnapshotOutlivesItsSketch) {
+  // A snapshot shares the arena it was taken over. Repair replaces the
+  // sketch's arena and the sketch dies, yet the snapshot keeps its bytes
+  // alive and answers every pair as it did when taken.
+  const Graph g = base_graph();
+  auto sketch = std::make_unique<TzDynamicSketch>(g, 2, 7);
+  const std::shared_ptr<const DistanceOracle> snapshot = sketch->snapshot();
+  std::vector<Dist> taken;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      taken.push_back(snapshot->query(u, v));
+    }
+  }
+  apply_decrease_stream(*sketch, g);
+  ASSERT_GT(sketch->stats().entries_improved, 0u);
+  sketch.reset();
+  std::size_t i = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_EQ(snapshot->query(u, v), taken[i++])
           << "pair " << u << "," << v;
     }
   }

@@ -602,6 +602,30 @@ TEST(SketchStorePacking, TzLabelStoreSurvivesBinaryRoundTrip) {
   }
 }
 
+TEST(SketchStorePacking, CopiesShareTheirSourcesRecordBytes) {
+  // A slab never changes, so a copy of anything holding one reads the
+  // very bytes of its source instead of a copy of them.
+  const Graph g = erdos_renyi(60, 0.1, {1, 9}, 45);
+  const TzLabelOracle oracle(
+      build_tz_centralized(g, Hierarchy::sample(g.num_nodes(), 2, 46)), 2);
+  const std::uint8_t* labels = oracle.labels().slab().record(0);
+  EXPECT_EQ(SketchStore::from_oracle(oracle).payload().tz.slab().record(0),
+            labels);
+  const LabelArena copy = oracle.labels();
+  EXPECT_EQ(copy.slab().record(0), labels);
+
+  const SketchStore built(g, config_for(Scheme::kThorupZwick));
+  EXPECT_EQ(SketchStore::from_oracle(built).payload().segment(0).record(0),
+            built.payload().segment(0).record(0));
+
+  const TzDynamicSketch sketch(g, 2, 7);
+  const auto snapshot = std::dynamic_pointer_cast<const TzLabelOracle>(
+      sketch.snapshot());
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_EQ(snapshot->labels().slab().record(0),
+            sketch.labels().slab().record(0));
+}
+
 TEST(SketchStoreMapped, FourLanesServeAMappingAcrossHotSwaps) {
   // A 4-lane service serves a mapped store while another thread swaps it
   // with a heap-loaded store of the same file and with fresh mappings.

@@ -15,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/oracle_registry.hpp"
@@ -66,8 +67,13 @@ void expect_same_cells(const LabelView& v, const TzLabelBuilder& b) {
 
 TEST(RecordCodec, TzRoundTripsBitExactly) {
   const TzLabelBuilder label = synthetic_label();
-  LabelArena arena;
-  arena.append(label.view());
+  // Fields up to 64 bits wide round-trip too.
+  TzLabelBuilder wide(3, 2);
+  wide.set_pivot(0, DistKey{kInfDist - 1, 3});
+  wide.set_pivot(1, DistKey{kInfDist, 0xfffffffe});
+  wide.add_bunch_entry({0, Dist{1} << 63});
+  wide.add_bunch_entry({0xfffffffe, kInfDist - 1});
+  const LabelArena arena = arena_of({label.view(), wide.view()});
   const LabelView v = arena.view(0);
   expect_same_cells(v, label);
   EXPECT_EQ(v.pivot(1).id, kInvalidNode);
@@ -82,22 +88,16 @@ TEST(RecordCodec, TzRoundTripsBitExactly) {
   repeated.add_bunch_entry({9, 3});
   EXPECT_DEATH(repeated.sort_bunch(), "DS_CHECK");
 
-  // Fields up to 64 bits wide round-trip too.
-  TzLabelBuilder wide(3, 2);
-  wide.set_pivot(0, DistKey{kInfDist - 1, 3});
-  wide.set_pivot(1, DistKey{kInfDist, 0xfffffffe});
-  wide.add_bunch_entry({0, Dist{1} << 63});
-  wide.add_bunch_entry({0xfffffffe, kInfDist - 1});
-  arena.append(wide.view());
   expect_same_cells(arena.view(1), wide);
   EXPECT_EQ(arena.view(1).bunch_dist(0xfffffffe), kInfDist - 1);
   EXPECT_EQ(arena.view(1).bunch_dist(0), Dist{1} << 63);
   EXPECT_EQ(arena.view(1).bunch_dist(5), kInfDist);
 
   // Slack rows: a 64-bit-wide row keeps its largest finite distance.
-  SlackSketchSet slack({1, 2, 3});
+  RecordSlabWriter rows;
   const Dist row[] = {kInfDist - 1, kInfDist, 0};
-  slack.append_row(row);
+  SlackSketchSet::append_row(rows, row);
+  const SlackSketchSet slack({1, 2, 3}, std::move(rows).finish());
   EXPECT_EQ(slack.row(0).at(0), kInfDist - 1);
   EXPECT_EQ(slack.row(0).at(1), kInfDist);
   EXPECT_EQ(slack.row(0).at(2), 0u);
@@ -150,10 +150,8 @@ TEST(RecordCodec, DecodeRejectsRepeatedId) {
   EXPECT_EQ(repeated.entry(1).node, 3u);
   EXPECT_FALSE(LabelView::valid(bytes.data(), size));
 
-  LabelArena arena;
-  arena.append(repeated);
   std::stringstream ss;
-  SketchStore::from_oracle(TzLabelOracle(arena, 0)).write(ss);
+  SketchStore::from_oracle(TzLabelOracle(arena_of({repeated}), 0)).write(ss);
   try {
     SketchStore::read(ss);
     FAIL() << "a record with a repeated bunch id must not load";

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -101,20 +103,24 @@ TEST(LabelView, BunchDistMatchesALinearScan) {
   }
 }
 
-TEST(LabelArena, AppendKeepsEachRecordContiguous) {
-  // Records lie back to back in node order, each one packed record, and
-  // labels of different level counts (a quarantined empty record)
-  // coexist.
+TEST(RecordSlabWriter, SealsRecordsBackToBack) {
+  // A sealed slab holds the written records back to back in order, each
+  // one packed record, and labels of different level counts (a
+  // quarantined empty record) coexist.
   TzLabelBuilder a(0, 2);
   a.set_pivot(0, {0, 0});
   a.set_pivot(1, {4, 3});
   a.add_bunch_entry({0, 0});
   a.add_bunch_entry({2, 6});
-  LabelArena arena;
-  arena.append(a.view());
-  arena.append(TzLabelBuilder(1, 0).view());
+  RecordSlabWriter records;
+  records.append(a.view().bytes());
+  records.append(TzLabelBuilder(1, 0).view().bytes());
+  const LabelArena arena(std::move(records).finish(), 2);
   ASSERT_EQ(arena.num_nodes(), 2u);
-  EXPECT_EQ(arena.k(), 2u);
+  const std::span<const std::uint8_t> blob = arena.slab().blob();
+  ASSERT_EQ(blob.size(), a.view().bytes().size() + kTzHeaderBytes + 8);
+  EXPECT_TRUE(std::all_of(blob.end() - 8, blob.end(),
+                          [](std::uint8_t b) { return b == 0; }));
   const LabelView v0 = arena.view(0);
   EXPECT_EQ(v0.bytes().data(), arena.slab().record(0));
   EXPECT_EQ(v0.bytes().size(), arena.slab().record_size(0));
