@@ -14,11 +14,16 @@
 // Both ratios must land well under 1; the full grid runs this at n=100k.
 //
 // The bounds row splits the simulator's wall time (BFS tree + TZ run) into
-// its step, splice and deliver phases beside build_seconds.
+// its step, splice and deliver phases beside build_seconds, and reads the
+// process's peak RSS right after the build. The peak is process-wide: in
+// a repro grid it includes the cells that ran before, so only a standalone
+// run isolates the build's.
 //
 // Flags: --n / --graph (primary graph, default n=2048 ER with avg degree
 // 8), --k (4), --sim-threads (0 = all hardware threads), --queries
 // (5000), --seed (7).
+#include <sys/resource.h>
+
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -56,6 +61,9 @@ int run_e15(const FlagSet& flags, std::ostream& out) {
   const TzDistributedResult r =
       build_tz_distributed(g, h, TerminationMode::kEcho, cfg);
   const double build_seconds = build_timer.seconds();
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
 
   SimStats combined = r.tree_stats;
   combined += r.stats;
@@ -102,6 +110,7 @@ int run_e15(const FlagSet& flags, std::ostream& out) {
       .add("step_seconds", combined.step_seconds)
       .add("splice_seconds", combined.splice_seconds)
       .add("deliver_seconds", combined.deliver_seconds)
+      .add("peak_rss_mb", peak_rss_mb)
       .emit(out);
 
   // --- pack + serve, verified against the centralized build --------------

@@ -16,6 +16,7 @@
 // against the oracle in experiment E3.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -26,13 +27,12 @@ namespace dsketch {
 
 class Simulator;
 
-/// Node-scoped view handed to protocol hooks. Cheap to construct; all calls
-/// touch only state owned by this node, so hooks may run concurrently for
-/// different nodes.
+/// Node-scoped view handed to protocol hooks. All calls touch only state
+/// owned by this node, so hooks may run concurrently for different nodes.
+/// Only the simulator constructs one: it carries the worker lane stepping
+/// the node, on whose free list the node's sends take message chunks.
 class NodeCtx {
  public:
-  NodeCtx(Simulator& sim, NodeId node) : sim_(sim), node_(node) {}
-
   NodeId node() const { return node_; }
   std::uint64_t round() const;
   std::uint32_t degree() const;
@@ -66,8 +66,13 @@ class NodeCtx {
   std::size_t outbox_depth(std::uint32_t local_edge) const;
 
  private:
+  friend class Simulator;
+  NodeCtx(Simulator& sim, NodeId node, std::size_t lane)
+      : sim_(sim), node_(node), lane_(lane) {}
+
   Simulator& sim_;
   NodeId node_;
+  std::size_t lane_;
 };
 
 class Protocol {

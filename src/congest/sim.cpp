@@ -22,17 +22,30 @@ std::span<const Inbound> NodeCtx::inbox() const {
   return sim_.inbox_of(node_);
 }
 void NodeCtx::send(std::uint32_t local_edge, const Message& m) {
-  sim_.enqueue(node_, local_edge, m);
+  sim_.enqueue(node_, local_edge, m, lane_);
 }
-void NodeCtx::broadcast(const Message& m) { sim_.enqueue_all(node_, m); }
+void NodeCtx::broadcast(const Message& m) {
+  sim_.enqueue_all(node_, m, lane_);
+}
 void NodeCtx::wake() { sim_.wake(node_); }
 void NodeCtx::wake_at(std::uint64_t round) { sim_.schedule_wake(node_, round); }
 std::size_t NodeCtx::outbox_depth(std::uint32_t local_edge) const {
   return sim_.outbox_depth(node_, local_edge);
 }
 
+namespace {
+// The lanes fan_out runs on: one per thread of the pool it uses.
+std::size_t lanes_for(unsigned threads) {
+  if (threads == 1) return 1;
+  return threads == 0 ? global_pool().lanes() : threads;
+}
+}  // namespace
+
 Simulator::Simulator(const Graph& graph, Protocol& protocol, SimConfig cfg)
-    : graph_(graph), protocol_(protocol), cfg_(cfg) {
+    : graph_(graph),
+      protocol_(protocol),
+      cfg_(cfg),
+      store_(lanes_for(cfg.threads)) {
   DS_CHECK(cfg_.max_message_words <= kMaxMessageCapacity);
   const NodeId n = graph_.num_nodes();
   const std::size_t half_edges = 2 * graph_.num_edges();
@@ -52,9 +65,8 @@ Simulator::Simulator(const Graph& graph, Protocol& protocol, SimConfig cfg)
   wake_at_scratch_.resize(n);
   dirty_local_.resize(n);
   start_pending_.assign(n, 0);
-  in_active_list_.assign(n, 0);
-  edge_busy_flag_.assign(half_edges, 0);
-  ready_flag_.assign(n, 0);
+  next_active_ = IdSet(n);
+  next_ready_ = IdSet(n);
   inbound_busy_.assign(half_edges, 0);
   stats_.label = cfg_.phase;
   if (cfg_.round_log != nullptr) cfg_.round_log->begin_phase(cfg_.phase);
@@ -90,52 +102,45 @@ ThreadPool* Simulator::pool() {
   return own_pool_.get();
 }
 
-void Simulator::fan_out(std::size_t count,
-                        const std::function<void(std::size_t)>& body) {
+void Simulator::fan_out(
+    std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& body) {
   // Small batches run inline: waking the pool costs more than they do.
   if (cfg_.threads == 1 || count < 64) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
+    for (std::size_t i = 0; i < count; ++i) body(0, i);
   } else {
-    pool()->parallel_for(count, body);
+    pool()->for_each_dynamic(count, body);
   }
-}
-
-bool Simulator::activate_node(NodeId u) {
-  if (in_active_list_[u]) return false;
-  in_active_list_[u] = 1;
-  active_.push_back(u);
-  return true;
 }
 
 void Simulator::activate_all() {
   const NodeId n = graph_.num_nodes();
   for (NodeId u = 0; u < n; ++u) {
     start_pending_[u] = 1;
-    activate_node(u);
+    next_active_.insert(u);
   }
-  std::sort(active_.begin(), active_.end());
 }
 
 void Simulator::activate(const std::vector<NodeId>& nodes) {
   for (NodeId u : nodes) {
     DS_CHECK(u < graph_.num_nodes());
     start_pending_[u] = 1;
-    activate_node(u);
+    next_active_.insert(u);
   }
-  std::sort(active_.begin(), active_.end());
 }
 
-void Simulator::enqueue(NodeId u, std::uint32_t local, const Message& m) {
+void Simulator::enqueue(NodeId u, std::uint32_t local, const Message& m,
+                        std::size_t lane) {
   DS_CHECK(m.size_words() <= cfg_.max_message_words);
   auto& box = outbox_[graph_.half_edge_index(u, local)];
   // A box can go empty→nonempty at most once per step (pops happen only at
   // delivery), so this records each newly busy half-edge exactly once. The
   // dirty list is node-owned: only u's own step enqueues on u's half-edges.
   if (box.empty()) dirty_local_[u].push_back(local);
-  box.push(m);
+  store_.push(box, m, lane);
 }
 
-void Simulator::enqueue_all(NodeId u, const Message& m) {
+void Simulator::enqueue_all(NodeId u, const Message& m, std::size_t lane) {
   DS_CHECK(m.size_words() <= cfg_.max_message_words);
   const std::size_t base = graph_.half_edge_index(u, 0);
   const auto deg = static_cast<std::uint32_t>(graph_.degree(u));
@@ -143,7 +148,7 @@ void Simulator::enqueue_all(NodeId u, const Message& m) {
   for (std::uint32_t local = 0; local < deg; ++local) {
     auto& box = outbox_[base + local];
     if (box.empty()) dirty.push_back(local);
-    box.push(m);
+    store_.push(box, m, lane);
   }
 }
 
@@ -151,7 +156,7 @@ SimStats Simulator::run() {
   for (;;) {
     if (faults_ != nullptr) apply_fault_events();
     land_due();
-    if (active_.empty() && busy_edges_.empty()) {
+    if (next_active_.empty() && busy_slots_ == 0) {
       const bool pending_faults =
           faults_ != nullptr && next_fault_event_ < fault_events_.size();
       if (!wheel_.empty() || pending_faults) {
@@ -167,13 +172,14 @@ SimStats Simulator::run() {
         continue;
       }
       if (!protocol_.on_quiescent(*this)) break;
-      if (active_.empty() && busy_edges_.empty() && wheel_.empty()) break;
+      if (next_active_.empty() && busy_slots_ == 0 && wheel_.empty()) break;
       continue;  // the oracle check itself consumes no rounds
     }
     if (round_ >= cfg_.max_rounds) {
       stats_.hit_round_limit = true;
       break;
     }
+    next_active_.drain(active_);
     const std::uint64_t active_nodes = active_.size();
     const std::uint64_t prev_messages = stats_.messages;
     const std::uint64_t prev_words = stats_.words;
@@ -210,7 +216,6 @@ SimStats Simulator::run() {
 }
 
 void Simulator::apply_fault_events() {
-  bool touched = false;
   while (next_fault_event_ < fault_events_.size() &&
          fault_events_[next_fault_event_].round <= round_) {
     const FaultEvent ev = fault_events_[next_fault_event_++];
@@ -219,13 +224,12 @@ void Simulator::apply_fault_events() {
       if (!down_[u]) continue;
       down_[u] = 0;
       restart_pending_[u] = 1;
-      touched |= activate_node(u);
+      next_active_.insert(u);
     } else {
       restart_round_[u] = ev.restart_at;
       crash_node(u);
     }
   }
-  if (touched) std::sort(active_.begin(), active_.end());
 }
 
 void Simulator::crash_node(NodeId u) {
@@ -236,16 +240,15 @@ void Simulator::crash_node(NodeId u) {
   inbox_[u].clear();
   // Queued-but-untransmitted outbound messages vanish too. They were
   // never counted as transmissions, so they don't count as drops either.
-  bool emptied = false;
+  // Their chunks go back to the store and their receiver-side marks go.
+  const std::size_t base = graph_.half_edge_index(u, 0);
   const auto deg = static_cast<std::uint32_t>(graph_.degree(u));
-  for (std::uint32_t local = 0; local < deg; ++local) {
-    const std::size_t h = graph_.half_edge_index(u, local);
-    if (!outbox_[h].empty()) {
-      outbox_[h] = Outbox{};
-      emptied = true;
-    }
+  for (std::size_t h = base; h < base + deg; ++h) {
+    if (outbox_[h].empty()) continue;
+    store_.release(outbox_[h], 0);
+    inbound_busy_[twin_[h]] = 0;
+    --busy_slots_;
   }
-  if (emptied) retire_drained_edges();
 }
 
 void Simulator::land_due() {
@@ -254,7 +257,6 @@ void Simulator::land_due() {
   // Move out first: deferring a down node's timer inserts into the wheel.
   const std::vector<Landing> due = std::move(it->second);
   wheel_.erase(it);
-  bool touched = false;
   for (const Landing& l : due) {
     if (faults_ != nullptr && down_[l.to]) {
       if (l.to_local == kTimer) {
@@ -265,12 +267,11 @@ void Simulator::land_due() {
       }
       continue;
     }
-    touched |= activate_node(l.to);
+    next_active_.insert(l.to);
     if (l.to_local != kTimer) {
       inbox_[l.to].push_back(Inbound{l.to_local, l.msg});
     }
   }
-  if (touched) std::sort(active_.begin(), active_.end());
 }
 
 void Simulator::step_active_nodes() {
@@ -287,7 +288,7 @@ void Simulator::step_active_nodes() {
     }
   }
   stats_.node_steps += stepped;
-  fan_out(active_.size(), [this](std::size_t idx) {
+  fan_out(active_.size(), [this](std::size_t lane, std::size_t idx) {
     const NodeId u = active_[idx];
     if (faults_ != nullptr) {
       if (down_[u]) return;
@@ -299,7 +300,7 @@ void Simulator::step_active_nodes() {
         }
       }
     }
-    NodeCtx ctx(*this, u);
+    NodeCtx ctx(*this, u, lane);
     if (start_pending_[u]) {
       start_pending_[u] = 0;
       if (faults_ != nullptr) restart_pending_[u] = 0;
@@ -316,16 +317,17 @@ void Simulator::step_active_nodes() {
 
 void Simulator::splice_new_work() {
   // Fold node-owned scratch produced by the (possibly parallel) step into
-  // the shared schedules, in sorted active-node order so busy_edges_ and
-  // the wheel's contents are independent of thread count.
+  // the shared schedules, in active-node (id) order so the wheel's
+  // contents are independent of thread count. A newly busy half-edge is
+  // marked at its receiver-side slot, and its receiver is made ready.
   for (const NodeId u : active_) {
+    const std::size_t base = graph_.half_edge_index(u, 0);
     for (const std::uint32_t local : dirty_local_[u]) {
-      const std::size_t h = graph_.half_edge_index(u, local);
-      if (!edge_busy_flag_[h]) {
-        edge_busy_flag_[h] = 1;
-        busy_edges_.push_back(h);
-      }
+      const std::size_t h = base + local;
+      inbound_busy_[twin_[h]] = 1;
+      next_ready_.insert(head_[h]);
     }
+    busy_slots_ += dirty_local_[u].size();
     dirty_local_[u].clear();
     for (const std::uint64_t at : wake_at_scratch_[u]) {
       wheel_[at].push_back(Landing{u, kTimer, Message{}});
@@ -344,51 +346,41 @@ std::uint64_t Simulator::transit(std::size_t half_edge,
 
 void Simulator::deliver() {
   // Next round's active set starts with the stepped nodes that asked for
-  // a wake; the pull adds every receiver it put something in front of.
-  stepped_.swap(active_);
-  active_.clear();
-  for (const NodeId u : stepped_) {
-    in_active_list_[u] = 0;
+  // a wake; the fold adds every receiver the pull put something in front
+  // of.
+  for (const NodeId u : active_) {
     if (wake_flag_[u]) {
       wake_flag_[u] = 0;
-      activate_node(u);
+      next_active_.insert(u);
     }
   }
 
-  // Receiver pull. Each busy half-edge is marked at its receiver-side slot
-  // (v, l); each receiver then drains its marked slots in local-edge
-  // order. Every half-edge has exactly one receiver, so the pulls are
-  // data-race-free and parallelize over receivers, and the arrivals due
-  // next round reach each inbox in (local_edge, FIFO) order.
-  ready_.clear();
-  for (const std::size_t h : busy_edges_) {
-    const NodeId to = head_[h];
-    inbound_busy_[twin_[h]] = 1;
-    if (!ready_flag_[to]) {
-      ready_flag_[to] = 1;
-      ready_.push_back(to);
-    }
-  }
-  std::sort(ready_.begin(), ready_.end());
-
+  // Receiver pull. A busy half-edge stays marked at its receiver-side slot
+  // (v, l) until its queue drains; each ready receiver ships one message
+  // from each of its marked slots, in local-edge order. Every half-edge
+  // has exactly one receiver, so the pulls are data-race-free and
+  // parallelize over receivers, and the arrivals due next round reach
+  // each inbox in (local_edge, FIFO) order. A pull gives the chunks it
+  // empties back on its own lane.
+  next_ready_.drain(ready_);
   if (deltas_.size() < ready_.size()) deltas_.resize(ready_.size());
-  fan_out(ready_.size(), [this](std::size_t i) {
+  fan_out(ready_.size(), [this](std::size_t lane, std::size_t i) {
     const NodeId to = ready_[i];
     const std::size_t base = graph_.half_edge_index(to, 0);
     const auto deg = static_cast<std::uint32_t>(graph_.degree(to));
-    SimCounters& counts = deltas_[i].counts;
-    auto& later = deltas_[i].later;
+    ReceiverDelta& delta = deltas_[i];
+    SimCounters& counts = delta.counts;
+    auto& later = delta.later;
     auto& in = inbox_[to];
     for (std::uint32_t to_local = 0; to_local < deg; ++to_local) {
       const std::size_t r = base + to_local;
       if (!inbound_busy_[r]) continue;
-      inbound_busy_[r] = 0;
       const std::size_t h = twin_[r];  // the sending half-edge
       auto& box = outbox_[h];
       if (box.size() > counts.max_outbox) counts.max_outbox = box.size();
       std::size_t ship = cfg_.enforce_capacity ? 1 : box.size();
       counts.messages += ship;
-      for (; ship > 0; --ship, box.pop()) {
+      for (; ship > 0; --ship, store_.pop(box, lane)) {
         const Message& m = box.front();
         counts.words += m.size_words();
         if (!send_seq_.empty()) {
@@ -414,13 +406,20 @@ void Simulator::deliver() {
         }
         in.push_back(Inbound{to_local, m});
       }
+      if (box.empty()) {
+        inbound_busy_[r] = 0;
+        ++delta.drained;
+      } else {
+        delta.still_busy = true;
+      }
     }
   });
 
   // Serial fold in receiver order, so the stats and the wheel's entry
   // order are independent of lane count. The one wake rule: a receiver is
   // stepped next round if and only if something reached its inbox (not
-  // when everything it was sent was dropped or delayed).
+  // when everything it was sent was dropped or delayed). A receiver with
+  // a queue still busy stays ready.
   for (std::size_t i = 0; i < ready_.size(); ++i) {
     ReceiverDelta& delta = deltas_[i];
     stats_.fold(delta.counts);
@@ -429,25 +428,16 @@ void Simulator::deliver() {
       wheel_[at].push_back(landing);
     }
     delta.later.clear();
+    busy_slots_ -= delta.drained;
+    delta.drained = 0;
     const NodeId to = ready_[i];
-    if (!inbox_[to].empty()) activate_node(to);
-    ready_flag_[to] = 0;
-  }
-  retire_drained_edges();
-  std::sort(active_.begin(), active_.end());
-}
-
-void Simulator::retire_drained_edges() {
-  // Compacts in place, keeping the busy list in its previous order.
-  std::size_t kept = 0;
-  for (const std::size_t h : busy_edges_) {
-    if (!outbox_[h].empty()) {
-      busy_edges_[kept++] = h;
-    } else {
-      edge_busy_flag_[h] = 0;
+    if (delta.still_busy) {
+      next_ready_.insert(to);
+      delta.still_busy = false;
     }
+    if (!inbox_[to].empty()) next_active_.insert(to);
   }
-  busy_edges_.resize(kept);
+  store_.rebalance();
 }
 
 }  // namespace dsketch

@@ -11,20 +11,21 @@
 // requested a wake; edges are touched only while their outbox is nonempty;
 // idle stretches (timer-only waits) fast-forward the round counter without
 // executing anything. Cost per simulated round is proportional to actual
-// traffic, never to n or |E|.
+// traffic (plus one bitset word per 4,096 nodes), never to |E|.
 //
 // Each round runs three phases:
 //   1. step    — every active node runs its protocol hook. Hooks touch only
 //                node-owned state (inbox, outboxes of outgoing half-edges,
 //                per-node wake scratch), so the step fans out over
 //                ThreadPool::for_each_dynamic when cfg.threads != 1.
-//   2. splice  — half-edges that became busy are appended to the busy list
-//                in (active-node, send) order; node-owned wake-at requests
-//                are folded into the round-keyed wheel. Serial, O(new work).
+//   2. splice  — each half-edge that became busy is marked at its
+//                receiver-side slot, where the mark stays until its queue
+//                drains, and its receiver joins the ready set; node-owned
+//                wake-at requests are folded into the round-keyed wheel.
+//                Serial, O(new work).
 //   3. deliver — one message per busy half-edge ships (the CONGEST capacity;
-//                all of them under the E3 ablation) by a receiver pull: each
-//                busy half-edge is marked at its receiver-side slot, and
-//                each receiving node drains its marked slots in local-edge
+//                all of them under the E3 ablation) by a receiver pull:
+//                each ready receiver drains its marked slots in local-edge
 //                order, so delivery parallelizes over receivers. Every
 //                per-transmission decision (async delay, fault drop and
 //                duplicate) is a stateless hash of (seed, half-edge, that
@@ -39,12 +40,19 @@
 // The wall time of each phase is summed into SimStats (step/splice/
 // deliver_seconds) and reported per round to the round log.
 //
+// Outboxes live in one MessageStore (congest/message_store.hpp): a queue
+// holds chunks of a few messages only while it has messages queued, so
+// memory follows the messages in flight. The step takes chunks on the
+// lane it runs on, the pull gives them back on its own, and the serial
+// fold rebalances the lanes' free lists.
+//
 // Determinism contract: for a fixed graph, protocol, and SimConfig (minus
 // `threads`), execution is byte-identical across thread counts and reruns —
 // message order, round counts, stats, and round-log samples all match.
-// Upheld by: sorted activation sets, sender-ordered busy-edge splice,
-// local-edge pull order, keyed per-transmission decisions, and a
-// receiver-ordered fold of stats and wheel entries.
+// Upheld by: activation and ready sets read out in id order, local-edge
+// pull order, keyed per-transmission decisions, and a receiver-ordered
+// fold of stats and wheel entries. Which lane holds which chunk varies
+// from run to run and is never observable.
 #pragma once
 
 #include <cstdint>
@@ -56,10 +64,11 @@
 #include <vector>
 
 #include "obs/round_log.hpp"
-#include "util/fifo.hpp"
+#include "util/id_set.hpp"
 
 #include "congest/accounting.hpp"
 #include "congest/message.hpp"
+#include "congest/message_store.hpp"
 #include "congest/protocol.hpp"
 #include "graph/graph.hpp"
 
@@ -126,6 +135,8 @@ class Simulator {
   const Graph& graph() const { return graph_; }
   std::uint64_t round() const { return round_; }
   const SimStats& stats() const { return stats_; }
+  /// The store every outbox keeps its messages in.
+  const MessageStore& message_store() const { return store_; }
 
   // -- NodeCtx backing API (treat as private to NodeCtx) --
   std::uint32_t degree_of(NodeId u) const {
@@ -140,8 +151,10 @@ class Simulator {
   std::span<const Inbound> inbox_of(NodeId u) const {
     return {inbox_[u].data(), inbox_[u].size()};
   }
-  void enqueue(NodeId u, std::uint32_t local, const Message& m);
-  void enqueue_all(NodeId u, const Message& m);
+  /// `lane` is the lane stepping u: the sends take chunks on its list.
+  void enqueue(NodeId u, std::uint32_t local, const Message& m,
+               std::size_t lane);
+  void enqueue_all(NodeId u, const Message& m, std::size_t lane);
   void wake(NodeId u) { wake_flag_[u] = 1; }
   /// Node-owned: requests are banked per node during the (possibly
   /// parallel) step and folded into the shared timer wheel at splice time.
@@ -157,8 +170,6 @@ class Simulator {
   }
 
  private:
-  using Outbox = Fifo<Message>;
-
   // A delivery due in a later round (an async delay or a fault duplicate),
   // or a wake_at timer (to_local == kTimer): one entry of the wheel.
   struct Landing {
@@ -169,14 +180,14 @@ class Simulator {
   static constexpr std::uint32_t kTimer = static_cast<std::uint32_t>(-1);
 
   ThreadPool* pool();
+  /// Runs body(lane, i) for i in [0, count), on the pool's lanes or
+  /// inline on lane 0.
   void fan_out(std::size_t count,
-               const std::function<void(std::size_t)>& body);
-  bool activate_node(NodeId u);
+               const std::function<void(std::size_t, std::size_t)>& body);
   void land_due();
   void step_active_nodes();
   void splice_new_work();
   void deliver();
-  void retire_drained_edges();
   std::uint64_t transit(std::size_t half_edge, std::uint64_t seq) const;
   void apply_fault_events();
   void crash_node(NodeId u);
@@ -188,10 +199,11 @@ class Simulator {
   std::uint64_t round_ = 0;
   SimStats stats_;
 
-  // Per half-edge h = (u, local): FIFO of queued messages, its receiver
-  // node, and its twin — the receiver-side half-edge (Graph::twin). The
-  // twin relation is symmetric.
-  std::vector<Outbox> outbox_;
+  // Per half-edge h = (u, local): its queue of messages in store_, its
+  // receiver node, and its twin — the receiver-side half-edge
+  // (Graph::twin). The twin relation is symmetric.
+  MessageStore store_;
+  std::vector<MessageStore::Queue> outbox_;
   std::vector<NodeId> head_;
   std::vector<std::size_t> twin_;
 
@@ -203,24 +215,27 @@ class Simulator {
   std::vector<std::vector<std::uint64_t>> wake_at_scratch_;
   std::vector<std::vector<std::uint32_t>> dirty_local_;  // newly busy sends
   std::vector<char> start_pending_;           // on_start owed to node
-  std::vector<char> in_active_list_;
-  std::vector<NodeId> active_;                // nodes to step this round
-  std::vector<NodeId> stepped_;               // last round's, in deliver
-  std::vector<std::size_t> busy_edges_;       // half-edges with queued msgs
-  std::vector<char> edge_busy_flag_;
+  IdSet next_active_;                         // nodes to step next round
+  std::vector<NodeId> active_;                // this round's, in id order
 
-  // Receiver-pull delivery scratch (reused across rounds).
-  std::vector<NodeId> ready_;                 // receivers with busy inbound
-  std::vector<char> ready_flag_;
-  // Per receiver-side half-edge (v, l): its twin has a message to ship
-  // this round. Set serially, cleared by v's pull.
+  // Per receiver-side half-edge (v, l): its twin's queue is nonempty. Set
+  // by the splice when the queue becomes busy; cleared by v's pull when
+  // it drains, or when the sender crashes.
   std::vector<char> inbound_busy_;
-  // One ready receiver's pull: its share of the round's counters, and
-  // the (landing round, entry) pairs the reduction folds into the wheel.
-  // The reduction empties it; buffers are kept across rounds.
+  std::size_t busy_slots_ = 0;                // marked slots = busy queues
+  // Receivers with a marked slot (a superset after a crash empties
+  // queues), and this round's, in id order.
+  IdSet next_ready_;
+  std::vector<NodeId> ready_;
+  // One ready receiver's pull: its share of the round's counters, the
+  // (landing round, entry) pairs the reduction folds into the wheel, the
+  // queues it drained and whether any stays busy. The reduction empties
+  // it; buffers are kept across rounds.
   struct ReceiverDelta {
     SimCounters counts;
     std::vector<std::pair<std::uint64_t, Landing>> later;
+    std::size_t drained = 0;
+    bool still_busy = false;
   };
   std::vector<ReceiverDelta> deltas_;
 

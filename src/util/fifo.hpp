@@ -1,6 +1,9 @@
 // Flat FIFO queue in place of std::deque: contiguous storage, O(1)
 // amortized pop via a head cursor. A drained queue keeps its buffer; a
 // long-lived one compacts once the consumed prefix outweighs the rest.
+// Protocols keep their per-node send queues in it. The simulator's
+// outboxes are not Fifos: one per half-edge would keep every edge's
+// deepest backlog, so they share the chunked congest/message_store.hpp.
 #pragma once
 
 #include <cstddef>

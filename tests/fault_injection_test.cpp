@@ -197,5 +197,43 @@ TEST(FaultObservability, RoundLogCarriesDropCounts) {
   EXPECT_NE(sink.str().find("\"dropped\""), std::string::npos);
 }
 
+TEST(FaultObservability, CrashesHandEveryQueuedChunkBack) {
+  // Nodes queue bursts deeper than a chunk on every edge while crashes
+  // empty their outboxes; at the end of the run every chunk the message
+  // store handed out must be back on a free list, on one lane or four.
+  const Graph g = erdos_renyi(80, 0.06, {1, 5}, 13);
+  FaultConfig fc;
+  fc.node_crashes = 6;
+  fc.crash_horizon = 12;
+  fc.crash_downtime = 4;
+  fc.seed = 11;
+  const FaultPlan plan(g, fc);
+  class Burster : public Protocol {
+   public:
+    void on_start(NodeCtx& ctx) override { ctx.wake(); }
+    void on_round(NodeCtx& ctx) override {
+      if (ctx.round() >= 12) return;
+      for (std::uint32_t e = 0; e < ctx.degree(); ++e) {
+        for (Word w = 0; w < 3; ++w) ctx.send(e, Message{w});
+      }
+      ctx.wake();
+    }
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    Burster p;
+    SimConfig cfg;
+    cfg.faults = &plan;
+    cfg.threads = threads;
+    Simulator sim(g, p, cfg);
+    const SimStats stats = sim.run();
+    EXPECT_FALSE(stats.hit_round_limit);
+    EXPECT_GT(stats.dropped, 0u);
+    const MessageStore& store = sim.message_store();
+    EXPECT_GT(store.allocated_chunks(), 0u);
+    EXPECT_EQ(store.free_chunks(), store.allocated_chunks())
+        << "threads=" << threads;
+  }
+}
+
 }  // namespace
 }  // namespace dsketch

@@ -1,10 +1,10 @@
 // Event-driven scheduler semantics: the simulator activates only nodes
 // with inbound traffic, wakes, or timers; idle stretches fast-forward;
-// outboxes drain one message per edge per round through a compacting
-// queue. These tests pin the observable contract of that machinery —
-// activation accounting, timer precision, FIFO through compaction,
-// canonical inbox order, async delays and the wake rule, async and
-// threaded determinism.
+// outboxes drain one message per edge per round through a chain of
+// message chunks. These tests pin the observable contract of that
+// machinery — activation accounting, timer precision, FIFO through a
+// deep queue, canonical inbox order, async delays and the wake rule,
+// async and threaded determinism.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -208,9 +208,10 @@ class Burst : public Protocol {
 };
 
 TEST(SimEvent, LongBurstDrainsFifoThroughQueueCompaction) {
-  // 200 queued messages on one edge force the outbox's head-compaction
-  // path (it compacts after 64 pops): FIFO order and one-per-round pacing
-  // must survive it, and the peak depth must equal the burst size.
+  // 200 queued messages on one edge make a chain of 100 chunks in the
+  // message store: FIFO order and one-per-round pacing must survive it as
+  // the chunks are handed back one by one, and the peak depth must equal
+  // the burst size.
   constexpr std::size_t kBurst = 200;
   const Graph g = path(2, {1, 1}, 0);
   Burst p(kBurst);

@@ -12,6 +12,7 @@
 
 #include "util/fifo.hpp"
 #include "util/flat_map.hpp"
+#include "util/id_set.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -426,6 +427,29 @@ TEST(Fifo, PopsInPushOrderAcrossCompaction) {
   q.push(7);
   q.clear();
   EXPECT_TRUE(q.empty());
+}
+
+TEST(IdSet, DrainListsEachMemberOnceInIdOrderAndEmpties) {
+  // Bound 10,000 spans three summary words; the ids hit both ends of a
+  // word and of a summary word.
+  IdSet set(10000);
+  EXPECT_TRUE(set.empty());
+  const std::vector<std::uint32_t> ids = {9999, 0, 4096, 63, 64, 4095, 5000,
+                                          63, 9999, 1};
+  std::set<std::uint32_t> expected;
+  for (const std::uint32_t id : ids) {
+    EXPECT_EQ(set.insert(id), expected.insert(id).second);
+  }
+  EXPECT_EQ(set.size(), expected.size());
+  std::vector<std::uint32_t> out = {42};
+  set.drain(out);
+  EXPECT_EQ(out, std::vector<std::uint32_t>(expected.begin(), expected.end()));
+  EXPECT_TRUE(set.empty());
+  set.drain(out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(set.insert(63));
+  set.drain(out);
+  EXPECT_EQ(out, std::vector<std::uint32_t>{63});
 }
 
 }  // namespace
