@@ -169,7 +169,11 @@ int run_e13(const FlagSet& flags, std::ostream& out) {
   Timer legacy_timer;
   std::vector<TzLabelBuilder> legacy_labels = legacy_build_tz(g, h);
   const double legacy_ms = legacy_timer.millis();
-  const LabelArena want = LabelArena::from_builders(std::move(legacy_labels));
+  for (TzLabelBuilder& label : legacy_labels) label.sort_bunch();
+  ThreadPool calling_thread(1);  // no worker threads
+  const LabelArena want = LabelArena::pack(
+      n, k, [&](NodeId u) { return legacy_labels[u].parts(); },
+      calling_thread);
   row("e13", "tz_build")
       .add("build", "legacy_serial")
       .add("n", static_cast<std::uint64_t>(n))

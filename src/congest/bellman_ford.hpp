@@ -1,12 +1,6 @@
-// Distributed Bellman–Ford protocols (paper §3.2, Algorithm 1).
+// Distributed Bellman–Ford protocols (paper §3.2, §4).
 //
-// Three variants used as substrates by the sketch constructions:
-//
-//  - MultiSourceBellmanFord ("k-Source Shortest Paths", [PK09]): every node
-//    learns its exact distance to every source. Messages are <source, dist>
-//    pairs; per-node pending queues are drained round-robin, exactly like
-//    Algorithm 2 but with no bunch gate. Used by the ε-slack sketches
-//    (Theorem 4.3: distances to all density-net nodes) and by tests.
+// Two variants used as substrates by the sketch constructions:
 //
 //  - SuperSourceBellmanFord: all sources start at distance 0 as one virtual
 //    "super node" (§4, Lemma 4.5); every node learns (d(u,N), owner, parent
@@ -17,10 +11,15 @@
 //  - online_distance_rounds: measures the rounds a no-preprocessing online
 //    distance query costs (single-source BF until global convergence),
 //    the Ω(S) baseline of §2.1 benchmarked in E8.
+//
+// The k-source shortest paths of Algorithm 1 ([PK09]), where every node
+// learns its exact distance to every source, is not here: it is Algorithm
+// 2 without the bunch gate, so it runs as the TZ construction over a
+// one-level hierarchy whose members are the sources
+// (sketch/tz_distributed; the ε-slack sketches of Theorem 4.3 build so).
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "congest/accounting.hpp"
@@ -28,17 +27,6 @@
 #include "graph/graph.hpp"
 
 namespace dsketch {
-
-struct MultiSourceBfResult {
-  /// dist[u] maps each discovered source to the exact distance from u.
-  std::vector<std::unordered_map<NodeId, Dist>> dist;
-  SimStats stats;
-};
-
-/// Every node learns its distance to every node in `sources`.
-MultiSourceBfResult run_multi_source_bf(const Graph& g,
-                                        const std::vector<NodeId>& sources,
-                                        SimConfig cfg = {});
 
 struct SuperSourceBfResult {
   std::vector<Dist> dist;        ///< d(u, sources)

@@ -1,5 +1,6 @@
 #include "core/sketch_payload.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -207,18 +208,26 @@ SketchPayload build_sketch_payload(const Graph& g, const BuildConfig& config,
 BuildConfig sketch_build_config(Scheme scheme, const FlagSet& flags) {
   BuildConfig cfg;
   cfg.scheme = scheme;
-  cfg.k = static_cast<std::uint32_t>(flags.get("k", std::int64_t{3}));
+  // A record stores its level count in one byte.
+  const std::int64_t k = flags.get("k", std::int64_t{3});
+  if (k < 1 || k > 255) throw std::runtime_error("--k must be in [1, 255]");
+  cfg.k = static_cast<std::uint32_t>(k);
   cfg.epsilon = flags.get("epsilon", 0.1);
+  if (!(cfg.epsilon > 0.0 && cfg.epsilon <= 1.0)) {
+    throw std::runtime_error("--epsilon must be in (0, 1]");
+  }
   cfg.seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{1}));
   if (flags.get_bool("echo")) cfg.termination = TerminationMode::kEcho;
   if (flags.get_bool("known-s")) cfg.termination = TerminationMode::kKnownS;
-  cfg.sim.async_max_delay =
-      static_cast<std::uint32_t>(flags.get("async", std::int64_t{1}));
+  const std::int64_t async = flags.get("async", std::int64_t{1});
+  if (async < 0) throw std::runtime_error("--async must be >= 0");
+  cfg.sim.async_max_delay = static_cast<std::uint32_t>(async);
   // Worker lanes for the event-driven simulator: 1 = serial (default),
   // 0 = all hardware threads, N = a dedicated pool of N lanes. Results
   // are byte-identical across settings; this is purely a wall-clock knob.
-  cfg.sim.threads =
-      static_cast<unsigned>(flags.get("sim-threads", std::int64_t{1}));
+  const std::int64_t threads = flags.get("sim-threads", std::int64_t{1});
+  if (threads < 0) throw std::runtime_error("--sim-threads must be >= 0");
+  cfg.sim.threads = static_cast<unsigned>(threads);
   return cfg;
 }
 

@@ -85,7 +85,9 @@ SketchPayload build_sketch_payload(const Graph& g, const BuildConfig& config,
 /// Maps the CLI/bench flag surface (--k, --epsilon, --seed, --echo,
 /// --known-s, --async, --sim-threads) onto a BuildConfig for the given
 /// scheme; used by every registered sketch factory so all consumers parse
-/// flags once, identically.
+/// flags once, identically. Throws std::runtime_error naming the flag for
+/// --k outside [1, 255], --epsilon outside (0, 1], or a negative --async
+/// or --sim-threads.
 BuildConfig sketch_build_config(Scheme scheme, const FlagSet& flags);
 
 /// Worst-case guarantee string for a sketch family with parameters

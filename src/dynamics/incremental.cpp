@@ -101,9 +101,12 @@ bool TzDynamicSketch::apply(const Graph& updated, const EdgeUpdate& update) {
     return false;
   };
 
-  // Records are write-once: every label goes to a fresh slab, re-packed
-  // from a builder where a distance tightened and copied otherwise.
+  // Records are write-once: every label goes to a fresh slab, packed
+  // straight into it where a distance tightened and copied otherwise.
+  // The bunch is read in id order, so its entries need no sort.
   RecordSlabWriter repaired;
+  std::vector<DistKey> pivots;
+  std::vector<BunchEntry> bunch;
   bool improved = false;
   for (NodeId x = 0; x < updated.num_nodes(); ++x) {
     const LabelView label = labels_.view(x);
@@ -112,22 +115,24 @@ bool TzDynamicSketch::apply(const Graph& updated, const EdgeUpdate& update) {
       continue;
     }
     improved = true;
-    TzLabelBuilder builder(x, label.levels);
+    pivots.clear();
+    bunch.clear();
     for (std::uint32_t i = 0; i < label.levels; ++i) {
       DistKey p = label.pivot(i);
       const Dist d = tightened(x, p.id, p.dist);
       stats_.entries_improved += d < p.dist;
       p.dist = d;
-      builder.set_pivot(i, p);
+      pivots.push_back(p);
     }
     for (std::uint32_t j = 0; j < label.count; ++j) {
       BunchEntry e = label.entry(j);
       const Dist d = tightened(x, e.node, e.dist);
       stats_.entries_improved += d < e.dist;
       e.dist = d;
-      builder.add_bunch_entry(e);
+      bunch.push_back(e);
     }
-    repaired.append(builder.view().bytes());
+    const LabelParts parts{pivots, bunch};
+    pack_label(parts, repaired.append(packed_label_size(parts)));
   }
   // As in rebuild(), the arena is replaced whole, and only when it changed.
   if (improved) {

@@ -4,8 +4,9 @@
 #include <bit>
 #include <utility>
 
-#include "congest/bellman_ford.hpp"
 #include "sketch/density_net.hpp"
+#include "sketch/hierarchy.hpp"
+#include "sketch/tz_distributed.hpp"
 #include "util/assert.hpp"
 
 namespace dsketch {
@@ -64,17 +65,26 @@ SlackSketchResult build_slack_sketches(const Graph& g, double epsilon,
                                        std::uint64_t seed, SimConfig cfg) {
   const NodeId n = g.num_nodes();
   std::vector<NodeId> net = sample_density_net(n, epsilon, seed);
+  // Algorithm 1 from the net is the TZ build at k = 1: the net is A_0, no
+  // level gates it, and each node's bunch is every net node it reaches.
+  std::vector<std::uint32_t> levels(n, 0);
+  for (const NodeId w : net) levels[w] = 1;
   if (cfg.phase.empty()) cfg.phase = "slack_net_bf";
-  MultiSourceBfResult bf = run_multi_source_bf(g, net, cfg);
+  TzDistributedResult bf = build_tz_distributed(
+      g, Hierarchy(1, std::move(levels)), TerminationMode::kOracle, cfg);
+  DS_CHECK_MSG(bf.completed, "the net Bellman-Ford did not finish");
 
   RecordSlabWriter rows;
   std::vector<Dist> row(net.size());
   for (NodeId u = 0; u < n; ++u) {
-    for (std::size_t i = 0; i < net.size(); ++i) {
-      const auto it = bf.dist[u].find(net[i]);
-      DS_CHECK_MSG(it != bf.dist[u].end(),
-                   "connected graph: every net distance must be learned");
-      row[i] = it->second;
+    // The bunch is id-ordered, and so is the net.
+    const LabelView label = bf.labels.view(u);
+    DS_CHECK_MSG(label.count == net.size(),
+                 "connected graph: every net distance must be learned");
+    for (std::uint32_t i = 0; i < label.count; ++i) {
+      const BunchEntry e = label.entry(i);
+      DS_CHECK(e.node == net[i]);
+      row[i] = e.dist;
     }
     SlackSketchSet::append_row(rows, row);
   }

@@ -1,9 +1,11 @@
 // Stretch-3 ε-slack sketches (Theorem 4.3).
 //
-// Build an ε-density net N, then run the multi-source distributed
-// Bellman–Ford with N as sources so every node learns d(u, w) for all
-// w ∈ N. The sketch of u is the full vector of net distances
-// (O((1/ε) log n) words); the estimate for (u, v) is
+// Build an ε-density net N, then run the k-source shortest paths of
+// Algorithm 1 from N so every node learns d(u, w) for all w ∈ N. That
+// algorithm is Algorithm 2 without its gate, so it runs as the TZ
+// construction over one level, A_0 = N (sketch/tz_distributed), and each
+// node's bunch is its row. The sketch of u is the full vector of net
+// distances (O((1/ε) log n) words); the estimate for (u, v) is
 //   min_{w in N} d(u,w) + d(w,v),
 // which is ≥ d(u,v) always and ≤ 3·d(u,v) whenever v is ε-far from u.
 #pragma once

@@ -13,6 +13,7 @@
 #include "util/assert.hpp"
 #include "util/fifo.hpp"
 #include "util/flat_map.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dsketch {
 namespace {
@@ -149,20 +150,22 @@ class TzProtocol : public Protocol {
     return true;
   }
 
+  /// Packs every node's label straight from its state: pivots 0..k-1 and
+  /// its bunch, sorted in place.
   LabelArena take_labels() {
     const std::uint32_t k = hier_.k();
-    std::vector<TzLabelBuilder> builders;
-    builders.reserve(nodes_.size());
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
-      NodeState& s = nodes_[u];
+    for (NodeState& s : nodes_) {
       DS_CHECK_MSG(s.phase == kPreStart, "node did not finish all phases");
-      TzLabelBuilder label(u, k);
-      for (std::uint32_t i = 0; i < k; ++i) label.set_pivot(i, s.pivot[i]);
-      for (const BunchEntry& e : s.bunch) label.add_bunch_entry(e);
-      label.sort_bunch();
-      builders.push_back(std::move(label));
+      sort_bunch(s.bunch);
     }
-    return LabelArena::from_builders(std::move(builders));
+    ThreadPool calling_thread(1);  // no worker threads
+    return LabelArena::pack(
+        static_cast<NodeId>(nodes_.size()), k,
+        [&](NodeId u) {
+          const NodeState& s = nodes_[u];
+          return LabelParts{{s.pivot.data(), k}, s.bunch};
+        },
+        calling_thread);
   }
 
   /// Network-wide end round of each phase, in execution order (k-1 first).
@@ -528,8 +531,8 @@ TzDistributedResult build_tz_distributed(const Graph& g,
                       mode == TerminationMode::kEcho ? &tree : nullptr,
                       eager_send, phase_len, fault_tolerance);
   if (cfg.phase.empty()) cfg.phase = "tz_construction";
-  Simulator sim(g, protocol, cfg);
-  result.stats = sim.run();
+  // A temporary: the simulator's queues are freed before the labels pack.
+  result.stats = Simulator(g, protocol, cfg).run();
   result.retransmits = protocol.total_retransmits();
   result.duplicate_discards = protocol.total_redundant_discards();
   if (cfg.faults != nullptr &&

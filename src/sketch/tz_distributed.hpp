@@ -16,6 +16,13 @@
 // bunch member is a function of the labels and the node's own edges
 // (sketch/path_extraction).
 //
+// Over a one-level hierarchy (k = 1) nothing gates a source, so the run is
+// the k-source shortest paths of Algorithm 1 ([PK09]): every node's bunch
+// holds its exact distance to every A_0 node it reaches. The ε-slack
+// sketches run it from their density net; it is the repo's one in-network
+// multi-source Bellman–Ford. At the end every node's label is packed
+// straight from its own pivots and bunch, after the simulator is gone.
+//
 // Phase synchronization comes in two flavours:
 //   kOracle — a global observer detects quiescence and starts the next phase
 //             (models the paper's "every node knows S" variant without

@@ -45,17 +45,21 @@ bool operator==(const LabelView& a, const LabelView& b) {
 TzLabelBuilder::TzLabelBuilder(NodeId owner, std::uint32_t k)
     : owner_(owner), pivots_(k) {}
 
-void TzLabelBuilder::sort_bunch() {
-  if (sorted_) return;
-  std::sort(bunch_.begin(), bunch_.end(),
+void sort_bunch(std::span<BunchEntry> bunch) {
+  std::sort(bunch.begin(), bunch.end(),
             [](const BunchEntry& a, const BunchEntry& b) {
               return a.node < b.node;
             });
-  DS_CHECK_MSG(std::adjacent_find(bunch_.begin(), bunch_.end(),
+  DS_CHECK_MSG(std::adjacent_find(bunch.begin(), bunch.end(),
                                   [](const BunchEntry& a, const BunchEntry& b) {
                                     return a.node == b.node;
-                                  }) == bunch_.end(),
+                                  }) == bunch.end(),
                "a bunch holds each node at most once");
+}
+
+void TzLabelBuilder::sort_bunch() {
+  if (sorted_) return;
+  dsketch::sort_bunch(bunch_);
   sorted_ = true;
   packed_.clear();
 }
@@ -144,18 +148,6 @@ LabelArena LabelArena::pack(NodeId n, std::uint32_t k,
     }
   });
   return LabelArena(RecordSlab(std::move(offsets), std::move(blob)), k);
-}
-
-LabelArena LabelArena::from_builders(std::vector<TzLabelBuilder> builders) {
-  std::uint32_t k = 0;
-  for (NodeId u = 0; u < builders.size(); ++u) {
-    DS_CHECK(builders[u].owner() == u);
-    builders[u].sort_bunch();
-    k = std::max(k, builders[u].levels());
-  }
-  ThreadPool calling_thread(1);  // no worker threads
-  return pack(static_cast<NodeId>(builders.size()), k,
-              [&](NodeId u) { return builders[u].parts(); }, calling_thread);
 }
 
 double LabelArena::mean_size_words() const {

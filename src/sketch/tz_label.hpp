@@ -30,9 +30,10 @@
 // id column where it lies.
 //
 // Representation is split by mutability:
-//   - TzLabelBuilder: the only mutable form. Constructions accumulate pivots
-//     and bunch entries here, then pack them into an arena. sort_bunch()
-//     orders the bunch by node id and refuses a repeated id.
+//   - TzLabelBuilder: a mutable label of its own vectors, for a label read
+//     off the wire (deserialize_label), E13's legacy reference and tests.
+//     No construction goes through it: the builds and repair pack their
+//     own pivot and bunch arrays straight into records.
 //   - LabelView: one packed record, read in place. Queries, equality and
 //     serialization all walk views. A view never owns.
 //   - LabelArena: every label of one build, one record per node in a
@@ -43,7 +44,8 @@
 //     RecordSlabWriter and seals a fresh arena. Copies share the bytes, so
 //     a view dies only with the last arena that holds them.
 // Every record, whichever form it is packed from, is written by one
-// function, pack_label(), from a pivot span and a sorted bunch span.
+// function, pack_label(), from a pivot span and a sorted bunch span;
+// sort_bunch() orders a bunch by node id and refuses a repeated id.
 //
 // The query (Lemma 3.2) walks levels i = 0, 1, ... and returns
 //   d(u, p_i(u)) + d(v, p_i(u))   for the first i with p_i(u) in B(v)
@@ -283,15 +285,18 @@ struct LabelParts {
   std::span<const BunchEntry> bunch;
 };
 
+/// Orders `bunch` by strictly increasing node id, as the packer reads it;
+/// a repeated id fails a DS_CHECK.
+void sort_bunch(std::span<BunchEntry> bunch);
+
 /// Bytes of `label`'s packed record.
 std::size_t packed_label_size(LabelParts label);
 /// Packs `label` into `out` (packed_label_size(label) bytes): the one
 /// packer every label record is written by.
 void pack_label(LabelParts label, std::uint8_t* out);
 
-/// Mutable label under construction: plain vectors of pivot keys and
-/// bunch entries. Finalize with sort_bunch() before taking a view() or
-/// packing it into a LabelArena.
+/// A mutable label: plain vectors of pivot keys and bunch entries.
+/// Finalize with sort_bunch() before taking a view() or its parts().
 class TzLabelBuilder {
  public:
   TzLabelBuilder() = default;
@@ -316,9 +321,8 @@ class TzLabelBuilder {
   }
   const std::vector<BunchEntry>& bunch() const { return bunch_; }
 
-  /// Canonicalize entry order: strictly increasing node ids (a repeated
-  /// id fails a DS_CHECK). Required before view() / arena packing;
-  /// idempotent.
+  /// Canonicalize entry order with the free sort_bunch(). Required
+  /// before view() / parts(); idempotent.
   void sort_bunch();
   bool sorted() const { return sorted_; }
 
@@ -365,10 +369,6 @@ class LabelArena {
   static LabelArena pack(NodeId n, std::uint32_t k,
                          const std::function<LabelParts(NodeId)>& label,
                          ThreadPool& pool);
-
-  /// Packs per-node builders (builders[u].owner() must be u) on the
-  /// calling thread. Unsorted builders are finalized here.
-  static LabelArena from_builders(std::vector<TzLabelBuilder> builders);
 
   NodeId num_nodes() const { return slab_.num_records(); }
   bool empty() const { return num_nodes() == 0; }

@@ -7,6 +7,7 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "congest/bellman_ford.hpp"
@@ -27,13 +28,17 @@ SimConfig async_cfg(std::uint32_t max_delay, std::uint64_t seed = 0x5eed) {
 }
 
 TEST(Async, MultiSourceBfExactUnderDelays) {
+  // Algorithm 1 is the TZ construction over one level of sources.
   const Graph g = erdos_renyi(80, 0.06, {1, 15}, 4);
   const std::vector<NodeId> sources{1, 33, 77};
-  const auto r = run_multi_source_bf(g, sources, async_cfg(5));
+  std::vector<std::uint32_t> levels(g.num_nodes(), 0);
+  for (const NodeId s : sources) levels[s] = 1;
+  const auto r = build_tz_distributed(g, Hierarchy(1, std::move(levels)),
+                                      TerminationMode::kOracle, async_cfg(5));
   for (const NodeId s : sources) {
     const auto exact = dijkstra(g, s);
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      EXPECT_EQ(r.dist[u].at(s), exact[u]);
+      EXPECT_EQ(r.labels.view(u).bunch_dist(s), exact[u]);
     }
   }
 }

@@ -2,40 +2,54 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "congest/bellman_ford.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
+#include "sketch/hierarchy.hpp"
+#include "sketch/tz_distributed.hpp"
 #include "util/rng.hpp"
 
 namespace dsketch {
 namespace {
 
+// The k-source shortest paths of Algorithm 1: the TZ construction over
+// one level whose members are the sources, so no gate drops a source.
+TzDistributedResult multi_source_bf(const Graph& g,
+                                    const std::vector<NodeId>& sources) {
+  std::vector<std::uint32_t> levels(g.num_nodes(), 0);
+  for (const NodeId s : sources) levels[s] = 1;
+  return build_tz_distributed(g, Hierarchy(1, std::move(levels)),
+                              TerminationMode::kOracle);
+}
+
 TEST(MultiSourceBf, MatchesDijkstraPerSource) {
   const Graph g = erdos_renyi(80, 0.06, {1, 20}, 11);
   const std::vector<NodeId> sources{0, 17, 42};
-  const MultiSourceBfResult r = run_multi_source_bf(g, sources);
+  const TzDistributedResult r = multi_source_bf(g, sources);
   for (const NodeId s : sources) {
     const auto exact = dijkstra(g, s);
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      const auto it = r.dist[u].find(s);
-      ASSERT_NE(it, r.dist[u].end()) << "node " << u << " missed source " << s;
-      EXPECT_EQ(it->second, exact[u]);
+      const Dist d = r.labels.view(u).bunch_dist(s);
+      ASSERT_NE(d, kInfDist) << "node " << u << " missed source " << s;
+      EXPECT_EQ(d, exact[u]);
     }
   }
 }
 
 TEST(MultiSourceBf, OnlySourcesAppear) {
   const Graph g = ring(20, {1, 4}, 2);
-  const MultiSourceBfResult r = run_multi_source_bf(g, {3, 9});
+  const TzDistributedResult r = multi_source_bf(g, {3, 9});
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_EQ(r.dist[u].size(), 2u);
+    EXPECT_EQ(r.labels.view(u).count, 2u);
   }
 }
 
 TEST(MultiSourceBf, RoundsBoundedBySourcesTimesS) {
   const Graph g = path(50, {1, 1}, 0);
-  const MultiSourceBfResult r = run_multi_source_bf(g, {0, 49});
+  const TzDistributedResult r = multi_source_bf(g, {0, 49});
   // 2 sources, S = 49; round-robin multiplexing => <= ~2*S + slack.
   EXPECT_LE(r.stats.rounds, 4u * 49 + 10);
 }
@@ -102,11 +116,11 @@ TEST_P(MultiSourceSweep, AgreesWithDijkstra) {
   }
   std::sort(sources.begin(), sources.end());
   sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
-  const MultiSourceBfResult r = run_multi_source_bf(g, sources);
+  const TzDistributedResult r = multi_source_bf(g, sources);
   for (const NodeId s : sources) {
     const auto exact = dijkstra(g, s);
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      EXPECT_EQ(r.dist[u].at(s), exact[u]);
+      EXPECT_EQ(r.labels.view(u).bunch_dist(s), exact[u]);
     }
   }
 }

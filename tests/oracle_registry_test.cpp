@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "baselines/exact_oracle.hpp"
+#include "core/sketch_payload.hpp"
 #include "dynamics/incremental.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
@@ -67,6 +68,31 @@ TEST(OracleRegistry, DuplicateRegistrationThrows) {
   };
   EXPECT_THROW(OracleRegistry::instance().add(std::move(dup)),
                std::runtime_error);
+}
+
+TEST(SketchBuildConfig, RejectsOutOfRangeFlagsAndAcceptsTheirBounds) {
+  // Parses flags only: nothing is built and no thread starts.
+  const auto config = [](const std::string& key, const std::string& value) {
+    return sketch_build_config(Scheme::kThorupZwick, FlagSet({{key, value}}));
+  };
+  EXPECT_THROW(config("k", "0"), std::runtime_error);
+  EXPECT_THROW(config("k", "-1"), std::runtime_error);
+  EXPECT_THROW(config("k", "256"), std::runtime_error);  // one level byte
+  EXPECT_THROW(config("epsilon", "0"), std::runtime_error);
+  EXPECT_THROW(config("epsilon", "-0.5"), std::runtime_error);
+  EXPECT_THROW(config("epsilon", "1.5"), std::runtime_error);
+  EXPECT_THROW(config("async", "-1"), std::runtime_error);
+  EXPECT_THROW(config("sim-threads", "-1"), std::runtime_error);
+
+  const BuildConfig cfg = sketch_build_config(
+      Scheme::kSlack, FlagSet({{"k", "255"},
+                               {"epsilon", "1"},
+                               {"async", "0"},
+                               {"sim-threads", "0"}}));
+  EXPECT_EQ(cfg.k, 255u);
+  EXPECT_EQ(cfg.epsilon, 1.0);
+  EXPECT_EQ(cfg.sim.async_max_delay, 0u);
+  EXPECT_EQ(cfg.sim.threads, 0u);
 }
 
 class OracleRegistrySchemes

@@ -44,7 +44,9 @@ LabelArena brute_force_labels(const Graph& g, const Hierarchy& h) {
     }
     labels[u].sort_bunch();
   }
-  return LabelArena::from_builders(std::move(labels));
+  ThreadPool calling_thread(1);
+  return LabelArena::pack(
+      n, k, [&](NodeId u) { return labels[u].parts(); }, calling_thread);
 }
 
 class TzCentralizedSweep

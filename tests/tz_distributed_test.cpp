@@ -2,10 +2,10 @@
 
 #include <ostream>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baselines/exact_oracle.hpp"
-#include "congest/bellman_ford.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
 #include "sketch/tz_centralized.hpp"
@@ -216,15 +216,20 @@ TEST(TzDistributedPinned, EveryModeKeepsTheRecordedCountsAndLabels) {
 }
 
 TEST(TzDistributedPinned, MultiSourceBellmanFordKeepsTheRecordedCounts) {
+  // Algorithm 1 is the TZ construction over one level of sources, so its
+  // DATA frames are the 4-word <kData, phase, source, dist>.
   const Graph g = pinned_graph();
   const std::vector<NodeId> sources{0, 17, 42, 99, 123, 150};
-  const MultiSourceBfResult r = run_multi_source_bf(g, sources);
-  EXPECT_EQ(counts_of(r.stats), (Counts{21, 16062, 32124, 2495, 1}));
+  std::vector<std::uint32_t> levels(g.num_nodes(), 0);
+  for (const NodeId s : sources) levels[s] = 1;
+  const TzDistributedResult r = build_tz_distributed(
+      g, Hierarchy(1, std::move(levels)), TerminationMode::kOracle);
+  EXPECT_EQ(counts_of(r.stats), (Counts{20, 16062, 64248, 2611, 1}));
   for (const NodeId s : sources) {
     const std::vector<Dist> exact = dijkstra(g, s);
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      ASSERT_EQ(r.dist[u].size(), sources.size());
-      EXPECT_EQ(r.dist[u].at(s), exact[u]);
+      ASSERT_EQ(r.labels.view(u).count, sources.size());
+      EXPECT_EQ(r.labels.view(u).bunch_dist(s), exact[u]);
     }
   }
 }

@@ -8,6 +8,7 @@
 
 #include "sketch/tz_label.hpp"
 #include "test_records.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dsketch {
 namespace {
@@ -131,22 +132,23 @@ TEST(RecordSlabWriter, SealsRecordsBackToBack) {
   EXPECT_EQ(tz_query(arena.view(0), arena.view(1)), kInfDist);
 }
 
-TEST(LabelArena, FromBuildersPreservesLabels) {
+TEST(LabelArena, PackPreservesBuilderLabels) {
   std::vector<TzLabelBuilder> builders;
   for (NodeId u = 0; u < 3; ++u) {
     TzLabelBuilder b(u, 2);
     b.set_pivot(0, {0, u});
     b.add_bunch_entry({u, 0});
-    if (u == 1) b.add_bunch_entry({0, 4});
+    if (u == 1) b.add_bunch_entry({0, 4});  // out of order until sorted
+    b.sort_bunch();
     builders.push_back(std::move(b));
   }
-  std::vector<TzLabelBuilder> expect = builders;  // keep copies to compare
-  const LabelArena arena = LabelArena::from_builders(std::move(builders));
+  ThreadPool calling_thread(1);
+  const LabelArena arena = LabelArena::pack(
+      3, 2, [&](NodeId u) { return builders[u].parts(); }, calling_thread);
   ASSERT_EQ(arena.num_nodes(), 3u);
   EXPECT_EQ(arena.k(), 2u);
   for (NodeId u = 0; u < 3; ++u) {
-    expect[u].sort_bunch();
-    EXPECT_TRUE(arena.view(u) == expect[u].view()) << "node " << u;
+    EXPECT_TRUE(arena.view(u) == builders[u].view()) << "node " << u;
   }
   EXPECT_EQ(arena.total_entries(), 4u);
 }
